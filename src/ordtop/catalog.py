@@ -54,12 +54,11 @@ class ScalarFunction:
     """
 
     name: str
-    fn: object  # coords tuple -> float
+    fn: object  # (n, dim) coordinate array -> (n,) values
     monotone: str = "none"  # isotone | anti_isotone | none
     klass: object = None
     tail_value: object = None
     tail_level: int = 0
-    batch: object = None  # optional numpy path: (n, dim) array -> (n,) values
 
     def __post_init__(self):
         if self.monotone not in ("isotone", "anti_isotone", "none"):
@@ -74,10 +73,12 @@ class ScalarFunction:
             raise ValueError("C-class functions must declare a tail value")
 
     def evaluate(self, coords: np.ndarray) -> np.ndarray:
-        """Vectorized evaluation over an (n, dim) coordinate array."""
-        if self.batch is not None:
-            return np.asarray(self.batch(coords), dtype=float)
-        return np.array([self.fn(tuple(c)) for c in coords], dtype=float)
+        """Values over an (n, dim) coordinate array, one per row."""
+        values = np.asarray(self.fn(coords), dtype=float)
+        if values.shape != (len(coords),):
+            raise ValueError(f"function {self.name} returned shape "
+                             f"{values.shape} for {len(coords)} points")
+        return values
 
 
 @dataclass(frozen=True)
@@ -298,44 +299,36 @@ class MisnerStrip(SampledSpace):
 # ------------------------------------------------------------- functions
 
 
-def _const1(_coords):
-    return 1.0
-
-
 _CONST_ONE = ScalarFunction(
-    "const1", _const1, monotone="isotone", klass="C", tail_value=1.0,
-    tail_level=0, batch=lambda a: np.ones(len(a)),
+    "const1", lambda a: np.ones(len(a)), monotone="isotone", klass="C",
+    tail_value=1.0, tail_level=0,
 )
 
 
 def _interval_pool():
-    def mk(name, f, vec):
-        return ScalarFunction(name, f, monotone="isotone", batch=vec)
+    def mk(name, fn):
+        return ScalarFunction(name, fn, monotone="isotone")
 
     return {
-        "id": mk("id", lambda c: c[0], lambda a: a[:, 0]),
-        "sq": mk("sq", lambda c: c[0] ** 2, lambda a: a[:, 0] ** 2),
-        "cube": mk("cube", lambda c: c[0] ** 3, lambda a: a[:, 0] ** 3),
-        "sqrt": mk("sqrt", lambda c: math.sqrt(c[0]),
-                   lambda a: np.sqrt(a[:, 0])),
+        "id": mk("id", lambda a: a[:, 0]),
+        "sq": mk("sq", lambda a: a[:, 0] ** 2),
+        "cube": mk("cube", lambda a: a[:, 0] ** 3),
+        "sqrt": mk("sqrt", lambda a: np.sqrt(a[:, 0])),
         # rises so late that a desk-scale tail window cannot see its limit
-        "pow64": mk("pow64", lambda c: c[0] ** 64, lambda a: a[:, 0] ** 64),
+        "pow64": mk("pow64", lambda a: a[:, 0] ** 64),
         "const1": _CONST_ONE,
     }
 
 
 def _mirror_pool():
-    def mk(name, f, vec):
+    def mk(name, fn):
         # nonincreasing in |x| means isotone for the mirror order
-        return ScalarFunction(name, f, monotone="isotone", batch=vec)
+        return ScalarFunction(name, fn, monotone="isotone")
 
     return {
-        "invmod": mk("invmod", lambda c: 1.0 / (1.0 + abs(c[0])),
-                     lambda a: 1.0 / (1.0 + np.abs(a[:, 0]))),
-        "invmod2": mk("invmod2", lambda c: 1.0 / (1.0 + abs(c[0])) ** 2,
-                      lambda a: 1.0 / (1.0 + np.abs(a[:, 0])) ** 2),
-        "exp2": mk("exp2", lambda c: 2.0 ** -abs(c[0]),
-                   lambda a: 2.0 ** -np.abs(a[:, 0])),
+        "invmod": mk("invmod", lambda a: 1.0 / (1.0 + np.abs(a[:, 0]))),
+        "invmod2": mk("invmod2", lambda a: 1.0 / (1.0 + np.abs(a[:, 0])) ** 2),
+        "exp2": mk("exp2", lambda a: 2.0 ** -np.abs(a[:, 0])),
         "const1": _CONST_ONE,
     }
 
@@ -344,14 +337,11 @@ def _nat_pool():
     # the preorder is discrete, so every function is (vacuously) isotone
     return {
         "alt": ScalarFunction(
-            "alt", lambda c: (1.0 + (-1.0) ** int(c[0])) / 2.0,
+            "alt", lambda a: (1.0 + (-1.0) ** a[:, 0].astype(int)) / 2.0,
             monotone="isotone",
-            batch=lambda a: (1.0 + (-1.0) ** a[:, 0].astype(int)) / 2.0,
         ),
         "sat": ScalarFunction(
-            "sat", lambda c: c[0] / (c[0] + 1.0),
-            monotone="isotone",
-            batch=lambda a: a[:, 0] / (a[:, 0] + 1.0),
+            "sat", lambda a: a[:, 0] / (a[:, 0] + 1.0), monotone="isotone",
         ),
     }
 
@@ -361,15 +351,13 @@ def _nat_bumps(resolution):
     for k in range(resolution):
         minus.append(ScalarFunction(
             f"b{k}",
-            (lambda k: lambda c: 1.0 if int(c[0]) == k else 0.0)(k),
+            (lambda k: lambda a: (a[:, 0].astype(int) == k).astype(float))(k),
             monotone="isotone", klass="C-", tail_value=0.0, tail_level=k + 1,
-            batch=(lambda k: lambda a: (a[:, 0].astype(int) == k).astype(float))(k),
         ))
         plus.append(ScalarFunction(
             f"f{k}",
-            (lambda k: lambda c: 0.0 if int(c[0]) == k else 1.0)(k),
+            (lambda k: lambda a: (a[:, 0].astype(int) != k).astype(float))(k),
             monotone="isotone", klass="C+", tail_value=1.0, tail_level=k + 1,
-            batch=(lambda k: lambda a: (a[:, 0].astype(int) != k).astype(float))(k),
         ))
     return tuple(minus), tuple(plus)
 
@@ -400,17 +388,12 @@ def arc_bound_function(alpha, sigma=0.02):
     (each slice is isotone) and restores continuity.
     """
 
-    def fn(coords):
-        t, th = coords[0], coords[1]
-        u = (alpha - th) % TWO_PI
-        return 1.0 - t * float(_window_integral(u, sigma)) / (2.0 * sigma)
-
-    def batch(arr):
+    def fn(arr):
         u = np.mod(alpha - arr[:, 1], TWO_PI)
         return 1.0 - arr[:, 0] * _window_integral(u, sigma) / (2.0 * sigma)
 
     return ScalarFunction(f"arc{int(round(alpha / TWO_PI * 1000)):03d}",
-                          fn, monotone="isotone", batch=batch)
+                          fn, monotone="isotone")
 
 
 def _misner_pool(m=128, sigma=0.02):
@@ -427,12 +410,11 @@ def _misner_pool(m=128, sigma=0.02):
 class CatalogEntry:
     """One space plus its named function pool and family builders."""
 
-    def __init__(self, space, pool, default_h, c_part, selectors=()):
+    def __init__(self, space, pool, default_h, c_part):
         self.space = space
         self.pool = dict(pool)
         self.default_h = tuple(default_h)
         self.c_part = tuple(c_part)
-        self.selectors = tuple(selectors)
 
     @property
     def name(self):
@@ -440,26 +422,18 @@ class CatalogEntry:
 
     def family(self, selector="default", resolution=512, tail_depth=4):
         """Build a family from a selector or a comma-list of pool names."""
+        if selector in ("C", "Cminus", "Cplus"):
+            raise KeyError(
+                f"selector {selector!r} is only valid for nat-discrete"
+            )
         if selector in ("default", None, ""):
             names = self.default_h
-            return FunctionFamily(
-                tuple(self.pool[n] for n in names), self.c_part
-            )
-        if selector in ("C", "Cminus", "Cplus"):
-            if self.space.name != "nat-discrete":
+        else:
+            names = [s.strip() for s in selector.split(",") if s.strip()]
+            missing = [n for n in names if n not in self.pool]
+            if missing:
                 raise KeyError(
-                    f"selector {selector!r} is only valid for nat-discrete"
-                )
-            minus, plus = _nat_bumps(resolution)
-            if selector == "C":
-                return FunctionFamily(minus + plus, ())
-            if selector == "Cminus":
-                return FunctionFamily(minus, ())
-            return FunctionFamily(plus, ())
-        names = [s.strip() for s in selector.split(",") if s.strip()]
-        missing = [n for n in names if n not in self.pool]
-        if missing:
-            raise KeyError(f"unknown function names for {self.name}: {missing}")
+                    f"unknown function names for {self.name}: {missing}")
         return FunctionFamily(tuple(self.pool[n] for n in names), self.c_part)
 
     def family_from_names(self, names, resolution=512, tail_depth=4):
@@ -481,15 +455,11 @@ class _NatEntry(CatalogEntry):
     def family(self, selector="default", resolution=512, tail_depth=4):
         if selector in ("default", None, ""):
             selector = "C"
-        if selector in ("C", "Cminus", "Cplus"):
-            minus, plus = _nat_bumps(resolution)
-            if selector == "C":
-                return FunctionFamily(minus + plus, ())
-            if selector == "Cminus":
-                return FunctionFamily(minus, ())
-            return FunctionFamily(plus, ())
-        fam = super().family(selector, resolution, tail_depth)
-        return fam
+        if selector not in ("C", "Cminus", "Cplus"):
+            return super().family(selector, resolution, tail_depth)
+        minus, plus = _nat_bumps(resolution)
+        h = {"C": minus + plus, "Cminus": minus, "Cplus": plus}[selector]
+        return FunctionFamily(h, ())
 
 
 def catalog(name: str) -> CatalogEntry:
@@ -500,8 +470,7 @@ def catalog(name: str) -> CatalogEntry:
         return CatalogEntry(ClosedInterval(), _interval_pool(), ("id",),
                             (_CONST_ONE,))
     if name == "nat-discrete":
-        return _NatEntry(NaturalsDiscrete(), _nat_pool(), (), (),
-                         selectors=("C", "Cminus", "Cplus"))
+        return _NatEntry(NaturalsDiscrete(), _nat_pool(), (), ())
     if name == "real-line-mirror":
         return _MirrorEntry(RealLineMirror(), _mirror_pool(), ("invmod",),
                             (_CONST_ONE,))
@@ -529,6 +498,12 @@ def evaluate_family(family: FunctionFamily, coords: np.ndarray):
     return np.array(vals, dtype=float) if vals else np.zeros((0, len(coords)))
 
 
+def _sample_values(space, family, resolution, tail_depth):
+    """One sample of the space and the family's raw values on it."""
+    sample = space.sample(resolution, tail_depth)
+    return sample, evaluate_family(family, sample.coord_array())
+
+
 def validate_family(entry, family, resolution=512, tail_depth=4,
                     eps_fn=1e-6, min_agreement=0.99) -> CheckReport:
     """Check tags on samples and that the H-part represents the relation.
@@ -538,14 +513,19 @@ def validate_family(entry, family, resolution=512, tail_depth=4,
     pairs; it passes at min_agreement (default 99%).
     """
     space = entry.space if isinstance(entry, CatalogEntry) else entry
-    sample = space.sample(resolution, tail_depth)
+    sample, all_vals = _sample_values(space, family, resolution, tail_depth)
+    return _check_values(space, family, sample, all_vals, eps_fn,
+                         min_agreement)
+
+
+def _check_values(space, family, sample, all_vals, eps_fn, min_agreement):
+    """validate_family's checks on raw values (rows follow members())."""
     coords = sample.coord_array()
     levels = sample.levels()
     rel = space.relation_matrix(coords)
     checks = [Check("h_part_nonempty", len(family.h) > 0,
                     witness=None if family.h else "empty H-part")]
 
-    all_vals = evaluate_family(family, coords)
     tag_witness = None
     range_witness = None
     for row, f in enumerate(family.members()):

@@ -5,6 +5,7 @@ Exit contract: 0 all requested checks passed, 1 a check failed,
 """
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -14,7 +15,9 @@ from .compactify import (
     DominationError,
     attempt_domination,
     build_compactification,
+    close_and_cluster,
     dominate,
+    embed,
     nachbin_pipeline,
     remainder_is_ordered,
 )
@@ -51,7 +54,6 @@ def _build_config(args) -> dict:
         "tail_depth": args.tail_depth,
         "eps_q": args.eps_q,
         "eps_cauchy": args.eps_cauchy,
-        "seed": args.seed,
     }
     return cfg
 
@@ -121,6 +123,12 @@ def cmd_compactify(args, parser) -> int:
 
 
 def _rebuild_from_dir(path: str):
+    """Re-embed a build directory from its stored config.
+
+    The rebuilt relation must equal the stored relation_rows_hex; a
+    build written by other code or edited since fails with the first
+    row that differs.
+    """
     with open(os.path.join(path, "report.json"), "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     cfg = payload.get("config")
@@ -128,20 +136,27 @@ def _rebuild_from_dir(path: str):
         raise SpaceFormatError(f"{path}/report.json has no config block")
     entry = catalog(cfg["space"])
     family = entry.family(cfg["family"], cfg["resolution"], cfg["tail_depth"])
-    comp, report = build_compactification(
-        entry, family, resolution=cfg["resolution"],
-        tail_depth=cfg["tail_depth"], eps_q=cfg["eps_q"],
-        eps_cauchy=cfg["eps_cauchy"],
-    )
-    return cfg, comp, report
+    comp = close_and_cluster(
+        embed(entry, family, cfg["resolution"], cfg["tail_depth"]),
+        cfg["eps_q"], cfg["eps_cauchy"])
+    stored = payload.get("relation_rows_hex", [])
+    rebuilt = [format(r, "x") for r in comp.induced.rows]
+    rows = itertools.zip_longest(stored, rebuilt)
+    for row, (stored_row, rebuilt_row) in enumerate(rows):
+        if stored_row != rebuilt_row:
+            raise SpaceFormatError(
+                f"{path}: stored relation row {row} is {stored_row!r} but "
+                f"the rebuild gives {rebuilt_row!r}; the build is stale or "
+                f"edited")
+    return cfg, comp
 
 
 def cmd_dominate(args) -> int:
     try:
-        cfg_a, comp_a, _ = _rebuild_from_dir(args.dir_a)
-        cfg_b, comp_b, _ = _rebuild_from_dir(args.dir_b)
+        cfg_a, comp_a = _rebuild_from_dir(args.dir_a)
+        cfg_b, comp_b = _rebuild_from_dir(args.dir_b)
     except (OSError, json.JSONDecodeError, SpaceFormatError, KeyError) as exc:
-        print(f"error: cannot rebuild build directory: {exc}", file=sys.stderr)
+        print(f"error: bad build directory: {exc}", file=sys.stderr)
         return 2
     if cfg_a["space"] != cfg_b["space"]:
         print(f"error: builds are for different spaces "
@@ -277,7 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
     pk.add_argument("--eps-cauchy", type=float, default=0.01,
                     dest="eps_cauchy")
     pk.add_argument("--out", required=True, help="output directory")
-    pk.add_argument("--seed", type=int, default=0)
     pk.add_argument("--json", action="store_true")
 
     pd = sub.add_parser("dominate",
@@ -291,7 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
     pm.add_argument("name", choices=["no-smallest", "nachbin-diagram",
                                      "misner", "one-point-suite"])
     pm.add_argument("--resolution", type=int, default=96)
-    pm.add_argument("--seed", type=int, default=0)
     return parser
 
 

@@ -10,12 +10,11 @@ tolerance-based comparisons are not transitive, integer comparisons are.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import evaluate_family
+from .catalog import _check_values, _sample_values
 from .preorder import PreorderGraph, is_antisymmetric, quotient_preorder, \
     transitive_reflexive_closure
 from .report import Check, CheckReport, merge_reports
@@ -51,9 +50,13 @@ class ImageCloud:
 def embed(entry, family, resolution=DEFAULT_RESOLUTION,
           tail_depth=DEFAULT_TAIL_DEPTH, eps_fn=DEFAULT_EPS_FN) -> ImageCloud:
     """Map every sample point to its family-value vector."""
-    sample = entry.space.sample(resolution, tail_depth)
-    coords = sample.coord_array()
-    values = evaluate_family(family, coords).T
+    sample, raw = _sample_values(entry.space, family, resolution, tail_depth)
+    return _image_cloud(entry, family, sample, raw, eps_fn)
+
+
+def _image_cloud(entry, family, sample, raw, eps_fn):
+    """Range-check and clip raw values (one row per member) into a cloud."""
+    values = raw.T
     names = tuple(f"H:{f.name}" for f in family.h) \
         + tuple(f"C:{f.name}" for f in family.c)
     bad = (values < -eps_fn) | (values > 1.0 + eps_fn)
@@ -130,24 +133,17 @@ def _aitken(seq):
 
 
 def _induced_graph(quant, h_count):
-    """Preorder from coordinate-wise <= on the quantized H-part."""
+    """Preorder from coordinate-wise <= on the quantized H-part.
+
+    Integer <= per coordinate is reflexive and transitive, so the result
+    is a preorder by construction (the test suite checks it as a property).
+    """
     n = len(quant)
     rel = np.ones((n, n), dtype=bool)
     for c in range(h_count):
         col = quant[:, c]
         rel &= col[:, None] <= col[None, :]
-    # reflexivity and transitivity are forced by integer comparisons;
-    # assert anyway since every later consumer leans on them
-    assert rel[np.arange(n), np.arange(n)].all()
-    if n <= 1500:
-        m = rel.astype(np.float32)
-        assert not ((m @ m > 0.5) & ~rel).any(), "induced relation not transitive"
-    else:
-        rng = random.Random(0)
-        for _ in range(100000):
-            i, j, k = (rng.randrange(n) for _ in range(3))
-            assert not (rel[i, j] and rel[j, k] and not rel[i, k])
-    return PreorderGraph.from_matrix(rel), rel
+    return PreorderGraph.from_matrix(rel)
 
 
 def close_and_cluster(cloud, eps_q=DEFAULT_EPS_Q,
@@ -224,7 +220,7 @@ def close_and_cluster(cloud, eps_q=DEFAULT_EPS_Q,
                tuple(float(v) * eps_q for v in row))
         for i, row in enumerate(vertex_rows)
     )
-    induced, _ = _induced_graph(quant, cloud.h_count)
+    induced = _induced_graph(quant, cloud.h_count)
     return Compactification(
         cloud=cloud, eps_q=eps_q, eps_cauchy=eps_cauchy, vertices=vertices,
         quant=quant, sample_map=sample_map, induced=induced,
@@ -313,32 +309,42 @@ class DominationMap:
         return self.report.passed
 
 
-def _domination_checks(comp2, comp1, vertex_map) -> CheckReport:
-    vm = np.asarray(vertex_map, dtype=int)
-    same_samples = np.array_equal(vm[comp2.sample_map], comp1.sample_map)
-    witness = None
-    if not same_samples:
-        i = int(np.argmax(vm[comp2.sample_map] != comp1.sample_map))
-        witness = (i, tuple(comp2.cloud.sample.points[i].coords))
-    commutes = Check("commutes_on_samples", same_samples, witness=witness)
+def _domination_checker(comp2, comp1):
+    """Checks of a vertex map comp2 -> comp1, as a function of the map.
 
+    Each induced relation is converted to a matrix once, here, however
+    many candidate maps are checked.
+    """
     m2 = comp2.induced_matrix()
     m1 = comp1.induced_matrix()
-    bad = m2 & ~m1[np.ix_(vm, vm)]
-    witness = None
-    if bad.any():
-        u, v = np.argwhere(bad)[0]
-        witness = (int(u), int(v), int(vm[u]), int(vm[v]))
-    isotone = Check("isotone", not bad.any(), witness=witness)
-
-    image = {int(vm[r]) for r in comp2.remainder_ids()}
+    remainder2 = comp2.remainder_ids()
     target_rem = set(comp1.remainder_ids())
-    witness = None
-    if image != target_rem:
-        witness = {"image": sorted(image), "target": sorted(target_rem)}
-    r2r = Check("remainder_to_remainder", image == target_rem,
-                witness=witness)
-    return CheckReport((commutes, isotone, r2r))
+
+    def check(vertex_map) -> CheckReport:
+        vm = np.asarray(vertex_map, dtype=int)
+        same_samples = np.array_equal(vm[comp2.sample_map], comp1.sample_map)
+        witness = None
+        if not same_samples:
+            i = int(np.argmax(vm[comp2.sample_map] != comp1.sample_map))
+            witness = (i, tuple(comp2.cloud.sample.points[i].coords))
+        commutes = Check("commutes_on_samples", same_samples, witness=witness)
+
+        bad = m2 & ~m1[np.ix_(vm, vm)]
+        witness = None
+        if bad.any():
+            u, v = np.argwhere(bad)[0]
+            witness = (int(u), int(v), int(vm[u]), int(vm[v]))
+        isotone = Check("isotone", not bad.any(), witness=witness)
+
+        image = {int(vm[r]) for r in remainder2}
+        witness = None
+        if image != target_rem:
+            witness = {"image": sorted(image), "target": sorted(target_rem)}
+        r2r = Check("remainder_to_remainder", image == target_rem,
+                    witness=witness)
+        return CheckReport((commutes, isotone, r2r))
+
+    return check
 
 
 def _family_label(comp):
@@ -379,7 +385,7 @@ def dominate(comp2, comp1) -> DominationMap:
                 f"quantum from every target vertex"
             )
         vertex_map.append(int(np.argmax(cheb == best)))
-    report = _domination_checks(comp2, comp1, vertex_map)
+    report = _domination_checker(comp2, comp1)(vertex_map)
     return DominationMap(_family_label(comp2), _family_label(comp1),
                          tuple(vertex_map), report)
 
@@ -415,12 +421,13 @@ def attempt_domination(comp_a, comp_b, cap=200000) -> DominationSearch:
     n_b = comp_b.n_vertices
     if n_b ** max(1, len(rem_a)) > cap:
         raise DominationError("remainder too large for exhaustive search")
+    check = _domination_checker(comp_a, comp_b)
     candidates = []
     for assign in itertools.product(range(n_b), repeat=len(rem_a)):
         trial = vm.copy()
         for r, target in zip(rem_a, assign):
             trial[r] = target
-        report = _domination_checks(comp_a, comp_b, trial)
+        report = check(trial)
         if report.passed:
             found = DominationMap(_family_label(comp_a),
                                   _family_label(comp_b),
@@ -656,17 +663,17 @@ def build_compactification(entry, family, resolution=DEFAULT_RESOLUTION,
                            min_agreement=0.99, diagnostic_budget=1500):
     """Full pipeline: validate, embed, close, verify.  (comp, report).
 
-    The smallest-closure diagnostic needs an exact transitive closure,
-    so it is included only up to diagnostic_budget vertices; past that
-    the report simply omits it (it remains callable directly).
+    The space is sampled and the family evaluated once; validation and
+    the image cloud read the same raw values.  The smallest-closure
+    diagnostic needs an exact transitive closure, so it is included only
+    up to diagnostic_budget vertices; past that the report simply omits
+    it (it remains callable directly).
     """
-    from .catalog import validate_family
-
-    validation = validate_family(entry, family, resolution, tail_depth,
-                                 eps_fn, min_agreement)
-    cloud = embed(entry, family, resolution, tail_depth, eps_fn)
+    sample, raw = _sample_values(entry.space, family, resolution, tail_depth)
+    reports = [_check_values(entry.space, family, sample, raw, eps_fn,
+                             min_agreement)]
+    cloud = _image_cloud(entry, family, sample, raw, eps_fn)
     comp = close_and_cluster(cloud, eps_q, eps_cauchy)
-    reports = [validation]
     complete_check = Check(
         "all_ends_cauchy", comp.complete,
         witness=None if comp.complete else [

@@ -192,24 +192,15 @@ def is_T1_preordered(space: FinitePreorderedSpace) -> CheckReport:
     )
 
 
-def _inflate_clopen_increasing(space: FinitePreorderedSpace, seed: int) -> int:
-    """Least clopen increasing superset of seed (monotone fixpoint)."""
+def _inflate_clopen(space: FinitePreorderedSpace, seed: int, hull) -> int:
+    """Least clopen superset of seed closed under hull (monotone fixpoint).
+
+    hull is the preorder's up_set (increasing) or down_set (decreasing).
+    """
     top = space.topology
     cur = seed
     while True:
-        nxt = cur | space.preorder.up_set(cur) | set_closure(top, cur)
-        for x in _bits(cur):
-            nxt |= top._umin[x]
-        if nxt == cur:
-            return cur
-        cur = nxt
-
-
-def _inflate_clopen_decreasing(space: FinitePreorderedSpace, seed: int) -> int:
-    top = space.topology
-    cur = seed
-    while True:
-        nxt = cur | space.preorder.down_set(cur) | set_closure(top, cur)
+        nxt = cur | hull(cur) | set_closure(top, cur)
         for x in _bits(cur):
             nxt |= top._umin[x]
         if nxt == cur:
@@ -271,7 +262,7 @@ def monotone_separation(space, a_mask: int, b_mask: int) -> SeparationResult:
         pre.append(Check("monotone_separation", True))
         return SeparationResult(CheckReport(tuple(pre)), (1.0,) * space.n)
 
-    s_star = _inflate_clopen_increasing(space, a_mask)
+    s_star = _inflate_clopen(space, a_mask, g.up_set)
     if s_star & b_mask:
         wit = _least_bit(s_star & b_mask)
         pre.append(
@@ -281,7 +272,7 @@ def monotone_separation(space, a_mask: int, b_mask: int) -> SeparationResult:
             )
         )
         return SeparationResult(CheckReport(tuple(pre)), None)
-    t_star = _inflate_clopen_decreasing(space, b_mask)
+    t_star = _inflate_clopen(space, b_mask, g.down_set)
     # t_star is the least clopen decreasing superset of B; its complement
     # is clopen increasing and contains s_star, so the two indicators nest
     values = tuple(

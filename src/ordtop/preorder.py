@@ -226,15 +226,16 @@ def quotient_preorder(graph: PreorderGraph, classes=None):
     """
     if classes is None:
         classes = symmetric_part(graph)
-    if isinstance(classes, EquivalenceClasses):
+    else:
+        if not isinstance(classes, EquivalenceClasses):
+            classes = EquivalenceClasses(
+                graph.n, tuple(tuple(c) for c in classes))
         if classes.n != graph.n:
             raise ValueError("partition size does not match graph")
-        blocks = classes.classes
-    else:
-        blocks = tuple(tuple(c) for c in classes)
-        classes = EquivalenceClasses(graph.n, blocks)
-    if blocks != symmetric_part(graph).classes:
-        raise ValueError("partition is not the symmetric part of the graph")
+        if classes.classes != symmetric_part(graph).classes:
+            raise ValueError(
+                "partition is not the symmetric part of the graph")
+    blocks = classes.classes
     rep = classes.index_map()
     m = len(blocks)
     rows = [1 << i for i in range(m)]

@@ -7,7 +7,6 @@ seeded and the time budgets generous on desk hardware.
 """
 
 import functools
-import json
 import subprocess
 import sys
 import time
@@ -282,8 +281,7 @@ def test_c09_nachbin_diagram_commutes_on_the_mirror_line():
 
 def test_c10_identical_config_reproduces_identical_bytes(tmp_path):
     args = [sys.executable, "-m", "ordtop.cli", "compactify",
-            "--space", "real-line-mirror", "--resolution", "128",
-            "--seed", "3"]
+            "--space", "real-line-mirror", "--resolution", "128"]
     for sub in ("a", "b"):
         proc = subprocess.run(args + ["--out", str(tmp_path / sub)],
                               capture_output=True, text=True, timeout=300)
@@ -291,6 +289,4 @@ def test_c10_identical_config_reproduces_identical_bytes(tmp_path):
     a = (tmp_path / "a" / "report.json").read_bytes()
     b = (tmp_path / "b" / "report.json").read_bytes()
     assert a == b
-    payload = json.loads(a)
-    assert payload["config"]["seed"] == 3
     verdict(10, f"report.json byte-identical across runs ({len(a)} bytes)")

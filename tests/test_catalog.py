@@ -288,8 +288,8 @@ def test_arc_functions_exactly_isotone():
 def test_arc_function_continuity_at_window_edges():
     f = arc_bound_function(0.0, sigma=0.02)
     for u_edge in (0.02, TWO_PI - 0.02):
-        lo = f.fn((0.5, -u_edge % TWO_PI + 1e-9))
-        hi = f.fn((0.5, -u_edge % TWO_PI - 1e-9))
+        lo, hi = f.evaluate(np.array([[0.5, -u_edge % TWO_PI + 1e-9],
+                                      [0.5, -u_edge % TWO_PI - 1e-9]]))
         assert abs(lo - hi) < 1e-6
 
 
@@ -359,8 +359,7 @@ def test_validate_catches_constant_posing_as_separator():
 
 def test_validate_catches_bad_isotone_tag():
     entry = catalog("half-open-interval")
-    lying = ScalarFunction("drop", lambda c: 1.0 - c[0], monotone="isotone",
-                           batch=lambda a: 1.0 - a[:, 0])
+    lying = ScalarFunction("drop", lambda a: 1.0 - a[:, 0], monotone="isotone")
     fam = FunctionFamily((lying,), ())
     report = validate_family(entry, fam, resolution=64)
     assert not report.check("monotone_and_class_tags").passed
@@ -368,17 +367,15 @@ def test_validate_catches_bad_isotone_tag():
 
 def test_validate_catches_range_violation():
     entry = catalog("closed-interval")
-    big = ScalarFunction("big", lambda c: 2.0 * c[0], monotone="isotone",
-                         batch=lambda a: 2.0 * a[:, 0])
+    big = ScalarFunction("big", lambda a: 2.0 * a[:, 0], monotone="isotone")
     report = validate_family(entry, FunctionFamily((big,), ()), resolution=64)
     assert not report.check("values_in_unit_interval").passed
 
 
 def test_validate_catches_wrong_tail_constant():
     entry = catalog("half-open-interval")
-    fake = ScalarFunction("fake", lambda c: c[0], monotone="isotone",
-                          klass="C", tail_value=0.25, tail_level=2,
-                          batch=lambda a: a[:, 0])
+    fake = ScalarFunction("fake", lambda a: a[:, 0], monotone="isotone",
+                          klass="C", tail_value=0.25, tail_level=2)
     fam = FunctionFamily((entry.pool["id"],), (fake,))
     report = validate_family(entry, fam, resolution=128)
     assert not report.check("monotone_and_class_tags").passed
@@ -404,6 +401,14 @@ def test_function_tag_validation():
         ScalarFunction("x", lambda c: 0.0, klass="C+", tail_value=0.0)
     with pytest.raises(ValueError, match="declare a tail value"):
         ScalarFunction("x", lambda c: 0.0, klass="C")
+
+
+def test_evaluate_rejects_values_of_the_wrong_shape():
+    coords = np.linspace(0.0, 1.0, 5)[:, None]
+    for fn in (lambda a: a, lambda a: 0.5, lambda a: a[:3, 0]):
+        f = ScalarFunction("bad", fn, monotone="isotone")
+        with pytest.raises(ValueError, match="shape"):
+            f.evaluate(coords)
 
 
 def test_family_part_validation():

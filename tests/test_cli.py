@@ -129,6 +129,43 @@ def test_dominate_needs_valid_build_dirs(tmp_path):
     assert proc.returncode == 2
 
 
+def _edit_report(build_dir, edit):
+    path = build_dir / "report.json"
+    payload = json.loads(path.read_text())
+    edit(payload)
+    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+
+
+def test_dominate_rejects_an_edited_build(tmp_path):
+    out = tmp_path / "build"
+    assert run_cli("compactify", "--space", "half-open-interval",
+                   "--resolution", "128",
+                   "--out", str(out)).returncode == 0
+
+    def flip_row_3(payload):
+        rows = payload["relation_rows_hex"]
+        rows[3] = format(int(rows[3], 16) ^ 1, "x")
+
+    _edit_report(out, flip_row_3)
+    proc = run_cli("dominate", str(out), str(out))
+    assert proc.returncode == 2
+    assert str(out) in proc.stderr
+    assert "row 3" in proc.stderr
+
+
+def test_dominate_accepts_builds_whose_config_has_a_seed(tmp_path):
+    out = tmp_path / "build"
+    assert run_cli("compactify", "--space", "half-open-interval",
+                   "--resolution", "128",
+                   "--out", str(out)).returncode == 0
+    assert "seed" not in json.loads((out / "report.json").read_text())["config"]
+    # build directories written before --seed was removed carry one
+    _edit_report(out, lambda payload: payload["config"].update(seed=3))
+    proc = run_cli("dominate", str(out), str(out))
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "dominates: PASS" in proc.stdout
+
+
 @pytest.mark.parametrize("name", ["no-smallest", "nachbin-diagram",
                                   "one-point-suite", "misner"])
 def test_demos_pass(name):

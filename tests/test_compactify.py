@@ -9,11 +9,21 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ordtop.catalog import catalog
+from ordtop.catalog import (
+    CATALOG_NAMES,
+    FunctionFamily,
+    SamplePoint,
+    SampleSet,
+    ScalarFunction,
+    catalog,
+)
 from ordtop.compactify import (
     DEFAULT_EPS_Q,
+    Compactification,
     DominationError,
+    ImageCloud,
     attempt_domination,
     build_compactification,
     close_and_cluster,
@@ -26,7 +36,7 @@ from ordtop.compactify import (
     smallest_closed_preorder_diagnostic,
     verify_preorder_embedding,
 )
-from ordtop.catalog import ScalarFunction
+from ordtop.preorder import is_transitive
 
 
 def build(space, selector="default", resolution=512, **kw):
@@ -129,13 +139,92 @@ def test_vertices_keep_first_occurrence_order():
             expect += 1
 
 
+def test_build_samples_and_evaluates_once(monkeypatch):
+    entry = catalog("half-open-interval")
+    family = entry.family("id,sq")
+    samples = []
+    evals = {}
+    sample = type(entry.space).sample
+    evaluate = ScalarFunction.evaluate
+
+    def counting_sample(self, *args):
+        samples.append(args)
+        return sample(self, *args)
+
+    def counting_evaluate(self, coords):
+        evals[self.name] = evals.get(self.name, 0) + 1
+        return evaluate(self, coords)
+
+    monkeypatch.setattr(type(entry.space), "sample", counting_sample)
+    monkeypatch.setattr(ScalarFunction, "evaluate", counting_evaluate)
+    comp, report = build_compactification(entry, family, resolution=128)
+    assert report.passed
+    assert len(samples) == 1
+    assert evals == {f.name: 1 for f in family.members()}
+
+
 def test_embed_rejects_functions_leaving_unit_interval():
     entry = catalog("half-open-interval")
-    bad = ScalarFunction("bad", lambda c: 2.0 * c[0], monotone="isotone")
+    bad = ScalarFunction("bad", lambda a: 2.0 * a[:, 0], monotone="isotone")
     from ordtop.catalog import FunctionFamily
     fam = FunctionFamily((bad,), ())
     with pytest.raises(ValueError, match="leaves"):
         embed(entry, fam, resolution=64)
+
+
+# ------------------------------------------------- induced preorder laws
+
+
+def _grid_cloud(rows, h_count):
+    """Image cloud of integer rows / 4: no ends, H columns first, then C."""
+    width = len(rows[0])
+    h = tuple(ScalarFunction(f"h{k}", lambda a: a[:, 0], monotone="isotone")
+              for k in range(h_count))
+    c = tuple(ScalarFunction(f"c{k}", lambda a: a[:, 0], klass="C",
+                             tail_value=0.0)
+              for k in range(width - h_count))
+    sample = SampleSet(tuple(SamplePoint((float(i),), 0, -1)
+                             for i in range(len(rows))), ())
+    names = tuple(f"H:{f.name}" for f in h) + tuple(f"C:{f.name}" for f in c)
+    return ImageCloud(catalog("closed-interval"), FunctionFamily(h, c),
+                      sample, np.array(rows, dtype=float) / 4.0, h_count,
+                      names)
+
+
+@st.composite
+def grid_clouds(draw):
+    width = draw(st.integers(1, 4))
+    h_count = draw(st.integers(0, width))
+    row = st.lists(st.integers(0, 4), min_size=width, max_size=width)
+    rows = draw(st.lists(row, min_size=1, max_size=24))
+    return _grid_cloud(rows, h_count)
+
+
+def _assert_preorder(comp):
+    g = comp.induced
+    assert all(g.leq(i, i) for i in range(g.n))
+    assert is_transitive(g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(grid_clouds())
+def test_induced_relation_is_a_preorder_on_integer_clouds(cloud):
+    comp = close_and_cluster(cloud, eps_q=0.25)
+    _assert_preorder(comp)
+    h = comp.quant[:, :cloud.h_count]
+    for i in range(comp.n_vertices):
+        for j in range(comp.n_vertices):
+            assert comp.induced.leq(i, j) == bool((h[i] <= h[j]).all())
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from(CATALOG_NAMES), st.integers(16, 96),
+       st.sampled_from((DEFAULT_EPS_Q, 0.01, 0.05)))
+def test_induced_relation_is_a_preorder_on_catalog_builds(name, resolution,
+                                                         eps_q):
+    entry = catalog(name)
+    cloud = embed(entry, entry.family("default", resolution), resolution)
+    _assert_preorder(close_and_cluster(cloud, eps_q=eps_q))
 
 
 # ------------------------------------------------------- divergent tails
@@ -217,6 +306,24 @@ def test_no_smallest_one_point_compactification():
     assert down.found is None and up.found is None
     # exhaustion actually happened: every candidate map was tried and refused
     assert len(down.candidates) > 0 and len(up.candidates) > 0
+
+
+def test_domination_search_converts_each_relation_once(monkeypatch):
+    entry = catalog("nat-discrete")
+    comps = {sel: build_compactification(entry, entry.family(sel, 32),
+                                         resolution=32)[0]
+             for sel in ("Cminus", "Cplus")}
+    calls = []
+    induced_matrix = Compactification.induced_matrix
+
+    def counting(self):
+        calls.append(self)
+        return induced_matrix(self)
+
+    monkeypatch.setattr(Compactification, "induced_matrix", counting)
+    search = attempt_domination(comps["Cminus"], comps["Cplus"])
+    assert search.found is None and len(search.candidates) > 1
+    assert len(calls) == 2
 
 
 def test_found_domination_map_passes_dominate_checks():

@@ -30,7 +30,7 @@ def test_build_directory_contents(tmp_path):
     comp, report = small_build()
     cfg = {"space": "half-open-interval", "family": "default",
            "resolution": 128, "tail_depth": 4, "eps_q": 1e-3,
-           "eps_cauchy": 0.01, "seed": 0}
+           "eps_cauchy": 0.01}
     paths = write_build(comp, report, str(tmp_path), cfg)
 
     with open(paths["vertices"], newline="") as fh:
@@ -48,7 +48,6 @@ def test_build_directory_contents(tmp_path):
     payload = json.loads(open(paths["report"]).read())
     assert payload["space"] == "half-open-interval"
     assert payload["complete"] is True
-    assert payload["config"]["seed"] == 0
     assert payload["counts"]["remainder"] == 1
     assert len(payload["relation_rows_hex"]) == comp.n_vertices
 

@@ -514,15 +514,13 @@ def validate_family(entry, family, resolution=512, tail_depth=4,
     """
     space = entry.space if isinstance(entry, CatalogEntry) else entry
     sample, all_vals = _sample_values(space, family, resolution, tail_depth)
-    return _check_values(space, family, sample, all_vals, eps_fn,
-                         min_agreement)
+    rel = space.relation_matrix(sample.coord_array())
+    return _check_values(family, sample, all_vals, rel, eps_fn, min_agreement)
 
 
-def _check_values(space, family, sample, all_vals, eps_fn, min_agreement):
-    """validate_family's checks on raw values (rows follow members())."""
-    coords = sample.coord_array()
+def _check_values(family, sample, all_vals, rel, eps_fn, min_agreement):
+    """validate_family's checks on raw values and the sample relation."""
     levels = sample.levels()
-    rel = space.relation_matrix(coords)
     checks = [Check("h_part_nonempty", len(family.h) > 0,
                     witness=None if family.h else "empty H-part")]
 
@@ -572,6 +570,7 @@ def _check_values(space, family, sample, all_vals, eps_fn, min_agreement):
             "represents_relation", rate >= min_agreement, witness=witness,
             metrics={"agreement_rate": rate,
                      "pairs": int(rel.size),
-                     "disagreements": int((~agree).sum())},
+                     "disagreements": int(agree.size
+                                          - np.count_nonzero(agree))},
         ))
     return CheckReport(tuple(checks))

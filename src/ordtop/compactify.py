@@ -25,6 +25,8 @@ DEFAULT_EPS_Q = 1e-3
 DEFAULT_EPS_CAUCHY = 0.01
 DEFAULT_EPS_FN = 1e-6
 DEFAULT_DELTA_EMBED = 0.01
+VERIFY_RESOLUTION = 2048
+_TILE_CELLS = 1 << 20  # induced-order tile: 1,024 vertices fit in one
 
 
 class DominationError(ValueError):
@@ -137,12 +139,19 @@ def _induced_graph(quant, h_count):
 
     Integer <= per coordinate is reflexive and transitive, so the result
     is a preorder by construction (the test suite checks it as a property).
+    Tiles of _TILE_CELLS cells meet every coordinate, narrowed to the least
+    signed type holding the values, while in cache.
     """
     n = len(quant)
+    widest = int(np.abs(quant).max(initial=0))
+    cols = np.ascontiguousarray(quant[:, :h_count].T,
+                                dtype=np.min_scalar_type(-widest - 1))
+    step = max(1, _TILE_CELLS // max(n, 1))
     rel = np.ones((n, n), dtype=bool)
-    for c in range(h_count):
-        col = quant[:, c]
-        rel &= col[:, None] <= col[None, :]
+    for start in range(0, n, step):
+        tile = rel[start:start + step]
+        for col in cols:
+            tile &= col[start:start + step, None] <= col
     return PreorderGraph.from_matrix(rel)
 
 
@@ -228,7 +237,7 @@ def close_and_cluster(cloud, eps_q=DEFAULT_EPS_Q,
     )
 
 
-def verify_preorder_embedding(entry, comp, resolution=2048,
+def verify_preorder_embedding(entry, comp, resolution=VERIFY_RESOLUTION,
                               delta_embed=DEFAULT_DELTA_EMBED) -> CheckReport:
     """Spot-check that vertex order mirrors the space order.
 
@@ -238,14 +247,21 @@ def verify_preorder_embedding(entry, comp, resolution=2048,
     be preserved forward into the induced relation.  Pass iff each
     violation rate is at most delta_embed.
     """
-    space = entry.space
+    coords = comp.cloud.sample.coord_array()
+    return _verify_embedding(
+        comp, lambda idx: entry.space.relation_matrix(coords[idx]),
+        resolution, delta_embed)
+
+
+def _verify_embedding(comp, relation, resolution, delta_embed):
+    """verify_preorder_embedding; relation(idx) relates the samples idx."""
     coords = comp.cloud.sample.coord_array()
     ind = comp.induced_matrix()
 
     reps = comp.representatives()
     core = np.array(comp.core_ids(), dtype=int)
     rep_coords = coords[reps[core]]
-    rel = space.relation_matrix(rep_coords)
+    rel = relation(reps[core])
     ind_core = ind[np.ix_(core, core)]
     mism = rel != ind_core
     pairs = mism.size
@@ -264,7 +280,7 @@ def verify_preorder_embedding(entry, comp, resolution=2048,
     n = len(coords)
     stride = max(1, -(-n // min(resolution, n)))
     idx = np.arange(0, n, stride)
-    sub_rel = space.relation_matrix(coords[idx])
+    sub_rel = relation(idx)
     sub_map = comp.sample_map[idx]
     sub_ind = ind[np.ix_(sub_map, sub_map)]
     viol = sub_rel & ~sub_ind
@@ -670,8 +686,8 @@ def build_compactification(entry, family, resolution=DEFAULT_RESOLUTION,
     it (it remains callable directly).
     """
     sample, raw = _sample_values(entry.space, family, resolution, tail_depth)
-    reports = [_check_values(entry.space, family, sample, raw, eps_fn,
-                             min_agreement)]
+    rel = entry.space.relation_matrix(sample.coord_array())
+    reports = [_check_values(family, sample, raw, rel, eps_fn, min_agreement)]
     cloud = _image_cloud(entry, family, sample, raw, eps_fn)
     comp = close_and_cluster(cloud, eps_q, eps_cauchy)
     complete_check = Check(
@@ -682,8 +698,9 @@ def build_compactification(entry, family, resolution=DEFAULT_RESOLUTION,
                  "remainder": len(comp.remainder_ids())},
     )
     reports.append(CheckReport((complete_check,)))
-    reports.append(verify_preorder_embedding(entry, comp,
-                                             delta_embed=delta_embed))
+    reports.append(_verify_embedding(
+        comp, lambda idx: rel.take(idx, axis=0).take(idx, axis=1),
+        VERIFY_RESOLUTION, delta_embed))
     if comp.complete:
         reports.append(remainder_is_ordered(comp))
         if comp.n_vertices <= diagnostic_budget:

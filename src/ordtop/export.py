@@ -4,7 +4,9 @@ import csv
 import json
 import os
 
-from .preorder import PreorderGraph, quotient_preorder
+import numpy as np
+
+from .preorder import PreorderGraph, matrix_to_rows, quotient_preorder
 from .report import _plain
 
 
@@ -18,28 +20,34 @@ def write_vertices_csv(comp, path):
 
 
 def transitive_reduction(graph: PreorderGraph) -> tuple:
-    """Covering edges of a finite partial order, as (i, j) pairs.
+    """Covering edges of a finite partial order, as sorted (i, j) pairs.
 
-    The input must be antisymmetric; condense a general preorder first.
-    An edge i -> j survives iff nothing sits strictly between.
+    An edge i -> j survives iff nothing sits strictly between.  Ranked by
+    descending up-set size, the first point left in a row's strict up-set is
+    a cover, whose strict up-set is then struck out.  Struck points stay in
+    the row iff the input is a partial order; else ValueError names a witness.
     """
-    n = graph.n
-    strict = [graph.rows[i] & ~(1 << i) for i in range(n)]
+    mat = graph.to_matrix()
+    order = np.argsort(-mat.sum(axis=1), kind="stable").tolist()
+    strict = [row & ~(1 << i) for i, row
+              in enumerate(matrix_to_rows(mat[np.ix_(order, order)]))]
     pairs = []
-    for i in range(n):
-        reach = strict[i]
-        redundant = 0
-        m = reach
-        while m:
-            k = (m & -m).bit_length() - 1
-            m &= m - 1
-            redundant |= strict[k]
-        cover = reach & ~redundant
-        while cover:
-            j = (cover & -cover).bit_length() - 1
-            cover &= cover - 1
-            pairs.append((i, j))
-    return tuple(pairs)
+    for i, reach in enumerate(strict):
+        rest, struck = reach, 0
+        while rest:
+            k = (rest & -rest).bit_length() - 1
+            pairs.append((order[i], order[k]))
+            struck |= strict[k]
+            rest &= ~struck & ~(1 << k)
+        bad = struck & ~reach
+        if bad:
+            j = (bad & -bad).bit_length() - 1
+            k = next(k for k, up in enumerate(strict)
+                     if reach >> k & 1 and up >> j & 1)
+            raise ValueError(
+                "not a partial order: %d < %d < %d but not %d < %d" % (
+                    order[i], order[k], order[j], order[i], order[j]))
+    return tuple(sorted(pairs))
 
 
 def _condense(comp):

@@ -16,7 +16,6 @@ from .preorder import (
     function_preorder,
     intersect_graphs,
     quotient_preorder,
-    symmetric_part,
     transitive_reflexive_closure,
 )
 from .report import Check, CheckReport
@@ -368,7 +367,7 @@ def quotient_space(space: FinitePreorderedSpace):
     Opens are the projections of saturated opens, i.e. exactly the
     quotient topology.
     """
-    part = symmetric_part(space.preorder)
+    q_graph, part = quotient_preorder(space.preorder)
     rep = part.index_map()
     masks = [0] * len(part.classes)
     for point, idx in rep.items():
@@ -384,7 +383,6 @@ def quotient_space(space: FinitePreorderedSpace):
                 break  # not saturated
         else:
             q_opens.add(projected)
-    q_graph, _ = quotient_preorder(space.preorder, part)
     q_top = FiniteTopology(len(part.classes), frozenset(q_opens))
     return FinitePreorderedSpace(q_top, q_graph), part
 

@@ -201,20 +201,22 @@ class EquivalenceClasses:
 def symmetric_part(graph: PreorderGraph) -> EquivalenceClasses:
     """Classes of mutual relation, ordered by smallest member.
 
-    Only meaningful when the graph is transitive.
+    An unseen point i takes the j >= i in its row and column; classes of
+    a non-transitive graph can overlap, which EquivalenceClasses rejects.
     """
+    cols = matrix_to_rows(graph.to_matrix().T)
     seen = 0
     classes = []
     for i in range(graph.n):
         if seen >> i & 1:
             continue
-        cls = [i]
-        seen |= 1 << i
-        row = graph.rows[i]
-        for j in range(i + 1, graph.n):
-            if row >> j & 1 and graph.rows[j] >> i & 1:
-                cls.append(j)
-                seen |= 1 << j
+        mask = (graph.rows[i] & cols[i]) >> i << i
+        seen |= mask
+        cls = []
+        while mask:
+            low = mask & -mask
+            cls.append(low.bit_length() - 1)
+            mask ^= low
         classes.append(tuple(cls))
     return EquivalenceClasses(graph.n, tuple(classes))
 
@@ -223,6 +225,8 @@ def quotient_preorder(graph: PreorderGraph, classes=None):
     """Collapse mutual-relation classes; returns (quotient, classes).
 
     The quotient of a preorder by its symmetric part is a partial order.
+    Each class's columns, then its rows, are OR-ed by one reduceat over
+    bit-packed rows: a <= b iff some member of a <= some member of b.
     """
     if classes is None:
         classes = symmetric_part(graph)
@@ -236,12 +240,16 @@ def quotient_preorder(graph: PreorderGraph, classes=None):
             raise ValueError(
                 "partition is not the symmetric part of the graph")
     blocks = classes.classes
-    rep = classes.index_map()
-    m = len(blocks)
-    rows = [1 << i for i in range(m)]
-    for i, j in graph.pairs():
-        rows[rep[i]] |= 1 << rep[j]
-    return PreorderGraph(m, tuple(rows)), classes
+    members = np.array([m for block in blocks for m in block], dtype=np.intp)
+    starts = np.cumsum([0] + [len(block) for block in blocks])[:-1]
+
+    def merge_rows(mat):
+        packed = np.packbits(mat[members], axis=1)
+        merged = np.bitwise_or.reduceat(packed, starts, axis=0)
+        return np.unpackbits(merged, axis=1, count=mat.shape[1])
+
+    merged = merge_rows(merge_rows(graph.to_matrix().T).T)
+    return PreorderGraph.from_matrix(merged), classes
 
 
 def function_preorder(values) -> PreorderGraph:

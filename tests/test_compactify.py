@@ -5,6 +5,7 @@ limits (tail coordinates of id, x^2, the mirror reciprocals) checked by
 hand against the shell schedule; nothing here re-reads pipeline output.
 """
 
+import math
 import random
 
 import numpy as np
@@ -19,6 +20,7 @@ from ordtop.catalog import (
     ScalarFunction,
     catalog,
 )
+import ordtop.compactify
 from ordtop.compactify import (
     DEFAULT_EPS_Q,
     Compactification,
@@ -36,7 +38,7 @@ from ordtop.compactify import (
     smallest_closed_preorder_diagnostic,
     verify_preorder_embedding,
 )
-from ordtop.preorder import is_transitive
+from ordtop.preorder import PreorderGraph, is_transitive
 
 
 def build(space, selector="default", resolution=512, **kw):
@@ -225,6 +227,21 @@ def test_induced_relation_is_a_preorder_on_catalog_builds(name, resolution,
     entry = catalog(name)
     cloud = embed(entry, entry.family("default", resolution), resolution)
     _assert_preorder(close_and_cluster(cloud, eps_q=eps_q))
+
+
+@pytest.mark.parametrize("offset", (-1, 0, 1))
+def test_induced_graph_tiles_match_direct_compare(offset):
+    # the largest vertex count that is still compared in a single tile
+    tile = math.isqrt(ordtop.compactify._TILE_CELLS)
+    n = tile + offset
+    rng = np.random.default_rng(n)
+    # eps_q = 1e-6 puts coordinates at up to 1e6, beyond int16; the last
+    # column is a C coordinate, which the order ignores
+    quant = ordtop.compactify._quantize(rng.integers(0, 5, (n, 4)) / 4, 1e-6)
+    h = quant[:, :3]
+    direct = (h[:, None, :] <= h[None, :, :]).all(axis=2)
+    got = ordtop.compactify._induced_graph(quant, 3)
+    assert got.rows == PreorderGraph.from_matrix(direct).rows
 
 
 # ------------------------------------------------------- divergent tails
@@ -428,6 +445,28 @@ def test_verify_runs_standalone():
     assert report.passed
     v = report.check("vertex_order_matches_space")
     assert v.metrics["violations"] == 0
+
+
+@pytest.mark.parametrize("space", ("real-line-mirror", "misner-strip",
+                                   "nat-discrete"))
+def test_build_verifies_from_the_validation_relation(space, monkeypatch):
+    entry = catalog(space)
+    fam = entry.family("default", 256)
+    calls = []
+    relation_matrix = type(entry.space).relation_matrix
+
+    def counting(self, coords):
+        calls.append(len(coords))
+        return relation_matrix(self, coords)
+
+    monkeypatch.setattr(type(entry.space), "relation_matrix", counting)
+    comp, report = build_compactification(entry, fam, resolution=256,
+                                          diagnostic_budget=0)
+    assert calls == [comp.cloud.n_samples]
+    # the sliced relation gives what verify's own relation gives
+    alone = verify_preorder_embedding(entry, comp)
+    for name in alone.names():
+        assert report.check(name).to_dict() == alone.check(name).to_dict()
 
 
 # ---------------------------------------------------------------- nachbin

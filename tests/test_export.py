@@ -4,6 +4,7 @@ import csv
 import json
 import random
 
+import networkx as nx
 import pytest
 
 from ordtop.catalog import catalog
@@ -82,6 +83,33 @@ def test_transitive_reduction_on_random_orders():
             for k in range(n):
                 if k not in (i, j) and g.leq(i, k) and g.leq(k, j):
                     pytest.fail(f"{(i, j)} not covering, {k} between")
+
+
+def test_transitive_reduction_matches_networkx():
+    rng = random.Random(12)
+    for n in range(41):
+        labels = list(range(n))
+        rng.shuffle(labels)  # so that the labels are not a linear extension
+        density = rng.choice((0.05, 0.2, 0.5))
+        pairs = [(labels[a], labels[b]) for a in range(n)
+                 for b in range(a + 1, n) if rng.random() < density]
+        g = transitive_reflexive_closure(PreorderGraph.from_pairs(n, pairs))
+        dag = nx.DiGraph((i, j) for i, j in g.pairs() if i != j)
+        dag.add_nodes_from(range(n))
+        want = sorted(nx.transitive_reduction(dag).edges())
+        assert list(transitive_reduction(g)) == want
+
+
+def test_transitive_reduction_rejects_a_two_cycle():
+    g = PreorderGraph.from_pairs(2, [(0, 1), (1, 0)])
+    with pytest.raises(ValueError, match="0 < 1 < 0 but not 0 < 0"):
+        transitive_reduction(g)
+
+
+def test_transitive_reduction_rejects_a_non_transitive_chain():
+    g = PreorderGraph.from_pairs(3, [(0, 1), (1, 2)])
+    with pytest.raises(ValueError, match="0 < 1 < 2 but not 0 < 2"):
+        transitive_reduction(g)
 
 
 def test_dot_condenses_cycles(tmp_path):

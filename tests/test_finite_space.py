@@ -4,6 +4,8 @@ import random
 
 import pytest
 
+import ordtop.finite_space
+import ordtop.preorder
 from ordtop.finite_space import (
     FinitePreorderedSpace,
     FiniteTopology,
@@ -486,6 +488,23 @@ def test_quotient_space_basic():
     assert q.n == 3
     assert q.preorder.rows == space.preorder.rows
     assert q.topology.opens == space.topology.opens
+
+
+def test_quotient_space_computes_the_partition_once(monkeypatch):
+    calls = []
+    original = ordtop.preorder.symmetric_part
+
+    def counting(graph):
+        calls.append(graph.n)
+        return original(graph)
+
+    for module in (ordtop.preorder, ordtop.finite_space):
+        if hasattr(module, "symmetric_part"):
+            monkeypatch.setattr(module, "symmetric_part", counting)
+    space = FinitePreorderedSpace(FiniteTopology.discrete(3),
+                                  PreorderGraph.full(3))
+    q, part = quotient_space(space)
+    assert q.n == 1 and calls == [3]
 
 
 def test_quotient_of_closed_graph_space_is_T2_ordered():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from ordtop.preorder import (
+    EquivalenceClasses,
     PreorderGraph,
     function_preorder,
     intersect_graphs,
@@ -154,6 +155,48 @@ def test_quotient_is_partial_order():
         rep = part.index_map()
         for i, j in closed.pairs():
             assert q.leq(rep[i], rep[j])
+
+
+def quotient_by_pairs_walk(graph):
+    """Reference quotient: mutual classes by pairwise bit tests, then one
+    OR per related pair.  Raises ValueError where the classes overlap."""
+    classes, seen = [], set()
+    for i in range(graph.n):
+        if i not in seen:
+            cls = [i] + [j for j in range(i + 1, graph.n)
+                         if graph.leq(i, j) and graph.leq(j, i)]
+            seen.update(cls)
+            classes.append(tuple(cls))
+    part = EquivalenceClasses(graph.n, tuple(classes))
+    rep = part.index_map()
+    rows = [1 << c for c in range(len(classes))]
+    for i, j in graph.pairs():
+        rows[rep[i]] |= 1 << rep[j]
+    return tuple(rows), part.classes
+
+
+def test_quotient_matches_pairs_walk_reference():
+    rng = random.Random(4)
+    outcomes = {"transitive": 0, "non-transitive": 0, "overlap": 0}
+    for trial in range(400):
+        n = rng.randrange(0, 13)
+        g, _ = random_graph(rng, n, rng.choice((0.1, 0.3, 0.5)))
+        if trial % 2:
+            g = transitive_reflexive_closure(g)
+        try:
+            want_rows, want_classes = quotient_by_pairs_walk(g)
+        except ValueError:
+            outcomes["overlap"] += 1
+            with pytest.raises(ValueError, match="overlap"):
+                quotient_preorder(g)
+            continue
+        outcomes["transitive" if is_transitive(g) else "non-transitive"] += 1
+        for given in (None, want_classes):
+            q, part = quotient_preorder(g, given)
+            assert part.classes == want_classes
+            assert q.rows == want_rows
+    # both transitive and non-transitive inputs reach the comparison
+    assert min(outcomes.values()) > 20, outcomes
 
 
 def test_quotient_rejects_bad_partition():

@@ -23,6 +23,9 @@ TWO_PI = 2.0 * math.pi
 # T samples levels 7 .. 6+T
 TAIL_SHELL_BASE = 7
 
+# cells per row tile of an all-pairs pass: up to 1,024 points take one tile
+_TILE_CELLS = 1 << 20
+
 
 @dataclass(frozen=True)
 class SamplePoint:
@@ -108,7 +111,12 @@ class FunctionFamily:
 
 
 class SampledSpace:
-    """Generator for one cataloged space; subclasses fill in the pieces."""
+    """Generator for one cataloged space; subclasses fill in the pieces.
+
+    relation_matrix(coords, other=None) is the boolean block whose entry
+    (i, j) is coords[i] <= other[j]; other defaults to coords (square).
+    Subclasses give it as _block(p, q) on (rows, dim) and (cols, dim).
+    """
 
     name = ""
     dim = 1
@@ -118,7 +126,10 @@ class SampledSpace:
         a = self.relation_matrix(np.array([p, q], dtype=float))
         return bool(a[0, 1])
 
-    def relation_matrix(self, coords: np.ndarray) -> np.ndarray:
+    def relation_matrix(self, coords, other=None) -> np.ndarray:
+        return self._block(coords, coords if other is None else other)
+
+    def _block(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def sample(self, resolution: int, tail_depth: int) -> SampleSet:
@@ -141,9 +152,8 @@ class HalfOpenInterval(SampledSpace):
     dim = 1
     ends = 1
 
-    def relation_matrix(self, coords):
-        x = coords[:, 0]
-        return x[:, None] <= x[None, :]
+    def _block(self, p, q):
+        return p[:, None, 0] <= q[None, :, 0]
 
     def sample(self, resolution, tail_depth):
         pts = []
@@ -166,9 +176,8 @@ class ClosedInterval(SampledSpace):
     dim = 1
     ends = 0
 
-    def relation_matrix(self, coords):
-        x = coords[:, 0]
-        return x[:, None] <= x[None, :]
+    def _block(self, p, q):
+        return p[:, None, 0] <= q[None, :, 0]
 
     def sample(self, resolution, tail_depth):
         xs = np.linspace(0.0, 1.0, resolution)
@@ -183,9 +192,8 @@ class NaturalsDiscrete(SampledSpace):
     dim = 1
     ends = 1
 
-    def relation_matrix(self, coords):
-        n = coords[:, 0]
-        return n[:, None] == n[None, :]
+    def _block(self, p, q):
+        return p[:, None, 0] == q[None, :, 0]
 
     def sample(self, resolution, tail_depth):
         pts = []
@@ -203,9 +211,8 @@ class RealLineMirror(SampledSpace):
     dim = 1
     ends = 2  # +inf and -inf; every C function ends up merging them
 
-    def relation_matrix(self, coords):
-        a = np.abs(coords[:, 0])
-        return a[None, :] <= a[:, None]
+    def _block(self, p, q):
+        return np.abs(q[None, :, 0]) <= np.abs(p[:, None, 0])
 
     def sample(self, resolution, tail_depth):
         pts = []
@@ -235,9 +242,8 @@ class MirrorRay(SampledSpace):
     dim = 1
     ends = 1
 
-    def relation_matrix(self, coords):
-        r = coords[:, 0]
-        return r[None, :] <= r[:, None]
+    def _block(self, p, q):
+        return q[None, :, 0] <= p[:, None, 0]
 
     def sample(self, resolution, tail_depth):
         pts = []
@@ -270,11 +276,9 @@ class MisnerStrip(SampledSpace):
     dim = 2
     ends = 1
 
-    def relation_matrix(self, coords):
-        t = coords[:, 0]
-        th = coords[:, 1]
-        d = np.mod(th[None, :] - th[:, None], TWO_PI)
-        return t[None, :] <= t[:, None] * np.exp(-0.5 * d)
+    def _block(self, p, q):
+        d = np.mod(q[None, :, 1] - p[:, None, 1], TWO_PI)
+        return q[None, :, 0] <= p[:, None, 0] * np.exp(-0.5 * d)
 
     def sample(self, resolution, tail_depth):
         n_theta = max(8, int(round(math.sqrt(resolution))))
@@ -514,63 +518,92 @@ def validate_family(entry, family, resolution=512, tail_depth=4,
     """
     space = entry.space if isinstance(entry, CatalogEntry) else entry
     sample, all_vals = _sample_values(space, family, resolution, tail_depth)
-    rel = space.relation_matrix(sample.coord_array())
-    return _check_values(family, sample, all_vals, rel, eps_fn, min_agreement)
+    return _check_values(family, sample, all_vals, space, eps_fn,
+                         min_agreement)[0]
 
 
-def _check_values(family, sample, all_vals, rel, eps_fn, min_agreement):
-    """validate_family's checks on raw values and the sample relation."""
+def _check_values(family, sample, all_vals, space, eps_fn, min_agreement,
+                  gather=()):
+    """validate_family's checks on raw values, one row tile at a time.
+
+    A tile relates _TILE_CELLS // n samples to all n, so memory stays
+    O(n * tile).  Returns the report and, for each sorted index array in
+    gather, the relation among those samples.
+    """
+    points, coords = sample.points, sample.coord_array()
     levels = sample.levels()
-    checks = [Check("h_part_nonempty", len(family.h) > 0,
-                    witness=None if family.h else "empty H-part")]
+    members, n_h, n = family.members(), len(family.h), len(points)
+    checks = [Check("h_part_nonempty", n_h > 0,
+                    witness=None if n_h else "empty H-part")]
 
-    tag_witness = None
-    range_witness = None
-    for row, f in enumerate(family.members()):
-        vals = all_vals[row]
+    range_witness = tail_witness = None
+    limit = len(members)  # members past a found violation go unreported
+    for m, f in enumerate(members):
+        vals = all_vals[m]
         if not np.all((vals >= -eps_fn) & (vals <= 1.0 + eps_fn)):
             i = int(np.argmax((vals < -eps_fn) | (vals > 1.0 + eps_fn)))
-            range_witness = range_witness or (f.name, sample.points[i].coords)
-        if f.monotone == "isotone":
-            bad = rel & (vals[:, None] > vals[None, :] + eps_fn)
-        elif f.monotone == "anti_isotone":
-            bad = rel & (vals[:, None] < vals[None, :] - eps_fn)
-        else:
-            bad = None
-        if bad is not None and bad.any() and tag_witness is None:
-            i, j = np.argwhere(bad)[0]
-            tag_witness = (f.name, sample.points[int(i)].coords,
-                           sample.points[int(j)].coords)
-        if f.klass is not None:
-            outside = levels >= f.tail_level
-            off = outside & (np.abs(vals - f.tail_value) > eps_fn)
-            if off.any() and tag_witness is None:
-                i = int(np.argmax(off))
-                tag_witness = (f.name, sample.points[i].coords,
-                               "not at declared tail constant")
+            range_witness = range_witness or (f.name, points[i].coords)
+        if f.klass is not None and tail_witness is None:
+            off = (levels >= f.tail_level) & \
+                (np.abs(vals - f.tail_value) > eps_fn)
+            if off.any():
+                tail_witness = (f.name, points[int(np.argmax(off))].coords,
+                                "not at declared tail constant")
+                limit = m + 1
+    # isotone breaks on v_i > v_j + eps, anti-isotone on v_i < v_j - eps
+    bounds = {m: all_vals[m] + (eps_fn if f.monotone == "isotone" else -eps_fn)
+              for m, f in enumerate(members) if f.monotone != "none"}
+
+    first_bad = {}  # member -> witness of its first violation, row-major
+    first_diff = None
+    disagreements = 0
+    blocks = [np.empty((len(s), len(s)), dtype=bool) for s in gather]
+    step = max(1, _TILE_CELLS // max(n, 1))
+    for start in range(0, n, step):
+        rows = slice(start, start + step)
+        rel = space.relation_matrix(coords[rows], coords)
+        for s, block in zip(gather, blocks):
+            lo, hi = np.searchsorted(s, (start, start + step))
+            block[lo:hi] = rel.take(s[lo:hi] - start, axis=0).take(s, axis=1)
+        induced = np.ones_like(rel)
+        for m in range(n_h):
+            induced &= all_vals[m, rows, None] <= bounds[m]
+        diff = induced != rel
+        wrong = np.count_nonzero(diff)
+        disagreements += wrong
+        if wrong and first_diff is None:
+            i, j = divmod(int(np.argmax(diff)), n)
+            first_diff = (points[start + i].coords, points[j].coords,
+                          "induced" if induced[i, j] else "missing")
+        # an H member breaks its tag only where H misses a related pair:
+        # v_i > v_j + eps implies not v_i <= v_j + eps, also for NaN
+        missing = wrong and (rel > induced).any()
+        for m in bounds:
+            if m >= limit:
+                break
+            if m < n_h and not missing:
+                continue
+            vals = all_vals[m, rows, None]
+            bad = rel & (vals > bounds[m] if members[m].monotone == "isotone"
+                         else vals < bounds[m])
+            if bad.any():
+                i, j = divmod(int(np.argmax(bad)), n)
+                first_bad[m] = (members[m].name, points[start + i].coords,
+                                points[j].coords)
+                limit = m
+
+    tag_witness = first_bad[min(first_bad)] if first_bad else tail_witness
     checks.append(Check("values_in_unit_interval", range_witness is None,
                         witness=range_witness))
     checks.append(Check("monotone_and_class_tags", tag_witness is None,
                         witness=tag_witness))
-
-    if family.h:
-        induced = np.ones_like(rel)
-        for row in range(len(family.h)):
-            vals = all_vals[row]
-            induced &= vals[:, None] <= vals[None, :] + eps_fn
-        agree = induced == rel
-        rate = float(agree.mean())
-        witness = None
-        if rate < min_agreement:
-            i, j = np.argwhere(~agree)[0]
-            witness = (sample.points[int(i)].coords,
-                       sample.points[int(j)].coords,
-                       "induced" if induced[i, j] else "missing")
+    if n_h:
+        pairs = n * n
+        rate = float(np.divide(pairs - disagreements, pairs))
         checks.append(Check(
-            "represents_relation", rate >= min_agreement, witness=witness,
-            metrics={"agreement_rate": rate,
-                     "pairs": int(rel.size),
-                     "disagreements": int(agree.size
-                                          - np.count_nonzero(agree))},
+            "represents_relation", rate >= min_agreement,
+            witness=first_diff if rate < min_agreement else None,
+            metrics={"agreement_rate": rate, "pairs": pairs,
+                     "disagreements": disagreements},
         ))
-    return CheckReport(tuple(checks))
+    return CheckReport(tuple(checks)), blocks

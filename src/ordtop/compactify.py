@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import _check_values, _sample_values
+from .catalog import _TILE_CELLS, _check_values, _sample_values
 from .preorder import PreorderGraph, is_antisymmetric, quotient_preorder, \
     transitive_reflexive_closure
 from .report import Check, CheckReport, merge_reports
@@ -26,7 +26,6 @@ DEFAULT_EPS_CAUCHY = 0.01
 DEFAULT_EPS_FN = 1e-6
 DEFAULT_DELTA_EMBED = 0.01
 VERIFY_RESOLUTION = 2048
-_TILE_CELLS = 1 << 20  # induced-order tile: 1,024 vertices fit in one
 
 
 class DominationError(ValueError):
@@ -176,7 +175,7 @@ def close_and_cluster(cloud, eps_q=DEFAULT_EPS_Q,
     rank = np.empty(len(uq), dtype=np.int64)
     rank[order] = np.arange(len(uq))
     sample_map = rank[inverse]
-    vertex_rows = [tuple(int(x) for x in row) for row in uq[order]]
+    vertex_rows = [tuple(row) for row in uq[order].tolist()]
     row_index = {row: i for i, row in enumerate(vertex_rows)}
 
     members = cloud.family.members()
@@ -207,7 +206,7 @@ def close_and_cluster(cloud, eps_q=DEFAULT_EPS_Q,
                 "spread": worst_spread,
             })
             continue
-        ql = tuple(int(v) for v in _quantize(limit, eps_q))
+        ql = tuple(_quantize(limit, eps_q).tolist())
         info = {"status": "", "limit": ql, "spread": worst_spread,
                 "shells": len(shells)}
         if ql in row_index:
@@ -225,9 +224,8 @@ def close_and_cluster(cloud, eps_q=DEFAULT_EPS_Q,
     n_core = len(uq)
     quant = np.array(vertex_rows, dtype=np.int64)
     vertices = tuple(
-        Vertex(i, "core" if i < n_core else "remainder",
-               tuple(float(v) * eps_q for v in row))
-        for i, row in enumerate(vertex_rows)
+        Vertex(i, "core" if i < n_core else "remainder", tuple(row))
+        for i, row in enumerate((quant.astype(float) * eps_q).tolist())
     )
     induced = _induced_graph(quant, cloud.h_count)
     return Compactification(
@@ -248,20 +246,26 @@ def verify_preorder_embedding(entry, comp, resolution=VERIFY_RESOLUTION,
     violation rate is at most delta_embed.
     """
     coords = comp.cloud.sample.coord_array()
-    return _verify_embedding(
-        comp, lambda idx: entry.space.relation_matrix(coords[idx]),
-        resolution, delta_embed)
+    samples = _verify_samples(comp, resolution)
+    relations = [entry.space.relation_matrix(coords[i]) for i in samples]
+    return _verify_embedding(comp, samples, relations, delta_embed)
 
 
-def _verify_embedding(comp, relation, resolution, delta_embed):
-    """verify_preorder_embedding; relation(idx) relates the samples idx."""
+def _verify_samples(comp, resolution):
+    """Verify's sorted samples: core representatives, a stride subsample."""
+    n = comp.cloud.n_samples
+    reps = comp.representatives()[np.array(comp.core_ids(), dtype=int)]
+    return reps, np.arange(0, n, max(1, -(-n // min(resolution, n))))
+
+
+def _verify_embedding(comp, samples, relations, delta_embed):
+    """verify_preorder_embedding on _verify_samples and their relations."""
     coords = comp.cloud.sample.coord_array()
     ind = comp.induced_matrix()
 
-    reps = comp.representatives()
     core = np.array(comp.core_ids(), dtype=int)
-    rep_coords = coords[reps[core]]
-    rel = relation(reps[core])
+    (reps, idx), (rel, sub_rel) = samples, relations
+    rep_coords = coords[reps]
     ind_core = ind[np.ix_(core, core)]
     mism = rel != ind_core
     pairs = mism.size
@@ -277,10 +281,6 @@ def _verify_embedding(comp, relation, resolution, delta_embed):
         metrics={"violations": count, "pairs": pairs, "rate": rate},
     )
 
-    n = len(coords)
-    stride = max(1, -(-n // min(resolution, n)))
-    idx = np.arange(0, n, stride)
-    sub_rel = relation(idx)
     sub_map = comp.sample_map[idx]
     sub_ind = ind[np.ix_(sub_map, sub_map)]
     viol = sub_rel & ~sub_ind
@@ -548,14 +548,17 @@ def smallest_closed_preorder_diagnostic(comp) -> CheckReport:
     """
     if not comp.complete:
         raise ValueError("compactification is incomplete")
-    n = comp.n_vertices
-    space = comp.cloud.entry.space
     coords = comp.cloud.sample.coord_array()
-    reps = comp.representatives()
-    core = np.array(comp.core_ids(), dtype=int)
+    reps = comp.representatives()[np.array(comp.core_ids(), dtype=int)]
+    return _smallest_closure_diagnostic(
+        comp, comp.cloud.entry.space.relation_matrix(coords[reps]))
 
-    seed = np.eye(n, dtype=bool)
-    seed[np.ix_(core, core)] = space.relation_matrix(coords[reps[core]])
+
+def _smallest_closure_diagnostic(comp, core_rel):
+    """The diagnostic on the relation between core representatives."""
+    core = np.array(comp.core_ids(), dtype=int)
+    seed = np.eye(comp.n_vertices, dtype=bool)
+    seed[np.ix_(core, core)] = core_rel
     ind = comp.induced_matrix()
     for r in comp.remainder_ids():
         seed[r, :] = ind[r, :]
@@ -680,16 +683,21 @@ def build_compactification(entry, family, resolution=DEFAULT_RESOLUTION,
     """Full pipeline: validate, embed, close, verify.  (comp, report).
 
     The space is sampled and the family evaluated once; validation and
-    the image cloud read the same raw values.  The smallest-closure
-    diagnostic needs an exact transitive closure, so it is included only
-    up to diagnostic_budget vertices; past that the report simply omits
-    it (it remains callable directly).
+    the image cloud read the same raw values.  Validation walks the
+    sample relation in row tiles (memory O(samples * tile), never
+    samples^2), and the same pass gathers the relation that verify and
+    the diagnostic read, so the relation is evaluated once per build.
+    The smallest-closure diagnostic needs an exact transitive closure,
+    so it is included only up to diagnostic_budget vertices; past that
+    the report simply omits it (it remains callable directly).
     """
     sample, raw = _sample_values(entry.space, family, resolution, tail_depth)
-    rel = entry.space.relation_matrix(sample.coord_array())
-    reports = [_check_values(family, sample, raw, rel, eps_fn, min_agreement)]
     cloud = _image_cloud(entry, family, sample, raw, eps_fn)
     comp = close_and_cluster(cloud, eps_q, eps_cauchy)
+    samples = _verify_samples(comp, VERIFY_RESOLUTION)
+    validation, relations = _check_values(family, sample, raw, entry.space,
+                                          eps_fn, min_agreement, samples)
+    reports = [validation]
     complete_check = Check(
         "all_ends_cauchy", comp.complete,
         witness=None if comp.complete else [
@@ -698,11 +706,9 @@ def build_compactification(entry, family, resolution=DEFAULT_RESOLUTION,
                  "remainder": len(comp.remainder_ids())},
     )
     reports.append(CheckReport((complete_check,)))
-    reports.append(_verify_embedding(
-        comp, lambda idx: rel.take(idx, axis=0).take(idx, axis=1),
-        VERIFY_RESOLUTION, delta_embed))
+    reports.append(_verify_embedding(comp, samples, relations, delta_embed))
     if comp.complete:
         reports.append(remainder_is_ordered(comp))
         if comp.n_vertices <= diagnostic_budget:
-            reports.append(smallest_closed_preorder_diagnostic(comp))
+            reports.append(_smallest_closure_diagnostic(comp, relations[0]))
     return comp, merge_reports(*reports)

@@ -6,6 +6,7 @@ a closed-form margin analysis and a Runge-Kutta integration of the
 winding null curve.
 """
 
+import importlib
 import math
 import random
 
@@ -16,15 +17,22 @@ from ordtop.catalog import (
     CATALOG_NAMES,
     TWO_PI,
     FunctionFamily,
+    MirrorRay,
     MisnerStrip,
     ScalarFunction,
     TAIL_SHELL_BASE,
+    _check_values,
+    _sample_values,
     _window_integral,
     arc_bound_function,
     catalog,
     evaluate_family,
     validate_family,
 )
+from ordtop.report import Check, CheckReport
+
+# the module itself: the package exports the catalog() function under its name
+catalog_module = importlib.import_module("ordtop.catalog")
 
 
 # ----------------------------------------------------------- RK4 oracle
@@ -132,6 +140,22 @@ def test_relation_is_reflexive_and_transitive(name):
     i, j, k = idx[:, 0], idx[:, 1], idx[:, 2]
     bad = m[i, j] & m[j, k] & ~m[i, k]
     assert not bad.any()
+
+
+@pytest.mark.parametrize("space", [catalog(n).space for n in CATALOG_NAMES]
+                         + [MirrorRay()], ids=lambda s: s.name)
+def test_relation_blocks_match_the_square_matrix(space):
+    coords = space.sample(200, 4).coord_array()
+    square = space.relation_matrix(coords)
+    rng = np.random.default_rng(5)
+    n = len(coords)
+    for rows, cols in ((np.arange(n), np.arange(n)),
+                       (np.arange(3, 40), np.arange(n)),
+                       (rng.integers(0, n, 17), rng.integers(0, n, 60)),
+                       (rng.integers(0, n, 1), np.arange(0))):
+        block = space.relation_matrix(coords[rows], coords[cols])
+        assert block.shape == (len(rows), len(cols))
+        assert np.array_equal(block, square[np.ix_(rows, cols)])
 
 
 def test_scalar_relation_agrees_with_matrix():
@@ -387,6 +411,170 @@ def test_empty_h_part_reported():
         if "const1" in entry.pool else FunctionFamily((), ())
     report = validate_family(entry, fam, resolution=64)
     assert not report.check("h_part_nonempty").passed
+
+
+# ------------------------------------------- tiled validation vs oracle
+
+
+def _untiled_check_values(family, sample, all_vals, rel, eps_fn,
+                          min_agreement):
+    """Validation on the whole samples x samples relation at once.
+
+    The reference for the tiled _check_values: every member's tag is
+    checked against the full relation and the agreement is the mean of
+    one samples x samples matrix.
+    """
+    levels = sample.levels()
+    checks = [Check("h_part_nonempty", len(family.h) > 0,
+                    witness=None if family.h else "empty H-part")]
+    tag_witness = None
+    range_witness = None
+    for row, f in enumerate(family.members()):
+        vals = all_vals[row]
+        if not np.all((vals >= -eps_fn) & (vals <= 1.0 + eps_fn)):
+            i = int(np.argmax((vals < -eps_fn) | (vals > 1.0 + eps_fn)))
+            range_witness = range_witness or (f.name, sample.points[i].coords)
+        if f.monotone == "isotone":
+            bad = rel & (vals[:, None] > vals[None, :] + eps_fn)
+        elif f.monotone == "anti_isotone":
+            bad = rel & (vals[:, None] < vals[None, :] - eps_fn)
+        else:
+            bad = None
+        if bad is not None and bad.any() and tag_witness is None:
+            i, j = np.argwhere(bad)[0]
+            tag_witness = (f.name, sample.points[int(i)].coords,
+                           sample.points[int(j)].coords)
+        if f.klass is not None:
+            off = (levels >= f.tail_level) & \
+                (np.abs(vals - f.tail_value) > eps_fn)
+            if off.any() and tag_witness is None:
+                i = int(np.argmax(off))
+                tag_witness = (f.name, sample.points[i].coords,
+                               "not at declared tail constant")
+    checks.append(Check("values_in_unit_interval", range_witness is None,
+                        witness=range_witness))
+    checks.append(Check("monotone_and_class_tags", tag_witness is None,
+                        witness=tag_witness))
+    if family.h:
+        induced = np.ones_like(rel)
+        for row in range(len(family.h)):
+            vals = all_vals[row]
+            induced &= vals[:, None] <= vals[None, :] + eps_fn
+        agree = induced == rel
+        rate = float(agree.mean())
+        witness = None
+        if rate < min_agreement:
+            i, j = np.argwhere(~agree)[0]
+            witness = (sample.points[int(i)].coords,
+                       sample.points[int(j)].coords,
+                       "induced" if induced[i, j] else "missing")
+        checks.append(Check(
+            "represents_relation", rate >= min_agreement, witness=witness,
+            metrics={"agreement_rate": rate, "pairs": int(rel.size),
+                     "disagreements": int(agree.size
+                                          - np.count_nonzero(agree))},
+        ))
+    return CheckReport(tuple(checks))
+
+
+def _fn(name, fn, monotone="isotone", klass=None, tail_value=None,
+        tail_level=99):
+    return ScalarFunction(name, fn, monotone=monotone, klass=klass,
+                          tail_value=tail_value, tail_level=tail_level)
+
+
+_ID = _fn("id", lambda a: a[:, 0])
+_ONE = _fn("one", lambda a: np.ones(len(a)), klass="C", tail_value=1.0,
+           tail_level=0)
+# isotone up to 0.9, then falling: the first bad pair sits in a late row
+_LATE = _fn("late", lambda a: np.where(a[:, 0] > 0.9, 1.9 - a[:, 0], a[:, 0]))
+_ANTI = _fn("anti", lambda a: 1.0 - a[:, 0], monotone="anti_isotone",
+            klass="C", tail_value=0.0)
+_ANTI_LATE = _fn("anti_late",
+                 lambda a: np.where(a[:, 0] > 0.8, a[:, 0], 1.0 - a[:, 0]),
+                 monotone="anti_isotone", klass="C", tail_value=0.0)
+_NONE = _fn("wiggle", lambda a: 0.5 + 0.4 * np.sin(20.0 * a[:, 0]),
+            monotone="none", klass="C", tail_value=0.5)
+_TAIL = _fn("tail", lambda a: a[:, 0], klass="C", tail_value=1.0,
+            tail_level=TAIL_SHELL_BASE)
+_NAN = _fn("nan", lambda a: np.where(np.abs(a[:, 0] - 0.5) < 0.05, np.nan,
+                                     a[:, 0]))
+_HALF = _fn("half", lambda a: np.full(len(a), 0.5))
+
+TILED_FAMILIES = {
+    "passing": ((_ID,), (_ONE,)),
+    "late_isotone": ((_ID, _LATE), (_ONE,)),
+    "late_isotone_alone": ((_LATE,), ()),
+    "anti_isotone": ((_ID,), (_ANTI, _ONE)),
+    "late_anti_isotone": ((_ID,), (_ONE, _ANTI_LATE)),
+    "none_member": ((_ID,), (_NONE,)),
+    "tail_violation": ((_ID,), (_TAIL, _ONE)),
+    "tail_before_isotone": ((_ID,), (_TAIL, _ANTI_LATE)),
+    "isotone_before_tail": ((_ID, _LATE), (_TAIL,)),
+    "nan_in_h": ((_NAN, _ID), (_ONE,)),
+    "nan_in_c": ((_ID,), (_fn("nan_c", _NAN.fn, klass="C",
+                              tail_value=1.0),)),
+    "empty_h": ((), (_ONE, _ANTI_LATE)),
+    "represents_fails_induced": ((_HALF,), (_ONE,)),
+    "represents_fails_missing": ((_LATE,), (_ANTI_LATE,)),
+}
+
+
+@pytest.mark.parametrize("n", (20, 21, 22, 27, 28, 29))
+@pytest.mark.parametrize("family", sorted(TILED_FAMILIES))
+def test_tiled_validation_matches_the_untiled_reference(family, n,
+                                                        monkeypatch):
+    # 7-row tiles: n = 21 and 28 end on a tile edge, the others straddle one
+    monkeypatch.setattr(catalog_module, "_TILE_CELLS", 7 * n)
+    space = catalog("half-open-interval").space
+    fam = FunctionFamily(*TILED_FAMILIES[family])
+    sample, vals = _sample_values(space, fam, n, 4)
+    rel = space.relation_matrix(sample.coord_array())
+    rng = np.random.default_rng(n)
+    gather = (np.arange(n), np.arange(0), np.arange(6, n, 5),
+              np.unique(rng.integers(0, n, 9)))
+    with np.errstate(invalid="ignore"):
+        for min_agreement in (0.99, 1.0):
+            tiled, blocks = _check_values(fam, sample, vals, space, 1e-6,
+                                          min_agreement, gather)
+            want = _untiled_check_values(fam, sample, vals, rel, 1e-6,
+                                         min_agreement)
+            assert repr(tiled.to_dict()) == repr(want.to_dict())
+    for idx, block in zip(gather, blocks):
+        assert np.array_equal(block, rel[np.ix_(idx, idx)])
+
+
+def test_tiled_validation_fixtures_fail_where_meant():
+    space = catalog("half-open-interval").space
+    n = 28
+    fails = {}
+    for name, parts in TILED_FAMILIES.items():
+        fam = FunctionFamily(*parts)
+        sample, vals = _sample_values(space, fam, n, 4)
+        with np.errstate(invalid="ignore"):
+            report, _ = _check_values(fam, sample, vals, space, 1e-6, 0.99)
+        fails[name] = {c.name: c.witness for c in report.checks
+                       if not c.passed}
+    assert fails["passing"] == {}
+    assert fails["none_member"] == {}
+    assert fails["anti_isotone"] == {}
+    # the first bad row of "late" lies past 0.9, in the fourth 7-row tile
+    _, i, j = fails["late_isotone"]["monotone_and_class_tags"]
+    assert 0.9 < i[0] < j[0]
+    assert fails["late_anti_isotone"]["monotone_and_class_tags"][0] \
+        == "anti_late"
+    assert fails["tail_violation"]["monotone_and_class_tags"][2] \
+        == "not at declared tail constant"
+    assert fails["tail_before_isotone"]["monotone_and_class_tags"][0] \
+        == "tail"
+    assert fails["isotone_before_tail"]["monotone_and_class_tags"][0] \
+        == "late"
+    assert "values_in_unit_interval" in fails["nan_in_h"]
+    assert "h_part_nonempty" in fails["empty_h"]
+    assert fails["represents_fails_induced"]["represents_relation"][2] \
+        == "induced"
+    assert fails["represents_fails_missing"]["represents_relation"][2] \
+        == "missing"
 
 
 # --------------------------------------------------------- family types

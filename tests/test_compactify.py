@@ -7,6 +7,7 @@ hand against the shell schedule; nothing here re-reads pipeline output.
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -455,18 +456,65 @@ def test_build_verifies_from_the_validation_relation(space, monkeypatch):
     calls = []
     relation_matrix = type(entry.space).relation_matrix
 
-    def counting(self, coords):
-        calls.append(len(coords))
-        return relation_matrix(self, coords)
+    def counting(self, coords, other=None):
+        calls.append((len(coords), None if other is None else len(other)))
+        return relation_matrix(self, coords, other)
 
     monkeypatch.setattr(type(entry.space), "relation_matrix", counting)
-    comp, report = build_compactification(entry, fam, resolution=256,
-                                          diagnostic_budget=0)
-    assert calls == [comp.cloud.n_samples]
-    # the sliced relation gives what verify's own relation gives
+    for budget in (0, 1500):  # without and with the diagnostic
+        calls.clear()
+        comp, report = build_compactification(entry, fam, resolution=256,
+                                              diagnostic_budget=budget)
+        # validation's row tiles are the only relation calls: they cover
+        # every sample once, each against all samples
+        n = comp.cloud.n_samples
+        assert calls and sum(rows for rows, _ in calls) == n
+        assert all(cols == n for _, cols in calls)
+        # the gathered relation gives what verify's own relation gives
+        alone = verify_preorder_embedding(entry, comp)
+        for name in alone.names():
+            assert report.check(name).to_dict() == alone.check(name).to_dict()
+        if budget and comp.complete:
+            diag = smallest_closed_preorder_diagnostic(comp).checks[0]
+            assert report.check(diag.name).to_dict() == diag.to_dict()
+
+
+def test_build_relation_tiles_cover_large_samples(monkeypatch):
+    entry = catalog("half-open-interval")
+    calls = []
+    relation_matrix = type(entry.space).relation_matrix
+
+    def counting(self, coords, other=None):
+        calls.append((len(coords), None if other is None else len(other)))
+        return relation_matrix(self, coords, other)
+
+    monkeypatch.setattr(type(entry.space), "relation_matrix", counting)
+    comp, report = build_compactification(entry, entry.family("default"),
+                                          resolution=3000)
+    assert report.passed
+    step = ordtop.compactify._TILE_CELLS // 3000
+    assert len(calls) == -(-3000 // step) > 1
+    assert sum(rows for rows, _ in calls) == 3000
+    assert {cols for _, cols in calls} == {3000}
+    calls.clear()
     alone = verify_preorder_embedding(entry, comp)
     for name in alone.names():
         assert report.check(name).to_dict() == alone.check(name).to_dict()
+    diag = smallest_closed_preorder_diagnostic(comp).checks[0]
+    assert report.check(diag.name).to_dict() == diag.to_dict()
+
+
+def test_build_memory_stays_below_one_samples_squared_matrix():
+    entry = catalog("half-open-interval")
+    fam = entry.family("default", 8000)
+    tracemalloc.start()
+    try:
+        comp, report = build_compactification(entry, fam, resolution=8000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed and comp.cloud.n_samples == 8000
+    assert peak < 8000 * 8000  # one samples x samples boolean matrix
 
 
 # ---------------------------------------------------------------- nachbin

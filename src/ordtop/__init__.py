@@ -45,6 +45,7 @@ from .export import (
     write_vertices_csv,
 )
 from .finite_space import (
+    BudgetError,
     FinitePreorderedSpace,
     FiniteTopology,
     SpaceFormatError,

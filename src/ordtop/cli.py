@@ -23,6 +23,7 @@ from .compactify import (
 )
 from .export import write_build
 from .finite_space import (
+    BudgetError,
     SpaceFormatError,
     enumerate_isotone_functions,
     graph_is_closed,
@@ -85,7 +86,11 @@ def cmd_check_finite(args, parser) -> int:
         Check("quotient_graph_closed", q_closed.passed,
               witness=q_closed.witness),
     ))
-    fns = enumerate_isotone_functions(space, args.levels)
+    try:
+        fns = enumerate_isotone_functions(space, args.levels)
+    except BudgetError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     rep = representation_check(space, fns)
     report = merge_reports(closed, t1, quotient_checks, rep)
     _print_report(report, args.json)

@@ -11,12 +11,22 @@ from .report import _plain
 
 
 def write_vertices_csv(comp, path):
-    """One row per vertex: id, kind, then the quantized coordinates."""
+    """One row per vertex: id, kind, then the quantized coordinates.
+
+    Each distinct coordinate is formatted once, with repr of the same
+    float.  Values are told apart by their bit patterns, so -0.0 and 0.0
+    stay distinct (np.unique on the floats would merge them; coordinates
+    are float(int) * eps_q with eps_q > 0, which never gives -0.0).
+    """
+    coords = np.array([v.coords for v in comp.vertices], dtype=float)
+    coords = coords.reshape(len(comp.vertices), len(comp.names))
+    bits, inverse = np.unique(coords.view(np.int64), return_inverse=True)
+    texts = [repr(c) for c in bits.view(np.float64).tolist()]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["id", "kind"] + list(comp.names))
-        for v in comp.vertices:
-            writer.writerow([v.id, v.kind] + [repr(c) for c in v.coords])
+        for v, row in zip(comp.vertices, inverse.reshape(coords.shape)):
+            writer.writerow([v.id, v.kind] + [texts[k] for k in row.tolist()])
 
 
 def transitive_reduction(graph: PreorderGraph) -> tuple:

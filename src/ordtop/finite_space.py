@@ -1,9 +1,12 @@
 """Exact order-topology checks on finite topological preordered spaces.
 
-Points are indices 0..n-1, subsets are int bitmasks, a topology is the
-family of its open masks.  Every finite topology is determined by the
-minimal open neighborhood of each point, which makes closure, closedness
-of the relation graph, and the separation fixpoints exact and cheap.
+Points are indices 0..n-1 and subsets are int bitmasks.  A finite
+topology is the Alexandrov topology of its specialization preorder, so
+it is stored as the minimal open neighborhood of each point: a set is
+open iff it contains the minimal neighborhood of each of its points.
+Closure, closedness of the relation graph, quotients, the separation
+fixpoints and the clopen increasing sets are all computed from these n
+masks; the family of all opens is built only when someone reads it.
 """
 
 from __future__ import annotations
@@ -14,15 +17,25 @@ from dataclasses import dataclass
 from .preorder import (
     PreorderGraph,
     function_preorder,
-    intersect_graphs,
     quotient_preorder,
     transitive_reflexive_closure,
 )
 from .report import Check, CheckReport
 
+# Default caps of the two exponential enumerations.
+CLOPEN_BUDGET = 1 << 22  # clopen increasing sets
+FUNCTION_BUDGET = 2_000_000  # chain-valued isotone functions
+
 
 class SpaceFormatError(ValueError):
     """Raised by the JSON loader; message carries the offending location."""
+
+
+class BudgetError(ValueError):
+    """An enumeration would produce more items than its budget allows."""
+
+    def __init__(self, what: str, budget: int):
+        super().__init__(f"budget exceeded: more than {budget} {what}")
 
 
 def _bits(mask: int):
@@ -32,64 +45,79 @@ def _bits(mask: int):
         mask ^= low
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class FiniteTopology:
-    """Family of open sets over points 0..n-1, stored as bitmasks.
+    """Topology on points 0..n-1, stored as minimal neighborhoods.
 
-    The constructor verifies the axioms: empty and full set present,
-    closed under union and intersection.  The check is linear in
-    n * len(opens): a family is a topology iff every minimal
-    neighborhood is open and U | umin(x) stays open for every open U
-    and point x (unions of opens decompose into such steps, and
-    intersections are unions of minimal neighborhoods).
+    umin[x] is the smallest open mask containing x; equality and hashing
+    compare (n, umin), which is the same as comparing the opens.
+    `FiniteTopology(n, opens)` takes the family of open masks and checks
+    the axioms: empty and full set present, closed under union and
+    intersection.  The check is linear in n * len(opens): a family is a
+    topology iff every minimal neighborhood is open and U | umin(x) stays
+    open for every open U and point x (unions of opens decompose into
+    such steps, and intersections are unions of minimal neighborhoods).
+    `from_basis` needs no open family at all.
     """
 
     n: int
-    opens: frozenset
+    umin: tuple
 
-    def __post_init__(self):
-        full = (1 << self.n) - 1
-        if 0 not in self.opens:
+    def __init__(self, n: int, opens):
+        opens = frozenset(opens)
+        full = (1 << n) - 1
+        if 0 not in opens:
             raise ValueError("empty set must be open")
-        if full not in self.opens:
+        if full not in opens:
             raise ValueError("full set must be open")
-        umin = [full] * self.n
-        for u in self.opens:
+        umin = [full] * n
+        for u in opens:
             if u & ~full:
-                raise ValueError(f"open set {u:#x} has points outside 0..{self.n - 1}")
+                raise ValueError(f"open set {u:#x} has points outside 0..{n - 1}")
             for x in _bits(u):
                 umin[x] &= u
-        for x in range(self.n):
-            if umin[x] not in self.opens:
+        for x in range(n):
+            if umin[x] not in opens:
                 raise ValueError(
                     f"not a topology: minimal neighborhood of {x} is not open"
                 )
-        for u in self.opens:
-            for x in range(self.n):
-                if (u | umin[x]) not in self.opens:
+        for u in opens:
+            for x in range(n):
+                if (u | umin[x]) not in opens:
                     raise ValueError(
                         f"not a topology: union of {u:#x} and the minimal "
                         f"neighborhood of {x} is missing"
                     )
-        object.__setattr__(self, "_umin", tuple(umin))
+        self._set(n, umin, opens)
+
+    def _set(self, n, umin, opens):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "umin", tuple(umin))
+        object.__setattr__(self, "_opens", opens)
+
+    @classmethod
+    def _from_umin(cls, n: int, umin) -> "FiniteTopology":
+        """Topology with the given minimal neighborhoods (not re-checked)."""
+        top = object.__new__(cls)
+        top._set(n, umin, None)
+        return top
 
     @classmethod
     def from_basis(cls, n: int, basis) -> "FiniteTopology":
-        """Topology generated by the given subsets (masks or iterables)."""
+        """Topology generated by the given subsets (masks or iterables).
+
+        The minimal neighborhood of x is the intersection of the given
+        sets that contain x (the whole space when none does).
+        """
         full = (1 << n) - 1
-        base = []
+        umin = [full] * n
         for b in basis:
             mask = b if isinstance(b, int) else sum(1 << i for i in set(b))
             if mask & ~full:
                 raise ValueError(f"basis set {mask:#x} out of range")
-            base.append(mask)
-        meets = {full}
-        for b in base:
-            meets |= {m & b for m in meets}
-        joins = {0}
-        for m in sorted(meets):
-            joins |= {j | m for j in joins}
-        return cls(n, frozenset(joins))
+            for x in _bits(mask):
+                umin[x] &= mask
+        return cls._from_umin(n, umin)
 
     @classmethod
     def discrete(cls, n: int) -> "FiniteTopology":
@@ -97,13 +125,28 @@ class FiniteTopology:
 
     @classmethod
     def indiscrete(cls, n: int) -> "FiniteTopology":
-        return cls(n, frozenset({0, (1 << n) - 1}))
+        return cls.from_basis(n, [])
+
+    @property
+    def opens(self) -> frozenset:
+        """Every open mask: the unions of minimal neighborhoods.
+
+        Up to 2^n sets; built on first read and kept.
+        """
+        if self._opens is None:
+            joins = {0}
+            for u in set(self.umin):
+                joins |= {j | u for j in joins}
+            object.__setattr__(self, "_opens", frozenset(joins))
+        return self._opens
 
     def is_open(self, mask: int) -> bool:
-        return mask in self.opens
+        if mask & ~((1 << self.n) - 1):
+            return False
+        return all(self.umin[x] & ~mask == 0 for x in _bits(mask))
 
     def is_closed(self, mask: int) -> bool:
-        return ((1 << self.n) - 1) ^ mask in self.opens
+        return self.is_open(((1 << self.n) - 1) ^ mask)
 
     def sorted_opens(self) -> tuple:
         return tuple(sorted(self.opens))
@@ -113,14 +156,14 @@ def minimal_neighborhood(top: FiniteTopology, i: int) -> int:
     """Smallest open set containing point i."""
     if not 0 <= i < top.n:
         raise ValueError(f"point {i} out of range")
-    return top._umin[i]
+    return top.umin[i]
 
 
 def set_closure(top: FiniteTopology, mask: int) -> int:
     """Smallest closed superset: points whose every neighborhood meets mask."""
     out = 0
     for x in range(top.n):
-        if top._umin[x] & mask:
+        if top.umin[x] & mask:
             out |= 1 << x
     return out
 
@@ -156,8 +199,8 @@ def graph_is_closed(space: FinitePreorderedSpace) -> CheckReport:
         for y in range(g.n):
             if g.leq(x, y):
                 continue
-            vy = top._umin[y]
-            if any(g.rows[a] & vy for a in _bits(top._umin[x])):
+            vy = top.umin[y]
+            if any(g.rows[a] & vy for a in _bits(top.umin[x])):
                 witness = (x, y)
                 break
     return CheckReport(
@@ -201,7 +244,7 @@ def _inflate_clopen(space: FinitePreorderedSpace, seed: int, hull) -> int:
     while True:
         nxt = cur | hull(cur) | set_closure(top, cur)
         for x in _bits(cur):
-            nxt |= top._umin[x]
+            nxt |= top.umin[x]
         if nxt == cur:
             return cur
         cur = nxt
@@ -286,29 +329,62 @@ def _least_bit(mask: int):
     return (mask & -mask).bit_length() - 1 if mask else None
 
 
-def clopen_increasing_sets(space: FinitePreorderedSpace, budget: int = 1 << 22):
-    """All clopen increasing masks, ascending.  Cost 2^n; budget-guarded."""
-    if 1 << space.n > budget:
-        raise ValueError(f"2^{space.n} candidate sets exceed budget {budget}")
-    g = space.preorder
-    top = space.topology
+def clopen_increasing_sets(space: FinitePreorderedSpace, budget=None):
+    """All clopen increasing masks, ascending.
+
+    The clopen sets are the unions of connected components of the graph
+    that links each point to its minimal neighborhood, so a set is
+    clopen and increasing iff it is an up-set of the preorder generated
+    by <= together with those links.  The up-sets are enumerated by
+    deciding the lowest undecided point: taking it adds its up-set,
+    leaving it out adds its down-set.  Both branches stay consistent and
+    every leaf is a distinct set, so the cost is O(n) per set.  Raises
+    BudgetError when more than `budget` sets (default CLOPEN_BUDGET)
+    would be produced.
+    """
+    if budget is None:
+        budget = CLOPEN_BUDGET
+    n = space.n
+    umin = space.topology.umin
+    linked = [row | u for row, u in zip(space.preorder.rows, umin)]
+    for x in range(n):
+        for y in _bits(umin[x]):
+            linked[y] |= 1 << x
+    up = transitive_reflexive_closure(PreorderGraph(n, tuple(linked))).rows
+    down = [0] * n
+    for x in range(n):
+        for y in _bits(up[x]):
+            down[y] |= 1 << x
+    full = (1 << n) - 1
     out = []
-    for mask in range(1 << space.n):
-        if mask in top.opens and top.is_closed(mask) and g.up_set(mask) == mask:
-            out.append(mask)
-    return tuple(out)
+    stack = [(0, 0)]  # (points taken, points left out)
+    while stack:
+        taken, left = stack.pop()
+        rest = full & ~(taken | left)
+        if not rest:
+            if len(out) == budget:
+                raise BudgetError("clopen increasing sets", budget)
+            out.append(taken)
+            continue
+        x = (rest & -rest).bit_length() - 1
+        stack.append((taken, left | down[x]))
+        stack.append((taken | up[x], left))
+    return tuple(sorted(out))
 
 
-def enumerate_isotone_functions(space, levels: int, budget: int = 2_000_000):
+def enumerate_isotone_functions(space, levels: int, budget=None):
     """All continuous isotone functions into {0, 1/L, ..., 1}.
 
     A chain-valued function is continuous and isotone iff each up-level
     set {f >= k/L} is clopen and increasing, so functions correspond to
-    descending chains of clopen increasing sets.  Raises ValueError when
-    more than `budget` functions would be produced.
+    descending chains of clopen increasing sets.  Raises BudgetError
+    when more than `budget` functions (default FUNCTION_BUDGET) would be
+    produced.
     """
     if levels < 1:
         raise ValueError("levels must be >= 1")
+    if budget is None:
+        budget = FUNCTION_BUDGET
     sets = clopen_increasing_sets(space)
     n = space.n
     out = []
@@ -316,9 +392,9 @@ def enumerate_isotone_functions(space, levels: int, budget: int = 2_000_000):
 
     def descend(prev_mask, depth, acc):
         if depth == levels:
+            if len(out) == budget:
+                raise BudgetError("isotone functions", budget)
             out.append(tuple(v / levels for v in acc))
-            if len(out) > budget:
-                raise ValueError(f"more than {budget} functions; raise the budget")
             return
         for mask in sets:
             if mask & ~prev_mask:
@@ -333,15 +409,13 @@ def enumerate_isotone_functions(space, levels: int, budget: int = 2_000_000):
 def representation_check(space, fns) -> CheckReport:
     """Does the family represent the preorder: G(<=) = intersection G_f?
 
-    An empty family induces the full relation.  Witness: least pair in
-    the symmetric difference, tagged missing/extra relative to space's
+    The family is compared in one function_preorder call.  An empty
+    family induces the full relation.  Witness: least pair in the
+    symmetric difference, tagged missing/extra relative to space's
     preorder.
     """
     fns = [tuple(f) for f in fns]
-    if fns:
-        induced = intersect_graphs([function_preorder([f]) for f in fns])
-    else:
-        induced = PreorderGraph.full(space.n)
+    induced = function_preorder(fns) if fns else PreorderGraph.full(space.n)
     want = space.preorder
     witness = None
     for i in range(space.n):
@@ -364,26 +438,29 @@ def representation_check(space, fns) -> CheckReport:
 def quotient_space(space: FinitePreorderedSpace):
     """Quotient by the symmetric part: (space on blocks, classes).
 
-    Opens are the projections of saturated opens, i.e. exactly the
-    quotient topology.
+    A block's minimal neighborhood is the projection of the least
+    saturated open containing it, grown by alternately adding the
+    minimal neighborhood of each point and every block it meets; that
+    is exactly the quotient topology.
     """
     q_graph, part = quotient_preorder(space.preorder)
-    rep = part.index_map()
-    masks = [0] * len(part.classes)
-    for point, idx in rep.items():
-        masks[idx] |= 1 << point
-    q_opens = set()
-    for u in space.topology.opens:
-        projected = 0
-        for idx, cmask in enumerate(masks):
-            inter = u & cmask
-            if inter == cmask:
-                projected |= 1 << idx
-            elif inter:
-                break  # not saturated
-        else:
-            q_opens.add(projected)
-    q_top = FiniteTopology(len(part.classes), frozenset(q_opens))
+    umin = space.topology.umin
+    block_of = part.index_map()
+    masks = [sum(1 << p for p in members) for members in part.classes]
+    q_umin = []
+    for cur in masks:
+        while True:
+            nxt = cur
+            for x in _bits(cur):
+                nxt |= umin[x]
+            for x in _bits(nxt & ~cur):
+                nxt |= masks[block_of[x]]
+            if nxt == cur:
+                break
+            cur = nxt
+        # cur is saturated: a block meeting it lies inside it
+        q_umin.append(sum(1 << i for i, m in enumerate(masks) if m & cur))
+    q_top = FiniteTopology._from_umin(len(masks), q_umin)
     return FinitePreorderedSpace(q_top, q_graph), part
 
 
@@ -402,11 +479,11 @@ def smallest_closed_preorder(top: FiniteTopology, seed_pairs) -> PreorderGraph:
         rows = list(g.rows)
         changed = False
         for x in range(n):
-            ux = top._umin[x]
+            ux = top.umin[x]
             for y in range(n):
                 if rows[x] >> y & 1:
                     continue
-                vy = top._umin[y]
+                vy = top.umin[y]
                 if any(g.rows[a] & vy for a in _bits(ux)):
                     rows[x] |= 1 << y
                     changed = True

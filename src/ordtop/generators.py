@@ -45,15 +45,8 @@ def random_finite_space(rng: random.Random, n: int,
     elif style == "closed":
         g = smallest_closed_preorder(top, _random_seed_pairs(rng, n))
     elif style == "specialization":
-        rows = []
-        for x in range(n):
-            row = 0
-            for y in range(n):
-                # x in cl({y}) iff every open around x contains y
-                if all(u >> y & 1 for u in top.opens if u >> x & 1):
-                    row |= 1 << y
-            rows.append(row)
-        g = transitive_reflexive_closure(PreorderGraph(n, tuple(rows)))
+        # x in cl({y}) iff y lies in the minimal neighborhood of x
+        g = PreorderGraph(n, top.umin)
     else:
         raise ValueError(f"unknown style {style!r}")
     return FinitePreorderedSpace(top, g)

@@ -257,6 +257,8 @@ def function_preorder(values) -> PreorderGraph:
 
     values[k][i] is function k at point i; i <= j iff every function is
     nondecreasing from i to j.  An empty family gives the full relation.
+    Rows are compared one point at a time, so memory stays O(F * n) for
+    F functions.
     """
     vals = np.asarray(values, dtype=float)
     if vals.ndim != 2:
@@ -266,7 +268,9 @@ def function_preorder(values) -> PreorderGraph:
     n = vals.shape[1]
     if vals.shape[0] == 0:
         return PreorderGraph.full(n)
-    mat = np.all(vals[:, :, None] <= vals[:, None, :], axis=0)
+    mat = np.empty((n, n), dtype=bool)
+    for i in range(n):
+        mat[i] = np.all(vals[:, i, None] <= vals, axis=0)
     return PreorderGraph.from_matrix(mat)
 
 

@@ -6,6 +6,9 @@ import sys
 
 import pytest
 
+import ordtop.cli
+import ordtop.finite_space
+
 SIERPINSKI = {"n": 2, "basis": [[1]], "relation": []}
 CHAIN3 = {"n": 3, "basis": [[0], [1], [2]], "relation": [[0, 1], [1, 2]]}
 
@@ -45,6 +48,22 @@ def test_check_finite_rejects_malformed_json(tmp_path):
     proc = run_cli("check-finite", str(path))
     assert proc.returncode == 2
     assert "line" in proc.stderr and "column" in proc.stderr
+
+
+def test_check_finite_budget_overflow_is_a_usage_error(tmp_path, monkeypatch,
+                                                      capsys):
+    # 12 discrete points, no order: 4^12 functions at --levels 3
+    path = write_json(tmp_path / "a.json", {
+        "n": 12, "basis": [[p] for p in range(12)], "relation": []})
+    monkeypatch.setattr(ordtop.finite_space, "FUNCTION_BUDGET", 1000)
+    assert ordtop.cli.main(["check-finite", path, "--levels", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: budget exceeded: more than 1000 isotone functions\n")
+    monkeypatch.setattr(ordtop.finite_space, "CLOPEN_BUDGET", 4095)
+    assert ordtop.cli.main(["check-finite", path, "--levels", "1"]) == 2
+    assert "more than 4095 clopen increasing sets" in capsys.readouterr().err
 
 
 def test_compactify_writes_build_directory(tmp_path):

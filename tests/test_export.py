@@ -3,17 +3,19 @@
 import csv
 import json
 import random
+from types import SimpleNamespace
 
 import networkx as nx
 import pytest
 
 from ordtop.catalog import catalog
-from ordtop.compactify import build_compactification
+from ordtop.compactify import Vertex, build_compactification
 from ordtop.export import (
     canonical_json,
     report_payload,
     transitive_reduction,
     write_build,
+    write_vertices_csv,
 )
 from ordtop.finite_space import graph_is_closed
 from ordtop.generators import random_finite_space, space_stream
@@ -136,3 +138,22 @@ def test_random_space_styles():
     assert graph_is_closed(sp).passed
     with pytest.raises(ValueError):
         random_finite_space(rng, 3, "nope")
+
+
+def test_vertices_csv_formats_each_value_with_repr(tmp_path):
+    # equal values share one formatted string; -0.0 keeps its own
+    values = [0.0, -0.0, 0.1, 1e-06, 0.30000000000000004, 1.0, 123456.789]
+    rng = random.Random(7)
+    vertices = tuple(
+        Vertex(i, "core", tuple(rng.choice(values) for _ in range(3)))
+        for i in range(40))
+    comp = SimpleNamespace(names=("H:a", "H:b", "C:c"), vertices=vertices)
+    path = tmp_path / "vertices.csv"
+    write_vertices_csv(comp, path)
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows == [["id", "kind", "H:a", "H:b", "C:c"]] + [
+        [str(v.id), v.kind] + [repr(c) for c in v.coords] for v in vertices]
+    assert any("-0.0" in row for row in rows)
+    write_vertices_csv(SimpleNamespace(names=("H:a",), vertices=()), path)
+    assert path.read_bytes() == b"id,kind,H:a\r\n"

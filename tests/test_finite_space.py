@@ -2,11 +2,15 @@ import itertools
 import json
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import ordtop.cli
 import ordtop.finite_space
 import ordtop.preorder
 from ordtop.finite_space import (
+    BudgetError,
     FinitePreorderedSpace,
     FiniteTopology,
     SpaceFormatError,
@@ -24,12 +28,15 @@ from ordtop.finite_space import (
     set_closure,
     smallest_closed_preorder,
 )
+from ordtop.generators import SPACE_STYLES, random_finite_space
 from ordtop.preorder import (
     PreorderGraph,
+    intersect_graphs,
     is_antisymmetric,
     is_transitive,
     transitive_reflexive_closure,
 )
+from ordtop.report import Check, CheckReport
 
 # ---------------------------------------------------------------- oracles
 
@@ -168,6 +175,85 @@ def rand_space(rng, n, closed_graph=False):
     else:
         g = transitive_reflexive_closure(PreorderGraph.from_pairs(n, pairs))
     return FinitePreorderedSpace(top, g)
+
+
+# References for the paths that read minimal neighborhoods: the 2^n mask
+# scan, the quotient that walks every open, and one n x n broadcast compare
+# per function.  They read `topology.opens`, which the library never does.
+
+
+def reference_clopen_increasing_sets(space):
+    top = space.topology
+    full = (1 << space.n) - 1
+    return tuple(
+        mask for mask in range(1 << space.n)
+        if mask in top.opens and full ^ mask in top.opens
+        and space.preorder.up_set(mask) == mask
+    )
+
+
+def reference_quotient_space(space):
+    q_graph, part = ordtop.preorder.quotient_preorder(space.preorder)
+    rep = part.index_map()
+    masks = [0] * len(part.classes)
+    for point, idx in rep.items():
+        masks[idx] |= 1 << point
+    q_opens = set()
+    for u in space.topology.opens:
+        projected = 0
+        for idx, cmask in enumerate(masks):
+            inter = u & cmask
+            if inter == cmask:
+                projected |= 1 << idx
+            elif inter:
+                break  # not saturated
+        else:
+            q_opens.add(projected)
+    q_top = FiniteTopology(len(part.classes), frozenset(q_opens))
+    return FinitePreorderedSpace(q_top, q_graph), part
+
+
+def reference_function_preorder(values):
+    vals = np.asarray(values, dtype=float)
+    return PreorderGraph.from_matrix(
+        np.all(vals[:, :, None] <= vals[:, None, :], axis=0))
+
+
+def reference_representation_check(space, fns):
+    fns = [tuple(f) for f in fns]
+    if fns:
+        induced = intersect_graphs(
+            [reference_function_preorder([f]) for f in fns])
+    else:
+        induced = PreorderGraph.full(space.n)
+    want = space.preorder
+    witness = None
+    for i in range(space.n):
+        diff = induced.rows[i] ^ want.rows[i]
+        if diff:
+            j = (diff & -diff).bit_length() - 1
+            witness = (i, j, "extra" if induced.leq(i, j) else "missing")
+            break
+    metrics = {"induced_pairs": induced.pair_count(),
+               "preorder_pairs": want.pair_count()}
+    return CheckReport((Check("represents_preorder", witness is None,
+                              witness=witness, metrics=metrics),))
+
+
+def assert_matches_references(space, levels, rng):
+    assert clopen_increasing_sets(space) == \
+        reference_clopen_increasing_sets(space)
+    q, part = quotient_space(space)
+    q_ref, part_ref = reference_quotient_space(space)
+    assert part.classes == part_ref.classes
+    assert q.preorder.rows == q_ref.preorder.rows
+    assert q.topology == q_ref.topology
+    assert q.topology.opens == q_ref.topology.opens
+    fns = enumerate_isotone_functions(space, levels)
+    if len(fns) > 400:  # the reference pays one numpy call per function
+        fns = rng.sample(fns, 400)
+    assert representation_check(space, fns).to_dict() == \
+        reference_representation_check(space, fns).to_dict()
 
 
 # ------------------------------------------------------- topology basics
@@ -614,3 +700,83 @@ def test_empty_space_is_vacuously_fine():
     q, part = quotient_space(space)
     assert q.n == 0 and part.classes == ()
     assert enumerate_isotone_functions(space, 2) == ((),)
+
+
+# ------------------------------------- minimal neighborhoods vs the opens
+
+
+def test_topology_is_stored_as_minimal_neighborhoods():
+    rng = random.Random(25)
+    for trial in range(200):
+        n = rng.randrange(0, 7)
+        top = FiniteTopology.from_basis(
+            n, [rng.randrange(1 << n) for _ in range(rng.randrange(4))])
+        # the constructor from the opens gives an equal, equally hashed value
+        again = FiniteTopology(n, top.opens)
+        assert again == top and hash(again) == hash(top)
+        assert again.umin == top.umin
+        for mask in range(1 << n):
+            assert top.is_open(mask) == (mask in top.opens)
+            assert top.is_closed(mask) == (((1 << n) - 1) ^ mask in top.opens)
+        assert not top.is_open(1 << n) and not top.is_open(-1)
+    assert FiniteTopology.discrete(3) != FiniteTopology.indiscrete(3)
+
+
+def test_fast_paths_match_references_on_generated_spaces():
+    rng = random.Random(26)
+    for trial in range(2100):
+        levels = 1 + trial // 3 % 3
+        # up to 4^n functions at levels 3: keep their enumeration small
+        n = rng.randint(0, 9 if levels < 3 else 7)
+        space = random_finite_space(rng, n, SPACE_STYLES[trial % 3])
+        assert_matches_references(space, levels, rng)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 7).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.integers(0, (1 << n) - 1), max_size=2 * n),
+    st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+             max_size=2 * n),
+    st.booleans(),
+    st.integers(1, 3),
+)))
+def test_fast_paths_match_references_property(case):
+    n, basis, pairs, closed, levels = case
+    top = FiniteTopology.from_basis(n, basis)
+    if closed:
+        graph = smallest_closed_preorder(top, pairs)
+    else:
+        graph = transitive_reflexive_closure(PreorderGraph.from_pairs(n, pairs))
+    assert_matches_references(FinitePreorderedSpace(top, graph), levels,
+                              random.Random(n))
+
+
+def test_clopen_budget_fires_one_set_past_the_limit():
+    # discrete antichain on 4 points: all 16 subsets are clopen up-sets
+    space = FinitePreorderedSpace(FiniteTopology.discrete(4),
+                                  PreorderGraph.diagonal(4))
+    assert len(clopen_increasing_sets(space, budget=16)) == 16
+    with pytest.raises(BudgetError, match="more than 15 clopen"):
+        clopen_increasing_sets(space, budget=15)
+    # the functions' budget counts the same way: 3^2 chains at levels 2
+    pair = FinitePreorderedSpace(FiniteTopology.discrete(2),
+                                 PreorderGraph.diagonal(2))
+    assert len(enumerate_isotone_functions(pair, 2, budget=9)) == 9
+    with pytest.raises(BudgetError, match="more than 8 isotone"):
+        enumerate_isotone_functions(pair, 2, budget=8)
+
+
+def test_check_finite_never_reads_the_open_family(tmp_path, monkeypatch,
+                                                  capsys):
+    def forbidden(self):
+        raise AssertionError("topology.opens was read")
+
+    monkeypatch.setattr(FiniteTopology, "opens", property(forbidden))
+    n = 40
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps({
+        "n": n, "basis": [[p] for p in range(n)],
+        "relation": [[i, i + 1] for i in range(n - 1)]}))
+    assert ordtop.cli.main(["check-finite", str(path)]) == 0
+    assert "FAIL" not in capsys.readouterr().out

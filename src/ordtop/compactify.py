@@ -325,18 +325,21 @@ class DominationMap:
         return self.report.passed
 
 
-def _domination_checker(comp2, comp1):
-    """Checks of a vertex map comp2 -> comp1, as a function of the map.
+class _DominationChecks:
+    """Checks of vertex maps comp2 -> comp1.
 
     Each induced relation is converted to a matrix once, here, however
     many candidate maps are checked.
     """
-    m2 = comp2.induced_matrix()
-    m1 = comp1.induced_matrix()
-    remainder2 = comp2.remainder_ids()
-    target_rem = set(comp1.remainder_ids())
 
-    def check(vertex_map) -> CheckReport:
+    def __init__(self, comp2, comp1):
+        self.comp2, self.comp1 = comp2, comp1
+        self.m2 = comp2.induced_matrix()
+        self.m1 = comp1.induced_matrix()
+        self.target_rem = set(comp1.remainder_ids())
+
+    def report(self, vertex_map) -> CheckReport:
+        comp2, comp1 = self.comp2, self.comp1
         vm = np.asarray(vertex_map, dtype=int)
         same_samples = np.array_equal(vm[comp2.sample_map], comp1.sample_map)
         witness = None
@@ -345,34 +348,41 @@ def _domination_checker(comp2, comp1):
             witness = (i, tuple(comp2.cloud.sample.points[i].coords))
         commutes = Check("commutes_on_samples", same_samples, witness=witness)
 
-        bad = m2 & ~m1[np.ix_(vm, vm)]
+        bad = self.m2 & ~self.m1[np.ix_(vm, vm)]
         witness = None
         if bad.any():
             u, v = np.argwhere(bad)[0]
             witness = (int(u), int(v), int(vm[u]), int(vm[v]))
         isotone = Check("isotone", not bad.any(), witness=witness)
 
-        image = {int(vm[r]) for r in remainder2}
+        image = {int(vm[r]) for r in comp2.remainder_ids()}
         witness = None
-        if image != target_rem:
-            witness = {"image": sorted(image), "target": sorted(target_rem)}
-        r2r = Check("remainder_to_remainder", image == target_rem,
+        if image != self.target_rem:
+            witness = {"image": sorted(image),
+                       "target": sorted(self.target_rem)}
+        r2r = Check("remainder_to_remainder", image == self.target_rem,
                     witness=witness)
         return CheckReport((commutes, isotone, r2r))
-
-    return check
 
 
 def _family_label(comp):
     return f"{comp.cloud.entry.name}[H={','.join(comp.cloud.family.h_names())}]"
 
 
+def _require_same_samples(comp_a, comp_b):
+    n_a, n_b = len(comp_a.sample_map), len(comp_b.sample_map)
+    if n_a != n_b:
+        raise DominationError(
+            f"builds sample different point sets ({n_a} vs {n_b} samples)")
+
+
 def dominate(comp2, comp1) -> DominationMap:
     """Project the H2-compactification onto the H1 one (H1 subset of H2).
 
     The vertex map sends each source vertex to the target vertex whose
-    quantized coordinates match the projection exactly, else to the
-    nearest within one quantum per coordinate (ties to the lowest id).
+    quantized coordinates match the projection exactly (looked up by
+    row), else to the nearest within one quantum per coordinate (ties
+    to the lowest id).
     """
     names1, names2 = comp1.names, comp2.names
     h1 = set(names1[: comp1.h_count])
@@ -383,25 +393,28 @@ def dominate(comp2, comp1) -> DominationMap:
         raise DominationError("C-parts differ")
     if abs(comp1.eps_q - comp2.eps_q) > 1e-15:
         raise DominationError("builds use different quanta")
+    _require_same_samples(comp2, comp1)
     proj_idx = [names2.index(nm) for nm in names1]
 
     target = comp1.quant
+    lookup = {}
+    for vid, row in enumerate(target.tolist()):
+        lookup.setdefault(tuple(row), vid)
     vertex_map = []
-    for v in range(comp2.n_vertices):
-        p = comp2.quant[v, proj_idx]
-        exact = np.where((target == p).all(axis=1))[0]
-        if len(exact):
-            vertex_map.append(int(exact[0]))
+    for v, p in enumerate(comp2.quant[:, proj_idx].tolist()):
+        p = tuple(p)
+        if p in lookup:
+            vertex_map.append(lookup[p])
             continue
         cheb = np.abs(target - p).max(axis=1)
         best = int(cheb.min())
         if best > 1:
             raise DominationError(
-                f"projected vertex {v} at {tuple(p)} is farther than one "
+                f"projected vertex {v} at {p} is farther than one "
                 f"quantum from every target vertex"
             )
         vertex_map.append(int(np.argmax(cheb == best)))
-    report = _domination_checker(comp2, comp1)(vertex_map)
+    report = _DominationChecks(comp2, comp1).report(vertex_map)
     return DominationMap(_family_label(comp2), _family_label(comp1),
                          tuple(vertex_map), report)
 
@@ -412,18 +425,30 @@ class DominationSearch:
     candidates: tuple  # (remainder assignment, first failing check)
 
 
+_SEARCH_REMAINDER_LIMIT = 8
+
+
 def attempt_domination(comp_a, comp_b, cap=200000) -> DominationSearch:
     """Exhaustive search for a domination map comp_a -> comp_b.
 
     The core identification is forced sample-by-sample; only the images
     of comp_a's remainder vertices are free.  Returns the first map
     passing all checks, or every candidate with its failing check.
+
+    Remainder vertices carry no samples, so once the core identification
+    holds every candidate commutes on samples, and the core x core block
+    of the isotone check is the same for all of them: it is checked once.
+    Each candidate then checks only its remainder rows and columns and
+    its remainder image; the map that passes gets the full report.
     """
     rem_a = comp_a.remainder_ids()
-    if len(rem_a) > 8 or len(comp_b.remainder_ids()) > 8:
-        raise DominationError("remainder too large for exhaustive search")
-    if len(comp_a.sample_map) != len(comp_b.sample_map):
-        raise DominationError("builds sample different point sets")
+    for side, comp in (("source", comp_a), ("target", comp_b)):
+        size = len(comp.remainder_ids())
+        if size > _SEARCH_REMAINDER_LIMIT:
+            raise DominationError(
+                f"{side} remainder has {size} vertices; exhaustive search "
+                f"allows at most {_SEARCH_REMAINDER_LIMIT}")
+    _require_same_samples(comp_a, comp_b)
 
     vm = np.full(comp_a.n_vertices, -1, dtype=int)
     for i, va in enumerate(comp_a.sample_map):
@@ -435,22 +460,37 @@ def attempt_domination(comp_a, comp_b, cap=200000) -> DominationSearch:
                                             "core_identification"),))
 
     n_b = comp_b.n_vertices
-    if n_b ** max(1, len(rem_a)) > cap:
-        raise DominationError("remainder too large for exhaustive search")
-    check = _domination_checker(comp_a, comp_b)
+    count = n_b ** len(rem_a)
+    if count > cap:
+        raise DominationError(
+            f"{count} candidate maps exceed the exhaustive search cap "
+            f"of {cap}")
+    checks = _DominationChecks(comp_a, comp_b)
+    m2, m1 = checks.m2, checks.m1
+    rem = np.array(rem_a, dtype=int)
+    core = np.array(comp_a.core_ids(), dtype=int)
+    m1_core = m1[vm[core]]  # core images' rows, every target column
+    core_isotone = not (m2[np.ix_(core, core)]
+                        & ~m1_core[:, vm[core]]).any()
+    m2_rows = m2[rem]
+    m2_cols = m2[np.ix_(core, rem)]
     candidates = []
     for assign in itertools.product(range(n_b), repeat=len(rem_a)):
-        trial = vm.copy()
-        for r, target in zip(rem_a, assign):
-            trial[r] = target
-        report = check(trial)
-        if report.passed:
+        vm[rem] = assign
+        images = vm[rem]
+        isotone = core_isotone \
+            and not (m2_rows & ~m1[np.ix_(images, vm)]).any() \
+            and not (m2_cols & ~m1_core[:, images]).any()
+        if not isotone:
+            candidates.append((assign, "isotone"))
+        elif set(assign) != checks.target_rem:
+            candidates.append((assign, "remainder_to_remainder"))
+        else:
             found = DominationMap(_family_label(comp_a),
                                   _family_label(comp_b),
-                                  tuple(int(x) for x in trial), report)
+                                  tuple(int(x) for x in vm),
+                                  checks.report(vm))
             return DominationSearch(found, tuple(candidates))
-        failing = next(c.name for c in report.checks if not c.passed)
-        candidates.append((assign, failing))
     return DominationSearch(None, tuple(candidates))
 
 

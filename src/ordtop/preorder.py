@@ -227,6 +227,8 @@ def quotient_preorder(graph: PreorderGraph, classes=None):
     The quotient of a preorder by its symmetric part is a partial order.
     Each class's columns, then its rows, are OR-ed by one reduceat over
     bit-packed rows: a <= b iff some member of a <= some member of b.
+    When every class is a singleton (ordered by index) the quotient is
+    the graph itself and is returned as is.
     """
     if classes is None:
         classes = symmetric_part(graph)
@@ -240,6 +242,8 @@ def quotient_preorder(graph: PreorderGraph, classes=None):
             raise ValueError(
                 "partition is not the symmetric part of the graph")
     blocks = classes.classes
+    if len(blocks) == graph.n:
+        return graph, classes
     members = np.array([m for block in blocks for m in block], dtype=np.intp)
     starts = np.cumsum([0] + [len(block) for block in blocks])[:-1]
 

@@ -148,6 +148,20 @@ def test_dominate_needs_valid_build_dirs(tmp_path):
     assert proc.returncode == 2
 
 
+def test_dominate_rejects_builds_with_different_samples(tmp_path, capsys):
+    dirs = [str(tmp_path / f"r{res}") for res in (1001, 1000)]
+    for res, out in zip((1001, 1000), dirs):
+        assert ordtop.cli.main(["compactify", "--space", "closed-interval",
+                                "--family", "id", "--resolution", str(res),
+                                "--out", out]) == 0
+    capsys.readouterr()
+    assert ordtop.cli.main(["dominate", *dirs]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ("domination impossible: builds sample different "
+                            "point sets (1001 vs 1000 samples)\n")
+    assert captured.err == ""
+
+
 def _edit_report(build_dir, edit):
     path = build_dir / "report.json"
     payload = json.loads(path.read_text())

@@ -5,6 +5,8 @@ limits (tail coordinates of id, x^2, the mirror reciprocals) checked by
 hand against the shell schedule; nothing here re-reads pipeline output.
 """
 
+import dataclasses
+import itertools
 import math
 import random
 import tracemalloc
@@ -26,7 +28,10 @@ from ordtop.compactify import (
     DEFAULT_EPS_Q,
     Compactification,
     DominationError,
+    DominationMap,
+    DominationSearch,
     ImageCloud,
+    Vertex,
     attempt_domination,
     build_compactification,
     close_and_cluster,
@@ -39,7 +44,9 @@ from ordtop.compactify import (
     smallest_closed_preorder_diagnostic,
     verify_preorder_embedding,
 )
+from ordtop.generators import random_nested_families
 from ordtop.preorder import PreorderGraph, is_transitive
+from ordtop.report import Check, CheckReport
 
 
 def build(space, selector="default", resolution=512, **kw):
@@ -353,6 +360,253 @@ def test_found_domination_map_passes_dominate_checks():
     search = attempt_domination(comp_c, comp_m)
     assert search.found is not None
     assert search.found.report.passed
+
+
+def reference_checker(comp2, comp1):
+    """The full check of a vertex map, on the whole n x n relation."""
+    m2 = comp2.induced_matrix()
+    m1 = comp1.induced_matrix()
+    remainder2 = comp2.remainder_ids()
+    target_rem = set(comp1.remainder_ids())
+
+    def check(vertex_map):
+        vm = np.asarray(vertex_map, dtype=int)
+        same_samples = np.array_equal(vm[comp2.sample_map], comp1.sample_map)
+        witness = None
+        if not same_samples:
+            i = int(np.argmax(vm[comp2.sample_map] != comp1.sample_map))
+            witness = (i, tuple(comp2.cloud.sample.points[i].coords))
+        commutes = Check("commutes_on_samples", same_samples, witness=witness)
+        bad = m2 & ~m1[np.ix_(vm, vm)]
+        witness = None
+        if bad.any():
+            u, v = np.argwhere(bad)[0]
+            witness = (int(u), int(v), int(vm[u]), int(vm[v]))
+        isotone = Check("isotone", not bad.any(), witness=witness)
+        image = {int(vm[r]) for r in remainder2}
+        witness = None
+        if image != target_rem:
+            witness = {"image": sorted(image), "target": sorted(target_rem)}
+        r2r = Check("remainder_to_remainder", image == target_rem,
+                    witness=witness)
+        return CheckReport((commutes, isotone, r2r))
+
+    return check
+
+
+def reference_attempt_domination(comp_a, comp_b):
+    """Exhaustive search running the full check on every candidate."""
+    rem_a = comp_a.remainder_ids()
+    vm = np.full(comp_a.n_vertices, -1, dtype=int)
+    for i, va in enumerate(comp_a.sample_map):
+        vb = comp_b.sample_map[i]
+        if vm[va] == -1:
+            vm[va] = vb
+        elif vm[va] != vb:
+            return DominationSearch(None, ((("core", int(va)),
+                                            "core_identification"),))
+    check = reference_checker(comp_a, comp_b)
+    candidates = []
+    for assign in itertools.product(range(comp_b.n_vertices),
+                                    repeat=len(rem_a)):
+        trial = vm.copy()
+        for r, target in zip(rem_a, assign):
+            trial[r] = target
+        report = check(trial)
+        if report.passed:
+            found = DominationMap("", "", tuple(int(x) for x in trial), report)
+            return DominationSearch(found, tuple(candidates))
+        failing = next(c.name for c in report.checks if not c.passed)
+        candidates.append((assign, failing))
+    return DominationSearch(None, tuple(candidates))
+
+
+def reference_dominate(comp2, comp1):
+    """(vertex map, report) by a scan of every target row per vertex."""
+    proj_idx = [comp2.names.index(nm) for nm in comp1.names]
+    target = comp1.quant
+    vertex_map = []
+    for v in range(comp2.n_vertices):
+        p = comp2.quant[v, proj_idx]
+        exact = np.where((target == p).all(axis=1))[0]
+        if len(exact):
+            vertex_map.append(int(exact[0]))
+            continue
+        cheb = np.abs(target - p).max(axis=1)
+        assert cheb.min() <= 1
+        vertex_map.append(int(np.argmax(cheb == cheb.min())))
+    return tuple(vertex_map), reference_checker(comp2, comp1)(vertex_map)
+
+
+def assert_search_matches_reference(comp_a, comp_b):
+    search = attempt_domination(comp_a, comp_b)
+    want = reference_attempt_domination(comp_a, comp_b)
+    assert search.candidates == want.candidates
+    assert (search.found is None) == (want.found is None)
+    if want.found is not None:
+        assert search.found.vertex_map == want.found.vertex_map
+        assert search.found.report.to_dict() == want.found.report.to_dict()
+    return search
+
+
+@pytest.mark.parametrize("resolution", [32, 96])
+def test_search_matches_full_check_on_one_point_builds(resolution):
+    entry = catalog("nat-discrete")
+    comps = {sel: build_compactification(entry, entry.family(sel, resolution),
+                                         resolution=resolution)[0]
+             for sel in ("C", "Cminus", "Cplus")}
+    failing = set()
+    for a, b in itertools.product(comps, repeat=2):
+        search = assert_search_matches_reference(comps[a], comps[b])
+        failing.update(name for _, name in search.candidates)
+    assert failing == {"isotone", "remainder_to_remainder"}
+
+
+def nested_builds(seed, count, resolution=96):
+    for entry, inner, outer, res in random_nested_families(seed, count,
+                                                           resolution):
+        c_in, _ = build_compactification(
+            entry, entry.family(",".join(inner), res), resolution=res)
+        c_out, _ = build_compactification(
+            entry, entry.family(",".join(outer), res), resolution=res)
+        yield c_in, c_out
+
+
+def test_search_matches_full_check_on_nested_families():
+    exits = set()
+    for c_in, c_out in nested_builds(11, 12):
+        assert assert_search_matches_reference(c_out, c_in).found is not None
+        back = assert_search_matches_reference(c_in, c_out)
+        exits.update(name for _, name in back.candidates)
+    # half-open inner builds merge two samples the outer ones separate
+    assert "core_identification" in exits
+
+
+def test_search_checks_the_core_block():
+    # an extra pair between two core vertices fails every candidate on
+    # the core x core block alone
+    entry, comp, _ = build("half-open-interval", "id", resolution=32)
+    rows = list(comp.induced.rows)
+    rows[5] |= 1 << 3
+    source = dataclasses.replace(
+        comp, induced=PreorderGraph(comp.n_vertices, tuple(rows)))
+    search = assert_search_matches_reference(source, comp)
+    assert search.found is None
+    assert {name for _, name in search.candidates} == {"isotone"}
+    assert attempt_domination(comp, comp).found is not None
+
+
+def test_search_rejects_builds_with_different_samples():
+    entry = catalog("closed-interval")
+    comps = [build_compactification(entry, entry.family("id", res),
+                                    resolution=res)[0] for res in (33, 32)]
+    message = "builds sample different point sets (33 vs 32 samples)"
+    with pytest.raises(DominationError) as exc:
+        attempt_domination(*comps)
+    assert str(exc.value) == message
+    with pytest.raises(DominationError) as exc:
+        dominate(*comps)
+    assert str(exc.value) == message
+
+
+def with_remainder(comp, count):
+    """comp with its last `count` vertices relabelled as remainder."""
+    vertices = tuple(
+        Vertex(v.id, "remainder" if v.id >= comp.n_vertices - count
+               else v.kind, v.coords) for v in comp.vertices)
+    return dataclasses.replace(comp, vertices=vertices)
+
+
+def test_search_budgets_name_their_limit():
+    entry, comp, _ = build("half-open-interval", "id", resolution=32)
+    n = comp.n_vertices
+    for source, target, side in ((with_remainder(comp, 9), comp, "source"),
+                                 (comp, with_remainder(comp, 9), "target")):
+        with pytest.raises(DominationError) as exc:
+            attempt_domination(source, target)
+        assert str(exc.value) == (
+            f"{side} remainder has 9 vertices; exhaustive search allows at "
+            f"most 8")
+    # eight remainder vertices pass that limit and meet the cap
+    with pytest.raises(DominationError) as exc:
+        attempt_domination(with_remainder(comp, 8), comp)
+    assert str(exc.value) == (
+        f"{n ** 8} candidate maps exceed the exhaustive search cap of 200000")
+    # one remainder vertex: n candidates
+    with pytest.raises(DominationError) as exc:
+        attempt_domination(comp, comp, cap=n - 1)
+    assert str(exc.value) == (
+        f"{n} candidate maps exceed the exhaustive search cap of {n - 1}")
+    assert attempt_domination(comp, comp, cap=n).found is not None
+
+
+def test_search_without_remainder_has_one_candidate():
+    entry = catalog("closed-interval")
+    comp, _ = build_compactification(entry, entry.family("id", 32),
+                                     resolution=32)
+    assert comp.remainder_ids() == ()
+    # n_b ** 0 = 1 candidate map, however many target vertices there are
+    search = attempt_domination(comp, comp, cap=1)
+    assert search.found is not None and search.candidates == ()
+    with pytest.raises(DominationError, match="1 candidate maps exceed"):
+        attempt_domination(comp, comp, cap=0)
+
+
+def test_dominate_matches_row_scan_reference():
+    fallbacks = 0
+    for c_in, c_out in nested_builds(7, 12):
+        for target in (c_in, shift_one_row(c_in)):
+            result = dominate(c_out, target)
+            vertex_map, report = reference_dominate(c_out, target)
+            assert result.vertex_map == vertex_map
+            assert result.report.to_dict() == report.to_dict()
+            rows = {tuple(row) for row in target.quant.tolist()}
+            proj = c_out.quant[:, [c_out.names.index(nm)
+                                   for nm in target.names]]
+            fallbacks += sum(tuple(p) not in rows for p in proj.tolist())
+    # every shifted target misses at least one projected row
+    assert fallbacks >= 12
+
+
+def shift_one_row(comp):
+    """comp with the H-part of vertex 0 moved one quantum down.
+
+    The row stays unique, so projections onto it miss the exact lookup
+    and take the within-one-quantum fallback.
+    """
+    quant = comp.quant.copy()
+    quant[0, :comp.h_count] -= 1
+    assert len(np.unique(quant, axis=0)) == len(quant)
+    return dataclasses.replace(comp, quant=quant)
+
+
+def test_dominate_fallback_ties_go_to_the_lowest_id():
+    entry, comp, _ = build("half-open-interval", "id", resolution=32)
+    low = comp.quant[0, 0]
+    target_quant, source_quant = comp.quant.copy(), comp.quant.copy()
+    target_quant[1, 0] = low + 2
+    source_quant[0, 0], source_quant[1, 0] = low + 1, low + 2
+    source = dataclasses.replace(comp, quant=source_quant)
+    target = dataclasses.replace(comp, quant=target_quant)
+    result = dominate(source, target)
+    # source vertex 0 lies one quantum from target vertices 0 and 1
+    assert result.vertex_map[:2] == (0, 1)
+    vertex_map, report = reference_dominate(source, target)
+    assert result.vertex_map == vertex_map
+    assert result.report.to_dict() == report.to_dict()
+
+
+def test_dominate_reports_a_far_projection_in_plain_ints():
+    entry = catalog("half-open-interval")
+    comp1, _ = build_compactification(entry, entry.family("id", 32),
+                                      resolution=32)
+    comp2, _ = build_compactification(entry, entry.family("id,sq", 32),
+                                      resolution=32)
+    far = dataclasses.replace(comp1, quant=comp1.quant + 5)
+    with pytest.raises(DominationError) as exc:
+        dominate(comp2, far)
+    assert str(exc.value) == ("projected vertex 0 at (0, 1000) is farther "
+                              "than one quantum from every target vertex")
 
 
 # ---------------------------------------------------------- extendability

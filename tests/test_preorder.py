@@ -199,6 +199,19 @@ def test_quotient_matches_pairs_walk_reference():
     assert min(outcomes.values()) > 20, outcomes
 
 
+def test_quotient_of_an_antisymmetric_graph_is_the_graph():
+    rng = random.Random(5)
+    g = transitive_reflexive_closure(PreorderGraph.from_pairs(
+        12, [(i, j) for i in range(12) for j in range(i + 1, 12)
+             if rng.random() < 0.3]))
+    assert is_antisymmetric(g) == (True, None)
+    singletons = tuple((i,) for i in range(12))
+    for given in (None, singletons):
+        q, part = quotient_preorder(g, given)
+        assert q is g
+        assert part.classes == singletons
+
+
 def test_quotient_rejects_bad_partition():
     g = PreorderGraph.diagonal(3)
     with pytest.raises(ValueError):

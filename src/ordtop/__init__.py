@@ -23,7 +23,6 @@ from .compactify import (
     DominationSearch,
     ExtendabilityResult,
     ImageCloud,
-    Vertex,
     attempt_domination,
     build_compactification,
     close_and_cluster,
@@ -67,7 +66,6 @@ from .preorder import (
     EquivalenceClasses,
     PreorderGraph,
     function_preorder,
-    intersect_graphs,
     is_antisymmetric,
     is_transitive,
     quotient_preorder,

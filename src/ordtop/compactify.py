@@ -72,18 +72,11 @@ def _image_cloud(entry, family, sample, raw, eps_fn):
 
 
 @dataclass(frozen=True)
-class Vertex:
-    id: int
-    kind: str  # core | remainder
-    coords: tuple  # quantized values, multiples of eps_q
-
-
-@dataclass(frozen=True)
 class Compactification:
     cloud: ImageCloud
     eps_q: float
     eps_cauchy: float
-    vertices: tuple
+    n_core: int  # vertices 0..n_core-1 are core, the rest remainder
     quant: np.ndarray  # (n_vertices, n_coords) int64, coords / eps_q
     sample_map: np.ndarray  # sample index -> vertex id
     induced: PreorderGraph
@@ -101,13 +94,13 @@ class Compactification:
 
     @property
     def n_vertices(self):
-        return len(self.vertices)
+        return len(self.quant)
 
     def core_ids(self):
-        return tuple(v.id for v in self.vertices if v.kind == "core")
+        return tuple(range(self.n_core))
 
     def remainder_ids(self):
-        return tuple(v.id for v in self.vertices if v.kind == "remainder")
+        return tuple(range(self.n_core, self.n_vertices))
 
     def induced_matrix(self):
         return self.induced.to_matrix()
@@ -221,15 +214,10 @@ def close_and_cluster(cloud, eps_q=DEFAULT_EPS_Q,
         end_map.append(vid)
         end_info.append(info)
 
-    n_core = len(uq)
     quant = np.array(vertex_rows, dtype=np.int64)
-    vertices = tuple(
-        Vertex(i, "core" if i < n_core else "remainder", tuple(row))
-        for i, row in enumerate((quant.astype(float) * eps_q).tolist())
-    )
     induced = _induced_graph(quant, cloud.h_count)
     return Compactification(
-        cloud=cloud, eps_q=eps_q, eps_cauchy=eps_cauchy, vertices=vertices,
+        cloud=cloud, eps_q=eps_q, eps_cauchy=eps_cauchy, n_core=len(uq),
         quant=quant, sample_map=sample_map, induced=induced,
         end_map=tuple(end_map), end_info=tuple(end_info), complete=complete,
     )
@@ -545,7 +533,7 @@ def extendability(entry, comp, f, eps_cauchy=None) -> ExtendabilityResult:
 
     for end, vid in enumerate(comp.end_map):
         lim = end_limits[end]
-        if comp.vertices[vid].kind == "core":
+        if vid < comp.n_core:
             if abs(lim - core_mean[vid]) > eps:
                 return ExtendabilityResult(
                     False, {}, f"end {end} limit {lim:.4f} disagrees with "

@@ -6,27 +6,25 @@ import os
 
 import numpy as np
 
-from .preorder import PreorderGraph, matrix_to_rows, quotient_preorder
+from .preorder import PreorderGraph, quotient_preorder
 from .report import _plain
 
 
 def write_vertices_csv(comp, path):
     """One row per vertex: id, kind, then the quantized coordinates.
 
-    Each distinct coordinate is formatted once, with repr of the same
-    float.  Values are told apart by their bit patterns, so -0.0 and 0.0
-    stay distinct (np.unique on the floats would merge them; coordinates
-    are float(int) * eps_q with eps_q > 0, which never gives -0.0).
+    A coordinate is float(q) * eps_q for its integer q in comp.quant.
+    Each distinct q is formatted once, with repr of that float.
     """
-    coords = np.array([v.coords for v in comp.vertices], dtype=float)
-    coords = coords.reshape(len(comp.vertices), len(comp.names))
-    bits, inverse = np.unique(coords.view(np.int64), return_inverse=True)
-    texts = [repr(c) for c in bits.view(np.float64).tolist()]
+    quant = comp.quant
+    values, inverse = np.unique(quant, return_inverse=True)
+    texts = [repr(float(q) * comp.eps_q) for q in values.tolist()]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["id", "kind"] + list(comp.names))
-        for v, row in zip(comp.vertices, inverse.reshape(coords.shape)):
-            writer.writerow([v.id, v.kind] + [texts[k] for k in row.tolist()])
+        for vid, row in enumerate(inverse.reshape(quant.shape).tolist()):
+            kind = "core" if vid < comp.n_core else "remainder"
+            writer.writerow([vid, kind] + [texts[k] for k in row])
 
 
 def transitive_reduction(graph: PreorderGraph) -> tuple:
@@ -39,8 +37,8 @@ def transitive_reduction(graph: PreorderGraph) -> tuple:
     """
     mat = graph.to_matrix()
     order = np.argsort(-mat.sum(axis=1), kind="stable").tolist()
-    strict = [row & ~(1 << i) for i, row
-              in enumerate(matrix_to_rows(mat[np.ix_(order, order)]))]
+    ranked = PreorderGraph.from_matrix(mat[np.ix_(order, order)])
+    strict = [row & ~(1 << i) for i, row in enumerate(ranked.rows)]
     pairs = []
     for i, reach in enumerate(strict):
         rest, struck = reach, 0

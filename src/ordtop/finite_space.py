@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 from .preorder import (
     PreorderGraph,
@@ -45,62 +46,35 @@ def _bits(mask: int):
         mask ^= low
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class FiniteTopology:
     """Topology on points 0..n-1, stored as minimal neighborhoods.
 
     umin[x] is the smallest open mask containing x; equality and hashing
-    compare (n, umin), which is the same as comparing the opens.
-    `FiniteTopology(n, opens)` takes the family of open masks and checks
-    the axioms: empty and full set present, closed under union and
-    intersection.  The check is linear in n * len(opens): a family is a
-    topology iff every minimal neighborhood is open and U | umin(x) stays
-    open for every open U and point x (unions of opens decompose into
-    such steps, and intersections are unions of minimal neighborhoods).
-    `from_basis` needs no open family at all.
+    compare (n, umin), which is the same as comparing the opens.  Masks
+    form such a system iff each umin[x] contains x and, with any point
+    y, all of umin[y]; anything else raises ValueError.
     """
 
     n: int
     umin: tuple
 
-    def __init__(self, n: int, opens):
-        opens = frozenset(opens)
-        full = (1 << n) - 1
-        if 0 not in opens:
-            raise ValueError("empty set must be open")
-        if full not in opens:
-            raise ValueError("full set must be open")
-        umin = [full] * n
-        for u in opens:
+    def __post_init__(self):
+        if len(self.umin) != self.n:
+            raise ValueError(
+                f"expected {self.n} minimal neighborhoods, got {len(self.umin)}")
+        full = (1 << self.n) - 1
+        for x, u in enumerate(self.umin):
             if u & ~full:
-                raise ValueError(f"open set {u:#x} has points outside 0..{n - 1}")
-            for x in _bits(u):
-                umin[x] &= u
-        for x in range(n):
-            if umin[x] not in opens:
-                raise ValueError(
-                    f"not a topology: minimal neighborhood of {x} is not open"
-                )
-        for u in opens:
-            for x in range(n):
-                if (u | umin[x]) not in opens:
+                raise ValueError(f"minimal neighborhood of {x} has points "
+                                 f"outside 0..{self.n - 1}")
+            if not u >> x & 1:
+                raise ValueError(f"minimal neighborhood of {x} misses {x}")
+            for y in _bits(u):
+                if self.umin[y] & ~u:
                     raise ValueError(
-                        f"not a topology: union of {u:#x} and the minimal "
-                        f"neighborhood of {x} is missing"
-                    )
-        self._set(n, umin, opens)
-
-    def _set(self, n, umin, opens):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "umin", tuple(umin))
-        object.__setattr__(self, "_opens", opens)
-
-    @classmethod
-    def _from_umin(cls, n: int, umin) -> "FiniteTopology":
-        """Topology with the given minimal neighborhoods (not re-checked)."""
-        top = object.__new__(cls)
-        top._set(n, umin, None)
-        return top
+                        f"minimal neighborhood of {x} contains {y} but not "
+                        f"the minimal neighborhood of {y}")
 
     @classmethod
     def from_basis(cls, n: int, basis) -> "FiniteTopology":
@@ -117,7 +91,7 @@ class FiniteTopology:
                 raise ValueError(f"basis set {mask:#x} out of range")
             for x in _bits(mask):
                 umin[x] &= mask
-        return cls._from_umin(n, umin)
+        return cls(n, tuple(umin))
 
     @classmethod
     def discrete(cls, n: int) -> "FiniteTopology":
@@ -127,18 +101,13 @@ class FiniteTopology:
     def indiscrete(cls, n: int) -> "FiniteTopology":
         return cls.from_basis(n, [])
 
-    @property
+    @cached_property
     def opens(self) -> frozenset:
-        """Every open mask: the unions of minimal neighborhoods.
-
-        Up to 2^n sets; built on first read and kept.
-        """
-        if self._opens is None:
-            joins = {0}
-            for u in set(self.umin):
-                joins |= {j | u for j in joins}
-            object.__setattr__(self, "_opens", frozenset(joins))
-        return self._opens
+        """Every open mask: the unions of minimal neighborhoods (up to 2^n)."""
+        joins = {0}
+        for u in set(self.umin):
+            joins |= {j | u for j in joins}
+        return frozenset(joins)
 
     def is_open(self, mask: int) -> bool:
         if mask & ~((1 << self.n) - 1):
@@ -147,9 +116,6 @@ class FiniteTopology:
 
     def is_closed(self, mask: int) -> bool:
         return self.is_open(((1 << self.n) - 1) ^ mask)
-
-    def sorted_opens(self) -> tuple:
-        return tuple(sorted(self.opens))
 
 
 def minimal_neighborhood(top: FiniteTopology, i: int) -> int:
@@ -460,7 +426,7 @@ def quotient_space(space: FinitePreorderedSpace):
             cur = nxt
         # cur is saturated: a block meeting it lies inside it
         q_umin.append(sum(1 << i for i, m in enumerate(masks) if m & cur))
-    q_top = FiniteTopology._from_umin(len(masks), q_umin)
+    q_top = FiniteTopology(len(masks), tuple(q_umin))
     return FinitePreorderedSpace(q_top, q_graph), part
 
 
@@ -495,7 +461,7 @@ def smallest_closed_preorder(top: FiniteTopology, seed_pairs) -> PreorderGraph:
 def load_space(source) -> FinitePreorderedSpace:
     """Build a space from JSON: {"n": int, "basis": [[i,...]], "relation": [[i,j]]}.
 
-    `source` is a path, a JSON string, or an already-parsed dict.  The
+    `source` is a path to a JSON file or an already-parsed dict.  The
     open sets are generated from the basis; the relation is closed
     transitively and reflexively (not topologically).  Raises
     SpaceFormatError naming the offending location.
@@ -503,13 +469,11 @@ def load_space(source) -> FinitePreorderedSpace:
     if isinstance(source, dict):
         data = source
     else:
-        text = source
-        if "\n" not in str(source) and not str(source).lstrip().startswith("{"):
-            try:
-                with open(source, "r", encoding="utf-8") as fh:
-                    text = fh.read()
-            except OSError as exc:
-                raise SpaceFormatError(f"cannot read {source}: {exc}") from exc
+        try:
+            with open(source, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise SpaceFormatError(f"cannot read {source}: {exc}") from exc
         try:
             data = json.loads(text)
         except json.JSONDecodeError as exc:

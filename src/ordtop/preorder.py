@@ -67,14 +67,25 @@ class PreorderGraph:
         return out
 
     def to_matrix(self) -> np.ndarray:
-        return rows_to_matrix(self.n, self.rows)
+        """Boolean n x n matrix; rows are unpacked from little-endian bytes."""
+        n = self.n
+        if n == 0:
+            return np.zeros((0, 0), dtype=bool)
+        nbytes = (n + 7) // 8
+        raw = np.frombuffer(
+            b"".join(row.to_bytes(nbytes, "little") for row in self.rows),
+            dtype=np.uint8).reshape(n, nbytes)
+        bits = np.unpackbits(raw, axis=1, count=n, bitorder="little")
+        return bits.astype(bool)
 
     @classmethod
     def from_matrix(cls, mat: np.ndarray) -> "PreorderGraph":
         mat = np.asarray(mat, dtype=bool)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError("matrix must be square")
-        return cls(mat.shape[0], matrix_to_rows(mat))
+        packed = np.packbits(mat, axis=1, bitorder="little")
+        return cls(mat.shape[0], tuple(int.from_bytes(row.tobytes(), "little")
+                                       for row in packed))
 
     @classmethod
     def diagonal(cls, n: int) -> "PreorderGraph":
@@ -93,24 +104,6 @@ class PreorderGraph:
                 raise ValueError(f"pair ({i}, {j}) out of range")
             rows[i] |= 1 << j
         return cls(n, tuple(rows))
-
-
-def rows_to_matrix(n: int, rows) -> np.ndarray:
-    if n == 0:
-        return np.zeros((0, 0), dtype=bool)
-    nbytes = (n + 7) // 8
-    raw = np.frombuffer(
-        b"".join(row.to_bytes(nbytes, "little") for row in rows), dtype=np.uint8
-    ).reshape(n, nbytes)
-    return np.unpackbits(raw, axis=1, bitorder="little")[:, :n].astype(bool)
-
-
-def matrix_to_rows(mat: np.ndarray) -> tuple:
-    n = mat.shape[0]
-    if n == 0:
-        return ()
-    packed = np.packbits(mat.astype(np.uint8), axis=1, bitorder="little")
-    return tuple(int.from_bytes(packed[i].tobytes(), "little") for i in range(n))
 
 
 def transitive_reflexive_closure(graph: PreorderGraph) -> PreorderGraph:
@@ -141,7 +134,7 @@ def _closure_numpy(graph: PreorderGraph) -> PreorderGraph:
         if np.array_equal(nxt, mat):
             break
         mat = nxt
-    return PreorderGraph(n, matrix_to_rows(mat.astype(bool)))
+    return PreorderGraph.from_matrix(mat)
 
 
 def is_transitive(graph: PreorderGraph) -> bool:
@@ -204,7 +197,7 @@ def symmetric_part(graph: PreorderGraph) -> EquivalenceClasses:
     An unseen point i takes the j >= i in its row and column; classes of
     a non-transitive graph can overlap, which EquivalenceClasses rejects.
     """
-    cols = matrix_to_rows(graph.to_matrix().T)
+    cols = PreorderGraph.from_matrix(graph.to_matrix().T).rows
     seen = 0
     classes = []
     for i in range(graph.n):
@@ -221,7 +214,7 @@ def symmetric_part(graph: PreorderGraph) -> EquivalenceClasses:
     return EquivalenceClasses(graph.n, tuple(classes))
 
 
-def quotient_preorder(graph: PreorderGraph, classes=None):
+def quotient_preorder(graph: PreorderGraph):
     """Collapse mutual-relation classes; returns (quotient, classes).
 
     The quotient of a preorder by its symmetric part is a partial order.
@@ -230,17 +223,7 @@ def quotient_preorder(graph: PreorderGraph, classes=None):
     When every class is a singleton (ordered by index) the quotient is
     the graph itself and is returned as is.
     """
-    if classes is None:
-        classes = symmetric_part(graph)
-    else:
-        if not isinstance(classes, EquivalenceClasses):
-            classes = EquivalenceClasses(
-                graph.n, tuple(tuple(c) for c in classes))
-        if classes.n != graph.n:
-            raise ValueError("partition size does not match graph")
-        if classes.classes != symmetric_part(graph).classes:
-            raise ValueError(
-                "partition is not the symmetric part of the graph")
+    classes = symmetric_part(graph)
     blocks = classes.classes
     if len(blocks) == graph.n:
         return graph, classes
@@ -277,16 +260,3 @@ def function_preorder(values) -> PreorderGraph:
         mat[i] = np.all(vals[:, i, None] <= vals, axis=0)
     return PreorderGraph.from_matrix(mat)
 
-
-def intersect_graphs(graphs) -> PreorderGraph:
-    graphs = list(graphs)
-    if not graphs:
-        raise ValueError("need at least one graph to intersect")
-    n = graphs[0].n
-    rows = list(graphs[0].rows)
-    for g in graphs[1:]:
-        if g.n != n:
-            raise ValueError("graphs live on different point counts")
-        for i in range(n):
-            rows[i] &= g.rows[i]
-    return PreorderGraph(n, tuple(rows))

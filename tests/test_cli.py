@@ -42,6 +42,18 @@ def test_check_finite_passes_discrete_chain(tmp_path):
     assert "FAIL" not in proc.stdout
 
 
+def test_check_finite_reads_a_path_that_looks_like_json(tmp_path,
+                                                       monkeypatch, capsys):
+    # a path is always a path: neither a leading brace nor a newline
+    # turns it into JSON text
+    monkeypatch.chdir(tmp_path)
+    for name in ("{chain}.json", "two\nlines.json"):
+        write_json(tmp_path / name, CHAIN3)
+        assert ordtop.cli.main(["check-finite", name]) == 0
+        captured = capsys.readouterr()
+        assert "FAIL" not in captured.out and captured.err == ""
+
+
 def test_check_finite_rejects_malformed_json(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"n": 2, "basis": [[1]')

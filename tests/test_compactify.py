@@ -31,7 +31,6 @@ from ordtop.compactify import (
     DominationMap,
     DominationSearch,
     ImageCloud,
-    Vertex,
     attempt_domination,
     build_compactification,
     close_and_cluster,
@@ -511,10 +510,7 @@ def test_search_rejects_builds_with_different_samples():
 
 def with_remainder(comp, count):
     """comp with its last `count` vertices relabelled as remainder."""
-    vertices = tuple(
-        Vertex(v.id, "remainder" if v.id >= comp.n_vertices - count
-               else v.kind, v.coords) for v in comp.vertices)
-    return dataclasses.replace(comp, vertices=vertices)
+    return dataclasses.replace(comp, n_core=comp.n_vertices - count)
 
 
 def test_search_budgets_name_their_limit():

@@ -1,15 +1,18 @@
 """Artifact export and random-generator tests."""
 
 import csv
+import hashlib
 import json
 import random
 from types import SimpleNamespace
 
 import networkx as nx
+import numpy as np
 import pytest
 
+import ordtop.cli
 from ordtop.catalog import catalog
-from ordtop.compactify import Vertex, build_compactification
+from ordtop.compactify import build_compactification
 from ordtop.export import (
     canonical_json,
     report_payload,
@@ -141,19 +144,61 @@ def test_random_space_styles():
 
 
 def test_vertices_csv_formats_each_value_with_repr(tmp_path):
-    # equal values share one formatted string; -0.0 keeps its own
-    values = [0.0, -0.0, 0.1, 1e-06, 0.30000000000000004, 1.0, 123456.789]
-    rng = random.Random(7)
-    vertices = tuple(
-        Vertex(i, "core", tuple(rng.choice(values) for _ in range(3)))
-        for i in range(40))
-    comp = SimpleNamespace(names=("H:a", "H:b", "C:c"), vertices=vertices)
+    # each cell is repr(float(q) * eps_q); vertices from n_core on are
+    # remainder
+    rng = np.random.default_rng(7)
+    quant = rng.integers(0, 1001, size=(40, 3))
+    quant[::7, 1] = 10 ** 9
+    comp = SimpleNamespace(names=("H:a", "H:b", "C:c"), quant=quant,
+                           n_core=37, eps_q=1e-3)
     path = tmp_path / "vertices.csv"
     write_vertices_csv(comp, path)
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows == [["id", "kind", "H:a", "H:b", "C:c"]] + [
-        [str(v.id), v.kind] + [repr(c) for c in v.coords] for v in vertices]
-    assert any("-0.0" in row for row in rows)
-    write_vertices_csv(SimpleNamespace(names=("H:a",), vertices=()), path)
+        [str(v), "core" if v < 37 else "remainder"]
+        + [repr(float(q) * 1e-3) for q in quant[v].tolist()]
+        for v in range(40)]
+    empty = SimpleNamespace(names=("H:a",), quant=np.zeros((0, 1), np.int64),
+                            n_core=0, eps_q=1e-3)
+    write_vertices_csv(empty, path)
     assert path.read_bytes() == b"id,kind,H:a\r\n"
+
+
+# sha256 of vertices.csv, preorder.dot and report.json from
+# `ordtop compactify --space S --family F --resolution R`; the families
+# avoid exp, so the bytes do not hang on the platform's libm
+GOLDEN_BUILDS = {
+    ("half-open-interval", "default", 64): (
+        "fc8887b08ac40baca281f1020946e713e5ad60eaee057c6e6e90d02e8c9f48c7",
+        "779d2a3a4d67e638b4df729cf74c1d0234e3b0c049c625d36877d1590e4a2098",
+        "64c8d0b07c74f8eb95775b7bfa4d84739d479567e5976e2b73ebffec0ab7b20e"),
+    ("closed-interval", "id,sq,cube", 33): (
+        "5d7d0584745435ab11f339baea5b61467249877ef53ec9e88a0dd10af0a0e734",
+        "53a68dc531064b658243d741fb762cdefcd841995c72f68d21b064768f9bc248",
+        "a2e658586beebb113b135697dcd5760eb3eba1d31c1b3d7685b5a6a299c57718"),
+    ("real-line-mirror", "default", 64): (
+        "3377f4736a5b1122dc0ccfb9546866a7a437ec8b9abeb719c2e90a61190a52c7",
+        "da60cb9d2881a1576de28c36adaee041403d334c97d1be0536ad0acf257dbdfd",
+        "cab5f9de073901e52c178cceca2833ce10ac990eb540f369862dc333d111fdcc"),
+    ("nat-discrete", "Cplus", 32): (
+        "73a9d41ebf0344925bcf34fc5e29beedcd9e85b667d7c94e3dc1c82f21a4e612",
+        "372e4570178e4fadf12b4390508a0c8e4c8a5557ba6a4ba2be786d67192a4a6e",
+        "d6137bdd188879c4c2b3b38a8ccf54945aed935fdcfb759ad03224f15b217c5c"),
+    ("nat-discrete", "C", 32): (
+        "784de9582535da348d4addf2eb553b265962cccda57dd0e330e464e7b9063ed4",
+        "8d1f67bf70a1900785cf82efb92a43d2f886725c2c83be1151b7e5f65dd17922",
+        "6f35453cf9c7af9c358d1e672c83912d68d17489d4703e04234c8b467f9c3ebd"),
+}
+
+
+@pytest.mark.parametrize("space,family,resolution", sorted(GOLDEN_BUILDS))
+def test_build_artifacts_are_byte_identical(tmp_path, capsys, space, family,
+                                            resolution):
+    assert ordtop.cli.main([
+        "compactify", "--space", space, "--family", family,
+        "--resolution", str(resolution), "--out", str(tmp_path)]) == 0
+    got = tuple(
+        hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in ("vertices.csv", "preorder.dot", "report.json"))
+    assert got == GOLDEN_BUILDS[space, family, resolution]

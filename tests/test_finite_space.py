@@ -31,7 +31,6 @@ from ordtop.finite_space import (
 from ordtop.generators import SPACE_STYLES, random_finite_space
 from ordtop.preorder import (
     PreorderGraph,
-    intersect_graphs,
     is_antisymmetric,
     is_transitive,
     transitive_reflexive_closure,
@@ -209,7 +208,7 @@ def reference_quotient_space(space):
                 break  # not saturated
         else:
             q_opens.add(projected)
-    q_top = FiniteTopology(len(part.classes), frozenset(q_opens))
+    q_top = FiniteTopology.from_basis(len(part.classes), q_opens)
     return FinitePreorderedSpace(q_top, q_graph), part
 
 
@@ -221,11 +220,11 @@ def reference_function_preorder(values):
 
 def reference_representation_check(space, fns):
     fns = [tuple(f) for f in fns]
-    if fns:
-        induced = intersect_graphs(
-            [reference_function_preorder([f]) for f in fns])
-    else:
-        induced = PreorderGraph.full(space.n)
+    rows = PreorderGraph.full(space.n).rows
+    for f in fns:
+        rows = [a & b for a, b in
+                zip(rows, reference_function_preorder([f]).rows)]
+    induced = PreorderGraph(space.n, tuple(rows))
     want = space.preorder
     witness = None
     for i in range(space.n):
@@ -261,20 +260,24 @@ def assert_matches_references(space, levels, rng):
 
 def sierpinski():
     # points a=0, b=1; opens are {}, {a}, {a,b}
-    return FiniteTopology(2, frozenset({0b00, 0b01, 0b11}))
+    return FiniteTopology.from_basis(2, [0b00, 0b01, 0b11])
 
 
-def test_topology_axioms_enforced():
-    with pytest.raises(ValueError):
-        FiniteTopology(2, frozenset({0b01, 0b11}))  # no empty set
-    with pytest.raises(ValueError):
-        FiniteTopology(2, frozenset({0b00, 0b01}))  # no full set
-    with pytest.raises(ValueError):
-        # {0} and {1} open but their union {0,1} missing (n=3)
-        FiniteTopology(3, frozenset({0b000, 0b001, 0b010, 0b111}))
-    with pytest.raises(ValueError):
-        # intersection {1} of {0,1} and {1,2} missing
-        FiniteTopology(3, frozenset({0b000, 0b011, 0b110, 0b111}))
+def test_minimal_neighborhoods_are_checked():
+    assert FiniteTopology(2, (0b01, 0b11)) == sierpinski()
+    assert FiniteTopology(0, ()).opens == {0}
+    with pytest.raises(ValueError, match="expected 2 minimal neighborhoods, "
+                                         "got 1"):
+        FiniteTopology(2, (0b11,))
+    with pytest.raises(ValueError, match="neighborhood of 1 has points "
+                                         r"outside 0\.\.1"):
+        FiniteTopology(2, (0b01, 0b110))
+    with pytest.raises(ValueError, match="neighborhood of 1 misses 1"):
+        FiniteTopology(2, (0b01, 0b01))
+    with pytest.raises(ValueError, match="neighborhood of 0 contains 1 but "
+                                         "not the minimal neighborhood of 1"):
+        # umin(1) = {1, 2} is not inside umin(0) = {0, 1}
+        FiniteTopology(3, (0b011, 0b110, 0b100))
 
 
 def test_from_basis_matches_pairwise_fixpoint():
@@ -679,9 +682,14 @@ def test_load_space_roundtrip(tmp_path):
     assert load_space(data).preorder.rows == space.preorder.rows
 
 
-def test_load_space_errors():
-    with pytest.raises(SpaceFormatError, match="line"):
-        load_space("{ not json")
+def test_load_space_errors(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text("{ not json")
+    with pytest.raises(SpaceFormatError, match="invalid JSON at line 1"):
+        load_space(str(path))
+    path.write_bytes(b"\xff\xfe{")
+    with pytest.raises(SpaceFormatError, match="cannot read .*utf-8"):
+        load_space(str(path))
     with pytest.raises(SpaceFormatError, match="'n'"):
         load_space({"basis": []})
     with pytest.raises(SpaceFormatError, match=r"basis\[0\]\[1\]"):
@@ -693,7 +701,7 @@ def test_load_space_errors():
 
 
 def test_empty_space_is_vacuously_fine():
-    top = FiniteTopology(0, frozenset({0}))
+    top = FiniteTopology.from_basis(0, [0])
     space = FinitePreorderedSpace(top, PreorderGraph(0, ()))
     assert graph_is_closed(space).passed
     assert is_T1_preordered(space).passed
@@ -711,8 +719,8 @@ def test_topology_is_stored_as_minimal_neighborhoods():
         n = rng.randrange(0, 7)
         top = FiniteTopology.from_basis(
             n, [rng.randrange(1 << n) for _ in range(rng.randrange(4))])
-        # the constructor from the opens gives an equal, equally hashed value
-        again = FiniteTopology(n, top.opens)
+        # the opens as a basis give an equal, equally hashed value
+        again = FiniteTopology.from_basis(n, top.opens)
         assert again == top and hash(again) == hash(top)
         assert again.umin == top.umin
         for mask in range(1 << n):

@@ -8,12 +8,9 @@ from ordtop.preorder import (
     EquivalenceClasses,
     PreorderGraph,
     function_preorder,
-    intersect_graphs,
     is_antisymmetric,
     is_transitive,
-    matrix_to_rows,
     quotient_preorder,
-    rows_to_matrix,
     symmetric_part,
     transitive_reflexive_closure,
 )
@@ -76,7 +73,6 @@ def test_matrix_roundtrip_small_and_large():
         mat = g.to_matrix()
         assert mat.shape == (n, n)
         assert PreorderGraph.from_matrix(mat).rows == g.rows
-        assert matrix_to_rows(rows_to_matrix(n, g.rows)) == g.rows
 
 
 def test_closure_matches_naive_fixpoint():
@@ -191,10 +187,9 @@ def test_quotient_matches_pairs_walk_reference():
                 quotient_preorder(g)
             continue
         outcomes["transitive" if is_transitive(g) else "non-transitive"] += 1
-        for given in (None, want_classes):
-            q, part = quotient_preorder(g, given)
-            assert part.classes == want_classes
-            assert q.rows == want_rows
+        q, part = quotient_preorder(g)
+        assert part.classes == want_classes
+        assert q.rows == want_rows
     # both transitive and non-transitive inputs reach the comparison
     assert min(outcomes.values()) > 20, outcomes
 
@@ -205,21 +200,16 @@ def test_quotient_of_an_antisymmetric_graph_is_the_graph():
         12, [(i, j) for i in range(12) for j in range(i + 1, 12)
              if rng.random() < 0.3]))
     assert is_antisymmetric(g) == (True, None)
-    singletons = tuple((i,) for i in range(12))
-    for given in (None, singletons):
-        q, part = quotient_preorder(g, given)
-        assert q is g
-        assert part.classes == singletons
+    q, part = quotient_preorder(g)
+    assert q is g
+    assert part.classes == tuple((i,) for i in range(12))
 
 
-def test_quotient_rejects_bad_partition():
-    g = PreorderGraph.diagonal(3)
-    with pytest.raises(ValueError):
-        quotient_preorder(g, ((0, 1), (1, 2)))  # overlap
-    with pytest.raises(ValueError):
-        quotient_preorder(g, ((0,), (2,)))  # missing point
-    with pytest.raises(ValueError):
-        quotient_preorder(g, ((0, 1), (2,)))  # not the symmetric part
+def test_equivalence_classes_reject_bad_partition():
+    with pytest.raises(ValueError, match="overlap"):
+        EquivalenceClasses(3, ((0, 1), (1, 2)))
+    with pytest.raises(ValueError, match="do not cover"):
+        EquivalenceClasses(3, ((0,), (2,)))
 
 
 def test_function_preorder_basic():
@@ -250,17 +240,6 @@ def test_function_preorder_always_preorder():
         assert is_transitive(g)
         for i in range(n):
             assert g.leq(i, i)
-
-
-def test_intersect_graphs():
-    a = transitive_reflexive_closure(PreorderGraph.from_pairs(3, [(0, 1), (1, 2)]))
-    b = transitive_reflexive_closure(PreorderGraph.from_pairs(3, [(0, 1)]))
-    got = intersect_graphs([a, b])
-    assert set(got.pairs()) == {(0, 0), (0, 1), (1, 1), (2, 2)}
-    with pytest.raises(ValueError):
-        intersect_graphs([])
-    with pytest.raises(ValueError):
-        intersect_graphs([a, PreorderGraph.diagonal(2)])
 
 
 def test_up_and_down_sets():

@@ -8,7 +8,6 @@ from .catalog import (
     CatalogEntry,
     FunctionFamily,
     SampledSpace,
-    SamplePoint,
     SampleSet,
     ScalarFunction,
     arc_bound_function,

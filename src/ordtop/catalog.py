@@ -28,23 +28,13 @@ _TILE_CELLS = 1 << 20
 
 
 @dataclass(frozen=True)
-class SamplePoint:
-    coords: tuple
-    level: int
-    end: int  # end index, -1 for points in the compact core
-
-
-@dataclass(frozen=True)
 class SampleSet:
-    points: tuple
-    # per end: shells from shallow to deep, each a tuple of point indices
+    """Sampled points as coordinate rows, with their exhaustion levels."""
+
+    coords: np.ndarray  # (n, dim) float64, one row per sample
+    levels: np.ndarray  # (n,) int
+    # per end: shells from shallow to deep, each a tuple of sample indices
     tails: tuple
-
-    def coord_array(self) -> np.ndarray:
-        return np.array([p.coords for p in self.points], dtype=float)
-
-    def levels(self) -> np.ndarray:
-        return np.array([p.level for p in self.points], dtype=int)
 
 
 @dataclass(frozen=True)
@@ -136,13 +126,21 @@ class SampledSpace:
         raise NotImplementedError
 
 
-def _shell_indices(points, end):
-    """Group one end's tail points into shells by level, shallow first."""
-    by_level = {}
-    for idx, p in enumerate(points):
-        if p.end == end:
-            by_level.setdefault(p.level, []).append(idx)
-    return tuple(tuple(by_level[k]) for k in sorted(by_level))
+def _sample_set(points, n_ends):
+    """SampleSet of (row, level, end) triples; end -1 marks the core.
+
+    Each end's tail points are grouped into shells by level, shallow first.
+    """
+    shells = [{} for _ in range(n_ends)]
+    for idx, (_, level, end) in enumerate(points):
+        if end >= 0:
+            shells[end].setdefault(level, []).append(idx)
+    return SampleSet(
+        np.array([p[0] for p in points], dtype=float),
+        np.array([p[1] for p in points], dtype=int),
+        tuple(tuple(tuple(by_level[k]) for k in sorted(by_level))
+              for by_level in shells),
+    )
 
 
 class HalfOpenInterval(SampledSpace):
@@ -161,12 +159,11 @@ class HalfOpenInterval(SampledSpace):
                            resolution - tail_depth, endpoint=False)
         for x in core:
             level = 0 if x <= 0.5 else int(-math.log2(1.0 - x))
-            pts.append(SamplePoint((float(x),), level, -1))
+            pts.append(((float(x),), level, -1))
         for k in range(TAIL_SHELL_BASE, TAIL_SHELL_BASE + tail_depth):
             x = 1.0 - 0.6 * 2.0 ** -k
-            pts.append(SamplePoint((x,), k, 0))
-        points = tuple(pts)
-        return SampleSet(points, (_shell_indices(points, 0),))
+            pts.append(((x,), k, 0))
+        return _sample_set(pts, self.ends)
 
 
 class ClosedInterval(SampledSpace):
@@ -181,8 +178,7 @@ class ClosedInterval(SampledSpace):
 
     def sample(self, resolution, tail_depth):
         xs = np.linspace(0.0, 1.0, resolution)
-        points = tuple(SamplePoint((float(x),), 0, -1) for x in xs)
-        return SampleSet(points, ())
+        return _sample_set([((float(x),), 0, -1) for x in xs], self.ends)
 
 
 class NaturalsDiscrete(SampledSpace):
@@ -199,9 +195,8 @@ class NaturalsDiscrete(SampledSpace):
         pts = []
         for n in range(resolution):
             end = 0 if n >= resolution - tail_depth else -1
-            pts.append(SamplePoint((float(n),), n, end))
-        points = tuple(pts)
-        return SampleSet(points, (_shell_indices(points, 0),))
+            pts.append(((float(n),), n, end))
+        return _sample_set(pts, self.ends)
 
 
 class RealLineMirror(SampledSpace):
@@ -220,19 +215,14 @@ class RealLineMirror(SampledSpace):
         mags = np.linspace(0.0, 96.0, half)
         for m in mags:
             level = 0 if m < 1.0 else int(math.log2(m))
-            pts.append(SamplePoint((float(m),), level, -1))
+            pts.append(((float(m),), level, -1))
             if m > 0.0:
-                pts.append(SamplePoint((float(-m),), level, -1))
+                pts.append(((float(-m),), level, -1))
         for k in range(TAIL_SHELL_BASE, TAIL_SHELL_BASE + tail_depth):
             m = 1.5 * 2.0 ** k
-            pts.append(SamplePoint((m,), k, 0))
-            pts.append(SamplePoint((-m,), k, 1))
-        points = tuple(pts)
-        return SampleSet(
-            points,
-            (_shell_indices(points, 0),
-             _shell_indices(points, 1)),
-        )
+            pts.append(((m,), k, 0))
+            pts.append(((-m,), k, 1))
+        return _sample_set(pts, self.ends)
 
 
 class MirrorRay(SampledSpace):
@@ -250,11 +240,10 @@ class MirrorRay(SampledSpace):
         mags = np.linspace(0.0, 96.0, resolution - tail_depth)
         for m in mags:
             level = 0 if m < 1.0 else int(math.log2(m))
-            pts.append(SamplePoint((float(m),), level, -1))
+            pts.append(((float(m),), level, -1))
         for k in range(TAIL_SHELL_BASE, TAIL_SHELL_BASE + tail_depth):
-            pts.append(SamplePoint((1.5 * 2.0 ** k,), k, 0))
-        points = tuple(pts)
-        return SampleSet(points, (_shell_indices(points, 0),))
+            pts.append(((1.5 * 2.0 ** k,), k, 0))
+        return _sample_set(pts, self.ends)
 
 
 class MisnerStrip(SampledSpace):
@@ -291,13 +280,12 @@ class MisnerStrip(SampledSpace):
         for t in core_t:
             level = max(0, int(-math.log2(t)))
             for th in thetas:
-                pts.append(SamplePoint((float(t), float(th)), level, -1))
+                pts.append(((float(t), float(th)), level, -1))
         for k in range(TAIL_SHELL_BASE, TAIL_SHELL_BASE + tail_depth):
             t = 0.6 * 2.0 ** -k
             for th in thetas:
-                pts.append(SamplePoint((t, float(th)), k, 0))
-        points = tuple(pts)
-        return SampleSet(points, (_shell_indices(points, 0),))
+                pts.append(((t, float(th)), k, 0))
+        return _sample_set(pts, self.ends)
 
 
 # ------------------------------------------------------------- functions
@@ -505,7 +493,7 @@ def evaluate_family(family: FunctionFamily, coords: np.ndarray):
 def _sample_values(space, family, resolution, tail_depth):
     """One sample of the space and the family's raw values on it."""
     sample = space.sample(resolution, tail_depth)
-    return sample, evaluate_family(family, sample.coord_array())
+    return sample, evaluate_family(family, sample.coords)
 
 
 def validate_family(entry, family, resolution=512, tail_depth=4,
@@ -530,9 +518,12 @@ def _check_values(family, sample, all_vals, space, eps_fn, min_agreement,
     O(n * tile).  Returns the report and, for each sorted index array in
     gather, the relation among those samples.
     """
-    points, coords = sample.points, sample.coord_array()
-    levels = sample.levels()
-    members, n_h, n = family.members(), len(family.h), len(points)
+    coords, levels = sample.coords, sample.levels
+    members, n_h, n = family.members(), len(family.h), len(coords)
+
+    def point(i):  # a witness coordinate: a tuple of Python floats
+        return tuple(coords[i].tolist())
+
     checks = [Check("h_part_nonempty", n_h > 0,
                     witness=None if n_h else "empty H-part")]
 
@@ -542,12 +533,12 @@ def _check_values(family, sample, all_vals, space, eps_fn, min_agreement,
         vals = all_vals[m]
         if not np.all((vals >= -eps_fn) & (vals <= 1.0 + eps_fn)):
             i = int(np.argmax((vals < -eps_fn) | (vals > 1.0 + eps_fn)))
-            range_witness = range_witness or (f.name, points[i].coords)
+            range_witness = range_witness or (f.name, point(i))
         if f.klass is not None and tail_witness is None:
             off = (levels >= f.tail_level) & \
                 (np.abs(vals - f.tail_value) > eps_fn)
             if off.any():
-                tail_witness = (f.name, points[int(np.argmax(off))].coords,
+                tail_witness = (f.name, point(int(np.argmax(off))),
                                 "not at declared tail constant")
                 limit = m + 1
     # isotone breaks on v_i > v_j + eps, anti-isotone on v_i < v_j - eps
@@ -573,7 +564,7 @@ def _check_values(family, sample, all_vals, space, eps_fn, min_agreement,
         disagreements += wrong
         if wrong and first_diff is None:
             i, j = divmod(int(np.argmax(diff)), n)
-            first_diff = (points[start + i].coords, points[j].coords,
+            first_diff = (point(start + i), point(j),
                           "induced" if induced[i, j] else "missing")
         # an H member breaks its tag only where H misses a related pair:
         # v_i > v_j + eps implies not v_i <= v_j + eps, also for NaN
@@ -588,8 +579,7 @@ def _check_values(family, sample, all_vals, space, eps_fn, min_agreement,
                          else vals < bounds[m])
             if bad.any():
                 i, j = divmod(int(np.argmax(bad)), n)
-                first_bad[m] = (members[m].name, points[start + i].coords,
-                                points[j].coords)
+                first_bad[m] = (members[m].name, point(start + i), point(j))
                 limit = m
 
     tag_witness = first_bad[min(first_bad)] if first_bad else tail_witness

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .catalog import _TILE_CELLS, _check_values, _sample_values
-from .preorder import PreorderGraph, is_antisymmetric, quotient_preorder, \
-    transitive_reflexive_closure
+from .preorder import PreorderGraph, _closure_numpy, is_antisymmetric, \
+    quotient_preorder
 from .report import Check, CheckReport, merge_reports
 
 DEFAULT_RESOLUTION = 512
@@ -65,7 +66,7 @@ def _image_cloud(entry, family, sample, raw, eps_fn):
         i, j = np.argwhere(bad)[0]
         raise ValueError(
             f"function {names[j]} leaves [0,1] at sample "
-            f"{sample.points[int(i)].coords}: {values[i, j]}"
+            f"{tuple(sample.coords[i].tolist())}: {values[i, j]}"
         )
     values = np.clip(values, 0.0, 1.0)
     return ImageCloud(entry, family, sample, values, len(family.h), names)
@@ -102,8 +103,12 @@ class Compactification:
     def remainder_ids(self):
         return tuple(range(self.n_core, self.n_vertices))
 
-    def induced_matrix(self):
-        return self.induced.to_matrix()
+    @cached_property
+    def relation(self) -> np.ndarray:
+        """The induced preorder as a read-only n x n bool matrix."""
+        rel = self.induced.to_matrix()
+        rel.flags.writeable = False
+        return rel
 
     def representatives(self):
         """First sample index mapping to each vertex (-1 for remainder)."""
@@ -233,7 +238,7 @@ def verify_preorder_embedding(entry, comp, resolution=VERIFY_RESOLUTION,
     be preserved forward into the induced relation.  Pass iff each
     violation rate is at most delta_embed.
     """
-    coords = comp.cloud.sample.coord_array()
+    coords = comp.cloud.sample.coords
     samples = _verify_samples(comp, resolution)
     relations = [entry.space.relation_matrix(coords[i]) for i in samples]
     return _verify_embedding(comp, samples, relations, delta_embed)
@@ -242,19 +247,16 @@ def verify_preorder_embedding(entry, comp, resolution=VERIFY_RESOLUTION,
 def _verify_samples(comp, resolution):
     """Verify's sorted samples: core representatives, a stride subsample."""
     n = comp.cloud.n_samples
-    reps = comp.representatives()[np.array(comp.core_ids(), dtype=int)]
+    reps = comp.representatives()[:comp.n_core]
     return reps, np.arange(0, n, max(1, -(-n // min(resolution, n))))
 
 
 def _verify_embedding(comp, samples, relations, delta_embed):
     """verify_preorder_embedding on _verify_samples and their relations."""
-    coords = comp.cloud.sample.coord_array()
-    ind = comp.induced_matrix()
-
-    core = np.array(comp.core_ids(), dtype=int)
+    coords, ind = comp.cloud.sample.coords, comp.relation
     (reps, idx), (rel, sub_rel) = samples, relations
     rep_coords = coords[reps]
-    ind_core = ind[np.ix_(core, core)]
+    ind_core = ind[:comp.n_core, :comp.n_core]
     mism = rel != ind_core
     pairs = mism.size
     count = int(mism.sum())
@@ -313,44 +315,30 @@ class DominationMap:
         return self.report.passed
 
 
-class _DominationChecks:
-    """Checks of vertex maps comp2 -> comp1.
+def _domination_report(comp2, comp1, vertex_map) -> CheckReport:
+    """Checks of a vertex map comp2 -> comp1."""
+    vm = np.asarray(vertex_map, dtype=int)
+    same_samples = np.array_equal(vm[comp2.sample_map], comp1.sample_map)
+    witness = None
+    if not same_samples:
+        i = int(np.argmax(vm[comp2.sample_map] != comp1.sample_map))
+        witness = (i, tuple(comp2.cloud.sample.coords[i].tolist()))
+    commutes = Check("commutes_on_samples", same_samples, witness=witness)
 
-    Each induced relation is converted to a matrix once, here, however
-    many candidate maps are checked.
-    """
+    bad = comp2.relation & ~comp1.relation[np.ix_(vm, vm)]
+    witness = None
+    if bad.any():
+        u, v = np.argwhere(bad)[0]
+        witness = (int(u), int(v), int(vm[u]), int(vm[v]))
+    isotone = Check("isotone", not bad.any(), witness=witness)
 
-    def __init__(self, comp2, comp1):
-        self.comp2, self.comp1 = comp2, comp1
-        self.m2 = comp2.induced_matrix()
-        self.m1 = comp1.induced_matrix()
-        self.target_rem = set(comp1.remainder_ids())
-
-    def report(self, vertex_map) -> CheckReport:
-        comp2, comp1 = self.comp2, self.comp1
-        vm = np.asarray(vertex_map, dtype=int)
-        same_samples = np.array_equal(vm[comp2.sample_map], comp1.sample_map)
-        witness = None
-        if not same_samples:
-            i = int(np.argmax(vm[comp2.sample_map] != comp1.sample_map))
-            witness = (i, tuple(comp2.cloud.sample.points[i].coords))
-        commutes = Check("commutes_on_samples", same_samples, witness=witness)
-
-        bad = self.m2 & ~self.m1[np.ix_(vm, vm)]
-        witness = None
-        if bad.any():
-            u, v = np.argwhere(bad)[0]
-            witness = (int(u), int(v), int(vm[u]), int(vm[v]))
-        isotone = Check("isotone", not bad.any(), witness=witness)
-
-        image = {int(vm[r]) for r in comp2.remainder_ids()}
-        witness = None
-        if image != self.target_rem:
-            witness = {"image": sorted(image),
-                       "target": sorted(self.target_rem)}
-        r2r = Check("remainder_to_remainder", image == self.target_rem,
-                    witness=witness)
-        return CheckReport((commutes, isotone, r2r))
+    image = {int(vm[r]) for r in comp2.remainder_ids()}
+    target = set(comp1.remainder_ids())
+    witness = None
+    if image != target:
+        witness = {"image": sorted(image), "target": sorted(target)}
+    r2r = Check("remainder_to_remainder", image == target, witness=witness)
+    return CheckReport((commutes, isotone, r2r))
 
 
 def _family_label(comp):
@@ -402,7 +390,7 @@ def dominate(comp2, comp1) -> DominationMap:
                 f"quantum from every target vertex"
             )
         vertex_map.append(int(np.argmax(cheb == best)))
-    report = _DominationChecks(comp2, comp1).report(vertex_map)
+    report = _domination_report(comp2, comp1, vertex_map)
     return DominationMap(_family_label(comp2), _family_label(comp1),
                          tuple(vertex_map), report)
 
@@ -429,7 +417,7 @@ def attempt_domination(comp_a, comp_b, cap=200000) -> DominationSearch:
     Each candidate then checks only its remainder rows and columns and
     its remainder image; the map that passes gets the full report.
     """
-    rem_a = comp_a.remainder_ids()
+    n_core, n_rem = comp_a.n_core, len(comp_a.remainder_ids())
     for side, comp in (("source", comp_a), ("target", comp_b)):
         size = len(comp.remainder_ids())
         if size > _SEARCH_REMAINDER_LIMIT:
@@ -448,36 +436,34 @@ def attempt_domination(comp_a, comp_b, cap=200000) -> DominationSearch:
                                             "core_identification"),))
 
     n_b = comp_b.n_vertices
-    count = n_b ** len(rem_a)
+    count = n_b ** n_rem
     if count > cap:
         raise DominationError(
             f"{count} candidate maps exceed the exhaustive search cap "
             f"of {cap}")
-    checks = _DominationChecks(comp_a, comp_b)
-    m2, m1 = checks.m2, checks.m1
-    rem = np.array(rem_a, dtype=int)
-    core = np.array(comp_a.core_ids(), dtype=int)
-    m1_core = m1[vm[core]]  # core images' rows, every target column
-    core_isotone = not (m2[np.ix_(core, core)]
-                        & ~m1_core[:, vm[core]]).any()
-    m2_rows = m2[rem]
-    m2_cols = m2[np.ix_(core, rem)]
+    m2, m1 = comp_a.relation, comp_b.relation
+    target_rem = set(comp_b.remainder_ids())
+    core_images = vm[:n_core]
+    m1_core = m1[core_images]  # core images' rows, every target column
+    core_isotone = not (m2[:n_core, :n_core]
+                        & ~m1_core[:, core_images]).any()
+    m2_rows, m2_cols = m2[n_core:], m2[:n_core, n_core:]
     candidates = []
-    for assign in itertools.product(range(n_b), repeat=len(rem_a)):
-        vm[rem] = assign
-        images = vm[rem]
+    for assign in itertools.product(range(n_b), repeat=n_rem):
+        vm[n_core:] = assign
+        images = vm[n_core:]
         isotone = core_isotone \
             and not (m2_rows & ~m1[np.ix_(images, vm)]).any() \
             and not (m2_cols & ~m1_core[:, images]).any()
         if not isotone:
             candidates.append((assign, "isotone"))
-        elif set(assign) != checks.target_rem:
+        elif set(assign) != target_rem:
             candidates.append((assign, "remainder_to_remainder"))
         else:
             found = DominationMap(_family_label(comp_a),
                                   _family_label(comp_b),
                                   tuple(int(x) for x in vm),
-                                  checks.report(vm))
+                                  _domination_report(comp_a, comp_b, vm))
             return DominationSearch(found, tuple(candidates))
     return DominationSearch(None, tuple(candidates))
 
@@ -506,8 +492,7 @@ def extendability(entry, comp, f, eps_cauchy=None) -> ExtendabilityResult:
     if f.monotone != "isotone":
         raise ValueError(f"{f.name} is not tagged isotone")
     eps = comp.eps_cauchy if eps_cauchy is None else eps_cauchy
-    coords = comp.cloud.sample.coord_array()
-    vals = f.evaluate(coords)
+    vals = f.evaluate(comp.cloud.sample.coords)
 
     end_limits = {}
     for end, shells in enumerate(comp.cloud.sample.tails):
@@ -548,8 +533,7 @@ def extendability(entry, comp, f, eps_cauchy=None) -> ExtendabilityResult:
     full = core_mean.copy()
     for vid, value in extension.items():
         full[vid] = value
-    ind = comp.induced_matrix()
-    bad = ind & (full[:, None] > full[None, :] + eps)
+    bad = comp.relation & (full[:, None] > full[None, :] + eps)
     if bad.any():
         u, v = np.argwhere(bad)[0]
         return ExtendabilityResult(
@@ -576,24 +560,20 @@ def smallest_closed_preorder_diagnostic(comp) -> CheckReport:
     """
     if not comp.complete:
         raise ValueError("compactification is incomplete")
-    coords = comp.cloud.sample.coord_array()
-    reps = comp.representatives()[np.array(comp.core_ids(), dtype=int)]
-    return _smallest_closure_diagnostic(
-        comp, comp.cloud.entry.space.relation_matrix(coords[reps]))
+    reps = comp.representatives()[:comp.n_core]
+    core_rel = comp.cloud.entry.space.relation_matrix(
+        comp.cloud.sample.coords[reps])
+    return _smallest_closure_diagnostic(comp, core_rel)
 
 
 def _smallest_closure_diagnostic(comp, core_rel):
     """The diagnostic on the relation between core representatives."""
-    core = np.array(comp.core_ids(), dtype=int)
+    n_core, ind = comp.n_core, comp.relation
     seed = np.eye(comp.n_vertices, dtype=bool)
-    seed[np.ix_(core, core)] = core_rel
-    ind = comp.induced_matrix()
-    for r in comp.remainder_ids():
-        seed[r, :] = ind[r, :]
-        seed[:, r] = ind[:, r]
-
-    closure = transitive_reflexive_closure(PreorderGraph.from_matrix(seed))
-    fix = closure.to_matrix()
+    seed[:n_core, :n_core] = core_rel
+    seed[n_core:] = ind[n_core:]
+    seed[:, n_core:] = ind[:, n_core:]
+    fix = _closure_numpy(seed)
     excess = ind & ~fix
     witness = None
     if excess.any():
@@ -672,7 +652,7 @@ def nachbin_pipeline(entry, family, resolution=DEFAULT_RESOLUTION,
         return CheckReport(tuple(checks))
 
     iso_witness = None
-    mb = comp_b.induced_matrix()
+    mb = comp_b.relation
     for i in range(len(class_vecs)):
         for j in range(len(class_vecs)):
             if qgraph.leq(i, j) != bool(mb[phi[i], phi[j]]):
@@ -684,17 +664,19 @@ def nachbin_pipeline(entry, family, resolution=DEFAULT_RESOLUTION,
                         witness=iso_witness))
 
     index_map = classes.index_map()
-    b_coords = {p.coords: i for i, p in enumerate(comp_b.cloud.sample.points)}
+    b_coords = {tuple(row): i
+                for i, row in enumerate(comp_b.cloud.sample.coords.tolist())}
     proj_witness = None
-    for i, p in enumerate(comp_a.cloud.sample.points):
-        target = project(p.coords)
+    for i, row in enumerate(comp_a.cloud.sample.coords.tolist()):
+        coords = tuple(row)
+        target = project(coords)
         if target not in b_coords:
-            proj_witness = (p.coords, "projection not among quotient samples")
+            proj_witness = (coords, "projection not among quotient samples")
             break
         via_a = phi[index_map[int(comp_a.sample_map[i])]]
         via_b = int(comp_b.sample_map[b_coords[target]])
         if via_a != via_b:
-            proj_witness = (p.coords, via_a, via_b)
+            proj_witness = (coords, via_a, via_b)
             break
     checks.append(Check("projections_commute", proj_witness is None,
                         witness=proj_witness))

@@ -200,20 +200,22 @@ def is_T1_preordered(space: FinitePreorderedSpace) -> CheckReport:
     )
 
 
-def _inflate_clopen(space: FinitePreorderedSpace, seed: int, hull) -> int:
-    """Least clopen superset of seed closed under hull (monotone fixpoint).
+def _clopen_order(space: FinitePreorderedSpace) -> PreorderGraph:
+    """The preorder generated by <= and the links between each point and
+    its minimal neighborhood.
 
-    hull is the preorder's up_set (increasing) or down_set (decreasing).
+    The clopen sets are the unions of connected components of the link
+    graph, and the links are symmetric, so a set is clopen and
+    increasing iff it is an up-set of this order, and clopen and
+    decreasing iff it is a down-set.
     """
-    top = space.topology
-    cur = seed
-    while True:
-        nxt = cur | hull(cur) | set_closure(top, cur)
-        for x in _bits(cur):
-            nxt |= top.umin[x]
-        if nxt == cur:
-            return cur
-        cur = nxt
+    n = space.n
+    umin = space.topology.umin
+    linked = [row | u for row, u in zip(space.preorder.rows, umin)]
+    for x in range(n):
+        for y in _bits(umin[x]):
+            linked[y] |= 1 << x
+    return transitive_reflexive_closure(PreorderGraph(n, tuple(linked)))
 
 
 @dataclass(frozen=True)
@@ -270,7 +272,8 @@ def monotone_separation(space, a_mask: int, b_mask: int) -> SeparationResult:
         pre.append(Check("monotone_separation", True))
         return SeparationResult(CheckReport(tuple(pre)), (1.0,) * space.n)
 
-    s_star = _inflate_clopen(space, a_mask, g.up_set)
+    order = _clopen_order(space)
+    s_star = order.up_set(a_mask)
     if s_star & b_mask:
         wit = _least_bit(s_star & b_mask)
         pre.append(
@@ -280,7 +283,7 @@ def monotone_separation(space, a_mask: int, b_mask: int) -> SeparationResult:
             )
         )
         return SeparationResult(CheckReport(tuple(pre)), None)
-    t_star = _inflate_clopen(space, b_mask, g.down_set)
+    t_star = order.down_set(b_mask)
     # t_star is the least clopen decreasing superset of B; its complement
     # is clopen increasing and contains s_star, so the two indicators nest
     values = tuple(
@@ -298,30 +301,19 @@ def _least_bit(mask: int):
 def clopen_increasing_sets(space: FinitePreorderedSpace, budget=None):
     """All clopen increasing masks, ascending.
 
-    The clopen sets are the unions of connected components of the graph
-    that links each point to its minimal neighborhood, so a set is
-    clopen and increasing iff it is an up-set of the preorder generated
-    by <= together with those links.  The up-sets are enumerated by
-    deciding the lowest undecided point: taking it adds its up-set,
-    leaving it out adds its down-set.  Both branches stay consistent and
-    every leaf is a distinct set, so the cost is O(n) per set.  Raises
-    BudgetError when more than `budget` sets (default CLOPEN_BUDGET)
-    would be produced.
+    These are the up-sets of the clopen order (see _clopen_order).  They
+    are enumerated by deciding the lowest undecided point: taking it
+    adds its up-set, leaving it out adds its down-set.  Both branches
+    stay consistent and every leaf is a distinct set, so the cost is
+    O(n) per set.  Raises BudgetError when more than `budget` sets
+    (default CLOPEN_BUDGET) would be produced.
     """
     if budget is None:
         budget = CLOPEN_BUDGET
-    n = space.n
-    umin = space.topology.umin
-    linked = [row | u for row, u in zip(space.preorder.rows, umin)]
-    for x in range(n):
-        for y in _bits(umin[x]):
-            linked[y] |= 1 << x
-    up = transitive_reflexive_closure(PreorderGraph(n, tuple(linked))).rows
-    down = [0] * n
-    for x in range(n):
-        for y in _bits(up[x]):
-            down[y] |= 1 << x
-    full = (1 << n) - 1
+    order = _clopen_order(space)
+    up = order.rows
+    down = [order.down_set(1 << x) for x in range(space.n)]
+    full = (1 << space.n) - 1
     out = []
     stack = [(0, 0)]  # (points taken, points left out)
     while stack:
@@ -458,6 +450,11 @@ def smallest_closed_preorder(top: FiniteTopology, seed_pairs) -> PreorderGraph:
         g = transitive_reflexive_closure(PreorderGraph(n, tuple(rows)))
 
 
+def _is_int(value) -> bool:
+    """A JSON integer: true and false are not, although bool is an int."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def load_space(source) -> FinitePreorderedSpace:
     """Build a space from JSON: {"n": int, "basis": [[i,...]], "relation": [[i,j]]}.
 
@@ -486,7 +483,7 @@ def load_space(source) -> FinitePreorderedSpace:
         n = data["n"]
     except KeyError:
         raise SpaceFormatError("top level: missing key 'n'") from None
-    if not isinstance(n, int) or n < 0:
+    if not _is_int(n) or n < 0:
         raise SpaceFormatError("'n': expected a nonnegative integer")
     basis = data.get("basis", [])
     if not isinstance(basis, list):
@@ -497,7 +494,10 @@ def load_space(source) -> FinitePreorderedSpace:
             raise SpaceFormatError(f"basis[{bi}]: expected a list of points")
         mask = 0
         for pi, p in enumerate(b):
-            if not isinstance(p, int) or not 0 <= p < n:
+            if not _is_int(p):
+                raise SpaceFormatError(f"basis[{bi}][{pi}]: expected an "
+                                       f"integer point")
+            if not 0 <= p < n:
                 raise SpaceFormatError(f"basis[{bi}][{pi}]: point out of range")
             mask |= 1 << p
         masks.append(mask)
@@ -509,7 +509,7 @@ def load_space(source) -> FinitePreorderedSpace:
         if (
             not isinstance(pair, list)
             or len(pair) != 2
-            or not all(isinstance(v, int) for v in pair)
+            or not all(_is_int(v) for v in pair)
         ):
             raise SpaceFormatError(f"relation[{ri}]: expected a pair [i, j]")
         i, j = pair

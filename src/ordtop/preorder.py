@@ -76,7 +76,7 @@ class PreorderGraph:
             b"".join(row.to_bytes(nbytes, "little") for row in self.rows),
             dtype=np.uint8).reshape(n, nbytes)
         bits = np.unpackbits(raw, axis=1, count=n, bitorder="little")
-        return bits.astype(bool)
+        return bits.view(bool)
 
     @classmethod
     def from_matrix(cls, mat: np.ndarray) -> "PreorderGraph":
@@ -109,7 +109,7 @@ class PreorderGraph:
 def transitive_reflexive_closure(graph: PreorderGraph) -> PreorderGraph:
     """Smallest preorder containing the given reflexive relation."""
     if graph.n > _NUMPY_CUTOVER:
-        return _closure_numpy(graph)
+        return PreorderGraph.from_matrix(_closure_numpy(graph.to_matrix()))
     rows = list(graph.rows)
     n = graph.n
     # Warshall over bitmask rows: one pass suffices because row k is
@@ -123,18 +123,17 @@ def transitive_reflexive_closure(graph: PreorderGraph) -> PreorderGraph:
     return PreorderGraph(n, tuple(rows))
 
 
-def _closure_numpy(graph: PreorderGraph) -> PreorderGraph:
-    mat = graph.to_matrix().astype(np.float32)
-    n = graph.n
+def _closure_numpy(mat: np.ndarray) -> np.ndarray:
+    """Transitive closure of a reflexive n x n bool matrix, as one."""
+    cur = mat.astype(np.float32)
     # squaring a reflexive matrix doubles reachable path length
-    steps = max(1, int(np.ceil(np.log2(max(n, 2)))))
+    steps = max(1, int(np.ceil(np.log2(max(len(mat), 2)))))
     for _ in range(steps):
-        nxt = (mat @ mat) > 0
-        nxt = nxt.astype(np.float32)
-        if np.array_equal(nxt, mat):
+        nxt = ((cur @ cur) > 0).astype(np.float32)
+        if np.array_equal(nxt, cur):
             break
-        mat = nxt
-    return PreorderGraph.from_matrix(mat)
+        cur = nxt
+    return cur > 0
 
 
 def is_transitive(graph: PreorderGraph) -> bool:

@@ -1,0 +1,77 @@
+"""The benchmark harness's view of the package.
+
+perfbench/workloads.py and perfbench/tracer.py call ordtop through module
+attributes and read fields of its results.  These tests load both files
+as they are (nothing under perfbench/ is written) and run one operation
+of each build-small and finite-check kind through that operation's own
+output check, so a package change that breaks the harness fails here.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+BENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+workloads = _load("workloads")
+tracer = _load("tracer")
+
+
+def _first_of_each_kind(ops, kind_of):
+    first = {}
+    for op in ops:
+        first.setdefault(kind_of(op.kind), op)
+    return first
+
+
+@pytest.fixture(scope="module")
+def small_ops(tmp_path_factory):
+    inputs = workloads.small_inputs(0)
+    ops = workloads.small_operations(inputs,
+                                     str(tmp_path_factory.mktemp("small")))
+    # "nested <space>", "ordtop dominate <space>", "closure algebra ...": the
+    # first word names the kind
+    return _first_of_each_kind(ops, lambda kind: kind.split(" ")[0])
+
+
+def test_each_build_small_kind_passes_its_check(small_ops):
+    assert set(small_ops) == {"nested", "ordtop", "no-smallest", "closure",
+                              "nachbin"}
+    for kind, op in small_ops.items():
+        assert op.check(op.run()), kind
+
+
+def test_each_finite_check_kind_passes_its_check():
+    items = workloads.finite_inputs(0)["items"]
+    ops = _first_of_each_kind(
+        workloads.finite_operations({"items": items}, None), str)
+    assert set(ops) == {"check-finite", "check-finite chain"}
+    for kind, op in ops.items():
+        assert op.check(op.run()), kind
+
+
+def test_traced_op_counts_related_pairs(small_ops):
+    op = small_ops["nested"]
+    t = tracer.Tracer()
+    t.install()
+    try:
+        t.op, t.active = 0, True
+        output = op.run()
+    finally:
+        t.active = False
+        t.restore()
+    op.check(output)
+    assert t.counts["compactify.related_pairs"] > 0
+    assert "compactify.build" in {span[0] for span in t.spans}

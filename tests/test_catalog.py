@@ -131,8 +131,8 @@ def test_misner_relation_antisymmetric_on_grid():
 def test_relation_is_reflexive_and_transitive(name):
     entry = catalog(name)
     sample = entry.space.sample(256, 4)
-    m = entry.space.relation_matrix(sample.coord_array())
-    n = len(sample.points)
+    m = entry.space.relation_matrix(sample.coords)
+    n = len(sample.coords)
     assert m[np.arange(n), np.arange(n)].all()
     rng = random.Random(7 + hash(name) % 1000)
     idx = np.array([[rng.randrange(n) for _ in range(3)]
@@ -145,7 +145,7 @@ def test_relation_is_reflexive_and_transitive(name):
 @pytest.mark.parametrize("space", [catalog(n).space for n in CATALOG_NAMES]
                          + [MirrorRay()], ids=lambda s: s.name)
 def test_relation_blocks_match_the_square_matrix(space):
-    coords = space.sample(200, 4).coord_array()
+    coords = space.sample(200, 4).coords
     square = space.relation_matrix(coords)
     rng = np.random.default_rng(5)
     n = len(coords)
@@ -162,7 +162,7 @@ def test_scalar_relation_agrees_with_matrix():
     for name in CATALOG_NAMES:
         entry = catalog(name)
         sample = entry.space.sample(64, 4)
-        coords = sample.coord_array()
+        coords = sample.coords
         m = entry.space.relation_matrix(coords)
         rng = random.Random(99)
         for _ in range(50):
@@ -178,14 +178,14 @@ def test_scalar_relation_agrees_with_matrix():
 def test_half_open_interval_sampling_frozen():
     entry = catalog("half-open-interval")
     sample = entry.space.sample(100, 4)
-    assert len(sample.points) == 100
-    xs = [p.coords[0] for p in sample.points]
+    assert sample.coords.shape == (100, 1)
+    xs = sample.coords[:, 0].tolist()
     assert all(b > a for a, b in zip(xs, xs[1:]))
     assert xs[0] == 0.0 and xs[-1] < 1.0
     assert len(sample.tails) == 1
     shells = sample.tails[0]
     assert len(shells) == 4
-    levels = [sample.points[s[0]].level for s in shells]
+    levels = [sample.levels[s[0]] for s in shells]
     assert levels == [7, 8, 9, 10]
     # deepest shell point halves its distance to the end per level
     assert xs[-1] == 1.0 - 0.6 * 2.0 ** -10
@@ -197,35 +197,38 @@ def test_sample_structure_invariants():
         for depth in (3, 4, 5):
             sample = entry.space.sample(128, depth)
             assert len(sample.tails) == entry.space.ends
+            n = len(sample.coords)
+            assert sample.coords.shape == (n, entry.space.dim)
+            assert sample.coords.dtype == float
+            assert sample.levels.shape == (n,)
+            assert (sample.levels >= 0).all()
             seen = set()
-            for end, shells in enumerate(sample.tails):
+            for shells in sample.tails:
                 assert len(shells) == depth
-                lvls = [sample.points[s[0]].level for s in shells]
+                lvls = [sample.levels[s[0]] for s in shells]
                 assert lvls == sorted(lvls) and len(set(lvls)) == depth
-                for shell in shells:
+                for shell, lvl in zip(shells, lvls):
                     assert shell
                     for i in shell:
-                        assert sample.points[i].end == end
+                        # a tail point lies in one shell of one end
+                        assert 0 <= i < n and i not in seen
+                        assert sample.levels[i] == lvl
                         seen.add(i)
-            for i, p in enumerate(sample.points):
-                assert p.level >= 0
-                assert (i in seen) == (p.end >= 0)
 
 
 def test_closed_interval_is_compact():
     entry = catalog("closed-interval")
     sample = entry.space.sample(64, 4)
     assert sample.tails == ()
-    assert all(p.level == 0 for p in sample.points)
-    assert all(p.end == -1 for p in sample.points)
+    assert sample.levels.tolist() == [0] * 64
 
 
 def test_nat_sampling_and_relation():
     entry = catalog("nat-discrete")
     sample = entry.space.sample(32, 4)
-    assert [p.coords[0] for p in sample.points] == [float(n) for n in range(32)]
-    assert [p.level for p in sample.points] == list(range(32))
-    m = entry.space.relation_matrix(sample.coord_array())
+    assert sample.coords.tolist() == [[float(n)] for n in range(32)]
+    assert sample.levels.tolist() == list(range(32))
+    m = entry.space.relation_matrix(sample.coords)
     assert np.array_equal(m, np.eye(32, dtype=bool))
     # tail shells are the last tail_depth naturals, one per shell
     assert sample.tails == (((28,), (29,), (30,), (31,)),)
@@ -240,11 +243,11 @@ def test_mirror_relation_and_sampling():
     assert not space.relation((1.0,), (5.0,))
     sample = space.sample(512, 4)
     assert len(sample.tails) == 2
-    plus = [sample.points[s[0]].coords[0] for s in sample.tails[0]]
-    minus = [sample.points[s[0]].coords[0] for s in sample.tails[1]]
+    plus = [sample.coords[s[0], 0] for s in sample.tails[0]]
+    minus = [sample.coords[s[0], 0] for s in sample.tails[1]]
     assert plus == [1.5 * 2.0 ** k for k in range(7, 11)]
     assert minus == [-x for x in plus]
-    xs = sample.coord_array()[:, 0]
+    xs = sample.coords[:, 0]
     assert (np.abs(xs) <= 1.5 * 2.0 ** 10).all()
 
 
@@ -252,22 +255,23 @@ def test_continuous_core_levels_stay_below_tail_base():
     for name in ("half-open-interval", "real-line-mirror", "misner-strip"):
         entry = catalog(name)
         sample = entry.space.sample(256, 4)
-        for p in sample.points:
-            if p.end == -1:
-                assert p.level < TAIL_SHELL_BASE
-            else:
-                assert p.level >= TAIL_SHELL_BASE
+        # core points are those in no tail
+        tail = np.zeros(len(sample.levels), dtype=bool)
+        tail[[i for shells in sample.tails for s in shells for i in s]] = True
+        assert tail.any() and not tail.all()
+        assert (sample.levels[~tail] < TAIL_SHELL_BASE).all()
+        assert (sample.levels[tail] >= TAIL_SHELL_BASE).all()
 
 
 def test_misner_sampling_grid():
     entry = catalog("misner-strip")
     sample = entry.space.sample(4096, 4)
-    assert len(sample.points) == 4096
-    ths = sorted({p.coords[1] for p in sample.points})
+    assert sample.coords.shape == (4096, 2)
+    ths = sorted(set(sample.coords[:, 1].tolist()))
     assert len(ths) == 64
     shells = sample.tails[0]
     assert all(len(s) == 64 for s in shells)
-    ts = sorted({p.coords[0] for p in sample.points})
+    ts = sorted(set(sample.coords[:, 0].tolist()))
     assert ts[0] == 0.6 * 2.0 ** -10 and ts[-1] == 1.0
 
 
@@ -369,7 +373,8 @@ def test_validate_undersized_family_fails_with_witness():
     assert not report.passed
     check = report.check("represents_relation")
     assert not check.passed
-    assert check.witness is not None
+    # coordinates are Python floats, as the CLI prints them with repr
+    assert repr(check.witness) == "((0.0,), (1.0,), 'induced')"
     assert check.metrics["agreement_rate"] < 0.99
 
 
@@ -424,7 +429,11 @@ def _untiled_check_values(family, sample, all_vals, rel, eps_fn,
     checked against the full relation and the agreement is the mean of
     one samples x samples matrix.
     """
-    levels = sample.levels()
+    levels = sample.levels
+
+    def point(i):
+        return tuple(sample.coords[i].tolist())
+
     checks = [Check("h_part_nonempty", len(family.h) > 0,
                     witness=None if family.h else "empty H-part")]
     tag_witness = None
@@ -433,7 +442,7 @@ def _untiled_check_values(family, sample, all_vals, rel, eps_fn,
         vals = all_vals[row]
         if not np.all((vals >= -eps_fn) & (vals <= 1.0 + eps_fn)):
             i = int(np.argmax((vals < -eps_fn) | (vals > 1.0 + eps_fn)))
-            range_witness = range_witness or (f.name, sample.points[i].coords)
+            range_witness = range_witness or (f.name, point(i))
         if f.monotone == "isotone":
             bad = rel & (vals[:, None] > vals[None, :] + eps_fn)
         elif f.monotone == "anti_isotone":
@@ -442,14 +451,13 @@ def _untiled_check_values(family, sample, all_vals, rel, eps_fn,
             bad = None
         if bad is not None and bad.any() and tag_witness is None:
             i, j = np.argwhere(bad)[0]
-            tag_witness = (f.name, sample.points[int(i)].coords,
-                           sample.points[int(j)].coords)
+            tag_witness = (f.name, point(int(i)), point(int(j)))
         if f.klass is not None:
             off = (levels >= f.tail_level) & \
                 (np.abs(vals - f.tail_value) > eps_fn)
             if off.any() and tag_witness is None:
                 i = int(np.argmax(off))
-                tag_witness = (f.name, sample.points[i].coords,
+                tag_witness = (f.name, point(i),
                                "not at declared tail constant")
     checks.append(Check("values_in_unit_interval", range_witness is None,
                         witness=range_witness))
@@ -465,8 +473,7 @@ def _untiled_check_values(family, sample, all_vals, rel, eps_fn,
         witness = None
         if rate < min_agreement:
             i, j = np.argwhere(~agree)[0]
-            witness = (sample.points[int(i)].coords,
-                       sample.points[int(j)].coords,
+            witness = (point(int(i)), point(int(j)),
                        "induced" if induced[i, j] else "missing")
         checks.append(Check(
             "represents_relation", rate >= min_agreement, witness=witness,
@@ -529,7 +536,7 @@ def test_tiled_validation_matches_the_untiled_reference(family, n,
     space = catalog("half-open-interval").space
     fam = FunctionFamily(*TILED_FAMILIES[family])
     sample, vals = _sample_values(space, fam, n, 4)
-    rel = space.relation_matrix(sample.coord_array())
+    rel = space.relation_matrix(sample.coords)
     rng = np.random.default_rng(n)
     gather = (np.arange(n), np.arange(0), np.arange(6, n, 5),
               np.unique(rng.integers(0, n, 9)))
@@ -646,8 +653,8 @@ def test_mirror_quotient_data():
     mirror_sample = entry.space.sample(512, 4)
     half = max(2, (512 - 8 + 1) // 2)
     ray_sample = ray.space.sample(half + 4, 4)
-    mags = {abs(p.coords[0]) for p in mirror_sample.points}
-    assert mags == {p.coords[0] for p in ray_sample.points}
+    mags = set(np.abs(mirror_sample.coords[:, 0]).tolist())
+    assert mags == set(ray_sample.coords[:, 0].tolist())
 
 
 def test_trivial_quotients_are_identity():

@@ -62,6 +62,24 @@ def test_check_finite_rejects_malformed_json(tmp_path):
     assert "line" in proc.stderr and "column" in proc.stderr
 
 
+def test_check_finite_rejects_json_booleans_as_integers(tmp_path, capsys):
+    # bool is an int subclass in Python; true/false are not points
+    cases = (
+        ({"n": True, "basis": [[False]], "relation": [[False, False]]},
+         "'n': expected a nonnegative integer"),
+        ({"n": 2, "basis": [[0, False]], "relation": []},
+         "basis[0][1]: expected an integer point"),
+        ({"n": 2, "basis": [], "relation": [[0, 1], [True, False]]},
+         "relation[1]: expected a pair [i, j]"),
+    )
+    for data, message in cases:
+        path = write_json(tmp_path / "b.json", data)
+        assert ordtop.cli.main(["check-finite", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+
 def test_check_finite_budget_overflow_is_a_usage_error(tmp_path, monkeypatch,
                                                       capsys):
     # 12 discrete points, no order: 4^12 functions at --levels 3

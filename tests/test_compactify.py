@@ -18,7 +18,6 @@ from hypothesis import given, settings, strategies as st
 from ordtop.catalog import (
     CATALOG_NAMES,
     FunctionFamily,
-    SamplePoint,
     SampleSet,
     ScalarFunction,
     catalog,
@@ -26,7 +25,6 @@ from ordtop.catalog import (
 import ordtop.compactify
 from ordtop.compactify import (
     DEFAULT_EPS_Q,
-    Compactification,
     DominationError,
     DominationMap,
     DominationSearch,
@@ -78,10 +76,9 @@ def test_closed_interval_adds_nothing():
     assert comp.end_info == ()
     # induced order on vertices is the sampled order exactly
     reps = comp.representatives()
-    coords = np.array([entry.space.sample(512, 4).points[reps[v]].coords
-                       for v in range(comp.n_vertices)])
+    coords = entry.space.sample(512, 4).coords[reps]
     want = entry.space.relation_matrix(coords)
-    assert np.array_equal(want, comp.induced_matrix())
+    assert np.array_equal(want, comp.relation)
 
 
 def test_one_point_shapes_on_naturals():
@@ -192,8 +189,9 @@ def _grid_cloud(rows, h_count):
     c = tuple(ScalarFunction(f"c{k}", lambda a: a[:, 0], klass="C",
                              tail_value=0.0)
               for k in range(width - h_count))
-    sample = SampleSet(tuple(SamplePoint((float(i),), 0, -1)
-                             for i in range(len(rows))), ())
+    n = len(rows)
+    sample = SampleSet(np.arange(n, dtype=float)[:, None],
+                       np.zeros(n, dtype=int), ())
     names = tuple(f"H:{f.name}" for f in h) + tuple(f"C:{f.name}" for f in c)
     return ImageCloud(catalog("closed-interval"), FunctionFamily(h, c),
                       sample, np.array(rows, dtype=float) / 4.0, h_count,
@@ -248,7 +246,7 @@ def test_induced_graph_tiles_match_direct_compare(offset):
     h = quant[:, :3]
     direct = (h[:, None, :] <= h[None, :, :]).all(axis=2)
     got = ordtop.compactify._induced_graph(quant, 3)
-    assert got.rows == PreorderGraph.from_matrix(direct).rows
+    assert np.array_equal(got.to_matrix(), direct)
 
 
 # ------------------------------------------------------- divergent tails
@@ -332,22 +330,43 @@ def test_no_smallest_one_point_compactification():
     assert len(down.candidates) > 0 and len(up.candidates) > 0
 
 
-def test_domination_search_converts_each_relation_once(monkeypatch):
-    entry = catalog("nat-discrete")
-    comps = {sel: build_compactification(entry, entry.family(sel, 32),
-                                         resolution=32)[0]
-             for sel in ("Cminus", "Cplus")}
+def test_each_build_unpacks_its_relation_once(monkeypatch):
     calls = []
-    induced_matrix = Compactification.induced_matrix
+    to_matrix = PreorderGraph.to_matrix
 
     def counting(self):
-        calls.append(self)
-        return induced_matrix(self)
+        calls.append(id(self))
+        return to_matrix(self)
 
-    monkeypatch.setattr(Compactification, "induced_matrix", counting)
-    search = attempt_domination(comps["Cminus"], comps["Cplus"])
-    assert search.found is None and len(search.candidates) > 1
-    assert len(calls) == 2
+    monkeypatch.setattr(PreorderGraph, "to_matrix", counting)
+    nat = catalog("nat-discrete")
+    comps = [build_compactification(nat, nat.family(sel, 32), resolution=32,
+                                    diagnostic_budget=1500)[0]
+             for sel in ("C", "Cminus", "Cplus")]
+    half = catalog("half-open-interval")
+    inner, outer = (build_compactification(half, half.family(names, 64),
+                                           resolution=64)[0]
+                    for names in ("id", "id,sq"))
+    comps += [inner, outer]
+    assert all(c.complete for c in comps)
+    for a in comps[:3]:
+        for b in comps[:3]:
+            attempt_domination(a, b)
+    assert dominate(outer, inner).ok
+    pool = [half.pool[k] for k in ("id", "sq", "cube", "sqrt")]
+    for comp in (inner, outer):
+        i_closure(half, comp, pool)
+    assert calls
+    assert len(calls) == len(set(calls)) <= len(comps)
+    assert set(calls) <= {id(c.induced) for c in comps}
+
+
+def test_relation_is_read_only():
+    entry, comp, _ = build("half-open-interval", "id", resolution=32)
+    assert comp.relation is comp.relation
+    assert np.array_equal(comp.relation, comp.induced.to_matrix())
+    with pytest.raises(ValueError):
+        comp.relation[0, 1] = True
 
 
 def test_found_domination_map_passes_dominate_checks():
@@ -363,8 +382,8 @@ def test_found_domination_map_passes_dominate_checks():
 
 def reference_checker(comp2, comp1):
     """The full check of a vertex map, on the whole n x n relation."""
-    m2 = comp2.induced_matrix()
-    m1 = comp1.induced_matrix()
+    m2 = comp2.induced.to_matrix()
+    m1 = comp1.induced.to_matrix()
     remainder2 = comp2.remainder_ids()
     target_rem = set(comp1.remainder_ids())
 
@@ -374,7 +393,7 @@ def reference_checker(comp2, comp1):
         witness = None
         if not same_samples:
             i = int(np.argmax(vm[comp2.sample_map] != comp1.sample_map))
-            witness = (i, tuple(comp2.cloud.sample.points[i].coords))
+            witness = (i, tuple(comp2.cloud.sample.coords[i].tolist()))
         commutes = Check("commutes_on_samples", same_samples, witness=witness)
         bad = m2 & ~m1[np.ix_(vm, vm)]
         witness = None
@@ -489,6 +508,9 @@ def test_search_checks_the_core_block():
     rows[5] |= 1 << 3
     source = dataclasses.replace(
         comp, induced=PreorderGraph(comp.n_vertices, tuple(rows)))
+    # the copy unpacks its own relation, not the original's
+    changed = np.argwhere(source.relation != comp.relation).tolist()
+    assert changed == [[5, 3]]
     search = assert_search_matches_reference(source, comp)
     assert search.found is None
     assert {name for _, name in search.candidates} == {"isotone"}

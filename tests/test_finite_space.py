@@ -1,6 +1,8 @@
 import itertools
 import json
+import os
 import random
+import tempfile
 
 import numpy as np
 import pytest
@@ -474,6 +476,71 @@ def test_separation_agrees_with_exhaustive_search():
         checked += 1
 
 
+def reference_inflate_clopen(space, seed, hull):
+    """Least clopen superset of seed closed under hull, as a fixpoint.
+
+    hull is the preorder's up_set (increasing) or down_set (decreasing).
+    """
+    top = space.topology
+    cur = seed
+    while True:
+        nxt = cur | hull(cur) | set_closure(top, cur)
+        for x in range(space.n):
+            if cur >> x & 1:
+                nxt |= top.umin[x]
+        if nxt == cur:
+            return cur
+        cur = nxt
+
+
+def reference_separation_function(space, a, b):
+    """monotone_separation's ladder from the two fixpoints (None if A, B
+    cannot be separated)."""
+    if a == 0 or b == 0:
+        return (0.0 if a == 0 else 1.0,) * space.n
+    s_star = reference_inflate_clopen(space, a, space.preorder.up_set)
+    if s_star & b:
+        return None
+    t_star = reference_inflate_clopen(space, b, space.preorder.down_set)
+    return tuple(((s_star >> x & 1) + (0 if t_star >> x & 1 else 1)) / 2.0
+                 for x in range(space.n))
+
+
+def _hull_fixpoint(space, mask, hull):
+    """Least closed superset of mask that hull leaves fixed."""
+    while True:
+        nxt = hull(set_closure(space.topology, mask))
+        if nxt == mask:
+            return mask
+        mask = nxt
+
+
+def test_separation_matches_the_fixpoint_reference():
+    rng = random.Random(29)
+    checked = both = separable = 0
+    for trial in range(3000):
+        n = rng.randrange(1, 10)
+        space = random_finite_space(rng, n, SPACE_STYLES[trial % 3])
+        g = space.preorder
+        # S* and T* of any seed, read off the clopen order
+        order = ordtop.finite_space._clopen_order(space)
+        seed = rng.randrange(1 << n)
+        assert order.up_set(seed) == reference_inflate_clopen(
+            space, seed, g.up_set)
+        assert order.down_set(seed) == reference_inflate_clopen(
+            space, seed, g.down_set)
+        a = _hull_fixpoint(space, 1 << rng.randrange(n), g.up_set)
+        b = _hull_fixpoint(space, (1 << rng.randrange(n)) & ~a, g.down_set)
+        if a & b:
+            continue
+        res = monotone_separation(space, a, b)
+        assert res.function == reference_separation_function(space, a, b)
+        checked += 1
+        both += bool(a and b)
+        separable += bool(a and b) and res.function is not None
+    assert checked > 2500 and both > 500 and 0 < separable < both
+
+
 # ------------------------------------------------------------ enumeration
 
 
@@ -698,6 +765,52 @@ def test_load_space_errors(tmp_path):
         load_space({"n": 2, "basis": [], "relation": [[0, 1], [0]]})
     with pytest.raises(SpaceFormatError, match="cannot read"):
         load_space("/no/such/file.json")
+
+
+_JSON_SCALARS = (st.none() | st.booleans() | st.integers(-3, 10)
+                 | st.floats(allow_nan=False, allow_infinity=False)
+                 | st.text("ab", max_size=2))
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(("n", "basis", "relation", "a")), inner,
+                      max_size=3),
+    max_leaves=12)
+# a point-like entry: mostly small integers, sometimes any JSON value
+_POINTS = st.integers(-1, 9) | _JSON_VALUES
+_SPACE_DICTS = st.fixed_dictionaries(
+    {"n": st.integers(0, 8) | _JSON_SCALARS},
+    optional={
+        "basis": st.lists(st.lists(_POINTS, max_size=4), max_size=4)
+        | _JSON_VALUES,
+        "relation": st.lists(st.lists(_POINTS, max_size=3), max_size=5)
+        | _JSON_VALUES,
+    })
+
+
+def _bounded_n(data):
+    n = data.get("n") if isinstance(data, dict) else None
+    return not isinstance(n, int) or n <= 8
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.one_of(_SPACE_DICTS, _JSON_VALUES).filter(_bounded_n))
+def test_load_space_loads_or_raises_space_format_error(data):
+    # through a file, so that any top-level JSON value can be the input
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "space.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(data, fh)
+        try:
+            space = load_space(path)
+        except SpaceFormatError:
+            return
+    assert 0 <= space.n <= 8
+    assert space.topology.n == space.preorder.n == space.n
+    # a loaded space is well formed for the exact checks
+    graph_is_closed(space)
+    is_T1_preordered(space)
+    quotient_space(space)
 
 
 def test_empty_space_is_vacuously_fine():

@@ -7,6 +7,7 @@ Exit contract: 0 all requested checks passed, 1 a check failed,
 import argparse
 import itertools
 import json
+import math
 import os
 import sys
 
@@ -59,13 +60,17 @@ def _build_config(args) -> dict:
     return cfg
 
 
+def _tolerance_ok(x) -> bool:
+    return isinstance(x, (int, float)) and math.isfinite(x) and x > 0
+
+
 def _validate_config(parser, args):
     if args.resolution < 8:
         parser.error("--resolution must be at least 8")
     if args.tail_depth < 3:
         parser.error("--tail-depth must be at least 3")
-    if args.eps_q <= 0 or args.eps_cauchy <= 0:
-        parser.error("tolerances must be positive")
+    if not (_tolerance_ok(args.eps_q) and _tolerance_ok(args.eps_cauchy)):
+        parser.error("tolerances must be finite and positive")
 
 
 def cmd_check_finite(args, parser) -> int:
@@ -139,6 +144,10 @@ def _rebuild_from_dir(path: str):
     cfg = payload.get("config")
     if cfg is None:
         raise SpaceFormatError(f"{path}/report.json has no config block")
+    for key in ("eps_q", "eps_cauchy"):
+        if not _tolerance_ok(cfg[key]):
+            raise SpaceFormatError(f"{path}: stored {key} {cfg[key]!r} "
+                                   "is not finite and positive")
     entry = catalog(cfg["space"])
     family = entry.family(cfg["family"], cfg["resolution"], cfg["tail_depth"])
     comp = close_and_cluster(

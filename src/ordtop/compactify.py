@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -102,13 +101,6 @@ class Compactification:
 
     def remainder_ids(self):
         return tuple(range(self.n_core, self.n_vertices))
-
-    @cached_property
-    def relation(self) -> np.ndarray:
-        """The induced preorder as a read-only n x n bool matrix."""
-        rel = self.induced.to_matrix()
-        rel.flags.writeable = False
-        return rel
 
     def representatives(self):
         """First sample index mapping to each vertex (-1 for remainder)."""
@@ -253,7 +245,7 @@ def _verify_samples(comp, resolution):
 
 def _verify_embedding(comp, samples, relations, delta_embed):
     """verify_preorder_embedding on _verify_samples and their relations."""
-    coords, ind = comp.cloud.sample.coords, comp.relation
+    coords, ind = comp.cloud.sample.coords, comp.induced.matrix
     (reps, idx), (rel, sub_rel) = samples, relations
     rep_coords = coords[reps]
     ind_core = ind[:comp.n_core, :comp.n_core]
@@ -325,7 +317,7 @@ def _domination_report(comp2, comp1, vertex_map) -> CheckReport:
         witness = (i, tuple(comp2.cloud.sample.coords[i].tolist()))
     commutes = Check("commutes_on_samples", same_samples, witness=witness)
 
-    bad = comp2.relation & ~comp1.relation[np.ix_(vm, vm)]
+    bad = comp2.induced.matrix & ~comp1.induced.matrix[np.ix_(vm, vm)]
     witness = None
     if bad.any():
         u, v = np.argwhere(bad)[0]
@@ -441,7 +433,7 @@ def attempt_domination(comp_a, comp_b, cap=200000) -> DominationSearch:
         raise DominationError(
             f"{count} candidate maps exceed the exhaustive search cap "
             f"of {cap}")
-    m2, m1 = comp_a.relation, comp_b.relation
+    m2, m1 = comp_a.induced.matrix, comp_b.induced.matrix
     target_rem = set(comp_b.remainder_ids())
     core_images = vm[:n_core]
     m1_core = m1[core_images]  # core images' rows, every target column
@@ -533,7 +525,7 @@ def extendability(entry, comp, f, eps_cauchy=None) -> ExtendabilityResult:
     full = core_mean.copy()
     for vid, value in extension.items():
         full[vid] = value
-    bad = comp.relation & (full[:, None] > full[None, :] + eps)
+    bad = comp.induced.matrix & (full[:, None] > full[None, :] + eps)
     if bad.any():
         u, v = np.argwhere(bad)[0]
         return ExtendabilityResult(
@@ -568,7 +560,7 @@ def smallest_closed_preorder_diagnostic(comp) -> CheckReport:
 
 def _smallest_closure_diagnostic(comp, core_rel):
     """The diagnostic on the relation between core representatives."""
-    n_core, ind = comp.n_core, comp.relation
+    n_core, ind = comp.n_core, comp.induced.matrix
     seed = np.eye(comp.n_vertices, dtype=bool)
     seed[:n_core, :n_core] = core_rel
     seed[n_core:] = ind[n_core:]
@@ -651,15 +643,10 @@ def nachbin_pipeline(entry, family, resolution=DEFAULT_RESOLUTION,
     if not bijective:
         return CheckReport(tuple(checks))
 
-    iso_witness = None
-    mb = comp_b.relation
-    for i in range(len(class_vecs)):
-        for j in range(len(class_vecs)):
-            if qgraph.leq(i, j) != bool(mb[phi[i], phi[j]]):
-                iso_witness = (i, j)
-                break
-        if iso_witness:
-            break
+    perm = [phi[i] for i in range(len(class_vecs))]
+    mb = comp_b.induced.matrix[np.ix_(perm, perm)]
+    differ = np.argwhere(qgraph.matrix != mb)[:1].tolist()
+    iso_witness = tuple(differ[0]) if differ else None
     checks.append(Check("order_isomorphism", iso_witness is None,
                         witness=iso_witness))
 

@@ -35,10 +35,10 @@ def transitive_reduction(graph: PreorderGraph) -> tuple:
     a cover, whose strict up-set is then struck out.  Struck points stay in
     the row iff the input is a partial order; else ValueError names a witness.
     """
-    mat = graph.to_matrix()
+    mat = graph.matrix
     order = np.argsort(-mat.sum(axis=1), kind="stable").tolist()
-    ranked = PreorderGraph.from_matrix(mat[np.ix_(order, order)])
-    strict = [row & ~(1 << i) for i, row in enumerate(ranked.rows)]
+    ranked = PreorderGraph.from_matrix(mat[np.ix_(order, order)]).rows
+    strict = [row & ~(1 << i) for i, row in enumerate(ranked)]
     pairs = []
     for i, reach in enumerate(strict):
         rest, struck = reach, 0

@@ -148,27 +148,26 @@ class FinitePreorderedSpace:
         return self.topology.n
 
 
+def _closure_row(top: FiniteTopology, g: PreorderGraph, x: int) -> int:
+    """Row x of g's closure: the y with umin(x) x umin(y) meeting g."""
+    return set_closure(top, g.up_set(top.umin[x]))
+
+
 def graph_is_closed(space: FinitePreorderedSpace) -> CheckReport:
     """Is the relation closed in the product topology?
 
-    The graph is closed iff every unrelated pair (x, y) has
-    umin(x) x umin(y) disjoint from the relation; that box is the
-    smallest product neighborhood, so the criterion is exact.
-    Witness: the lexicographically least failing pair.
+    The graph is closed iff every row equals its row of the closure;
+    the box umin(x) x umin(y) is the smallest product neighborhood, so
+    the criterion is exact.  Witness: the lexicographically least
+    failing pair.
     """
     g = space.preorder
-    top = space.topology
     witness = None
     for x in range(g.n):
-        if witness:
+        extra = _closure_row(space.topology, g, x) & ~g.rows[x]
+        if extra:
+            witness = (x, (extra & -extra).bit_length() - 1)
             break
-        for y in range(g.n):
-            if g.leq(x, y):
-                continue
-            vy = top.umin[y]
-            if any(g.rows[a] & vy for a in _bits(top.umin[x])):
-                witness = (x, y)
-                break
     return CheckReport(
         (Check("graph_is_closed", witness is None, witness=witness),)
     )
@@ -434,20 +433,10 @@ def smallest_closed_preorder(top: FiniteTopology, seed_pairs) -> PreorderGraph:
     n = top.n
     g = transitive_reflexive_closure(PreorderGraph.from_pairs(n, seed_pairs))
     while True:
-        rows = list(g.rows)
-        changed = False
-        for x in range(n):
-            ux = top.umin[x]
-            for y in range(n):
-                if rows[x] >> y & 1:
-                    continue
-                vy = top.umin[y]
-                if any(g.rows[a] & vy for a in _bits(ux)):
-                    rows[x] |= 1 << y
-                    changed = True
-        if not changed:
+        rows = tuple(_closure_row(top, g, x) for x in range(n))
+        if rows == g.rows:
             return g
-        g = transitive_reflexive_closure(PreorderGraph(n, tuple(rows)))
+        g = transitive_reflexive_closure(PreorderGraph(n, rows))
 
 
 def _is_int(value) -> bool:

@@ -3,11 +3,14 @@
 A relation on n points is stored as n ints; bit j of rows[i] set means
 i <= j.  Reflexivity is enforced at construction, transitivity is not:
 use transitive_reflexive_closure when the input is just a seed relation.
+This module is the only one that converts between bit rows and the
+read-only bool matrix PreorderGraph.matrix; everything else reads it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -66,26 +69,30 @@ class PreorderGraph:
                 out |= 1 << i
         return out
 
-    def to_matrix(self) -> np.ndarray:
-        """Boolean n x n matrix; rows are unpacked from little-endian bytes."""
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """Read-only bool n x n matrix, unpacked from the rows on first read."""
         n = self.n
-        if n == 0:
-            return np.zeros((0, 0), dtype=bool)
         nbytes = (n + 7) // 8
         raw = np.frombuffer(
             b"".join(row.to_bytes(nbytes, "little") for row in self.rows),
             dtype=np.uint8).reshape(n, nbytes)
-        bits = np.unpackbits(raw, axis=1, count=n, bitorder="little")
-        return bits.view(bool)
+        mat = np.unpackbits(raw, axis=1, count=n, bitorder="little").view(bool)
+        mat.flags.writeable = False
+        return mat
 
     @classmethod
     def from_matrix(cls, mat: np.ndarray) -> "PreorderGraph":
+        """Pack a square matrix; a bool one is kept, read-only, as .matrix."""
         mat = np.asarray(mat, dtype=bool)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError("matrix must be square")
         packed = np.packbits(mat, axis=1, bitorder="little")
-        return cls(mat.shape[0], tuple(int.from_bytes(row.tobytes(), "little")
-                                       for row in packed))
+        graph = cls(mat.shape[0], tuple(int.from_bytes(row.tobytes(), "little")
+                                        for row in packed))
+        mat.flags.writeable = False
+        graph.__dict__["matrix"] = mat
+        return graph
 
     @classmethod
     def diagonal(cls, n: int) -> "PreorderGraph":
@@ -109,7 +116,7 @@ class PreorderGraph:
 def transitive_reflexive_closure(graph: PreorderGraph) -> PreorderGraph:
     """Smallest preorder containing the given reflexive relation."""
     if graph.n > _NUMPY_CUTOVER:
-        return PreorderGraph.from_matrix(_closure_numpy(graph.to_matrix()))
+        return PreorderGraph.from_matrix(_closure_numpy(graph.matrix))
     rows = list(graph.rows)
     n = graph.n
     # Warshall over bitmask rows: one pass suffices because row k is
@@ -196,13 +203,14 @@ def symmetric_part(graph: PreorderGraph) -> EquivalenceClasses:
     An unseen point i takes the j >= i in its row and column; classes of
     a non-transitive graph can overlap, which EquivalenceClasses rejects.
     """
-    cols = PreorderGraph.from_matrix(graph.to_matrix().T).rows
+    mat = graph.matrix
+    sym = PreorderGraph.from_matrix(mat & mat.T).rows
     seen = 0
     classes = []
     for i in range(graph.n):
         if seen >> i & 1:
             continue
-        mask = (graph.rows[i] & cols[i]) >> i << i
+        mask = sym[i] >> i << i
         seen |= mask
         cls = []
         while mask:
@@ -234,7 +242,7 @@ def quotient_preorder(graph: PreorderGraph):
         merged = np.bitwise_or.reduceat(packed, starts, axis=0)
         return np.unpackbits(merged, axis=1, count=mat.shape[1])
 
-    merged = merge_rows(merge_rows(graph.to_matrix().T).T)
+    merged = merge_rows(merge_rows(graph.matrix.T).T)
     return PreorderGraph.from_matrix(merged), classes
 
 

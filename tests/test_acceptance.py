@@ -76,7 +76,7 @@ def test_c02_compact_interval_compactifies_to_itself():
     reps = comp.representatives()
     sample = entry.space.sample(512, 4)
     want = entry.space.relation_matrix(sample.coords[reps])
-    assert np.array_equal(want, comp.relation)
+    assert np.array_equal(want, comp.induced.matrix)
     verdict(2, "0 remainder vertices, induced order = sampled order")
 
 

@@ -4,7 +4,8 @@ perfbench/workloads.py and perfbench/tracer.py call ordtop through module
 attributes and read fields of its results.  These tests load both files
 as they are (nothing under perfbench/ is written) and run one operation
 of each build-small and finite-check kind through that operation's own
-output check, so a package change that breaks the harness fails here.
+output check, and the build-large kind (build plus export) on its small
+warm-up builds, so a package change that breaks the harness fails here.
 """
 
 import importlib.util
@@ -75,3 +76,25 @@ def test_traced_op_counts_related_pairs(small_ops):
     op.check(output)
     assert t.counts["compactify.related_pairs"] > 0
     assert "compactify.build" in {span[0] for span in t.spans}
+
+
+def test_build_large_kind_traces_the_export(tmp_path):
+    runs = []
+    for traced in (False, True):
+        t = tracer.Tracer()
+        if traced:
+            t.install()
+        try:
+            t.op, t.active = 0, traced
+            for i, (space, family, res) in enumerate(workloads.LARGE_WARM_UP):
+                comp, report, paths = workloads.compactify(
+                    space, family, res, str(tmp_path / f"{traced}-{i}"))
+                runs.append((traced, workloads.build_fingerprints(
+                    comp, report, paths)))
+        finally:
+            t.active = False
+            t.restore()
+    plain = [fp for traced, fp in runs if not traced]
+    assert plain == [fp for traced, fp in runs if traced]
+    assert {"export.dot", "export.reduction", "preorder.quotient"} \
+        <= {span[0] for span in t.spans}

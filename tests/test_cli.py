@@ -131,6 +131,20 @@ def test_compactify_usage_errors(tmp_path):
                    "--family", "id,nope", "--out", out).returncode == 2
 
 
+@pytest.mark.parametrize("flag", ("--eps-q", "--eps-cauchy"))
+@pytest.mark.parametrize("value", ("nan", "inf"))
+def test_compactify_rejects_non_finite_tolerances(tmp_path, capsys, flag,
+                                                   value):
+    out = tmp_path / "x"
+    with pytest.raises(SystemExit) as exc:
+        ordtop.cli.main(["compactify", "--space", "half-open-interval",
+                         "--family", "pow64", "--resolution", "64",
+                         flag, value, "--out", str(out)])
+    assert exc.value.code == 2
+    assert "tolerances must be finite and positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_report_json_is_byte_identical_across_runs(tmp_path):
     args = ("compactify", "--space", "real-line-mirror",
             "--resolution", "128")
@@ -214,6 +228,23 @@ def test_dominate_rejects_an_edited_build(tmp_path):
     assert proc.returncode == 2
     assert str(out) in proc.stderr
     assert "row 3" in proc.stderr
+
+
+@pytest.mark.parametrize("value", (float("nan"), float("inf"), 0.0))
+def test_dominate_rejects_a_stored_bad_tolerance(tmp_path, capsys, value):
+    out = tmp_path / "build"
+    assert ordtop.cli.main(["compactify", "--space", "half-open-interval",
+                            "--resolution", "64", "--out", str(out)]) == 0
+
+    def set_eps_q(payload):
+        payload["config"]["eps_q"] = value
+
+    _edit_report(out, set_eps_q)
+    capsys.readouterr()
+    assert ordtop.cli.main(["dominate", str(out), str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad build directory:")
+    assert "eps_q" in err
 
 
 def test_dominate_accepts_builds_whose_config_has_a_seed(tmp_path):

@@ -6,6 +6,7 @@ hand against the shell schedule; nothing here re-reads pipeline output.
 """
 
 import dataclasses
+import functools
 import itertools
 import math
 import random
@@ -41,6 +42,7 @@ from ordtop.compactify import (
     smallest_closed_preorder_diagnostic,
     verify_preorder_embedding,
 )
+from ordtop.export import write_build
 from ordtop.generators import random_nested_families
 from ordtop.preorder import PreorderGraph, is_transitive
 from ordtop.report import Check, CheckReport
@@ -78,7 +80,7 @@ def test_closed_interval_adds_nothing():
     reps = comp.representatives()
     coords = entry.space.sample(512, 4).coords[reps]
     want = entry.space.relation_matrix(coords)
-    assert np.array_equal(want, comp.relation)
+    assert np.array_equal(want, comp.induced.matrix)
 
 
 def test_one_point_shapes_on_naturals():
@@ -246,7 +248,7 @@ def test_induced_graph_tiles_match_direct_compare(offset):
     h = quant[:, :3]
     direct = (h[:, None, :] <= h[None, :, :]).all(axis=2)
     got = ordtop.compactify._induced_graph(quant, 3)
-    assert np.array_equal(got.to_matrix(), direct)
+    assert np.array_equal(got.matrix, direct)
 
 
 # ------------------------------------------------------- divergent tails
@@ -330,23 +332,29 @@ def test_no_smallest_one_point_compactification():
     assert len(down.candidates) > 0 and len(up.candidates) > 0
 
 
-def test_each_build_unpacks_its_relation_once(monkeypatch):
-    calls = []
-    to_matrix = PreorderGraph.to_matrix
+def test_no_build_relation_is_unpacked(monkeypatch, tmp_path):
+    # a build's graph is packed from its matrix, which it keeps; every
+    # other graph unpacks its rows at most once
+    unpacked = []
+    unpack = PreorderGraph.matrix.func
 
     def counting(self):
-        calls.append(id(self))
-        return to_matrix(self)
+        unpacked.append(self)
+        return unpack(self)
 
-    monkeypatch.setattr(PreorderGraph, "to_matrix", counting)
+    matrix = functools.cached_property(counting)
+    matrix.__set_name__(PreorderGraph, "matrix")
+    monkeypatch.setattr(PreorderGraph, "matrix", matrix)
     nat = catalog("nat-discrete")
     comps = [build_compactification(nat, nat.family(sel, 32), resolution=32,
                                     diagnostic_budget=1500)[0]
              for sel in ("C", "Cminus", "Cplus")]
     half = catalog("half-open-interval")
     inner, outer = (build_compactification(half, half.family(names, 64),
-                                           resolution=64)[0]
+                                           resolution=64)
                     for names in ("id", "id,sq"))
+    write_build(*outer, str(tmp_path / "outer"))
+    inner, outer = inner[0], outer[0]
     comps += [inner, outer]
     assert all(c.complete for c in comps)
     for a in comps[:3]:
@@ -356,17 +364,22 @@ def test_each_build_unpacks_its_relation_once(monkeypatch):
     pool = [half.pool[k] for k in ("id", "sq", "cube", "sqrt")]
     for comp in (inner, outer):
         i_closure(half, comp, pool)
-    assert calls
-    assert len(calls) == len(set(calls)) <= len(comps)
-    assert set(calls) <= {id(c.induced) for c in comps}
+    assert not any(g is c.induced for g in unpacked for c in comps)
+    assert len({id(g) for g in unpacked}) == len(unpacked)
+    probe = PreorderGraph.diagonal(2)  # the count sees a graph from rows
+    assert probe.matrix is probe.matrix
+    assert sum(g is probe for g in unpacked) == 1
 
 
 def test_relation_is_read_only():
     entry, comp, _ = build("half-open-interval", "id", resolution=32)
-    assert comp.relation is comp.relation
-    assert np.array_equal(comp.relation, comp.induced.to_matrix())
-    with pytest.raises(ValueError):
-        comp.relation[0, 1] = True
+    from_rows = PreorderGraph(comp.n_vertices, comp.induced.rows)
+    assert from_rows == comp.induced
+    assert np.array_equal(from_rows.matrix, comp.induced.matrix)
+    for graph in (comp.induced, from_rows):
+        assert graph.matrix is graph.matrix
+        with pytest.raises(ValueError):
+            graph.matrix[0, 1] = True
 
 
 def test_found_domination_map_passes_dominate_checks():
@@ -382,8 +395,8 @@ def test_found_domination_map_passes_dominate_checks():
 
 def reference_checker(comp2, comp1):
     """The full check of a vertex map, on the whole n x n relation."""
-    m2 = comp2.induced.to_matrix()
-    m1 = comp1.induced.to_matrix()
+    m2 = comp2.induced.matrix
+    m1 = comp1.induced.matrix
     remainder2 = comp2.remainder_ids()
     target_rem = set(comp1.remainder_ids())
 
@@ -509,7 +522,8 @@ def test_search_checks_the_core_block():
     source = dataclasses.replace(
         comp, induced=PreorderGraph(comp.n_vertices, tuple(rows)))
     # the copy unpacks its own relation, not the original's
-    changed = np.argwhere(source.relation != comp.relation).tolist()
+    changed = np.argwhere(source.induced.matrix
+                          != comp.induced.matrix).tolist()
     assert changed == [[5, 3]]
     search = assert_search_matches_reference(source, comp)
     assert search.found is None

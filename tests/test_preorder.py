@@ -70,7 +70,7 @@ def test_matrix_roundtrip_small_and_large():
                     row |= 1 << j
             rows.append(row)
         g = PreorderGraph(n, tuple(rows))
-        mat = g.to_matrix()
+        mat = g.matrix
         assert mat.shape == (n, n)
         assert PreorderGraph.from_matrix(mat).rows == g.rows
 

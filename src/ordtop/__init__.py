@@ -13,6 +13,7 @@ from .catalog import (
     arc_bound_function,
     catalog,
     evaluate_family,
+    sample_values,
     validate_family,
 )
 from .compactify import (

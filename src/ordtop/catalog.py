@@ -490,31 +490,20 @@ def evaluate_family(family: FunctionFamily, coords: np.ndarray):
     return np.array(vals, dtype=float) if vals else np.zeros((0, len(coords)))
 
 
-def _sample_values(space, family, resolution, tail_depth):
+def sample_values(space, family, resolution, tail_depth):
     """One sample of the space and the family's raw values on it."""
     sample = space.sample(resolution, tail_depth)
     return sample, evaluate_family(family, sample.coords)
 
 
-def validate_family(entry, family, resolution=512, tail_depth=4,
-                    eps_fn=1e-6, min_agreement=0.99) -> CheckReport:
+def validate_family(family, sample, raw, space, eps_fn=1e-6,
+                    min_agreement=0.99, gather=()):
     """Check tags on samples and that the H-part represents the relation.
 
-    Representation is scored as the agreement rate between the space
-    relation and the coordinate-wise H comparison over all sampled
-    pairs; it passes at min_agreement (default 99%).
-    """
-    space = entry.space if isinstance(entry, CatalogEntry) else entry
-    sample, all_vals = _sample_values(space, family, resolution, tail_depth)
-    return _check_values(family, sample, all_vals, space, eps_fn,
-                         min_agreement)[0]
-
-
-def _check_values(family, sample, all_vals, space, eps_fn, min_agreement,
-                  gather=()):
-    """validate_family's checks on raw values, one row tile at a time.
-
-    A tile relates _TILE_CELLS // n samples to all n, so memory stays
+    raw holds the family's values on sample, as from sample_values.  The
+    agreement rate of the space relation with the coordinate-wise H
+    comparison over all sampled pairs passes at min_agreement.  Each row
+    tile relates _TILE_CELLS // n samples to all n, so memory stays
     O(n * tile).  Returns the report and, for each sorted index array in
     gather, the relation among those samples.
     """
@@ -530,7 +519,7 @@ def _check_values(family, sample, all_vals, space, eps_fn, min_agreement,
     range_witness = tail_witness = None
     limit = len(members)  # members past a found violation go unreported
     for m, f in enumerate(members):
-        vals = all_vals[m]
+        vals = raw[m]
         if not np.all((vals >= -eps_fn) & (vals <= 1.0 + eps_fn)):
             i = int(np.argmax((vals < -eps_fn) | (vals > 1.0 + eps_fn)))
             range_witness = range_witness or (f.name, point(i))
@@ -542,7 +531,7 @@ def _check_values(family, sample, all_vals, space, eps_fn, min_agreement,
                                 "not at declared tail constant")
                 limit = m + 1
     # isotone breaks on v_i > v_j + eps, anti-isotone on v_i < v_j - eps
-    bounds = {m: all_vals[m] + (eps_fn if f.monotone == "isotone" else -eps_fn)
+    bounds = {m: raw[m] + (eps_fn if f.monotone == "isotone" else -eps_fn)
               for m, f in enumerate(members) if f.monotone != "none"}
 
     first_bad = {}  # member -> witness of its first violation, row-major
@@ -558,7 +547,7 @@ def _check_values(family, sample, all_vals, space, eps_fn, min_agreement,
             block[lo:hi] = rel.take(s[lo:hi] - start, axis=0).take(s, axis=1)
         induced = np.ones_like(rel)
         for m in range(n_h):
-            induced &= all_vals[m, rows, None] <= bounds[m]
+            induced &= raw[m, rows, None] <= bounds[m]
         diff = induced != rel
         wrong = np.count_nonzero(diff)
         disagreements += wrong
@@ -574,7 +563,7 @@ def _check_values(family, sample, all_vals, space, eps_fn, min_agreement,
                 break
             if m < n_h and not missing:
                 continue
-            vals = all_vals[m, rows, None]
+            vals = raw[m, rows, None]
             bad = rel & (vals > bounds[m] if members[m].monotone == "isotone"
                          else vals < bounds[m])
             if bad.any():

@@ -11,7 +11,7 @@ import math
 import os
 import sys
 
-from .catalog import CATALOG_NAMES, catalog
+from .catalog import CATALOG_NAMES, catalog, sample_values
 from .compactify import (
     DominationError,
     attempt_domination,
@@ -150,8 +150,8 @@ def _rebuild_from_dir(path: str):
                                    "is not finite and positive")
     entry = catalog(cfg["space"])
     family = entry.family(cfg["family"], cfg["resolution"], cfg["tail_depth"])
-    comp = close_and_cluster(
-        embed(entry, family, cfg["resolution"], cfg["tail_depth"]),
+    comp = close_and_cluster(embed(entry, family, *sample_values(
+        entry.space, family, cfg["resolution"], cfg["tail_depth"])),
         cfg["eps_q"], cfg["eps_cauchy"])
     stored = payload.get("relation_rows_hex", [])
     rebuilt = [format(r, "x") for r in comp.induced.rows]

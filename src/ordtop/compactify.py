@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import _TILE_CELLS, _check_values, _sample_values
+from .catalog import _TILE_CELLS, sample_values, validate_family
 from .preorder import PreorderGraph, _closure_numpy, is_antisymmetric, \
     quotient_preorder
 from .report import Check, CheckReport, merge_reports
@@ -48,15 +48,8 @@ class ImageCloud:
         return len(self.values)
 
 
-def embed(entry, family, resolution=DEFAULT_RESOLUTION,
-          tail_depth=DEFAULT_TAIL_DEPTH, eps_fn=DEFAULT_EPS_FN) -> ImageCloud:
-    """Map every sample point to its family-value vector."""
-    sample, raw = _sample_values(entry.space, family, resolution, tail_depth)
-    return _image_cloud(entry, family, sample, raw, eps_fn)
-
-
-def _image_cloud(entry, family, sample, raw, eps_fn):
-    """Range-check and clip raw values (one row per member) into a cloud."""
+def embed(entry, family, sample, raw, eps_fn=DEFAULT_EPS_FN) -> ImageCloud:
+    """Range-check and clip sample_values' raw values into an image cloud."""
     values = raw.T
     names = tuple(f"H:{f.name}" for f in family.h) \
         + tuple(f"C:{f.name}" for f in family.c)
@@ -105,8 +98,8 @@ class Compactification:
     def representatives(self):
         """First sample index mapping to each vertex (-1 for remainder)."""
         reps = np.full(self.n_vertices, -1, dtype=int)
-        for i in range(len(self.sample_map) - 1, -1, -1):
-            reps[self.sample_map[i]] = i
+        vertices, first = np.unique(self.sample_map, return_index=True)
+        reps[vertices] = first
         return reps
 
 
@@ -121,6 +114,17 @@ def _aitken(seq):
     if abs(denom) < 1e-12:
         return x2
     return x2 - (x2 - x1) ** 2 / denom
+
+
+def _tail_limit(f, column, shells):
+    """(spread, clamped limit) of one value column over an end's shells."""
+    if f.klass is not None:  # exactly its declared constant out there
+        return 0.0, float(f.tail_value)
+    vals = [column[list(s)] for s in shells]
+    window = np.concatenate(vals)
+    means = [float(v.mean()) for v in vals]
+    return (float(window.max() - window.min()),
+            min(1.0, max(0.0, _aitken(means))))
 
 
 def _induced_graph(quant, h_count):
@@ -173,20 +177,13 @@ def close_and_cluster(cloud, eps_q=DEFAULT_EPS_Q,
     end_info = []
     complete = True
     for end, shells in enumerate(cloud.sample.tails):
-        window = np.concatenate([np.array(s, dtype=int) for s in shells])
         limit = np.empty(len(members))
         worst_spread = 0.0
         worst_name = None
         for j, f in enumerate(members):
-            if f.klass is not None:
-                limit[j] = f.tail_value
-                continue
-            vals = cloud.values[window, j]
-            spread = float(vals.max() - vals.min())
+            spread, limit[j] = _tail_limit(f, cloud.values[:, j], shells)
             if spread > worst_spread:
                 worst_spread, worst_name = spread, cloud.names[j]
-            means = [float(cloud.values[list(s), j].mean()) for s in shells]
-            limit[j] = min(1.0, max(0.0, _aitken(means)))
         if worst_spread > eps_cauchy:
             complete = False
             end_map.append(None)
@@ -220,31 +217,24 @@ def close_and_cluster(cloud, eps_q=DEFAULT_EPS_Q,
     )
 
 
-def verify_preorder_embedding(entry, comp, resolution=VERIFY_RESOLUTION,
+def _verify_samples(comp):
+    """Verify's sorted samples: core representatives, a stride subsample."""
+    n = comp.cloud.n_samples
+    reps = comp.representatives()[:comp.n_core]
+    return reps, np.arange(0, n, max(1, -(-n // min(VERIFY_RESOLUTION, n))))
+
+
+def verify_preorder_embedding(comp, samples, relations,
                               delta_embed=DEFAULT_DELTA_EMBED) -> CheckReport:
     """Spot-check that vertex order mirrors the space order.
 
-    Two sweeps: (a) over distinct core-vertex pairs, the space relation
+    samples = _verify_samples(comp), relations the space relation within
+    each.  (a) Over distinct core-vertex pairs, the space relation
     between representative samples must match the induced relation both
     ways; (b) over a stride subsample of points, a space relation must
     be preserved forward into the induced relation.  Pass iff each
     violation rate is at most delta_embed.
     """
-    coords = comp.cloud.sample.coords
-    samples = _verify_samples(comp, resolution)
-    relations = [entry.space.relation_matrix(coords[i]) for i in samples]
-    return _verify_embedding(comp, samples, relations, delta_embed)
-
-
-def _verify_samples(comp, resolution):
-    """Verify's sorted samples: core representatives, a stride subsample."""
-    n = comp.cloud.n_samples
-    reps = comp.representatives()[:comp.n_core]
-    return reps, np.arange(0, n, max(1, -(-n // min(resolution, n))))
-
-
-def _verify_embedding(comp, samples, relations, delta_embed):
-    """verify_preorder_embedding on _verify_samples and their relations."""
     coords, ind = comp.cloud.sample.coords, comp.induced.matrix
     (reps, idx), (rel, sub_rel) = samples, relations
     rep_coords = coords[reps]
@@ -488,17 +478,11 @@ def extendability(entry, comp, f, eps_cauchy=None) -> ExtendabilityResult:
 
     end_limits = {}
     for end, shells in enumerate(comp.cloud.sample.tails):
-        if f.klass is not None:
-            end_limits[end] = float(f.tail_value)
-            continue
-        window = np.concatenate([np.array(s, dtype=int) for s in shells])
-        w = vals[window]
-        if float(w.max() - w.min()) > eps:
+        spread, end_limits[end] = _tail_limit(f, vals, shells)
+        if spread > eps:
             return ExtendabilityResult(
                 False, {}, f"tail of end {end} is not Cauchy for {f.name}: "
-                f"spread {float(w.max() - w.min()):.4f}")
-        means = [float(vals[list(s)].mean()) for s in shells]
-        end_limits[end] = min(1.0, max(0.0, _aitken(means)))
+                f"spread {spread:.4f}")
 
     extension = {}
     core_mean = np.zeros(comp.n_vertices)
@@ -540,26 +524,18 @@ def i_closure(entry, comp, candidates) -> tuple:
                  if extendability(entry, comp, f).extendable)
 
 
-def smallest_closed_preorder_diagnostic(comp) -> CheckReport:
+def smallest_closed_preorder_diagnostic(comp, core_rel) -> CheckReport:
     """Compare the induced preorder with the least closed relation over it.
 
-    Seed relation: the diagonal, the space relation between core-vertex
-    representatives, and the remainder rows/columns (tail-limit
-    inheritance: a remainder vertex relates exactly where its quantized
-    limit vector does).  One transitive closure gives the least closed
-    preorder containing the seed; the check reports whether the induced
-    preorder adds pairs beyond it.
+    Seed relation: the diagonal, core_rel (the space relation between
+    the core vertices' representatives), and the remainder rows/columns
+    (tail-limit inheritance: a remainder vertex relates exactly where
+    its quantized limit vector does).  One transitive closure gives the
+    least closed preorder containing the seed; the check reports whether
+    the induced preorder adds pairs beyond it.
     """
     if not comp.complete:
         raise ValueError("compactification is incomplete")
-    reps = comp.representatives()[:comp.n_core]
-    core_rel = comp.cloud.entry.space.relation_matrix(
-        comp.cloud.sample.coords[reps])
-    return _smallest_closure_diagnostic(comp, core_rel)
-
-
-def _smallest_closure_diagnostic(comp, core_rel):
-    """The diagnostic on the relation between core representatives."""
     n_core, ind = comp.n_core, comp.induced.matrix
     seed = np.eye(comp.n_vertices, dtype=bool)
     seed[:n_core, :n_core] = core_rel
@@ -567,10 +543,7 @@ def _smallest_closure_diagnostic(comp, core_rel):
     seed[:, n_core:] = ind[:, n_core:]
     fix = _closure_numpy(seed)
     excess = ind & ~fix
-    witness = None
-    if excess.any():
-        pairs = [tuple(map(int, p)) for p in np.argwhere(excess)[:20]]
-        witness = pairs
+    witness = [tuple(map(int, p)) for p in np.argwhere(excess)[:20]] or None
     return CheckReport((Check(
         "induced_equals_smallest_closure", not excess.any(), witness=witness,
         metrics={"induced_pairs": int(ind.sum()),
@@ -589,8 +562,8 @@ def nachbin_pipeline(entry, family, resolution=DEFAULT_RESOLUTION,
     space.  The report checks an order isomorphism matching the sample
     projections vertex-for-vertex.
     """
-    comp_a = close_and_cluster(embed(entry, family, resolution, tail_depth),
-                               eps_q, eps_cauchy)
+    comp_a = close_and_cluster(embed(entry, family, *sample_values(
+        entry.space, family, resolution, tail_depth)), eps_q, eps_cauchy)
     checks = [Check("path_a_complete", comp_a.complete,
                     witness=None if comp_a.complete else comp_a.end_info)]
     q_entry, project = entry.quotient_data()
@@ -599,8 +572,8 @@ def nachbin_pipeline(entry, family, resolution=DEFAULT_RESOLUTION,
     else:
         half = max(2, (resolution - 2 * tail_depth + 1) // 2)
         res_b = half + tail_depth
-    comp_b = close_and_cluster(embed(q_entry, family, res_b, tail_depth),
-                               eps_q, eps_cauchy)
+    comp_b = close_and_cluster(embed(q_entry, family, *sample_values(
+        q_entry.space, family, res_b, tail_depth)), eps_q, eps_cauchy)
     checks.append(Check("path_b_complete", comp_b.complete,
                         witness=None if comp_b.complete else comp_b.end_info))
     if not (comp_a.complete and comp_b.complete):
@@ -686,14 +659,14 @@ def build_compactification(entry, family, resolution=DEFAULT_RESOLUTION,
     the diagnostic read, so the relation is evaluated once per build.
     The smallest-closure diagnostic needs an exact transitive closure,
     so it is included only up to diagnostic_budget vertices; past that
-    the report simply omits it (it remains callable directly).
+    the report simply omits it.
     """
-    sample, raw = _sample_values(entry.space, family, resolution, tail_depth)
-    cloud = _image_cloud(entry, family, sample, raw, eps_fn)
-    comp = close_and_cluster(cloud, eps_q, eps_cauchy)
-    samples = _verify_samples(comp, VERIFY_RESOLUTION)
-    validation, relations = _check_values(family, sample, raw, entry.space,
-                                          eps_fn, min_agreement, samples)
+    sample, raw = sample_values(entry.space, family, resolution, tail_depth)
+    comp = close_and_cluster(embed(entry, family, sample, raw, eps_fn),
+                             eps_q, eps_cauchy)
+    samples = _verify_samples(comp)
+    validation, relations = validate_family(family, sample, raw, entry.space,
+                                            eps_fn, min_agreement, samples)
     reports = [validation]
     complete_check = Check(
         "all_ends_cauchy", comp.complete,
@@ -703,9 +676,11 @@ def build_compactification(entry, family, resolution=DEFAULT_RESOLUTION,
                  "remainder": len(comp.remainder_ids())},
     )
     reports.append(CheckReport((complete_check,)))
-    reports.append(_verify_embedding(comp, samples, relations, delta_embed))
+    reports.append(verify_preorder_embedding(comp, samples, relations,
+                                             delta_embed))
     if comp.complete:
         reports.append(remainder_is_ordered(comp))
         if comp.n_vertices <= diagnostic_budget:
-            reports.append(_smallest_closure_diagnostic(comp, relations[0]))
+            reports.append(smallest_closed_preorder_diagnostic(
+                comp, relations[0]))
     return comp, merge_reports(*reports)

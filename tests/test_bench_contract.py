@@ -98,3 +98,12 @@ def test_build_large_kind_traces_the_export(tmp_path):
     assert plain == [fp for traced, fp in runs if traced]
     assert {"export.dot", "export.reduction", "preorder.quotient"} \
         <= {span[0] for span in t.spans}
+    # each build stage is a span of its own under the build (misner@256 is
+    # within the diagnostic's vertex budget)
+    parents = {}
+    for name, _, _, parent, _ in t.spans:
+        parents.setdefault(name, set()).add(
+            None if parent is None else t.spans[parent][0])
+    for stage in ("catalog.validate", "compactify.embed", "compactify.verify",
+                  "compactify.diagnostic"):
+        assert "compactify.build" in parents.get(stage, ()), stage

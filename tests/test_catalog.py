@@ -21,12 +21,11 @@ from ordtop.catalog import (
     MisnerStrip,
     ScalarFunction,
     TAIL_SHELL_BASE,
-    _check_values,
-    _sample_values,
     _window_integral,
     arc_bound_function,
     catalog,
     evaluate_family,
+    sample_values,
     validate_family,
 )
 from ordtop.report import Check, CheckReport
@@ -324,6 +323,12 @@ def test_arc_function_continuity_at_window_edges():
 # -------------------------------------------------- family validation
 
 
+def _validate(entry, family, resolution):
+    """validate_family's report on one sample of the entry's space."""
+    sample, raw = sample_values(entry.space, family, resolution, 4)
+    return validate_family(family, sample, raw, entry.space)[0]
+
+
 def test_validate_default_families_pass():
     for name, resolution in (("half-open-interval", 256),
                              ("closed-interval", 256),
@@ -332,7 +337,7 @@ def test_validate_default_families_pass():
                              ("misner-strip", 1024)):
         entry = catalog(name)
         fam = entry.family("default", resolution=resolution)
-        report = validate_family(entry, fam, resolution=resolution)
+        report = _validate(entry, fam, resolution)
         assert report.passed, (name, report.to_dict())
         rate = report.check("represents_relation").metrics["agreement_rate"]
         if name == "misner-strip":
@@ -344,7 +349,7 @@ def test_validate_default_families_pass():
 def test_validate_full_interval_pool_passes():
     entry = catalog("half-open-interval")
     fam = entry.family_from_names(["id", "sq", "sqrt", "cube", "pow64"])
-    report = validate_family(entry, fam, resolution=200)
+    report = _validate(entry, fam, 200)
     assert report.passed
     assert report.check("represents_relation").metrics["agreement_rate"] == 1.0
 
@@ -354,7 +359,7 @@ def test_validate_nat_bump_selectors():
     for selector in ("C", "Cminus", "Cplus"):
         fam = entry.family(selector, resolution=96)
         assert fam.c == ()
-        report = validate_family(entry, fam, resolution=96)
+        report = _validate(entry, fam, 96)
         assert report.passed, (selector, report.to_dict())
         assert report.check("represents_relation").metrics[
             "agreement_rate"] == 1.0
@@ -369,7 +374,7 @@ def test_validate_nat_bump_selectors():
 def test_validate_undersized_family_fails_with_witness():
     entry = catalog("nat-discrete")
     fam = entry.family_from_names(["sat"], resolution=96)
-    report = validate_family(entry, fam, resolution=96)
+    report = _validate(entry, fam, 96)
     assert not report.passed
     check = report.check("represents_relation")
     assert not check.passed
@@ -381,7 +386,7 @@ def test_validate_undersized_family_fails_with_witness():
 def test_validate_catches_constant_posing_as_separator():
     entry = catalog("half-open-interval")
     fam = entry.family_from_names(["const1"])
-    report = validate_family(entry, fam, resolution=128)
+    report = _validate(entry, fam, 128)
     assert not report.passed
     assert not report.check("represents_relation").passed
 
@@ -390,14 +395,14 @@ def test_validate_catches_bad_isotone_tag():
     entry = catalog("half-open-interval")
     lying = ScalarFunction("drop", lambda a: 1.0 - a[:, 0], monotone="isotone")
     fam = FunctionFamily((lying,), ())
-    report = validate_family(entry, fam, resolution=64)
+    report = _validate(entry, fam, 64)
     assert not report.check("monotone_and_class_tags").passed
 
 
 def test_validate_catches_range_violation():
     entry = catalog("closed-interval")
     big = ScalarFunction("big", lambda a: 2.0 * a[:, 0], monotone="isotone")
-    report = validate_family(entry, FunctionFamily((big,), ()), resolution=64)
+    report = _validate(entry, FunctionFamily((big,), ()), 64)
     assert not report.check("values_in_unit_interval").passed
 
 
@@ -406,7 +411,7 @@ def test_validate_catches_wrong_tail_constant():
     fake = ScalarFunction("fake", lambda a: a[:, 0], monotone="isotone",
                           klass="C", tail_value=0.25, tail_level=2)
     fam = FunctionFamily((entry.pool["id"],), (fake,))
-    report = validate_family(entry, fam, resolution=128)
+    report = _validate(entry, fam, 128)
     assert not report.check("monotone_and_class_tags").passed
 
 
@@ -414,18 +419,18 @@ def test_empty_h_part_reported():
     entry = catalog("half-open-interval")
     fam = FunctionFamily((), (entry.pool["const1"],)) \
         if "const1" in entry.pool else FunctionFamily((), ())
-    report = validate_family(entry, fam, resolution=64)
+    report = _validate(entry, fam, 64)
     assert not report.check("h_part_nonempty").passed
 
 
 # ------------------------------------------- tiled validation vs oracle
 
 
-def _untiled_check_values(family, sample, all_vals, rel, eps_fn,
+def _untiled_validation(family, sample, all_vals, rel, eps_fn,
                           min_agreement):
     """Validation on the whole samples x samples relation at once.
 
-    The reference for the tiled _check_values: every member's tag is
+    The reference for the tiled validate_family: every member's tag is
     checked against the full relation and the agreement is the mean of
     one samples x samples matrix.
     """
@@ -535,17 +540,17 @@ def test_tiled_validation_matches_the_untiled_reference(family, n,
     monkeypatch.setattr(catalog_module, "_TILE_CELLS", 7 * n)
     space = catalog("half-open-interval").space
     fam = FunctionFamily(*TILED_FAMILIES[family])
-    sample, vals = _sample_values(space, fam, n, 4)
+    sample, vals = sample_values(space, fam, n, 4)
     rel = space.relation_matrix(sample.coords)
     rng = np.random.default_rng(n)
     gather = (np.arange(n), np.arange(0), np.arange(6, n, 5),
               np.unique(rng.integers(0, n, 9)))
     with np.errstate(invalid="ignore"):
         for min_agreement in (0.99, 1.0):
-            tiled, blocks = _check_values(fam, sample, vals, space, 1e-6,
-                                          min_agreement, gather)
-            want = _untiled_check_values(fam, sample, vals, rel, 1e-6,
-                                         min_agreement)
+            tiled, blocks = validate_family(fam, sample, vals, space, 1e-6,
+                                            min_agreement, gather)
+            want = _untiled_validation(fam, sample, vals, rel, 1e-6,
+                                       min_agreement)
             assert repr(tiled.to_dict()) == repr(want.to_dict())
     for idx, block in zip(gather, blocks):
         assert np.array_equal(block, rel[np.ix_(idx, idx)])
@@ -557,9 +562,9 @@ def test_tiled_validation_fixtures_fail_where_meant():
     fails = {}
     for name, parts in TILED_FAMILIES.items():
         fam = FunctionFamily(*parts)
-        sample, vals = _sample_values(space, fam, n, 4)
+        sample, vals = sample_values(space, fam, n, 4)
         with np.errstate(invalid="ignore"):
-            report, _ = _check_values(fam, sample, vals, space, 1e-6, 0.99)
+            report, _ = validate_family(fam, sample, vals, space, 1e-6, 0.99)
         fails[name] = {c.name: c.witness for c in report.checks
                        if not c.passed}
     assert fails["passing"] == {}

@@ -22,6 +22,7 @@ from ordtop.catalog import (
     SampleSet,
     ScalarFunction,
     catalog,
+    sample_values,
 )
 import ordtop.compactify
 from ordtop.compactify import (
@@ -56,6 +57,26 @@ def build(space, selector="default", resolution=512, **kw):
     return entry, comp, report
 
 
+def embed_sample(entry, family, resolution, tail_depth=4):
+    """The image cloud of one sample of the entry's space."""
+    return embed(entry, family, *sample_values(entry.space, family,
+                                               resolution, tail_depth))
+
+
+def core_relation(entry, comp):
+    """The space relation between the core vertices' representatives."""
+    reps = comp.representatives()[:comp.n_core]
+    return entry.space.relation_matrix(comp.cloud.sample.coords[reps])
+
+
+def verify_alone(entry, comp):
+    """verify_preorder_embedding on relations evaluated here, not gathered."""
+    samples = ordtop.compactify._verify_samples(comp)
+    coords = comp.cloud.sample.coords
+    relations = [entry.space.relation_matrix(coords[i]) for i in samples]
+    return verify_preorder_embedding(comp, samples, relations)
+
+
 # ---------------------------------------------------------------- builds
 
 
@@ -71,6 +92,14 @@ def test_half_open_interval_gains_one_top_vertex():
     assert not any(comp.induced.leq(r, v) for v in comp.core_ids())
 
 
+def first_samples(comp):
+    """Reference for representatives: each vertex's first sample, by a loop."""
+    reps = np.full(comp.n_vertices, -1, dtype=int)
+    for i in range(len(comp.sample_map) - 1, -1, -1):
+        reps[comp.sample_map[i]] = i
+    return reps
+
+
 def test_closed_interval_adds_nothing():
     entry, comp, report = build("closed-interval")
     assert report.passed
@@ -78,9 +107,15 @@ def test_closed_interval_adds_nothing():
     assert comp.end_info == ()
     # induced order on vertices is the sampled order exactly
     reps = comp.representatives()
+    assert np.array_equal(reps, first_samples(comp))
     coords = entry.space.sample(512, 4).coords[reps]
     want = entry.space.relation_matrix(coords)
     assert np.array_equal(want, comp.induced.matrix)
+    # a half-open build's remainder vertex has no sample
+    _, comp, _ = build("half-open-interval", resolution=97)
+    reps = comp.representatives()
+    assert np.array_equal(reps, first_samples(comp))
+    assert list(reps[comp.n_core:]) == [-1]
 
 
 def test_one_point_shapes_on_naturals():
@@ -135,7 +170,7 @@ def test_build_is_deterministic():
 
 def test_vertices_keep_first_occurrence_order():
     entry = catalog("half-open-interval")
-    cloud = embed(entry, entry.family("id"), resolution=64)
+    cloud = embed_sample(entry, entry.family("id"), 64)
     comp = close_and_cluster(cloud)
     seen = set()
     expect = 0
@@ -177,7 +212,7 @@ def test_embed_rejects_functions_leaving_unit_interval():
     from ordtop.catalog import FunctionFamily
     fam = FunctionFamily((bad,), ())
     with pytest.raises(ValueError, match="leaves"):
-        embed(entry, fam, resolution=64)
+        embed_sample(entry, fam, 64)
 
 
 # ------------------------------------------------- induced preorder laws
@@ -232,7 +267,8 @@ def test_induced_relation_is_a_preorder_on_integer_clouds(cloud):
 def test_induced_relation_is_a_preorder_on_catalog_builds(name, resolution,
                                                          eps_q):
     entry = catalog(name)
-    cloud = embed(entry, entry.family("default", resolution), resolution)
+    cloud = embed_sample(entry, entry.family("default", resolution),
+                         resolution)
     _assert_preorder(close_and_cluster(cloud, eps_q=eps_q))
 
 
@@ -264,6 +300,8 @@ def test_wild_tail_blocks_completion():
     assert comp.end_map == (None,)
     with pytest.raises(ValueError):
         remainder_is_ordered(comp)
+    with pytest.raises(ValueError, match="incomplete"):
+        smallest_closed_preorder_diagnostic(comp, core_relation(entry, comp))
 
 
 # ------------------------------------------------------------ domination
@@ -720,7 +758,8 @@ def test_smallest_closure_diagnostic_matches_on_simple_builds():
                             ("closed-interval", "default", 256),
                             ("nat-discrete", "Cminus", 96)):
         entry, comp, _ = build(space, sel, resolution=res)
-        report = smallest_closed_preorder_diagnostic(comp)
+        report = smallest_closed_preorder_diagnostic(
+            comp, core_relation(entry, comp))
         check = report.check("induced_equals_smallest_closure")
         assert check.passed, (space, check.metrics)
         assert check.metrics["excess_pairs"] == 0
@@ -728,7 +767,7 @@ def test_smallest_closure_diagnostic_matches_on_simple_builds():
 
 def test_verify_runs_standalone():
     entry, comp, _ = build("half-open-interval")
-    report = verify_preorder_embedding(entry, comp, resolution=512)
+    report = verify_alone(entry, comp)
     assert report.passed
     v = report.check("vertex_order_matches_space")
     assert v.metrics["violations"] == 0
@@ -757,11 +796,12 @@ def test_build_verifies_from_the_validation_relation(space, monkeypatch):
         assert calls and sum(rows for rows, _ in calls) == n
         assert all(cols == n for _, cols in calls)
         # the gathered relation gives what verify's own relation gives
-        alone = verify_preorder_embedding(entry, comp)
+        alone = verify_alone(entry, comp)
         for name in alone.names():
             assert report.check(name).to_dict() == alone.check(name).to_dict()
         if budget and comp.complete:
-            diag = smallest_closed_preorder_diagnostic(comp).checks[0]
+            diag = smallest_closed_preorder_diagnostic(
+                comp, core_relation(entry, comp)).checks[0]
             assert report.check(diag.name).to_dict() == diag.to_dict()
 
 
@@ -783,10 +823,11 @@ def test_build_relation_tiles_cover_large_samples(monkeypatch):
     assert sum(rows for rows, _ in calls) == 3000
     assert {cols for _, cols in calls} == {3000}
     calls.clear()
-    alone = verify_preorder_embedding(entry, comp)
+    alone = verify_alone(entry, comp)
     for name in alone.names():
         assert report.check(name).to_dict() == alone.check(name).to_dict()
-    diag = smallest_closed_preorder_diagnostic(comp).checks[0]
+    diag = smallest_closed_preorder_diagnostic(
+        comp, core_relation(entry, comp)).checks[0]
     assert report.check(diag.name).to_dict() == diag.to_dict()
 
 

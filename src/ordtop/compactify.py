@@ -103,6 +103,13 @@ class Compactification:
         return reps
 
 
+def _row_keys(rows):
+    """One void scalar per row of a 2-d array, equal iff the rows are."""
+    rows = np.ascontiguousarray(rows)
+    key = np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))
+    return rows.view(key)[:, 0]
+
+
 def _quantize(values, eps_q):
     return np.rint(np.asarray(values, dtype=float) / eps_q).astype(np.int64)
 
@@ -132,20 +139,46 @@ def _induced_graph(quant, h_count):
 
     Integer <= per coordinate is reflexive and transitive, so the result
     is a preorder by construction (the test suite checks it as a property).
-    Tiles of _TILE_CELLS cells meet every coordinate, narrowed to the least
-    signed type holding the values, while in cache.
+    Rank bitsets (Tan, Eng & Ooi, VLDB 2001): bitset t of column k holds
+    the vertices whose value ranks >= t among the column's distinct
+    values, and row i is the AND over the columns of bitset rank_k(i).
+    Bitsets are rows of 64-bit words.  Columns are ranked by one argsort
+    per chunk of _TILE_CELLS // 32 values, and ANDed into row tiles of
+    _TILE_CELLS // 32 words, which stay in cache.
     """
     n = len(quant)
-    widest = int(np.abs(quant).max(initial=0))
-    cols = np.ascontiguousarray(quant[:, :h_count].T,
-                                dtype=np.min_scalar_type(-widest - 1))
-    step = max(1, _TILE_CELLS // max(n, 1))
-    rel = np.ones((n, n), dtype=bool)
-    for start in range(0, n, step):
-        tile = rel[start:start + step]
-        for col in cols:
-            tile &= col[start:start + step, None] <= col
-    return PreorderGraph.from_matrix(rel)
+    if not n:
+        return PreorderGraph(0, ())
+    words = -(-n // 64)
+    word = np.arange(n) >> 6
+    bit = np.left_shift(np.uint64(1), np.arange(n, dtype=np.uint64) % 64)
+    full = np.zeros(words, dtype="<u8")
+    np.bitwise_or.at(full, word, bit)
+    rows = np.tile(full, (n, 1))
+    width = max(1, _TILE_CELLS // 32 // n)
+    step = max(1, _TILE_CELLS // 32 // words)
+    for k in range(0, h_count, width):
+        cols = np.ascontiguousarray(quant[:, k:min(k + width, h_count)].T)
+        order = np.argsort(cols, axis=1)
+        ranked = np.take_along_axis(cols, order, axis=1)
+        dense = np.zeros(cols.shape, dtype=np.intp)
+        dense[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
+        np.cumsum(dense, axis=1, out=dense)
+        # a column's bitsets run from its highest threshold down to its
+        # last one, so each is the OR of the vertices at its rank and the
+        # bitset before it
+        last = np.cumsum(dense[:, -1] + 1) - 1
+        top = np.empty_like(dense)
+        np.put_along_axis(top, order, last[:, None] - dense, axis=1)
+        bits = np.zeros((last[-1] + 1, words), dtype="<u8")
+        np.bitwise_or.at(bits, (top, word), bit)
+        for lo, hi in zip((last - dense[:, -1]).tolist(), (last + 1).tolist()):
+            np.bitwise_or.accumulate(bits[lo:hi], axis=0, out=bits[lo:hi])
+        for start in range(0, n, step):
+            tile = rows[start:start + step]
+            for index in top[:, start:start + step]:
+                tile &= bits[index]
+    return PreorderGraph.from_packed(rows)
 
 
 def close_and_cluster(cloud, eps_q=DEFAULT_EPS_Q,
@@ -157,26 +190,28 @@ def close_and_cluster(cloud, eps_q=DEFAULT_EPS_Q,
     exactly constant outside a compact set; a finite window straddling
     the deepest supports would misreport that).  All other coordinates
     must stay within eps_cauchy over the window and are extrapolated
-    from the last three shell means.  A quantized limit equal to a core
+    from the last three shell means, so an end needs at least three
+    shells (ValueError otherwise).  A quantized limit equal to a core
     vertex adds nothing; equal limits of different ends merge.
     """
     q = _quantize(cloud.values, eps_q)
-    n = len(q)
-    uq, inverse = np.unique(q, axis=0, return_inverse=True)
-    first = np.full(len(uq), n, dtype=np.int64)
-    np.minimum.at(first, inverse, np.arange(n, dtype=np.int64))
-    order = np.argsort(first, kind="stable")
-    rank = np.empty(len(uq), dtype=np.int64)
-    rank[order] = np.arange(len(uq))
+    _, first, inverse = np.unique(_row_keys(q), return_index=True,
+                                  return_inverse=True)
+    rank = np.empty(len(first), dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(len(first))
     sample_map = rank[inverse]
-    vertex_rows = [tuple(row) for row in uq[order].tolist()]
-    row_index = {row: i for i, row in enumerate(vertex_rows)}
+    core = q[np.sort(first)]  # vertex ids in order of first occurrence
+    remainder = []  # quantized limits of the remainder vertices
 
     members = cloud.family.members()
     end_map = []
     end_info = []
     complete = True
     for end, shells in enumerate(cloud.sample.tails):
+        if len(shells) < 3:
+            raise ValueError(
+                f"end {end} has {len(shells)} tail shells; extrapolating "
+                f"its limit needs at least 3")
         limit = np.empty(len(members))
         worst_spread = 0.0
         worst_name = None
@@ -193,25 +228,28 @@ def close_and_cluster(cloud, eps_q=DEFAULT_EPS_Q,
                 "spread": worst_spread,
             })
             continue
-        ql = tuple(_quantize(limit, eps_q).tolist())
-        info = {"status": "", "limit": ql, "spread": worst_spread,
-                "shells": len(shells)}
-        if ql in row_index:
-            vid = row_index[ql]
-            info["status"] = ("converges_into_core"
-                              if vid < len(uq) else "merged_remainder")
+        ql = _quantize(limit, eps_q)
+        info = {"status": "", "limit": tuple(ql.tolist()),
+                "spread": worst_spread, "shells": len(shells)}
+        hit = np.flatnonzero((core == ql).all(axis=1))
+        if hit.size:
+            vid = int(hit[0])
+            info["status"] = "converges_into_core"
+        elif info["limit"] in remainder:
+            vid = len(core) + remainder.index(info["limit"])
+            info["status"] = "merged_remainder"
         else:
-            vid = len(vertex_rows)
-            vertex_rows.append(ql)
-            row_index[ql] = vid
+            vid = len(core) + len(remainder)
+            remainder.append(info["limit"])
             info["status"] = "remainder"
         end_map.append(vid)
         end_info.append(info)
 
-    quant = np.array(vertex_rows, dtype=np.int64)
+    quant = np.vstack([core, np.array(remainder, dtype=np.int64)
+                       .reshape(-1, core.shape[1])])
     induced = _induced_graph(quant, cloud.h_count)
     return Compactification(
-        cloud=cloud, eps_q=eps_q, eps_cauchy=eps_cauchy, n_core=len(uq),
+        cloud=cloud, eps_q=eps_q, eps_cauchy=eps_cauchy, n_core=len(core),
         quant=quant, sample_map=sample_map, induced=induced,
         end_map=tuple(end_map), end_info=tuple(end_info), complete=complete,
     )
@@ -245,7 +283,8 @@ def verify_preorder_embedding(comp, samples, relations,
     witness = None
     if count:
         i, j = np.argwhere(mism)[0]
-        witness = (tuple(rep_coords[int(i)]), tuple(rep_coords[int(j)]),
+        witness = (tuple(rep_coords[i].tolist()),
+                   tuple(rep_coords[j].tolist()),
                    "induced" if ind_core[i, j] else "missing")
     rate = count / pairs if pairs else 0.0
     vertex_check = Check(
@@ -260,7 +299,8 @@ def verify_preorder_embedding(comp, samples, relations,
     witness2 = None
     if count2:
         i, j = np.argwhere(viol)[0]
-        witness2 = (tuple(coords[idx[int(i)]]), tuple(coords[idx[int(j)]]))
+        witness2 = (tuple(coords[idx[i]].tolist()),
+                    tuple(coords[idx[j]].tolist()))
     rate2 = count2 / viol.size if viol.size else 0.0
     sample_check = Check(
         "sampled_relation_preserved", rate2 <= delta_embed, witness=witness2,

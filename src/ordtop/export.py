@@ -6,6 +6,7 @@ import os
 
 import numpy as np
 
+from .compactify import _row_keys
 from .preorder import PreorderGraph, quotient_preorder
 from .report import _plain
 
@@ -39,6 +40,7 @@ def transitive_reduction(graph: PreorderGraph) -> tuple:
     order = np.argsort(-mat.sum(axis=1), kind="stable").tolist()
     ranked = PreorderGraph.from_matrix(mat[np.ix_(order, order)]).rows
     strict = [row & ~(1 << i) for i, row in enumerate(ranked)]
+    keep = [~(up | 1 << k) for k, up in enumerate(strict)]
     pairs = []
     for i, reach in enumerate(strict):
         rest, struck = reach, 0
@@ -46,7 +48,7 @@ def transitive_reduction(graph: PreorderGraph) -> tuple:
             k = (rest & -rest).bit_length() - 1
             pairs.append((order[i], order[k]))
             struck |= strict[k]
-            rest &= ~struck & ~(1 << k)
+            rest &= keep[k]
         bad = struck & ~reach
         if bad:
             j = (bad & -bad).bit_length() - 1
@@ -59,18 +61,18 @@ def transitive_reduction(graph: PreorderGraph) -> tuple:
 
 
 def _condense(comp):
+    """The induced preorder's quotient graph and its classes, as
+    quotient_preorder gives them.
+
+    Vertices are mutually related iff their quantized H-parts are equal,
+    so when those rows are distinct every class is a singleton and the
+    quotient is the induced graph itself.
+    """
+    h = comp.quant[:, :comp.h_count]
+    if comp.h_count and len(np.unique(_row_keys(h))) == len(h):
+        return comp.induced, tuple((v,) for v in range(len(h)))
     qgraph, classes = quotient_preorder(comp.induced)
-    remainder = set(comp.remainder_ids())
-    nodes = []
-    for ci, members in enumerate(classes.classes):
-        tagged = ["r%d" % m if m in remainder else "v%d" % m
-                  for m in members]
-        if len(tagged) <= 3:
-            label = "~".join(tagged)
-        else:
-            label = "%s~+%d" % (tagged[0], len(tagged) - 1)
-        nodes.append((ci, label, any(m in remainder for m in members)))
-    return qgraph, nodes
+    return qgraph, classes.classes
 
 
 def write_preorder_dot(comp, path):
@@ -80,13 +82,19 @@ def write_preorder_dot(comp, path):
     reduction (the full relation lives in report.json), and any node
     containing a remainder vertex is drawn filled with a double border.
     """
-    qgraph, nodes = _condense(comp)
+    qgraph, classes = _condense(comp)
     edges = transitive_reduction(qgraph)
     lines = ["digraph induced_order {", "  rankdir=BT;",
              "  node [shape=ellipse];"]
-    for ci, label, is_remainder in nodes:
+    for ci, members in enumerate(classes):
+        tagged = ["v%d" % m if m < comp.n_core else "r%d" % m
+                  for m in members]
+        if len(tagged) <= 3:
+            label = "~".join(tagged)
+        else:
+            label = "%s~+%d" % (tagged[0], len(tagged) - 1)
         attrs = 'label="%s"' % label
-        if is_remainder:
+        if members[-1] >= comp.n_core:  # a member is a remainder vertex
             attrs += ', shape=doublecircle, style=filled, fillcolor="#d0d0d0"'
         lines.append("  n%d [%s];" % (ci, attrs))
     for i, j in edges:

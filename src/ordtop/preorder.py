@@ -5,6 +5,8 @@ i <= j.  Reflexivity is enforced at construction, transitivity is not:
 use transitive_reflexive_closure when the input is just a seed relation.
 This module is the only one that converts between bit rows and the
 read-only bool matrix PreorderGraph.matrix; everything else reads it.
+A graph made by from_matrix or from_packed holds its matrix from the
+start, so a build's relation is never unpacked from its rows.
 """
 
 from __future__ import annotations
@@ -82,14 +84,27 @@ class PreorderGraph:
         return mat
 
     @classmethod
+    def from_packed(cls, packed: np.ndarray) -> "PreorderGraph":
+        """One row per array row, bit j of its little-endian bytes set iff
+        i <= j; the graph keeps the read-only matrix the rows unpack to."""
+        packed = np.ascontiguousarray(packed)
+        mat = np.unpackbits(packed.view(np.uint8), axis=1, count=len(packed),
+                            bitorder="little").view(bool)
+        return cls._keeping(packed, mat)
+
+    @classmethod
     def from_matrix(cls, mat: np.ndarray) -> "PreorderGraph":
         """Pack a square matrix; a bool one is kept, read-only, as .matrix."""
         mat = np.asarray(mat, dtype=bool)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError("matrix must be square")
-        packed = np.packbits(mat, axis=1, bitorder="little")
-        graph = cls(mat.shape[0], tuple(int.from_bytes(row.tobytes(), "little")
-                                        for row in packed))
+        return cls._keeping(np.packbits(mat, axis=1, bitorder="little"), mat)
+
+    @classmethod
+    def _keeping(cls, packed, mat):
+        """The graph of packed's rows, with mat, made read-only, as .matrix."""
+        graph = cls(len(packed), tuple(int.from_bytes(row.tobytes(), "little")
+                                       for row in packed))
         mat.flags.writeable = False
         graph.__dict__["matrix"] = mat
         return graph

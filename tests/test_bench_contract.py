@@ -96,8 +96,28 @@ def test_build_large_kind_traces_the_export(tmp_path):
             t.restore()
     plain = [fp for traced, fp in runs if not traced]
     assert plain == [fp for traced, fp in runs if traced]
+    assert {"export.dot", "export.reduction"} <= {span[0] for span in t.spans}
+    # misner and half-open vertices differ in their H-parts, so their export
+    # computes no quotient; vertices equal but for a C coordinate do
+    assert "preorder.quotient" not in {span[0] for span in t.spans}
+    cat = workloads.CAT
+    flat = cat.ScalarFunction("flat", lambda a: 0.5 + 0 * a[:, 0],
+                              monotone="isotone")
+    bump = cat.ScalarFunction("bump", lambda a: a[:, 0], klass="C",
+                              tail_value=0.0, tail_level=1)
+    quotiented = tracer.Tracer()
+    quotiented.install()
+    try:
+        quotiented.op, quotiented.active = 0, True
+        comp, report = workloads.COMP.build_compactification(
+            cat.catalog("closed-interval"),
+            cat.FunctionFamily((flat,), (bump,)), resolution=16)
+        workloads.EXP.write_build(comp, report, str(tmp_path / "classes"))
+    finally:
+        quotiented.active = False
+        quotiented.restore()
     assert {"export.dot", "export.reduction", "preorder.quotient"} \
-        <= {span[0] for span in t.spans}
+        <= {span[0] for span in quotiented.spans}
     # each build stage is a span of its own under the build (misner@256 is
     # within the diagnostic's vertex budget)
     parents = {}

@@ -12,6 +12,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ordtop.catalog import (
     CATALOG_NAMES,
@@ -121,6 +122,51 @@ def test_misner_relation_antisymmetric_on_grid():
     m = space.relation_matrix(coords)
     both = m & m.T
     assert np.array_equal(both, np.eye(len(coords), dtype=bool))
+
+
+def _misner_direct(p, q):
+    """The causal relation as written in MisnerStrip's docstring."""
+    d = np.mod(q[None, :, 1] - p[:, None, 1], TWO_PI)
+    return q[None, :, 0] <= p[:, None, 0] * np.exp(-0.5 * d)
+
+
+@st.composite
+def misner_clouds(draw):
+    """Points whose angles repeat, sit a few ulps apart or lie outside
+    [0, 2pi), and partners placed exactly on another point's bound."""
+    angle = (st.floats(-20.0, 20.0)
+             | st.sampled_from([0.0, math.pi, TWO_PI, -TWO_PI,
+                                math.nextafter(TWO_PI, 0.0)])
+             | st.integers(-3, 3).map(lambda k: k * TWO_PI))
+    t = st.floats(0.0, 1.0) | st.floats(-1.0, 1.0)
+    pts = draw(st.lists(st.tuples(t, angle), min_size=1, max_size=8))
+    for _ in range(draw(st.integers(0, 10))):
+        tp, thp = pts[draw(st.integers(0, len(pts) - 1))]
+        how = draw(st.sampled_from(["ulps", "winding", "bound"]))
+        if how == "ulps":
+            toward = draw(st.sampled_from([-math.inf, math.inf]))
+            th = thp
+            for _ in range(draw(st.integers(1, 3))):
+                th = math.nextafter(th, toward)
+            pts.append((draw(t), th))
+        elif how == "winding":
+            pts.append((draw(t), thp + draw(st.integers(-2, 2)) * TWO_PI))
+        else:
+            th = draw(angle)
+            d = np.mod(np.float64(th) - np.float64(thp), TWO_PI)
+            pts.append((float(tp * np.exp(-0.5 * d)), th))
+    return np.array(pts, dtype=float)
+
+
+@settings(max_examples=400, deadline=None)
+@given(misner_clouds(), st.integers(0, 20))
+def test_misner_factored_block_matches_direct_expression(coords, rows):
+    space = MisnerStrip()
+    p = coords[:max(1, rows)]
+    assert np.array_equal(space.relation_matrix(coords),
+                          _misner_direct(coords, coords))
+    assert np.array_equal(space.relation_matrix(p, coords),
+                          _misner_direct(p, coords))
 
 
 # ------------------------------------------------- preorder axiom sweeps

@@ -11,6 +11,7 @@ import itertools
 import math
 import random
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -43,9 +44,9 @@ from ordtop.compactify import (
     smallest_closed_preorder_diagnostic,
     verify_preorder_embedding,
 )
-from ordtop.export import write_build
+from ordtop.export import _condense, write_build
 from ordtop.generators import random_nested_families
-from ordtop.preorder import PreorderGraph, is_transitive
+from ordtop.preorder import PreorderGraph, is_transitive, quotient_preorder
 from ordtop.report import Check, CheckReport
 
 
@@ -287,6 +288,45 @@ def test_induced_graph_tiles_match_direct_compare(offset):
     assert np.array_equal(got.matrix, direct)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 140), st.integers(0, 5), st.integers(0, 4),
+       st.sampled_from((64, 1 << 20)), st.data())
+def test_rank_bitsets_match_direct_compare(n, h, spread, cells, data):
+    # few distinct values per column, so ties everywhere; spread 0 leaves
+    # one; a small _TILE_CELLS splits the columns into groups and the rows
+    # into tiles
+    quant = np.array(data.draw(st.lists(
+        st.lists(st.integers(-spread, spread), min_size=h + 1,
+                 max_size=h + 1), min_size=n, max_size=n)), dtype=np.int64)
+    direct = (quant[:, None, :h] <= quant[None, :, :h]).all(axis=2)
+    with mock.patch.object(ordtop.compactify, "_TILE_CELLS", cells):
+        got = ordtop.compactify._induced_graph(quant, h)
+    assert got.rows == PreorderGraph.from_matrix(direct).rows
+    assert np.array_equal(got.matrix, direct)
+
+
+@settings(max_examples=100, deadline=None)
+@given(grid_clouds())
+def test_condense_matches_quotient_preorder_on_integer_clouds(cloud):
+    # C columns split vertices whose H-parts are equal: non-singleton classes
+    comp = close_and_cluster(cloud, eps_q=0.25)
+    qgraph, classes = _condense(comp)
+    want, want_classes = quotient_preorder(comp.induced)
+    assert qgraph.rows == want.rows
+    assert classes == want_classes.classes
+
+
+@pytest.mark.parametrize("space,selector", (
+    ("real-line-mirror", "default"), ("real-line-mirror", "exp2"),
+    ("misner-strip", "default"), ("nat-discrete", "Cminus")))
+def test_condense_matches_quotient_preorder_on_builds(space, selector):
+    _, comp, _ = build(space, selector, resolution=97)
+    qgraph, classes = _condense(comp)
+    want, want_classes = quotient_preorder(comp.induced)
+    assert qgraph.rows == want.rows
+    assert classes == want_classes.classes
+
+
 # ------------------------------------------------------- divergent tails
 
 
@@ -302,6 +342,13 @@ def test_wild_tail_blocks_completion():
         remainder_is_ordered(comp)
     with pytest.raises(ValueError, match="incomplete"):
         smallest_closed_preorder_diagnostic(comp, core_relation(entry, comp))
+
+
+def test_tail_depth_below_three_is_a_value_error():
+    entry = catalog("half-open-interval")
+    with pytest.raises(ValueError, match="end 0 has 2 tail shells"):
+        build_compactification(entry, entry.family("id", 64), resolution=64,
+                               tail_depth=2)
 
 
 # ------------------------------------------------------------ domination
@@ -371,8 +418,8 @@ def test_no_smallest_one_point_compactification():
 
 
 def test_no_build_relation_is_unpacked(monkeypatch, tmp_path):
-    # a build's graph is packed from its matrix, which it keeps; every
-    # other graph unpacks its rows at most once
+    # a build's graph keeps the matrix of its packed rows; every other
+    # graph unpacks its rows at most once
     unpacked = []
     unpack = PreorderGraph.matrix.func
 
@@ -771,6 +818,21 @@ def test_verify_runs_standalone():
     assert report.passed
     v = report.check("vertex_order_matches_space")
     assert v.metrics["violations"] == 0
+
+
+def test_verify_witnesses_are_python_floats():
+    entry, comp, report = build("misner-strip", "arc000", resolution=16)
+    vertex = report.check("vertex_order_matches_space")
+    samples = ordtop.compactify._verify_samples(comp)
+    # every sampled pair related in the space: the induced order misses some
+    relations = [np.ones((len(s), len(s)), dtype=bool) for s in samples]
+    sampled = verify_preorder_embedding(comp, samples, relations).check(
+        "sampled_relation_preserved")
+    for check in (vertex, sampled):
+        assert not check.passed
+        for point in check.witness[:2]:
+            assert type(point) is tuple
+            assert all(type(x) is float for x in point), check.witness
 
 
 @pytest.mark.parametrize("space", ("real-line-mirror", "misner-strip",

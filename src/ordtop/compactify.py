@@ -282,7 +282,7 @@ def verify_preorder_embedding(comp, samples, relations,
     count = int(mism.sum())
     witness = None
     if count:
-        i, j = np.argwhere(mism)[0]
+        i, j = divmod(int(np.argmax(mism)), mism.shape[1])
         witness = (tuple(rep_coords[i].tolist()),
                    tuple(rep_coords[j].tolist()),
                    "induced" if ind_core[i, j] else "missing")
@@ -298,7 +298,7 @@ def verify_preorder_embedding(comp, samples, relations,
     count2 = int(viol.sum())
     witness2 = None
     if count2:
-        i, j = np.argwhere(viol)[0]
+        i, j = divmod(int(np.argmax(viol)), viol.shape[1])
         witness2 = (tuple(coords[idx[i]].tolist()),
                     tuple(coords[idx[j]].tolist()))
     rate2 = count2 / viol.size if viol.size else 0.0

@@ -15,6 +15,8 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 
+import numpy as np
+
 from .preorder import (
     PreorderGraph,
     function_preorder,
@@ -330,49 +332,66 @@ def clopen_increasing_sets(space: FinitePreorderedSpace, budget=None):
 
 
 def enumerate_isotone_functions(space, levels: int, budget=None):
-    """All continuous isotone functions into {0, 1/L, ..., 1}.
+    """All continuous isotone functions into {0, 1/L, ..., 1}, as rows.
 
-    A chain-valued function is continuous and isotone iff each up-level
-    set {f >= k/L} is clopen and increasing, so functions correspond to
-    descending chains of clopen increasing sets.  Raises BudgetError
-    when more than `budget` functions (default FUNCTION_BUDGET) would be
-    produced.
+    A chain-valued function is continuous and isotone iff it is isotone
+    for the clopen order (see _clopen_order).  Its classes are visited
+    lowest first, by down-set size; the partial functions are rows of
+    level counts, and each row is repeated once for every level from the
+    largest value below the class up to L, which is written to the whole
+    class.  Returns a read-only (F, n) float64 array of counts / L, rows
+    in ascending lexicographic order.  Every partial row extends to a
+    function, so no step holds more rows than the result: BudgetError is
+    raised, before any allocation past it, when more than `budget`
+    functions (default FUNCTION_BUDGET) exist.
     """
     if levels < 1:
         raise ValueError("levels must be >= 1")
     if budget is None:
         budget = FUNCTION_BUDGET
-    sets = clopen_increasing_sets(space)
     n = space.n
-    out = []
-    counts = [0] * n
-
-    def descend(prev_mask, depth, acc):
-        if depth == levels:
-            if len(out) == budget:
-                raise BudgetError("isotone functions", budget)
-            out.append(tuple(v / levels for v in acc))
-            return
-        for mask in sets:
-            if mask & ~prev_mask:
-                continue
-            nxt = [acc[i] + (mask >> i & 1) for i in range(n)]
-            descend(mask, depth + 1, nxt)
-
-    descend((1 << n) - 1, 0, counts)
-    return tuple(sorted(out))
+    # the L + 1 constants are functions (an empty space has one), so the
+    # counts below always fit the dtype that holds L
+    if (levels + 1 if n else 1) > budget:
+        raise BudgetError("isotone functions", budget)
+    order = _clopen_order(space)
+    down = [order.down_set(1 << x) for x in range(n)]
+    counts = np.zeros((1, n), dtype=np.min_scalar_type(levels if n else 0))
+    done = 0
+    for x in sorted(range(n), key=lambda x: down[x].bit_count()):
+        if done >> x & 1:
+            continue
+        members = order.rows[x] & down[x]
+        done |= members
+        below = list(_bits(down[x] & ~members))
+        low = counts[:, below].max(axis=1, initial=0).astype(np.intp)
+        reps = levels + 1 - low  # one row per value low..L
+        total = int(reps.sum())
+        if total > budget:
+            raise BudgetError("isotone functions", budget)
+        first = np.repeat(np.cumsum(reps) - reps, reps)
+        value = np.repeat(low, reps) + np.arange(total) - first
+        counts = np.repeat(counts, reps, axis=0)
+        counts[:, list(_bits(members))] = value[:, None]
+    if n:
+        counts = counts[np.lexsort(counts.T[::-1])]
+    fns = counts / levels
+    fns.flags.writeable = False
+    return fns
 
 
 def representation_check(space, fns) -> CheckReport:
     """Does the family represent the preorder: G(<=) = intersection G_f?
 
-    The family is compared in one function_preorder call.  An empty
-    family induces the full relation.  Witness: least pair in the
-    symmetric difference, tagged missing/extra relative to space's
-    preorder.
+    fns is an (F, n) array, as enumerate_isotone_functions returns (a
+    float64 one is not copied), or a sequence of rows; it is compared in
+    one function_preorder call.  An empty family induces the full
+    relation.  Witness: least pair in the symmetric difference, tagged
+    missing/extra relative to space's preorder.
     """
-    fns = [tuple(f) for f in fns]
-    induced = function_preorder(fns) if fns else PreorderGraph.full(space.n)
+    fns = np.asarray(fns, dtype=float)
+    induced = (function_preorder(fns) if len(fns)
+               else PreorderGraph.full(space.n))
     want = space.preorder
     witness = None
     for i in range(space.n):

@@ -266,8 +266,9 @@ def function_preorder(values) -> PreorderGraph:
 
     values[k][i] is function k at point i; i <= j iff every function is
     nondecreasing from i to j.  An empty family gives the full relation.
-    Rows are compared one point at a time, so memory stays O(F * n) for
-    F functions.
+    Points are compared one at a time over a points x functions copy, so
+    each compare runs along contiguous memory and memory stays O(F * n)
+    for F functions.
     """
     vals = np.asarray(values, dtype=float)
     if vals.ndim != 2:
@@ -277,8 +278,9 @@ def function_preorder(values) -> PreorderGraph:
     n = vals.shape[1]
     if vals.shape[0] == 0:
         return PreorderGraph.full(n)
+    by_point = np.ascontiguousarray(vals.T)
     mat = np.empty((n, n), dtype=bool)
     for i in range(n):
-        mat[i] = np.all(vals[:, i, None] <= vals, axis=0)
+        mat[i] = np.all(by_point[i] <= by_point, axis=1)
     return PreorderGraph.from_matrix(mat)
 

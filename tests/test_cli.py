@@ -91,9 +91,22 @@ def test_check_finite_budget_overflow_is_a_usage_error(tmp_path, monkeypatch,
     assert captured.out == ""
     assert captured.err == (
         "error: budget exceeded: more than 1000 isotone functions\n")
-    monkeypatch.setattr(ordtop.finite_space, "CLOPEN_BUDGET", 4095)
+    # at --levels 1 the functions are the indicators of the 2^12 clopen
+    # sets, one past this budget
+    monkeypatch.setattr(ordtop.finite_space, "FUNCTION_BUDGET", 4095)
     assert ordtop.cli.main(["check-finite", path, "--levels", "1"]) == 2
-    assert "more than 4095 clopen increasing sets" in capsys.readouterr().err
+    assert "more than 4095 isotone functions" in capsys.readouterr().err
+
+
+def test_check_finite_default_budget_fails_fast(tmp_path, capsys):
+    # 4^12 functions at --levels 3, the README's over-budget example
+    path = write_json(tmp_path / "a.json", {
+        "n": 12, "basis": [[p] for p in range(12)], "relation": []})
+    assert ordtop.cli.main(["check-finite", path, "--levels", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: budget exceeded: more than 2000000 isotone functions\n")
 
 
 def test_compactify_writes_build_directory(tmp_path):

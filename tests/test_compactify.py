@@ -835,6 +835,28 @@ def test_verify_witnesses_are_python_floats():
             assert all(type(x) is float for x in point), check.witness
 
 
+def test_verify_witnesses_are_the_first_row_major_violations():
+    entry, comp, _ = build("misner-strip", "arc000", resolution=16)
+    reps, idx = samples = ordtop.compactify._verify_samples(comp)
+    coords, ind = comp.cloud.sample.coords, comp.induced.matrix
+    space_rel = [entry.space.relation_matrix(coords[s]) for s in samples]
+    ind_core = ind[:comp.n_core, :comp.n_core]
+    i, j = np.argwhere(space_rel[0] != ind_core)[0]
+    vertex = verify_preorder_embedding(comp, samples, space_rel).check(
+        "vertex_order_matches_space")
+    assert vertex.witness == (tuple(coords[reps[i]].tolist()),
+                              tuple(coords[reps[j]].tolist()),
+                              "induced" if ind_core[i, j] else "missing")
+    # every sampled pair related in the space: the induced order misses some
+    related = [np.ones((len(s), len(s)), dtype=bool) for s in samples]
+    sub_map = comp.sample_map[idx]
+    i, j = np.argwhere(~ind[np.ix_(sub_map, sub_map)])[0]
+    sampled = verify_preorder_embedding(comp, samples, related).check(
+        "sampled_relation_preserved")
+    assert sampled.witness == (tuple(coords[idx[i]].tolist()),
+                               tuple(coords[idx[j]].tolist()))
+
+
 @pytest.mark.parametrize("space", ("real-line-mirror", "misner-strip",
                                    "nat-discrete"))
 def test_build_verifies_from_the_validation_relation(space, monkeypatch):

@@ -193,6 +193,27 @@ def reference_clopen_increasing_sets(space):
     )
 
 
+def reference_enumerate_isotone_functions(space, levels):
+    """The descending chains of `levels` clopen increasing sets, one
+    recursive descent each, as sorted tuples of level counts / levels."""
+    sets = reference_clopen_increasing_sets(space)
+    n = space.n
+    out = []
+
+    def descend(prev_mask, depth, acc):
+        if depth == levels:
+            out.append(tuple(v / levels for v in acc))
+            return
+        for mask in sets:
+            if mask & ~prev_mask:
+                continue
+            nxt = [acc[i] + (mask >> i & 1) for i in range(n)]
+            descend(mask, depth + 1, nxt)
+
+    descend((1 << n) - 1, 0, [0] * n)
+    return tuple(sorted(out))
+
+
 def reference_quotient_space(space):
     q_graph, part = ordtop.preorder.quotient_preorder(space.preorder)
     rep = part.index_map()
@@ -252,7 +273,7 @@ def assert_matches_references(space, levels, rng):
     assert q.topology.opens == q_ref.topology.opens
     fns = enumerate_isotone_functions(space, levels)
     if len(fns) > 400:  # the reference pays one numpy call per function
-        fns = rng.sample(fns, 400)
+        fns = fns[rng.sample(range(len(fns)), 400)]
     assert representation_check(space, fns).to_dict() == \
         reference_representation_check(space, fns).to_dict()
 
@@ -548,16 +569,16 @@ def test_enumerate_frozen_cases():
     # 3-point chain, discrete topology, L=1: indicators of the 4 up-sets
     space = chain_space(3)
     fns = enumerate_isotone_functions(space, 1)
-    assert fns == (
-        (0.0, 0.0, 0.0),
-        (0.0, 0.0, 1.0),
-        (0.0, 1.0, 1.0),
-        (1.0, 1.0, 1.0),
-    )
+    assert fns.tolist() == [
+        [0.0, 0.0, 0.0],
+        [0.0, 0.0, 1.0],
+        [0.0, 1.0, 1.0],
+        [1.0, 1.0, 1.0],
+    ]
     # indiscrete preorder: isotonicity forces constancy
     space = FinitePreorderedSpace(FiniteTopology.discrete(2), PreorderGraph.full(2))
     fns = enumerate_isotone_functions(space, 3)
-    assert fns == tuple((k / 3, k / 3) for k in range(4))
+    assert fns.tolist() == [[k / 3, k / 3] for k in range(4)]
     # single point
     space = FinitePreorderedSpace(FiniteTopology.discrete(1), PreorderGraph.diagonal(1))
     assert len(enumerate_isotone_functions(space, 5)) == 6
@@ -577,7 +598,7 @@ def test_enumerate_against_bruteforce():
                 space.topology, values
             ):
                 want.append(values)
-        assert got == tuple(sorted(want))
+        assert got.tolist() == [list(f) for f in sorted(want)]
 
 
 def test_enumerate_budget():
@@ -586,6 +607,43 @@ def test_enumerate_budget():
     )
     with pytest.raises(ValueError):
         enumerate_isotone_functions(space, 6, budget=100)
+    # the L + 1 constants alone are past the budget; no level count is
+    # made, however wide L is
+    with pytest.raises(BudgetError, match="more than 2000000 isotone"):
+        enumerate_isotone_functions(chain_space(1), 10**30)
+
+
+def test_enumerate_fails_fast_past_the_budget():
+    # 3^20 functions: the frontier stops one step past the default budget
+    space = FinitePreorderedSpace(FiniteTopology.discrete(20),
+                                  PreorderGraph.diagonal(20))
+    with pytest.raises(BudgetError, match="more than 2000000 isotone"):
+        enumerate_isotone_functions(space, 2)
+
+
+def assert_enumeration_matches_reference(space, levels):
+    fns = enumerate_isotone_functions(space, levels)
+    assert fns.dtype == np.float64 and fns.shape[1:] == (space.n,)
+    assert not fns.flags.writeable
+    assert fns.tolist() == [
+        list(f) for f in reference_enumerate_isotone_functions(space, levels)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 8), st.integers(1, 3), st.sampled_from(SPACE_STYLES),
+       st.integers(0, 2**32 - 1))
+def test_enumerate_matches_the_recursive_reference(n, levels, style, seed):
+    space = random_finite_space(random.Random(seed), n, style)
+    assert_enumeration_matches_reference(space, levels)
+
+
+def test_enumerate_matches_the_reference_on_edge_cases():
+    # the empty space has one function, the empty row
+    assert_enumeration_matches_reference(
+        FinitePreorderedSpace(FiniteTopology.from_basis(0, []),
+                              PreorderGraph(0, ())), 2)
+    # level counts up to 130 overflow an int8
+    assert_enumeration_matches_reference(chain_space(2), 130)
 
 
 def test_clopen_increasing_sets_sierpinski():
@@ -820,7 +878,7 @@ def test_empty_space_is_vacuously_fine():
     assert is_T1_preordered(space).passed
     q, part = quotient_space(space)
     assert q.n == 0 and part.classes == ()
-    assert enumerate_isotone_functions(space, 2) == ((),)
+    assert enumerate_isotone_functions(space, 2).tolist() == [[]]
 
 
 # ------------------------------------- minimal neighborhoods vs the opens

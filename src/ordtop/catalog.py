@@ -30,6 +30,11 @@ _TILE_CELLS = 1 << 20
 # recomputed directly; rounding moves the two forms apart by ~1e-15
 _MISNER_TOL = 1e-12
 
+DEFAULT_RESOLUTION = 512  # samples per build
+DEFAULT_TAIL_DEPTH = 4  # tail shells per end
+EPS_FN = 1e-6  # slack of validation's tests on sampled values
+MIN_AGREEMENT = 0.99  # share of sampled pairs where H induces the relation
+
 
 @dataclass(frozen=True)
 class SampleSet:
@@ -227,23 +232,12 @@ class RealLineMirror(SampledSpace):
         return np.abs(q[None, :, 0]) <= np.abs(p[:, None, 0])
 
     def sample(self, resolution, tail_depth):
-        pts = []
-        half = max(2, (resolution - 2 * tail_depth + 1) // 2)
-        mags = np.linspace(0.0, 96.0, half)
-        for m in mags:
-            level = 0 if m < 1.0 else int(math.log2(m))
-            pts.append(((float(m),), level, -1))
-            if m > 0.0:
-                pts.append(((float(-m),), level, -1))
-        for k in range(TAIL_SHELL_BASE, TAIL_SHELL_BASE + tail_depth):
-            m = 1.5 * 2.0 ** k
-            pts.append(((m,), k, 0))
-            pts.append(((-m,), k, 1))
-        return _sample_set(pts, self.ends)
+        return _mirror_sample(resolution, tail_depth, (1.0, -1.0))
 
 
 class MirrorRay(SampledSpace):
-    """Quotient of the mirror line: [0, inf) with the reversed order."""
+    """Quotient of the mirror line: [0, inf) with the reversed order,
+    sampled at the magnitudes of the mirror line's sample."""
 
     name = "mirror-ray"
     dim = 1
@@ -253,14 +247,20 @@ class MirrorRay(SampledSpace):
         return q[None, :, 0] <= p[:, None, 0]
 
     def sample(self, resolution, tail_depth):
-        pts = []
-        mags = np.linspace(0.0, 96.0, resolution - tail_depth)
-        for m in mags:
-            level = 0 if m < 1.0 else int(math.log2(m))
-            pts.append(((float(m),), level, -1))
-        for k in range(TAIL_SHELL_BASE, TAIL_SHELL_BASE + tail_depth):
-            pts.append(((1.5 * 2.0 ** k,), k, 0))
-        return _sample_set(pts, self.ends)
+        return _mirror_sample(resolution, tail_depth, (1.0,))
+
+
+def _mirror_sample(resolution, tail_depth, signs):
+    """The mirror line's sample on the given signs: each core magnitude
+    once per sign (0 once), and one end per sign."""
+    pts = []
+    half = max(2, (resolution - 2 * tail_depth + 1) // 2)
+    for m in np.linspace(0.0, 96.0, half):
+        level = 0 if m < 1.0 else int(math.log2(m))
+        pts += [((float(s * m),), level, -1) for s in signs if s > 0 or m > 0]
+    for k in range(TAIL_SHELL_BASE, TAIL_SHELL_BASE + tail_depth):
+        pts += [((s * 1.5 * 2.0 ** k,), k, end) for end, s in enumerate(signs)]
+    return _sample_set(pts, len(signs))
 
 
 class MisnerStrip(SampledSpace):
@@ -454,7 +454,8 @@ class CatalogEntry:
     def name(self):
         return self.space.name
 
-    def family(self, selector="default", resolution=512, tail_depth=4):
+    def family(self, selector="default", resolution=DEFAULT_RESOLUTION,
+               tail_depth=DEFAULT_TAIL_DEPTH):
         """Build a family from a selector or a comma-list of pool names."""
         if selector in ("C", "Cminus", "Cplus"):
             raise KeyError(
@@ -470,9 +471,6 @@ class CatalogEntry:
                     f"unknown function names for {self.name}: {missing}")
         return FunctionFamily(tuple(self.pool[n] for n in names), self.c_part)
 
-    def family_from_names(self, names, resolution=512, tail_depth=4):
-        return self.family(",".join(names), resolution, tail_depth)
-
     def quotient_data(self):
         """(entry for E/~, coordinate projection).  Identity when ~ is trivial."""
         return self, lambda coords: coords
@@ -486,7 +484,8 @@ class _MirrorEntry(CatalogEntry):
 
 
 class _NatEntry(CatalogEntry):
-    def family(self, selector="default", resolution=512, tail_depth=4):
+    def family(self, selector="default", resolution=DEFAULT_RESOLUTION,
+               tail_depth=DEFAULT_TAIL_DEPTH):
         if selector in ("default", None, ""):
             selector = "C"
         if selector not in ("C", "Cminus", "Cplus"):
@@ -538,8 +537,8 @@ def sample_values(space, family, resolution, tail_depth):
     return sample, evaluate_family(family, sample.coords)
 
 
-def validate_family(family, sample, raw, space, eps_fn=1e-6,
-                    min_agreement=0.99, gather=()):
+def validate_family(family, sample, raw, space, eps_fn=EPS_FN,
+                    min_agreement=MIN_AGREEMENT, gather=()):
     """Check tags on samples and that the H-part represents the relation.
 
     raw holds the family's values on sample, as from sample_values.  The
@@ -562,12 +561,14 @@ def validate_family(family, sample, raw, space, eps_fn=1e-6,
     limit = len(members)  # members past a found violation go unreported
     for m, f in enumerate(members):
         vals = raw[m]
-        if not np.all((vals >= -eps_fn) & (vals <= 1.0 + eps_fn)):
-            i = int(np.argmax((vals < -eps_fn) | (vals > 1.0 + eps_fn)))
-            range_witness = range_witness or (f.name, point(i))
+        # each test negates the passing comparison, so NaN fails it
+        outside = ~((vals >= -eps_fn) & (vals <= 1.0 + eps_fn))
+        if outside.any():
+            range_witness = range_witness or (f.name,
+                                              point(int(np.argmax(outside))))
         if f.klass is not None and tail_witness is None:
             off = (levels >= f.tail_level) & \
-                (np.abs(vals - f.tail_value) > eps_fn)
+                ~(np.abs(vals - f.tail_value) <= eps_fn)
             if off.any():
                 tail_witness = (f.name, point(int(np.argmax(off))),
                                 "not at declared tail constant")

@@ -11,8 +11,11 @@ import math
 import os
 import sys
 
-from .catalog import CATALOG_NAMES, catalog, sample_values
+from .catalog import (CATALOG_NAMES, DEFAULT_RESOLUTION, DEFAULT_TAIL_DEPTH,
+                      catalog, sample_values)
 from .compactify import (
+    DEFAULT_EPS_CAUCHY,
+    DEFAULT_EPS_Q,
     DominationError,
     attempt_domination,
     build_compactification,
@@ -124,8 +127,8 @@ def cmd_compactify(args, parser) -> int:
     print(f"complete: {comp.complete}")
     _print_report(report, args.json)
     print(f"wrote: {paths['report']}")
-    gates = ["all_ends_cauchy", "vertex_order_matches_space",
-             "sampled_relation_preserved"]
+    gates = ["values_in_unit_interval", "all_ends_cauchy",
+             "vertex_order_matches_space", "sampled_relation_preserved"]
     if comp.complete:
         gates.append("remainder_antisymmetric")
     ok = all(report.check(g).passed for g in gates) and comp.complete
@@ -300,11 +303,10 @@ def build_parser() -> argparse.ArgumentParser:
     pk.add_argument("--family", default="default",
                     help="family selector: default, C, Cminus, Cplus, or a "
                          "comma list of pool function names")
-    pk.add_argument("--resolution", type=int, default=512)
-    pk.add_argument("--tail-depth", type=int, default=4, dest="tail_depth")
-    pk.add_argument("--eps-q", type=float, default=1e-3, dest="eps_q")
-    pk.add_argument("--eps-cauchy", type=float, default=0.01,
-                    dest="eps_cauchy")
+    pk.add_argument("--resolution", type=int, default=DEFAULT_RESOLUTION)
+    pk.add_argument("--tail-depth", type=int, default=DEFAULT_TAIL_DEPTH)
+    pk.add_argument("--eps-q", type=float, default=DEFAULT_EPS_Q)
+    pk.add_argument("--eps-cauchy", type=float, default=DEFAULT_EPS_CAUCHY)
     pk.add_argument("--out", required=True, help="output directory")
     pk.add_argument("--json", action="store_true")
 

@@ -14,17 +14,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import _TILE_CELLS, sample_values, validate_family
+from .catalog import DEFAULT_RESOLUTION, DEFAULT_TAIL_DEPTH, _TILE_CELLS, \
+    sample_values, validate_family
 from .preorder import PreorderGraph, _closure_numpy, is_antisymmetric, \
     quotient_preorder
 from .report import Check, CheckReport, merge_reports
 
-DEFAULT_RESOLUTION = 512
-DEFAULT_TAIL_DEPTH = 4
 DEFAULT_EPS_Q = 1e-3
 DEFAULT_EPS_CAUCHY = 0.01
-DEFAULT_EPS_FN = 1e-6
-DEFAULT_DELTA_EMBED = 0.01
+# violation rate at which verify still passes each of its two checks
+DELTA_EMBED = 0.01
 VERIFY_RESOLUTION = 2048
 
 
@@ -48,19 +47,15 @@ class ImageCloud:
         return len(self.values)
 
 
-def embed(entry, family, sample, raw, eps_fn=DEFAULT_EPS_FN) -> ImageCloud:
-    """Range-check and clip sample_values' raw values into an image cloud."""
-    values = raw.T
+def embed(entry, family, sample, raw) -> ImageCloud:
+    """Clip sample_values' raw values into an image cloud, NaN to 0.
+
+    validate_family reports values outside [0,1]; a build still embeds
+    them, so its report carries the witness.
+    """
+    values = np.clip(np.nan_to_num(raw.T), 0.0, 1.0)
     names = tuple(f"H:{f.name}" for f in family.h) \
         + tuple(f"C:{f.name}" for f in family.c)
-    bad = (values < -eps_fn) | (values > 1.0 + eps_fn)
-    if bad.any():
-        i, j = np.argwhere(bad)[0]
-        raise ValueError(
-            f"function {names[j]} leaves [0,1] at sample "
-            f"{tuple(sample.coords[i].tolist())}: {values[i, j]}"
-        )
-    values = np.clip(values, 0.0, 1.0)
     return ImageCloud(entry, family, sample, values, len(family.h), names)
 
 
@@ -262,8 +257,7 @@ def _verify_samples(comp):
     return reps, np.arange(0, n, max(1, -(-n // min(VERIFY_RESOLUTION, n))))
 
 
-def verify_preorder_embedding(comp, samples, relations,
-                              delta_embed=DEFAULT_DELTA_EMBED) -> CheckReport:
+def verify_preorder_embedding(comp, samples, relations) -> CheckReport:
     """Spot-check that vertex order mirrors the space order.
 
     samples = _verify_samples(comp), relations the space relation within
@@ -271,7 +265,7 @@ def verify_preorder_embedding(comp, samples, relations,
     between representative samples must match the induced relation both
     ways; (b) over a stride subsample of points, a space relation must
     be preserved forward into the induced relation.  Pass iff each
-    violation rate is at most delta_embed.
+    violation rate is at most DELTA_EMBED.
     """
     coords, ind = comp.cloud.sample.coords, comp.induced.matrix
     (reps, idx), (rel, sub_rel) = samples, relations
@@ -288,7 +282,7 @@ def verify_preorder_embedding(comp, samples, relations,
                    "induced" if ind_core[i, j] else "missing")
     rate = count / pairs if pairs else 0.0
     vertex_check = Check(
-        "vertex_order_matches_space", rate <= delta_embed, witness=witness,
+        "vertex_order_matches_space", rate <= DELTA_EMBED, witness=witness,
         metrics={"violations": count, "pairs": pairs, "rate": rate},
     )
 
@@ -303,7 +297,7 @@ def verify_preorder_embedding(comp, samples, relations,
                     tuple(coords[idx[j]].tolist()))
     rate2 = count2 / viol.size if viol.size else 0.0
     sample_check = Check(
-        "sampled_relation_preserved", rate2 <= delta_embed, witness=witness2,
+        "sampled_relation_preserved", rate2 <= DELTA_EMBED, witness=witness2,
         metrics={"violations": count2, "pairs": int(viol.size), "rate": rate2},
     )
     return CheckReport((vertex_check, sample_check))
@@ -313,12 +307,10 @@ def remainder_is_ordered(comp) -> CheckReport:
     """Antisymmetry of the induced preorder on the remainder vertices."""
     if not comp.complete:
         raise ValueError("compactification is incomplete")
-    rem = comp.remainder_ids()
-    witness = None
-    for u, v in itertools.combinations(rem, 2):
-        if comp.induced.leq(u, v) and comp.induced.leq(v, u):
-            witness = (u, v)
-            break
+    n_core, rem = comp.n_core, comp.remainder_ids()
+    anti, pair = is_antisymmetric(PreorderGraph(
+        len(rem), tuple(comp.induced.rows[v] >> n_core for v in rem)))
+    witness = None if anti else (pair[0] + n_core, pair[1] + n_core)
     return CheckReport((Check(
         "remainder_antisymmetric", witness is None, witness=witness,
         metrics={"remainder_count": len(rem)},
@@ -500,20 +492,20 @@ class ExtendabilityResult:
         return self.extendable
 
 
-def extendability(entry, comp, f, eps_cauchy=None) -> ExtendabilityResult:
+def extendability(entry, comp, f) -> ExtendabilityResult:
     """Whether f extends continuously and isotonely to the remainder.
 
-    Per end: f's raw values over the tail window must agree within
-    eps_cauchy, its extrapolated limits at ends sharing a remainder
-    vertex must agree, an end converging into the core must match the
-    core value there, and the assigned limits must respect the induced
-    preorder against per-vertex mean core values.
+    Per end: f's raw values over the tail window must agree within the
+    build's eps_cauchy, its extrapolated limits at ends sharing a
+    remainder vertex must agree, an end converging into the core must
+    match the core value there, and the assigned limits must respect the
+    induced preorder against per-vertex mean core values.
     """
     if not comp.complete:
         raise ValueError("compactification is incomplete")
     if f.monotone != "isotone":
         raise ValueError(f"{f.name} is not tagged isotone")
-    eps = comp.eps_cauchy if eps_cauchy is None else eps_cauchy
+    eps = comp.eps_cauchy
     vals = f.evaluate(comp.cloud.sample.coords)
 
     end_limits = {}
@@ -607,13 +599,8 @@ def nachbin_pipeline(entry, family, resolution=DEFAULT_RESOLUTION,
     checks = [Check("path_a_complete", comp_a.complete,
                     witness=None if comp_a.complete else comp_a.end_info)]
     q_entry, project = entry.quotient_data()
-    if q_entry is entry:
-        res_b = resolution
-    else:
-        half = max(2, (resolution - 2 * tail_depth + 1) // 2)
-        res_b = half + tail_depth
     comp_b = close_and_cluster(embed(q_entry, family, *sample_values(
-        q_entry.space, family, res_b, tail_depth)), eps_q, eps_cauchy)
+        q_entry.space, family, resolution, tail_depth)), eps_q, eps_cauchy)
     checks.append(Check("path_b_complete", comp_b.complete,
                         witness=None if comp_b.complete else comp_b.end_info))
     if not (comp_a.complete and comp_b.complete):
@@ -687,13 +674,13 @@ def build_compactification(entry, family, resolution=DEFAULT_RESOLUTION,
                            tail_depth=DEFAULT_TAIL_DEPTH,
                            eps_q=DEFAULT_EPS_Q,
                            eps_cauchy=DEFAULT_EPS_CAUCHY,
-                           eps_fn=DEFAULT_EPS_FN,
-                           delta_embed=DEFAULT_DELTA_EMBED,
-                           min_agreement=0.99, diagnostic_budget=1500):
+                           diagnostic_budget=1500):
     """Full pipeline: validate, embed, close, verify.  (comp, report).
 
     The space is sampled and the family evaluated once; validation and
-    the image cloud read the same raw values.  Validation walks the
+    the image cloud read the same raw values.  A value outside [0,1] or
+    NaN fails validation's values_in_unit_interval, and embed clips it,
+    so such a family still gets its report.  Validation walks the
     sample relation in row tiles (memory O(samples * tile), never
     samples^2), and the same pass gathers the relation that verify and
     the diagnostic read, so the relation is evaluated once per build.
@@ -702,11 +689,11 @@ def build_compactification(entry, family, resolution=DEFAULT_RESOLUTION,
     the report simply omits it.
     """
     sample, raw = sample_values(entry.space, family, resolution, tail_depth)
-    comp = close_and_cluster(embed(entry, family, sample, raw, eps_fn),
+    comp = close_and_cluster(embed(entry, family, sample, raw),
                              eps_q, eps_cauchy)
     samples = _verify_samples(comp)
     validation, relations = validate_family(family, sample, raw, entry.space,
-                                            eps_fn, min_agreement, samples)
+                                            gather=samples)
     reports = [validation]
     complete_check = Check(
         "all_ends_cauchy", comp.complete,
@@ -716,8 +703,7 @@ def build_compactification(entry, family, resolution=DEFAULT_RESOLUTION,
                  "remainder": len(comp.remainder_ids())},
     )
     reports.append(CheckReport((complete_check,)))
-    reports.append(verify_preorder_embedding(comp, samples, relations,
-                                             delta_embed))
+    reports.append(verify_preorder_embedding(comp, samples, relations))
     if comp.complete:
         reports.append(remainder_is_ordered(comp))
         if comp.n_vertices <= diagnostic_budget:

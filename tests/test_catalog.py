@@ -394,7 +394,7 @@ def test_validate_default_families_pass():
 
 def test_validate_full_interval_pool_passes():
     entry = catalog("half-open-interval")
-    fam = entry.family_from_names(["id", "sq", "sqrt", "cube", "pow64"])
+    fam = entry.family("id,sq,sqrt,cube,pow64")
     report = _validate(entry, fam, 200)
     assert report.passed
     assert report.check("represents_relation").metrics["agreement_rate"] == 1.0
@@ -419,7 +419,7 @@ def test_validate_nat_bump_selectors():
 
 def test_validate_undersized_family_fails_with_witness():
     entry = catalog("nat-discrete")
-    fam = entry.family_from_names(["sat"], resolution=96)
+    fam = entry.family("sat", resolution=96)
     report = _validate(entry, fam, 96)
     assert not report.passed
     check = report.check("represents_relation")
@@ -431,7 +431,7 @@ def test_validate_undersized_family_fails_with_witness():
 
 def test_validate_catches_constant_posing_as_separator():
     entry = catalog("half-open-interval")
-    fam = entry.family_from_names(["const1"])
+    fam = entry.family("const1")
     report = _validate(entry, fam, 128)
     assert not report.passed
     assert not report.check("represents_relation").passed
@@ -450,6 +450,35 @@ def test_validate_catches_range_violation():
     big = ScalarFunction("big", lambda a: 2.0 * a[:, 0], monotone="isotone")
     report = _validate(entry, FunctionFamily((big,), ()), 64)
     assert not report.check("values_in_unit_interval").passed
+
+
+def test_validate_names_the_first_nan_as_range_witness():
+    # finite at 0, NaN from 0.5 on: the witness is the first NaN sample
+    entry = catalog("closed-interval")
+    nanf = ScalarFunction("nanf", lambda a: np.where(a[:, 0] > 0.5, np.nan,
+                                                     a[:, 0]),
+                          monotone="isotone")
+    report = _validate(entry, FunctionFamily((nanf,), ()), 64)
+    name, (x,) = report.check("values_in_unit_interval").witness
+    assert name == "nanf"
+    xs = entry.space.sample(64, 4).coords[:, 0]
+    assert x == xs[xs > 0.5].min()
+
+
+def test_validate_catches_a_nan_tail():
+    # the declared constant holds in [0,1] but the tail shells read NaN
+    entry = catalog("half-open-interval")
+    nan_tail = ScalarFunction(
+        "nan_tail", lambda a: np.where(a[:, 0] > 0.99, np.nan, 1.0),
+        monotone="isotone", klass="C", tail_value=1.0,
+        tail_level=TAIL_SHELL_BASE)
+    fam = FunctionFamily((entry.pool["id"],), (nan_tail,))
+    report = _validate(entry, fam, 64)
+    check = report.check("monotone_and_class_tags")
+    assert not check.passed
+    name, (x,), why = check.witness
+    assert (name, why) == ("nan_tail", "not at declared tail constant")
+    assert x == 1.0 - 0.6 * 2.0 ** -TAIL_SHELL_BASE
 
 
 def test_validate_catches_wrong_tail_constant():
@@ -491,8 +520,9 @@ def _untiled_validation(family, sample, all_vals, rel, eps_fn,
     range_witness = None
     for row, f in enumerate(family.members()):
         vals = all_vals[row]
-        if not np.all((vals >= -eps_fn) & (vals <= 1.0 + eps_fn)):
-            i = int(np.argmax((vals < -eps_fn) | (vals > 1.0 + eps_fn)))
+        inside = (vals >= -eps_fn) & (vals <= 1.0 + eps_fn)
+        if not inside.all():
+            i = int(np.argmin(inside))
             range_witness = range_witness or (f.name, point(i))
         if f.monotone == "isotone":
             bad = rel & (vals[:, None] > vals[None, :] + eps_fn)
@@ -505,7 +535,7 @@ def _untiled_validation(family, sample, all_vals, rel, eps_fn,
             tag_witness = (f.name, point(int(i)), point(int(j)))
         if f.klass is not None:
             off = (levels >= f.tail_level) & \
-                (np.abs(vals - f.tail_value) > eps_fn)
+                ~(np.abs(vals - f.tail_value) <= eps_fn)
             if off.any() and tag_witness is None:
                 i = int(np.argmax(off))
                 tag_witness = (f.name, point(i),
@@ -682,7 +712,7 @@ def test_family_selector_errors():
 
 def test_evaluate_family_row_order():
     entry = catalog("half-open-interval")
-    fam = entry.family_from_names(["id", "sq"])
+    fam = entry.family("id,sq")
     coords = np.array([[0.5], [0.25]])
     vals = evaluate_family(fam, coords)
     # rows: id, sq, then the C-part constant
@@ -702,8 +732,7 @@ def test_mirror_quotient_data():
     assert ray.space.relation((2.0,), (1.0,))
     assert not ray.space.relation((1.0,), (2.0,))
     mirror_sample = entry.space.sample(512, 4)
-    half = max(2, (512 - 8 + 1) // 2)
-    ray_sample = ray.space.sample(half + 4, 4)
+    ray_sample = ray.space.sample(512, 4)
     mags = set(np.abs(mirror_sample.coords[:, 0]).tolist())
     assert mags == set(ray_sample.coords[:, 0].tolist())
 

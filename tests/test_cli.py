@@ -1,13 +1,19 @@
 """End-to-end CLI tests via subprocess: exit codes, artifacts, demos."""
 
+import importlib
 import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import ordtop.cli
 import ordtop.finite_space
+from ordtop.catalog import ScalarFunction
+
+# the module itself: the package exports the catalog() function under its name
+catalog_module = importlib.import_module("ordtop.catalog")
 
 SIERPINSKI = {"n": 2, "basis": [[1]], "relation": []}
 CHAIN3 = {"n": 3, "basis": [[0], [1], [2]], "relation": [[0, 1], [1, 2]]}
@@ -128,6 +134,28 @@ def test_compactify_flags_divergent_family(tmp_path):
     assert proc.returncode == 1
     payload = json.loads((out / "report.json").read_text())
     assert payload["complete"] is False
+
+
+@pytest.mark.parametrize("name, fn", (
+    ("twice", lambda a: 2.0 * a[:, 0]),
+    ("nanf", lambda a: np.where(a[:, 0] > 0.5, np.nan, 0.0)),
+), ids=("twice", "nanf"))
+def test_compactify_fails_a_family_leaving_unit_interval(tmp_path, monkeypatch,
+                                                         capsys, name, fn):
+    # clipped, either function leaves the build's order alone, so the
+    # range check is the one exit gate that fails
+    pool = catalog_module._interval_pool()
+    pool[name] = ScalarFunction(name, fn, monotone="isotone")
+    monkeypatch.setattr(catalog_module, "_interval_pool", lambda: pool)
+    code = ordtop.cli.main(["compactify", "--space", "half-open-interval",
+                            "--family", f"id,{name}", "--resolution", "64",
+                            "--out", str(tmp_path / "build")])
+    assert code == 1
+    out = capsys.readouterr().out
+    assert f"values_in_unit_interval: FAIL  witness=('{name}', " in out
+    for gate in ("all_ends_cauchy", "vertex_order_matches_space",
+                 "sampled_relation_preserved", "remainder_antisymmetric"):
+        assert f"{gate}: PASS" in out
 
 
 def test_compactify_usage_errors(tmp_path):

@@ -11,6 +11,7 @@ import itertools
 import math
 import random
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -207,13 +208,24 @@ def test_build_samples_and_evaluates_once(monkeypatch):
     assert evals == {f.name: 1 for f in family.members()}
 
 
-def test_embed_rejects_functions_leaving_unit_interval():
+@pytest.mark.parametrize("name, fn", (
+    ("twice", lambda a: 2.0 * a[:, 0]),
+    ("nanf", lambda a: np.where(a[:, 0] > 0.5, np.nan, a[:, 0])),
+), ids=("twice", "nanf"))
+def test_build_reports_functions_leaving_unit_interval(name, fn):
+    # validation owns the range check: the build clips (NaN to 0) and
+    # returns its report, without an exception or a RuntimeWarning
     entry = catalog("half-open-interval")
-    bad = ScalarFunction("bad", lambda a: 2.0 * a[:, 0], monotone="isotone")
-    from ordtop.catalog import FunctionFamily
-    fam = FunctionFamily((bad,), ())
-    with pytest.raises(ValueError, match="leaves"):
-        embed_sample(entry, fam, 64)
+    fam = FunctionFamily((ScalarFunction(name, fn, monotone="isotone"),),
+                         (entry.pool["const1"],))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        comp, report = build_compactification(entry, fam, resolution=64)
+    check = report.check("values_in_unit_interval")
+    assert not check.passed
+    xs = comp.cloud.sample.coords[:, 0]
+    assert check.witness == (name, (xs[xs > 0.5].min(),))
+    assert ((comp.cloud.values >= 0.0) & (comp.cloud.values <= 1.0)).all()
 
 
 # ------------------------------------------------- induced preorder laws
@@ -342,6 +354,20 @@ def test_wild_tail_blocks_completion():
         remainder_is_ordered(comp)
     with pytest.raises(ValueError, match="incomplete"):
         smallest_closed_preorder_diagnostic(comp, core_relation(entry, comp))
+
+
+def test_remainder_witness_is_the_first_mutual_remainder_pair():
+    _, comp, _ = build("half-open-interval", resolution=64)
+    n = comp.n_vertices
+    # the top three vertices as remainder, with the top two made equivalent
+    rows = list(comp.induced.rows)
+    rows[n - 1] |= 1 << (n - 2)
+    fake = dataclasses.replace(comp, n_core=n - 3,
+                               induced=PreorderGraph(n, tuple(rows)))
+    check = remainder_is_ordered(fake).check("remainder_antisymmetric")
+    assert not check.passed
+    assert check.witness == (n - 2, n - 1)
+    assert check.metrics == {"remainder_count": 3}
 
 
 def test_tail_depth_below_three_is_a_value_error():

@@ -582,33 +582,39 @@ def validate_family(family, sample, raw, space, eps_fn=EPS_FN,
     disagreements = 0
     blocks = [np.empty((len(s), len(s)), dtype=bool) for s in gather]
     step = max(1, _TILE_CELLS // max(n, 1))
+    tile, scratch = np.empty((2, min(step, n), n), dtype=bool)
     for start in range(0, n, step):
         rows = slice(start, start + step)
         rel = space.relation_matrix(coords[rows], coords)
         for s, block in zip(gather, blocks):
             lo, hi = np.searchsorted(s, (start, start + step))
             block[lo:hi] = rel.take(s[lo:hi] - start, axis=0).take(s, axis=1)
-        induced = np.ones_like(rel)
-        for m in range(n_h):
-            induced &= raw[m, rows, None] <= bounds[m]
-        diff = induced != rel
+        diff, tmp = tile[:len(rel)], scratch[:len(rel)]
+        if n_h:  # the H-induced relation, then where it differs from rel
+            np.less_equal(raw[0, rows, None], bounds[0], out=diff)
+            for m in range(1, n_h):
+                diff &= np.less_equal(raw[m, rows, None], bounds[m], out=tmp)
+            np.not_equal(diff, rel, out=diff)
+        else:
+            np.logical_not(rel, out=diff)
         wrong = np.count_nonzero(diff)
         disagreements += wrong
         if wrong and first_diff is None:
             i, j = divmod(int(np.argmax(diff)), n)
             first_diff = (point(start + i), point(j),
-                          "induced" if induced[i, j] else "missing")
+                          "missing" if rel[i, j] else "induced")
         # an H member breaks its tag only where H misses a related pair:
         # v_i > v_j + eps implies not v_i <= v_j + eps, also for NaN
-        missing = wrong and (rel > induced).any()
+        missing = wrong and (rel & diff).any()
         for m in bounds:
             if m >= limit:
                 break
             if m < n_h and not missing:
                 continue
-            vals = raw[m, rows, None]
-            bad = rel & (vals > bounds[m] if members[m].monotone == "isotone"
-                         else vals < bounds[m])
+            broken = np.greater if members[m].monotone == "isotone" \
+                else np.less
+            bad = broken(raw[m, rows, None], bounds[m], out=tmp)
+            bad &= rel
             if bad.any():
                 i, j = divmod(int(np.argmax(bad)), n)
                 first_bad[m] = (members[m].name, point(start + i), point(j))

@@ -273,7 +273,7 @@ def verify_preorder_embedding(comp, samples, relations) -> CheckReport:
     ind_core = ind[:comp.n_core, :comp.n_core]
     mism = rel != ind_core
     pairs = mism.size
-    count = int(mism.sum())
+    count = int(np.count_nonzero(mism))
     witness = None
     if count:
         i, j = divmod(int(np.argmax(mism)), mism.shape[1])
@@ -287,9 +287,9 @@ def verify_preorder_embedding(comp, samples, relations) -> CheckReport:
     )
 
     sub_map = comp.sample_map[idx]
-    sub_ind = ind[np.ix_(sub_map, sub_map)]
+    sub_ind = ind.take(sub_map, 0).take(sub_map, 1)
     viol = sub_rel & ~sub_ind
-    count2 = int(viol.sum())
+    count2 = int(np.count_nonzero(viol))
     witness2 = None
     if count2:
         i, j = divmod(int(np.argmax(viol)), viol.shape[1])
@@ -339,11 +339,11 @@ def _domination_report(comp2, comp1, vertex_map) -> CheckReport:
         witness = (i, tuple(comp2.cloud.sample.coords[i].tolist()))
     commutes = Check("commutes_on_samples", same_samples, witness=witness)
 
-    bad = comp2.induced.matrix & ~comp1.induced.matrix[np.ix_(vm, vm)]
+    bad = comp2.induced.matrix & ~comp1.induced.matrix.take(vm, 0).take(vm, 1)
     witness = None
     if bad.any():
-        u, v = np.argwhere(bad)[0]
-        witness = (int(u), int(v), int(vm[u]), int(vm[v]))
+        u, v = divmod(int(np.argmax(bad)), bad.shape[1])
+        witness = (u, v, int(vm[u]), int(vm[v]))
     isotone = Check("isotone", not bad.any(), witness=witness)
 
     image = {int(vm[r]) for r in comp2.remainder_ids()}
@@ -467,7 +467,7 @@ def attempt_domination(comp_a, comp_b, cap=200000) -> DominationSearch:
         vm[n_core:] = assign
         images = vm[n_core:]
         isotone = core_isotone \
-            and not (m2_rows & ~m1[np.ix_(images, vm)]).any() \
+            and not (m2_rows & ~m1.take(images, 0).take(vm, 1)).any() \
             and not (m2_cols & ~m1_core[:, images]).any()
         if not isotone:
             candidates.append((assign, "isotone"))
@@ -511,7 +511,7 @@ def extendability(entry, comp, f) -> ExtendabilityResult:
     end_limits = {}
     for end, shells in enumerate(comp.cloud.sample.tails):
         spread, end_limits[end] = _tail_limit(f, vals, shells)
-        if spread > eps:
+        if not spread <= eps:  # a NaN spread fails too
             return ExtendabilityResult(
                 False, {}, f"tail of end {end} is not Cauchy for {f.name}: "
                 f"spread {spread:.4f}")
@@ -543,10 +543,10 @@ def extendability(entry, comp, f) -> ExtendabilityResult:
         full[vid] = value
     bad = comp.induced.matrix & (full[:, None] > full[None, :] + eps)
     if bad.any():
-        u, v = np.argwhere(bad)[0]
+        u, v = divmod(int(np.argmax(bad)), bad.shape[1])
         return ExtendabilityResult(
             False, {}, f"extension of {f.name} breaks isotonicity between "
-            f"vertices {int(u)} and {int(v)}")
+            f"vertices {u} and {v}")
     return ExtendabilityResult(True, extension)
 
 
@@ -578,9 +578,9 @@ def smallest_closed_preorder_diagnostic(comp, core_rel) -> CheckReport:
     witness = [tuple(map(int, p)) for p in np.argwhere(excess)[:20]] or None
     return CheckReport((Check(
         "induced_equals_smallest_closure", not excess.any(), witness=witness,
-        metrics={"induced_pairs": int(ind.sum()),
-                 "closure_pairs": int(fix.sum()),
-                 "excess_pairs": int(excess.sum())},
+        metrics={"induced_pairs": int(np.count_nonzero(ind)),
+                 "closure_pairs": int(np.count_nonzero(fix)),
+                 "excess_pairs": int(np.count_nonzero(excess))},
     ),))
 
 
@@ -644,9 +644,9 @@ def nachbin_pipeline(entry, family, resolution=DEFAULT_RESOLUTION,
         return CheckReport(tuple(checks))
 
     perm = [phi[i] for i in range(len(class_vecs))]
-    mb = comp_b.induced.matrix[np.ix_(perm, perm)]
-    differ = np.argwhere(qgraph.matrix != mb)[:1].tolist()
-    iso_witness = tuple(differ[0]) if differ else None
+    differ = qgraph.matrix != comp_b.induced.matrix.take(perm, 0).take(perm, 1)
+    iso_witness = divmod(int(np.argmax(differ)), len(perm)) \
+        if differ.any() else None
     checks.append(Check("order_isomorphism", iso_witness is None,
                         witness=iso_witness))
 

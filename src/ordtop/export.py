@@ -15,17 +15,21 @@ def write_vertices_csv(comp, path):
     """One row per vertex: id, kind, then the quantized coordinates.
 
     A coordinate is float(q) * eps_q for its integer q in comp.quant.
-    Each distinct q is formatted once, with repr of that float.
+    Each distinct q is formatted once, with repr of that float.  Rows
+    are joined as csv.writer writes them, since no field needs quoting.
     """
     quant = comp.quant
     values, inverse = np.unique(quant, return_inverse=True)
-    texts = [repr(float(q) * comp.eps_q) for q in values.tolist()]
+    texts = np.array([repr(float(q) * comp.eps_q) for q in values.tolist()],
+                     dtype=object)
+    cells = texts[inverse.reshape(quant.shape)].tolist()
+    kinds = ["core"] * comp.n_core + ["remainder"] * (len(quant) - comp.n_core)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "kind"] + list(comp.names))
-        for vid, row in enumerate(inverse.reshape(quant.shape).tolist()):
-            kind = "core" if vid < comp.n_core else "remainder"
-            writer.writerow([vid, kind] + [texts[k] for k in row])
+        csv.writer(fh).writerow(["id", "kind"] + list(comp.names))
+        for start in range(0, len(cells), 1024):  # no whole-file string
+            block = range(start, min(start + 1024, len(cells)))
+            fh.write("".join(",".join([str(v), kinds[v]] + cells[v]) + "\r\n"
+                             for v in block))
 
 
 def transitive_reduction(graph: PreorderGraph) -> tuple:
@@ -38,7 +42,7 @@ def transitive_reduction(graph: PreorderGraph) -> tuple:
     """
     mat = graph.matrix
     order = np.argsort(-mat.sum(axis=1), kind="stable").tolist()
-    ranked = PreorderGraph.from_matrix(mat[np.ix_(order, order)]).rows
+    ranked = PreorderGraph.from_matrix(mat.take(order, 0).take(order, 1)).rows
     strict = [row & ~(1 << i) for i, row in enumerate(ranked)]
     keep = [~(up | 1 << k) for k, up in enumerate(strict)]
     pairs = []

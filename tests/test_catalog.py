@@ -9,6 +9,7 @@ winding null curve.
 import importlib
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from ordtop.catalog import (
     FunctionFamily,
     MirrorRay,
     MisnerStrip,
+    SampleSet,
     ScalarFunction,
     TAIL_SHELL_BASE,
     _window_integral,
@@ -663,6 +665,160 @@ def test_tiled_validation_fixtures_fail_where_meant():
         == "induced"
     assert fails["represents_fails_missing"]["represents_relation"][2] \
         == "missing"
+
+
+def _reference_tile_validation(family, sample, raw, space, eps_fn,
+                               min_agreement, gather):
+    """validate_family with the earlier tile pass, kept as an oracle.
+
+    Each tile starts from all-True, ANDs every H member's compare into
+    it, and only then forms the disagreement mask induced != rel and the
+    missing-pair test rel > induced.
+    """
+    coords, levels = sample.coords, sample.levels
+    members, n_h, n = family.members(), len(family.h), len(coords)
+
+    def point(i):
+        return tuple(coords[i].tolist())
+
+    checks = [Check("h_part_nonempty", n_h > 0,
+                    witness=None if n_h else "empty H-part")]
+    range_witness = tail_witness = None
+    limit = len(members)
+    for m, f in enumerate(members):
+        vals = raw[m]
+        outside = ~((vals >= -eps_fn) & (vals <= 1.0 + eps_fn))
+        if outside.any():
+            range_witness = range_witness or (f.name,
+                                              point(int(np.argmax(outside))))
+        if f.klass is not None and tail_witness is None:
+            off = (levels >= f.tail_level) & \
+                ~(np.abs(vals - f.tail_value) <= eps_fn)
+            if off.any():
+                tail_witness = (f.name, point(int(np.argmax(off))),
+                                "not at declared tail constant")
+                limit = m + 1
+    bounds = {m: raw[m] + (eps_fn if f.monotone == "isotone" else -eps_fn)
+              for m, f in enumerate(members) if f.monotone != "none"}
+
+    first_bad = {}
+    first_diff = None
+    disagreements = 0
+    blocks = [np.empty((len(s), len(s)), dtype=bool) for s in gather]
+    step = max(1, catalog_module._TILE_CELLS // max(n, 1))
+    for start in range(0, n, step):
+        rows = slice(start, start + step)
+        rel = space.relation_matrix(coords[rows], coords)
+        for s, block in zip(gather, blocks):
+            lo, hi = np.searchsorted(s, (start, start + step))
+            block[lo:hi] = rel.take(s[lo:hi] - start, axis=0).take(s, axis=1)
+        induced = np.ones_like(rel)
+        for m in range(n_h):
+            induced &= raw[m, rows, None] <= bounds[m]
+        diff = induced != rel
+        wrong = np.count_nonzero(diff)
+        disagreements += wrong
+        if wrong and first_diff is None:
+            i, j = divmod(int(np.argmax(diff)), n)
+            first_diff = (point(start + i), point(j),
+                          "induced" if induced[i, j] else "missing")
+        missing = wrong and (rel > induced).any()
+        for m in bounds:
+            if m >= limit:
+                break
+            if m < n_h and not missing:
+                continue
+            vals = raw[m, rows, None]
+            bad = rel & (vals > bounds[m] if members[m].monotone == "isotone"
+                         else vals < bounds[m])
+            if bad.any():
+                i, j = divmod(int(np.argmax(bad)), n)
+                first_bad[m] = (members[m].name, point(start + i), point(j))
+                limit = m
+
+    tag_witness = first_bad[min(first_bad)] if first_bad else tail_witness
+    checks.append(Check("values_in_unit_interval", range_witness is None,
+                        witness=range_witness))
+    checks.append(Check("monotone_and_class_tags", tag_witness is None,
+                        witness=tag_witness))
+    if n_h:
+        pairs = n * n
+        rate = float(np.divide(pairs - disagreements, pairs))
+        checks.append(Check(
+            "represents_relation", rate >= min_agreement,
+            witness=first_diff if rate < min_agreement else None,
+            metrics={"agreement_rate": rate, "pairs": pairs,
+                     "disagreements": disagreements},
+        ))
+    return CheckReport(tuple(checks)), blocks
+
+
+class _TableSpace:
+    """A space over sample indices whose relation is a given bool table."""
+
+    def __init__(self, table):
+        self.table = table
+
+    def relation_matrix(self, coords, other):
+        return self.table[coords[:, 0].astype(int)][:, other[:, 0].astype(int)]
+
+
+@st.composite
+def _validation_inputs(draw):
+    n = draw(st.integers(1, 9))
+    eps = draw(st.sampled_from((1e-6, 0.25)))
+    # values a member can take: ties at exactly +-eps, NaN, +-inf, and
+    # values outside [0, 1]
+    base = (0.0, 0.5, 1.0)
+    palette = base + tuple(v + eps for v in base) + tuple(v - eps
+                                                          for v in base) \
+        + (np.nan, np.inf, -np.inf, 1.5)
+    n_h = draw(st.integers(0, 3))
+    tags = [("isotone", None, 0.0, 0)] * n_h + draw(st.lists(st.tuples(
+        st.sampled_from(("isotone", "anti_isotone", "none")),
+        st.just("C"), st.sampled_from(base), st.integers(0, 3)),
+        max_size=2))
+    members = tuple(_fn("m%d" % k, None, monotone=mono, klass=klass,
+                        tail_value=tail, tail_level=level)
+                    for k, (mono, klass, tail, level) in enumerate(tags))
+    raw = np.array([[draw(st.sampled_from(palette)) for _ in range(n)]
+                    for _ in members]).reshape(len(members), n)
+    # the relation H induces with a few cells flipped, so that the first
+    # disagreement can sit in any tile, or a table drawn cell by cell
+    table = np.all(raw[:n_h, :, None] <= raw[:n_h, None, :] + eps, axis=0)
+    if draw(st.booleans()):
+        for i, j in draw(st.sets(st.tuples(st.integers(0, n - 1),
+                                           st.integers(0, n - 1)),
+                                 max_size=3)):
+            table[i, j] = not table[i, j]
+    else:
+        table = np.array(draw(st.lists(st.lists(
+            st.booleans(), min_size=n, max_size=n), min_size=n, max_size=n)))
+    levels = np.array(draw(st.lists(st.integers(0, 3), min_size=n,
+                                    max_size=n)))
+    gather = tuple(np.array(sorted(draw(st.sets(st.integers(0, n - 1)))),
+                            dtype=np.intp) for _ in range(2))
+    return (FunctionFamily(members[:n_h], members[n_h:]),
+            SampleSet(np.arange(n, dtype=float)[:, None], levels, ()),
+            raw, _TableSpace(table), eps,
+            draw(st.sampled_from((0.5, 0.99, 1.0))), gather)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_validation_inputs())
+def test_tile_pass_matches_the_reference_pass(args):
+    n = len(args[1].coords)
+    # one-row tiles, so witnesses lie past a tile edge; two-row tiles with
+    # a short last one; and one tile for all
+    for cells in (n, 2 * n + 1, 1 << 20):
+        with mock.patch.object(catalog_module, "_TILE_CELLS", cells), \
+                np.errstate(invalid="ignore"):
+            got, got_blocks = validate_family(*args)
+            want, want_blocks = _reference_tile_validation(*args)
+        assert repr(got.to_dict()) == repr(want.to_dict())
+        assert len(got_blocks) == len(want_blocks)
+        for a, b in zip(got_blocks, want_blocks):
+            assert np.array_equal(a, b)
 
 
 # --------------------------------------------------------- family types

@@ -784,6 +784,17 @@ def test_alternating_function_does_not_extend():
     assert "alt" in res.reason
 
 
+def test_nan_tail_is_not_cauchy():
+    # a NaN spread must fail the Cauchy test, not reach the clamped limit
+    entry, comp, _ = build("half-open-interval", "id", resolution=64)
+    f = ScalarFunction(
+        "nan_tail", lambda a: np.where(a[:, 0] > 0.99, np.nan, a[:, 0]),
+        monotone="isotone")
+    res = extendability(entry, comp, f)
+    assert not res
+    assert res.reason == "tail of end 0 is not Cauchy for nan_tail: spread nan"
+
+
 def test_extendability_guards():
     entry, comp, _ = build("half-open-interval", "id,pow64")
     with pytest.raises(ValueError):

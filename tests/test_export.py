@@ -189,7 +189,14 @@ GOLDEN_BUILDS = {
         "784de9582535da348d4addf2eb553b265962cccda57dd0e330e464e7b9063ed4",
         "8d1f67bf70a1900785cf82efb92a43d2f886725c2c83be1151b7e5f65dd17922",
         "6f35453cf9c7af9c358d1e672c83912d68d17489d4703e04234c8b467f9c3ebd"),
+    # fails represents_relation: 1,176 of 4,096 pairs, an "induced" witness
+    ("half-open-interval", "pow64", 64): (
+        "28c97d136de274601690776d61f305f6cbb2e355887b0c2db6bf671a033010e4",
+        "fb65658bce5118af288571006679d8baa82824cfe05166c9721675eb327e0bd1",
+        "0f1d8fbd858c425dd54ac328771753c42f2f19be125994089bf6693d975c19f6"),
 }
+# exit code of the builds above that do not exit 0
+GOLDEN_EXIT = {("half-open-interval", "pow64", 64): 1}
 
 
 @pytest.mark.parametrize("space,family,resolution", sorted(GOLDEN_BUILDS))
@@ -197,7 +204,8 @@ def test_build_artifacts_are_byte_identical(tmp_path, capsys, space, family,
                                             resolution):
     assert ordtop.cli.main([
         "compactify", "--space", space, "--family", family,
-        "--resolution", str(resolution), "--out", str(tmp_path)]) == 0
+        "--resolution", str(resolution), "--out", str(tmp_path)]) \
+        == GOLDEN_EXIT.get((space, family, resolution), 0)
     got = tuple(
         hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
         for name in ("vertices.csv", "preorder.dot", "report.json"))

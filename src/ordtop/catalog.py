@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .finite_space import BudgetError
 from .report import Check, CheckReport
 
 TWO_PI = 2.0 * math.pi
@@ -26,6 +27,11 @@ TAIL_SHELL_BASE = 7
 # cells per row tile of an all-pairs pass: up to 1,024 points take one tile
 _TILE_CELLS = 1 << 20
 
+# samples per column block of validation's bit-space pass, a multiple of
+# 64: a block's rank table takes _BLOCK**2 / 8 bytes and its packed rows
+# samples * _BLOCK / 8
+_BLOCK = 4096
+
 # relative distance from a factored Misner bound below which a cell is
 # recomputed directly; rounding moves the two forms apart by ~1e-15
 _MISNER_TOL = 1e-12
@@ -34,6 +40,11 @@ DEFAULT_RESOLUTION = 512  # samples per build
 DEFAULT_TAIL_DEPTH = 4  # tail shells per end
 EPS_FN = 1e-6  # slack of validation's tests on sampled values
 MIN_AGREEMENT = 0.99  # share of sampled pairs where H induces the relation
+# largest resolution a build may sample: validation is samples^2 in time,
+# and misner-strip keeps about one vertex per sample with an n^2 relation
+# (its build at 8,192 peaks near 300 MB); half-open-interval@20000, the
+# largest build in use, validates in about 0.1 s
+SAMPLE_BUDGET = 20_000
 
 
 @dataclass(frozen=True)
@@ -490,6 +501,7 @@ class _NatEntry(CatalogEntry):
             selector = "C"
         if selector not in ("C", "Cminus", "Cplus"):
             return super().family(selector, resolution, tail_depth)
+        _check_sample_budget(resolution)  # one bump per sample
         minus, plus = _nat_bumps(resolution)
         h = {"C": minus + plus, "Cminus": minus, "Cplus": plus}[selector]
         return FunctionFamily(h, ())
@@ -531,10 +543,103 @@ def evaluate_family(family: FunctionFamily, coords: np.ndarray):
     return np.array(vals, dtype=float) if vals else np.zeros((0, len(coords)))
 
 
+def _check_sample_budget(resolution):
+    if resolution > SAMPLE_BUDGET:
+        raise BudgetError("samples", SAMPLE_BUDGET)
+
+
 def sample_values(space, family, resolution, tail_depth):
-    """One sample of the space and the family's raw values on it."""
+    """One sample of the space and the family's raw values on it.
+
+    Raises BudgetError, before sampling, past SAMPLE_BUDGET.
+    """
+    _check_sample_budget(resolution)
     sample = space.sample(resolution, tail_depth)
     return sample, evaluate_family(family, sample.coords)
+
+
+def _pack_rows(rel, words):
+    """Bool rows as rows of little-endian 64-bit words, zero-padded."""
+    packed = np.zeros((len(rel), 8 * words), dtype=np.uint8)
+    packed[:, :-(-rel.shape[1] // 8)] = np.packbits(rel, axis=1,
+                                                   bitorder="little")
+    return packed.view("<u8")
+
+
+def _packed_leq(values, bounds):
+    """Packed rows of [all m: values[m, i] <= bounds[m, j]].
+
+    values is (k, n) and bounds (k, w); the result is (n, ceil(w / 64))
+    '<u8', bit j of row i being bit j % 64 of word j // 64.  Rank bitsets
+    (Tan, Eng & Ooi, VLDB 2001), as in compactify._induced_graph: row t
+    of a member's table holds the columns whose bound ranks >= w - t, so
+    {j : v <= b_j} is row w - searchsorted(sorted bounds, v, "left"), the
+    float compare bit for bit.  NaN sorts last: a NaN bound is in no row
+    and a NaN value takes a row below every ranked bound.  Each word of a
+    table is a step function of t with at most 64 steps, so tables are
+    built (_TILE_CELLS // 8 words at a time) by one np.repeat of each
+    word's running OR over its step lengths, then copied to row-major;
+    rows are gathered and ANDed in tiles of _TILE_CELLS // 32 words.  With
+    no members every column's bit is set.
+    """
+    k, w = bounds.shape
+    n, words = values.shape[1], -(-w // 64)
+    out = None  # the first member's rows, made once its table is built
+    group = max(1, _TILE_CELLS // 8 // (words * (w + 1)))
+    step = max(1, _TILE_CELLS // 32 // words)
+    scratch = np.empty((min(step, n), words), dtype="<u8")
+    slot_bits = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))
+    rank = np.arange(w)
+    for g in range(0, k, group):
+        b = bounds[g:g + group]
+        rows = np.arange(len(b))[:, None]
+        order = b.argsort(axis=1)
+        ranked = b[rows, order]
+        # column j sets its bit from row w - rank(j) on; NaN and padding
+        # columns from row w + 1, past the table
+        start = np.full((len(b), 64 * words), w + 1)
+        start[rows, order] = np.where(np.isnan(ranked), w + 1, w - rank)
+        start = start.reshape(len(b), words, 64)
+        slot = start.argsort(axis=2)
+        edges = np.full((len(b), words, 66), w + 1)
+        edges[..., 0] = 0
+        edges[..., 1:65] = np.sort(start, axis=2)
+        runs = np.zeros((len(b), words, 65), dtype="<u8")
+        np.cumsum(slot_bits[slot], axis=2, out=runs[..., 1:])
+        lengths = edges[..., 1:] - edges[..., :-1]
+        tables = np.repeat(runs.ravel(), lengths.ravel())
+        tables = np.ascontiguousarray(
+            tables.reshape(len(b), words, w + 1).transpose(0, 2, 1))
+        for m, (table, sorted_b) in enumerate(zip(tables, ranked), g):
+            index = w - np.searchsorted(sorted_b, values[m], "left")
+            if out is None:
+                out = table.take(index, axis=0)
+                continue
+            for lo in range(0, n, step):
+                part = scratch[:min(step, n - lo)]
+                np.take(table, index[lo:lo + step], axis=0, out=part,
+                        mode="clip")
+                out[lo:lo + step] &= part
+    if out is None:  # no members: every column
+        out = np.repeat(_pack_rows(np.ones((1, w), dtype=bool), words), n,
+                        axis=0)
+    return out
+
+
+def _breakable(raw, bounds, isotone):
+    """Per member row, whether some pair (i, j) has raw[i] > bounds[j]
+    (isotone rows) or raw[i] < bounds[j] (the others).
+
+    NaN compares False, so that is whether the largest (least) non-NaN
+    value exceeds (undercuts) the least (largest) non-NaN bound; fmax and
+    fmin skip NaN without the all-NaN warning of nanmax and nanmin.
+    """
+    return np.where(
+        isotone,
+        np.fmax.reduce(raw, axis=1, initial=-np.inf)
+        > np.fmin.reduce(bounds, axis=1, initial=np.inf),
+        np.fmin.reduce(raw, axis=1, initial=np.inf)
+        < np.fmax.reduce(bounds, axis=1, initial=-np.inf))
 
 
 def validate_family(family, sample, raw, space, eps_fn=EPS_FN,
@@ -543,9 +648,13 @@ def validate_family(family, sample, raw, space, eps_fn=EPS_FN,
 
     raw holds the family's values on sample, as from sample_values.  The
     agreement rate of the space relation with the coordinate-wise H
-    comparison over all sampled pairs passes at min_agreement.  Each row
-    tile relates _TILE_CELLS // n samples to all n, so memory stays
-    O(n * tile).  Returns the report and, for each sorted index array in
+    comparison over all sampled pairs passes at min_agreement.  The
+    samples are walked in column blocks of _BLOCK: per block the H-part's
+    relation is built as packed rows (_packed_leq), and the space
+    relation is evaluated in row tiles of _TILE_CELLS // _BLOCK samples
+    against the block, packed and XORed with those rows, so memory stays
+    O(n * _BLOCK).  A tag's pass compares only members that some pair
+    could break.  Returns the report and, for each sorted index array in
     gather, the relation among those samples.
     """
     coords, levels = sample.coords, sample.levels
@@ -574,53 +683,71 @@ def validate_family(family, sample, raw, space, eps_fn=EPS_FN,
                                 "not at declared tail constant")
                 limit = m + 1
     # isotone breaks on v_i > v_j + eps, anti-isotone on v_i < v_j - eps
-    bounds = {m: raw[m] + (eps_fn if f.monotone == "isotone" else -eps_fn)
-              for m, f in enumerate(members) if f.monotone != "none"}
+    isotone = np.array([f.monotone == "isotone" for f in members], dtype=bool)
+    bounds = raw + np.where(isotone, eps_fn, -eps_fn)[:, None]
+    breakable = _breakable(raw, bounds, isotone)
+    passes = [m for m, f in enumerate(members[:limit])
+              if f.monotone != "none" and breakable[m]]
 
-    first_bad = {}  # member -> witness of its first violation, row-major
-    first_diff = None
+    first_bad = {}  # member -> its first violating (i, j), row-major
+    first_diff = None  # (i, j, label) of the first disagreement
     disagreements = 0
     blocks = [np.empty((len(s), len(s)), dtype=bool) for s in gather]
-    step = max(1, _TILE_CELLS // max(n, 1))
-    tile, scratch = np.empty((2, min(step, n), n), dtype=bool)
-    for start in range(0, n, step):
-        rows = slice(start, start + step)
-        rel = space.relation_matrix(coords[rows], coords)
-        for s, block in zip(gather, blocks):
-            lo, hi = np.searchsorted(s, (start, start + step))
-            block[lo:hi] = rel.take(s[lo:hi] - start, axis=0).take(s, axis=1)
-        diff, tmp = tile[:len(rel)], scratch[:len(rel)]
-        if n_h:  # the H-induced relation, then where it differs from rel
-            np.less_equal(raw[0, rows, None], bounds[0], out=diff)
-            for m in range(1, n_h):
-                diff &= np.less_equal(raw[m, rows, None], bounds[m], out=tmp)
-            np.not_equal(diff, rel, out=diff)
-        else:
-            np.logical_not(rel, out=diff)
-        wrong = np.count_nonzero(diff)
-        disagreements += wrong
-        if wrong and first_diff is None:
-            i, j = divmod(int(np.argmax(diff)), n)
-            first_diff = (point(start + i), point(j),
-                          "missing" if rel[i, j] else "induced")
-        # an H member breaks its tag only where H misses a related pair:
-        # v_i > v_j + eps implies not v_i <= v_j + eps, also for NaN
-        missing = wrong and (rel & diff).any()
-        for m in bounds:
-            if m >= limit:
-                break
-            if m < n_h and not missing:
-                continue
-            broken = np.greater if members[m].monotone == "isotone" \
-                else np.less
-            bad = broken(raw[m, rows, None], bounds[m], out=tmp)
-            bad &= rel
-            if bad.any():
-                i, j = divmod(int(np.argmax(bad)), n)
-                first_bad[m] = (members[m].name, point(start + i), point(j))
-                limit = m
+    width = min(_BLOCK, n)
+    step = max(1, _TILE_CELLS // max(width, 1))
+    for c0 in range(0, n, _BLOCK):
+        cols = slice(c0, c0 + _BLOCK)
+        w = min(_BLOCK, n - c0)
+        words = -(-w // 64)
+        h_bits = _packed_leq(raw[:n_h], bounds[:n_h, cols]) if n_h else None
+        spans = [np.searchsorted(s, (c0, c0 + w)) for s in gather]
+        for start in range(0, n, step):
+            rows = slice(start, start + step)
+            rel = space.relation_matrix(coords[rows], coords[cols])
+            for s, (clo, chi), block in zip(gather, spans, blocks):
+                lo, hi = np.searchsorted(s, (start, start + step))
+                block[lo:hi, clo:chi] = rel.take(s[lo:hi] - start, axis=0) \
+                    .take(s[clo:chi] - c0, axis=1)
+            missing = False
+            if n_h:  # where the H-induced relation differs from rel
+                rel_bits = _pack_rows(rel, words)
+                diff = rel_bits ^ h_bits[rows]
+                wrong = int(np.bitwise_count(diff).sum(dtype=np.int64))
+                disagreements += wrong
+                if wrong and start < (first_diff or (n,))[0]:
+                    i, k = divmod(int(np.flatnonzero(diff)[0]), words)
+                    word = int(diff[i, k])
+                    j = 64 * k + (word & -word).bit_length() - 1
+                    first_diff = min(first_diff or (n,), (
+                        start + i, c0 + j,
+                        "missing" if rel[i, j] else "induced"))
+                # an H member breaks its tag only where H misses a related
+                # pair: v_i > v_j + eps implies not v_i <= v_j + eps
+                missing = wrong and (rel_bits & diff).any()
+            for m in passes:
+                if m >= limit:
+                    break
+                # a later tile (or block) cannot precede a found pair
+                if m < n_h and not missing or \
+                        first_bad.get(m, (n,))[0] <= start:
+                    continue
+                broken = np.greater if members[m].monotone == "isotone" \
+                    else np.less
+                bad = broken(raw[m, rows, None], bounds[m, cols])
+                bad &= rel
+                if bad.any():
+                    i, j = divmod(int(np.argmax(bad)), w)
+                    first_bad[m] = min(first_bad.get(m, (n,)),
+                                       (start + i, c0 + j))
+                    limit = m + 1
+        del h_bits  # before the next block's rows are built
 
-    tag_witness = first_bad[min(first_bad)] if first_bad else tail_witness
+    if first_bad:
+        m = min(first_bad)
+        i, j = first_bad[m]
+        tag_witness = (members[m].name, point(i), point(j))
+    else:
+        tag_witness = tail_witness
     checks.append(Check("values_in_unit_interval", range_witness is None,
                         witness=range_witness))
     checks.append(Check("monotone_and_class_tags", tag_witness is None,
@@ -628,6 +755,9 @@ def validate_family(family, sample, raw, space, eps_fn=EPS_FN,
     if n_h:
         pairs = n * n
         rate = float(np.divide(pairs - disagreements, pairs))
+        if first_diff is not None:
+            i, j, label = first_diff
+            first_diff = (point(i), point(j), label)
         checks.append(Check(
             "represents_relation", rate >= min_agreement,
             witness=first_diff if rate < min_agreement else None,

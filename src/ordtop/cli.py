@@ -94,11 +94,7 @@ def cmd_check_finite(args, parser) -> int:
         Check("quotient_graph_closed", q_closed.passed,
               witness=q_closed.witness),
     ))
-    try:
-        fns = enumerate_isotone_functions(space, args.levels)
-    except BudgetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    fns = enumerate_isotone_functions(space, args.levels)
     rep = representation_check(space, fns)
     report = merge_reports(closed, t1, quotient_checks, rep)
     _print_report(report, args.json)
@@ -327,14 +323,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "check-finite":
-        return cmd_check_finite(args, parser)
-    if args.command == "compactify":
-        return cmd_compactify(args, parser)
-    if args.command == "dominate":
-        return cmd_dominate(args)
-    if args.command == "demo":
-        return cmd_demo(args)
+    try:  # an exceeded budget is a usage error
+        if args.command == "check-finite":
+            return cmd_check_finite(args, parser)
+        if args.command == "compactify":
+            return cmd_compactify(args, parser)
+        if args.command == "dominate":
+            return cmd_dominate(args)
+        if args.command == "demo":
+            return cmd_demo(args)
+    except BudgetError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     parser.error(f"unknown command {args.command}")
 
 

@@ -9,6 +9,8 @@ winding null curve.
 import importlib
 import math
 import random
+import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -31,6 +33,7 @@ from ordtop.catalog import (
     sample_values,
     validate_family,
 )
+from ordtop.finite_space import BudgetError
 from ordtop.report import Check, CheckReport
 
 # the module itself: the package exports the catalog() function under its name
@@ -590,6 +593,7 @@ _TAIL = _fn("tail", lambda a: a[:, 0], klass="C", tail_value=1.0,
 _NAN = _fn("nan", lambda a: np.where(np.abs(a[:, 0] - 0.5) < 0.05, np.nan,
                                      a[:, 0]))
 _HALF = _fn("half", lambda a: np.full(len(a), 0.5))
+_SPIKE = _fn("spike", None, klass="C", tail_value=0.0)
 
 TILED_FAMILIES = {
     "passing": ((_ID,), (_ONE,)),
@@ -819,6 +823,211 @@ def test_tile_pass_matches_the_reference_pass(args):
         assert len(got_blocks) == len(want_blocks)
         for a, b in zip(got_blocks, want_blocks):
             assert np.array_equal(a, b)
+
+
+# ------------------------------------------------- bit-space validation
+
+
+def _packed_direct(values, bounds):
+    """The H-part compare as one bool cube, packed like _packed_leq."""
+    rel = np.all(values[:, :, None] <= bounds[:, None, :], axis=0)
+    words = -(-bounds.shape[1] // 64)
+    packed = np.zeros((values.shape[1], 8 * words), dtype=np.uint8)
+    packed[:, :-(-bounds.shape[1] // 8)] = np.packbits(rel, axis=1,
+                                                       bitorder="little")
+    return packed.view("<u8")
+
+
+# word edges, block edges at _BLOCK 64 and 128, and a multi-word tail
+_BIT_SIZES = (1, 63, 64, 65, 129, 300)
+
+
+def _palette(eps):
+    base = (0.0, 0.5, 1.0)
+    return np.array(base + tuple(v + eps for v in base)
+                    + tuple(v - eps for v in base)
+                    + (np.nan, np.inf, -np.inf, 1.5))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 3), st.sampled_from(_BIT_SIZES),
+       st.sampled_from(_BIT_SIZES), st.sampled_from((1e-6, 0.25)),
+       st.sampled_from((256, 1 << 20)), st.integers(0, 2 ** 32 - 1))
+def test_packed_leq_matches_the_direct_compare(k, n, w, eps, cells, seed):
+    # values and bounds from one palette with NaN, +-inf and ties at
+    # exactly +-eps; small cells split the tables and the AND tiles
+    rng = np.random.default_rng(seed)
+    palette = _palette(eps)
+    values = palette[rng.integers(0, len(palette), (k, n))]
+    bounds = palette[rng.integers(0, len(palette), (k, w))]
+    if k and rng.random() < 0.5:  # the bounds of the values, as validation
+        values = palette[rng.integers(0, len(palette), (k, w))]
+        bounds = values + eps
+    with mock.patch.object(catalog_module, "_TILE_CELLS", cells):
+        got = catalog_module._packed_leq(values, bounds)
+    assert got.dtype == np.dtype("<u8")
+    assert np.array_equal(got, _packed_direct(values, bounds))
+
+
+@st.composite
+def _blocked_inputs(draw):
+    """Validation inputs past one word: n up to 300 samples, values from
+    the tie/NaN/inf palette, and the H-induced relation with a few flipped
+    cells or a random one, sparse or dense; sparse ones put witnesses in
+    any block."""
+    n = draw(st.sampled_from(_BIT_SIZES))
+    eps = draw(st.sampled_from((1e-6, 0.25)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    palette = _palette(eps)
+    n_h = draw(st.integers(0, 3))
+    tags = [("isotone", None, 0.0, 0)] * n_h + draw(st.lists(st.tuples(
+        st.sampled_from(("isotone", "anti_isotone", "none")),
+        st.just("C"), st.sampled_from((0.0, 0.5, 1.0)), st.integers(0, 3)),
+        max_size=2))
+    members = tuple(_fn("m%d" % k, None, monotone=mono, klass=klass,
+                        tail_value=tail, tail_level=level)
+                    for k, (mono, klass, tail, level) in enumerate(tags))
+    # mostly one value per member, so that tags hold often enough for
+    # later members and blocks to matter
+    raw = np.where(rng.random((len(members), n)) < 0.9,
+                   palette[rng.integers(0, 9, (len(members), 1))],
+                   palette[rng.integers(0, len(palette),
+                                        (len(members), n))])
+    # an H-part nondecreasing along the samples, with a few odd values
+    raw[:n_h] = np.sort(palette[rng.integers(0, 9, (n_h, n))], axis=1)
+    if members and draw(st.booleans()):
+        raw[rng.integers(0, len(members), 3), rng.integers(0, n, 3)] = \
+            draw(st.sampled_from((np.nan, np.inf, -np.inf)))
+    table = np.all(raw[:n_h, :, None] <= raw[:n_h, None, :] + eps, axis=0)
+    density = draw(st.sampled_from((None, None, 0.005, 0.5)))
+    if density is None:
+        flips = rng.integers(0, n, (draw(st.integers(0, 12)), 2))
+        table[flips[:, 0], flips[:, 1]] ^= True
+    else:
+        table = rng.random((n, n)) < density
+    levels = rng.integers(0, 4, n)
+    gather = tuple(np.unique(rng.integers(0, n, rng.integers(0, n + 1)))
+                   for _ in range(2))
+    return (FunctionFamily(members[:n_h], members[n_h:]),
+            SampleSet(np.arange(n, dtype=float)[:, None], levels, ()),
+            raw, _TableSpace(table), eps,
+            draw(st.sampled_from((0.99, 1.0, 1.0))), gather)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_blocked_inputs(), st.sampled_from((64, 128)),
+       st.sampled_from((64, 200, 1 << 20)))
+def test_blocked_validation_matches_the_reference_pass(args, block, cells):
+    # blocks of 64 or 128 columns, and row tiles of one, a few or all rows
+    with mock.patch.object(catalog_module, "_BLOCK", block), \
+            mock.patch.object(catalog_module, "_TILE_CELLS", cells), \
+            np.errstate(invalid="ignore"):
+        got, got_blocks = validate_family(*args)
+        want, want_blocks = _reference_tile_validation(*args)
+    assert repr(got.to_dict()) == repr(want.to_dict())
+    for a, b in zip(got_blocks, want_blocks, strict=True):
+        assert np.array_equal(a, b)
+
+
+def test_blocked_witnesses_are_the_row_major_first_across_blocks(
+        monkeypatch):
+    # block 0 (columns 0-63) meets its pair in row 20, block 2 (columns
+    # 128-191) in row 10; row-major, (10, 150) comes first
+    monkeypatch.setattr(catalog_module, "_BLOCK", 64)
+    n = 200
+    sample = SampleSet(np.arange(n, dtype=float)[:, None],
+                       np.zeros(n, dtype=int), ())
+    ident = np.arange(n) / n
+    spike = np.zeros(n)
+    spike[[10, 20]] = 1.0
+    upper = ident[:, None] <= ident[None, :] + 1e-6
+    upper[20, 5], upper[10, 150] = True, False
+    sparse = np.eye(n, dtype=bool)
+    sparse[20, 5] = sparse[10, 150] = True
+    cases = (
+        # first disagreement: "induced" at (10, 150), "missing" at (20, 5)
+        ((_ID,), (), ident[None], upper, "represents_relation",
+         ((10.0,), (150.0,), "induced")),
+        # first broken isotone pair, for a C member and for an H member
+        ((_HALF,), (_SPIKE,), np.stack([np.full(n, 0.5), spike]),
+         sparse, "monotone_and_class_tags", ("spike", (10.0,), (150.0,))),
+        ((_SPIKE,), (), spike[None], sparse, "monotone_and_class_tags",
+         ("spike", (10.0,), (150.0,))),
+    )
+    for h, c, raw, table, check, witness in cases:
+        args = (FunctionFamily(h, c), sample, raw, _TableSpace(table), 1e-6,
+                1.0, ())
+        got, _ = validate_family(*args)
+        assert got.check(check).witness == witness
+        assert repr(got.to_dict()) == repr(
+            _reference_tile_validation(*args)[0].to_dict())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from((0.0, 0.5, 1.0, 1.0 + 1e-6, -1e-6, np.nan,
+                                 np.inf, -np.inf)), min_size=1, max_size=6),
+       st.booleans(), st.sampled_from((1e-6, 0.25)))
+def test_a_skipped_tag_pass_has_no_violating_pair(vals, isotone, eps):
+    raw = np.array([vals])
+    bounds = raw + (eps if isotone else -eps)
+    breakable = catalog_module._breakable(raw, bounds, np.array([isotone]))
+    broken = np.greater if isotone else np.less
+    # the full compare ANDed with the all-True relation, which holds every
+    # pair any relation could hold
+    pairs = broken(raw[0][:, None], bounds[0][None, :])
+    assert bool(breakable[0]) == bool(pairs.any())
+
+
+def test_an_all_nan_member_validates_without_a_warning():
+    space = catalog("half-open-interval").space
+    nan_c = _fn("nan_c", lambda a: np.full(len(a), np.nan), klass="C",
+                tail_value=1.0)
+    anti = _fn("anti_nan", lambda a: np.full(len(a), np.nan),
+               monotone="anti_isotone", klass="C", tail_value=0.0)
+    fam = FunctionFamily((_ID,), (nan_c, anti))
+    sample, vals = sample_values(space, fam, 70, 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report, _ = validate_family(fam, sample, vals, space)
+    # NaN breaks no tag (and no tail level is reached); it leaves [0, 1]
+    assert report.check("monotone_and_class_tags").passed
+    assert report.check("values_in_unit_interval").witness[0] == "nan_c"
+
+
+def test_validation_memory_stays_within_its_gathered_blocks():
+    # tracemalloc sees numpy's buffers; the half-open@20000 build is the
+    # largest in use, and no samples^2 array (packed or not) may appear
+    from ordtop.compactify import _verify_samples, close_and_cluster, embed
+    entry = catalog("half-open-interval")
+    fam = entry.family("id")
+    sample, raw = sample_values(entry.space, fam, 20000, 4)
+    gather = _verify_samples(close_and_cluster(embed(entry, fam, sample,
+                                                     raw)))
+    tracemalloc.start()
+    try:
+        report, blocks = validate_family(fam, sample, raw, entry.space,
+                                         gather=gather)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak <= sum(b.nbytes for b in blocks) + (16 << 20)
+
+
+def test_sampling_past_the_budget_is_refused_before_sampling():
+    budget = catalog_module.SAMPLE_BUDGET
+    fam = FunctionFamily((_ID,), ())
+
+    class Unsampled:
+        def sample(self, resolution, tail_depth):
+            raise AssertionError("sampled past the budget")
+
+    with pytest.raises(BudgetError,
+                       match=f"more than {budget} samples"):
+        sample_values(Unsampled(), fam, budget + 1, 4)
+    # nat-discrete's bump families hold one member per sample
+    with pytest.raises(BudgetError, match=f"more than {budget} samples"):
+        catalog("nat-discrete").family("C", budget + 1)
 
 
 # --------------------------------------------------------- family types

@@ -115,6 +115,30 @@ def test_check_finite_default_budget_fails_fast(tmp_path, capsys):
         "error: budget exceeded: more than 2000000 isotone functions\n")
 
 
+@pytest.mark.parametrize("argv", (
+    ["compactify", "--space", "misner-strip"],
+    ["compactify", "--space", "nat-discrete", "--family", "C"],
+    ["demo", "misner"],
+))
+def test_resolution_past_the_sample_budget_is_a_usage_error(
+        tmp_path, capsys, monkeypatch, argv):
+    def unsampled(*args):
+        raise AssertionError("sampled past the budget")
+
+    monkeypatch.setattr(catalog_module.MisnerStrip, "sample", unsampled)
+    monkeypatch.setattr(catalog_module.NaturalsDiscrete, "sample", unsampled)
+    budget = catalog_module.SAMPLE_BUDGET
+    out = tmp_path / "build"
+    if argv[0] == "compactify":
+        argv = argv + ["--out", str(out)]
+    assert ordtop.cli.main(argv + ["--resolution", str(budget + 1)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: budget exceeded: more than {budget} samples\n")
+    assert not out.exists()
+
+
 def test_compactify_writes_build_directory(tmp_path):
     out = tmp_path / "build"
     proc = run_cli("compactify", "--space", "half-open-interval",

@@ -1,9 +1,12 @@
 import random
+from unittest import mock
 
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import ordtop.preorder
 from ordtop.preorder import (
     EquivalenceClasses,
     PreorderGraph,
@@ -100,6 +103,46 @@ def test_closure_numpy_path_agrees_with_warshall():
         reach = {i} | nx.descendants(dg, i)
         row = sum(1 << j for j in reach)
         assert closed.rows[i] == row
+
+
+@st.composite
+def _graph_pair(draw):
+    """A relation and a larger one on up to 12 points, as pair lists."""
+    n = draw(st.integers(1, 12))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    small = draw(st.lists(pair, max_size=3 * n))
+    return n, small, small + draw(st.lists(pair, max_size=n))
+
+
+# the Warshall path, and the numpy path forced below its cutover
+_CLOSURE_PATHS = (10 ** 6, 0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_graph_pair(), st.sampled_from(_CLOSURE_PATHS))
+def test_closure_is_extensive_idempotent_and_monotone(graphs, cutover):
+    n, small, large = graphs
+    with mock.patch.object(ordtop.preorder, "_NUMPY_CUTOVER", cutover):
+        g = transitive_reflexive_closure(PreorderGraph.from_pairs(n, small))
+        h = transitive_reflexive_closure(PreorderGraph.from_pairs(n, large))
+        again = transitive_reflexive_closure(g)
+    assert set(small) <= set(g.pairs())
+    assert np.array_equal(again.matrix, g.matrix)
+    # small is within large, so its closure is within large's
+    assert not (g.matrix & ~h.matrix).any()
+    assert set(g.pairs()) == naive_closure(n, small)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_graph_pair(), st.sampled_from(_CLOSURE_PATHS))
+def test_quotient_of_a_closed_relation_is_antisymmetric(graphs, cutover):
+    n, _, pairs = graphs
+    with mock.patch.object(ordtop.preorder, "_NUMPY_CUTOVER", cutover):
+        closed = transitive_reflexive_closure(
+            PreorderGraph.from_pairs(n, pairs))
+    q, part = quotient_preorder(closed)
+    assert is_antisymmetric(q) == (True, None)
+    assert q.n == len(part.classes)
 
 
 def test_closure_long_chain():

@@ -29,7 +29,8 @@ _TILE_CELLS = 1 << 20
 
 # samples per column block of validation's bit-space pass, a multiple of
 # 64: a block's rank table takes _BLOCK**2 / 8 bytes and its packed rows
-# samples * _BLOCK / 8
+# samples * _BLOCK / 8; below 4,096 columns the interval spaces' relation
+# tiles (a broadcast compare) run about 6x slower per cell
 _BLOCK = 4096
 
 # relative distance from a factored Misner bound below which a cell is
@@ -577,7 +578,7 @@ def _packed_leq(values, bounds):
     float compare bit for bit.  NaN sorts last: a NaN bound is in no row
     and a NaN value takes a row below every ranked bound.  Each word of a
     table is a step function of t with at most 64 steps, so tables are
-    built (_TILE_CELLS // 8 words at a time) by one np.repeat of each
+    built (_TILE_CELLS // 128 words at a time) by one np.repeat of each
     word's running OR over its step lengths, then copied to row-major;
     rows are gathered and ANDed in tiles of _TILE_CELLS // 32 words.  With
     no members every column's bit is set.
@@ -585,7 +586,7 @@ def _packed_leq(values, bounds):
     k, w = bounds.shape
     n, words = values.shape[1], -(-w // 64)
     out = None  # the first member's rows, made once its table is built
-    group = max(1, _TILE_CELLS // 8 // (words * (w + 1)))
+    group = max(1, _TILE_CELLS // 128 // (words * (w + 1)))
     step = max(1, _TILE_CELLS // 32 // words)
     scratch = np.empty((min(step, n), words), dtype="<u8")
     slot_bits = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))
@@ -693,8 +694,7 @@ def validate_family(family, sample, raw, space, eps_fn=EPS_FN,
     first_diff = None  # (i, j, label) of the first disagreement
     disagreements = 0
     blocks = [np.empty((len(s), len(s)), dtype=bool) for s in gather]
-    width = min(_BLOCK, n)
-    step = max(1, _TILE_CELLS // max(width, 1))
+    step = max(1, _TILE_CELLS // max(min(_BLOCK, n), 1))
     for c0 in range(0, n, _BLOCK):
         cols = slice(c0, c0 + _BLOCK)
         w = min(_BLOCK, n - c0)
@@ -708,7 +708,6 @@ def validate_family(family, sample, raw, space, eps_fn=EPS_FN,
                 lo, hi = np.searchsorted(s, (start, start + step))
                 block[lo:hi, clo:chi] = rel.take(s[lo:hi] - start, axis=0) \
                     .take(s[clo:chi] - c0, axis=1)
-            missing = False
             if n_h:  # where the H-induced relation differs from rel
                 rel_bits = _pack_rows(rel, words)
                 diff = rel_bits ^ h_bits[rows]

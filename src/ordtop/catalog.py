@@ -605,6 +605,7 @@ def _packed_leq(values, bounds):
         edges = np.full((len(b), words, 66), w + 1)
         edges[..., 0] = 0
         edges[..., 1:65] = np.sort(start, axis=2)
+        # a word's bits are distinct, so its running sum is its running OR
         runs = np.zeros((len(b), words, 65), dtype="<u8")
         np.cumsum(slot_bits[slot], axis=2, out=runs[..., 1:])
         lengths = edges[..., 1:] - edges[..., :-1]

@@ -46,6 +46,10 @@ MIN_AGREEMENT = 0.99  # share of sampled pairs where H induces the relation
 # (its build at 8,192 peaks near 300 MB); half-open-interval@20000, the
 # largest build in use, validates in about 0.1 s
 SAMPLE_BUDGET = 20_000
+# most tail shells per end: half-open-interval's shell at level 6 + T is
+# 1 - 0.6 * 2**-(6 + T), which at T = 47 rounds onto the shell before it
+# and at T = 48 onto 1.0, outside [0, 1)
+TAIL_DEPTH_LIMIT = 46
 
 
 @dataclass(frozen=True)
@@ -207,8 +211,7 @@ class ClosedInterval(SampledSpace):
     dim = 1
     ends = 0
 
-    def _block(self, p, q):
-        return p[:, None, 0] <= q[None, :, 0]
+    _block = HalfOpenInterval._block  # the standard order, as on [0,1)
 
     def sample(self, resolution, tail_depth):
         xs = np.linspace(0.0, 1.0, resolution)
@@ -552,9 +555,13 @@ def _check_sample_budget(resolution):
 def sample_values(space, family, resolution, tail_depth):
     """One sample of the space and the family's raw values on it.
 
-    Raises BudgetError, before sampling, past SAMPLE_BUDGET.
+    Raises BudgetError, before sampling, past SAMPLE_BUDGET, or past
+    TAIL_DEPTH_LIMIT shells or so many that no core sample is left.
     """
     _check_sample_budget(resolution)
+    shells = min(TAIL_DEPTH_LIMIT, resolution - 1)
+    if tail_depth > shells:
+        raise BudgetError("tail shells", shells)
     sample = space.sample(resolution, tail_depth)
     return sample, evaluate_family(family, sample.coords)
 
@@ -567,64 +574,84 @@ def _pack_rows(rel, words):
     return packed.view("<u8")
 
 
+def _rank_tables(order, start, height, words):
+    """g members' tables as (g * height, words) '<u8' rows: row l * height
+    + t holds member l's columns order[l, p] with start[l, p] <= t.  Each
+    word of a table steps at most 64 times, so the tables are one np.repeat
+    of each word's running OR over its step lengths, copied to row-major.
+    """
+    g = len(order)
+    # each word's slots ordered by their start: start << 6 | slot
+    key = np.full((g, 64 * words), height << 6)
+    key[np.arange(g)[:, None], order] = start << 6
+    key |= np.arange(64 * words) & 63
+    key = key.reshape(g, words, 64)
+    key.sort(axis=2)
+    edges = np.full((g, words, 66), height)
+    edges[..., 0] = 0
+    np.right_shift(key, 6, out=edges[..., 1:65])
+    # a word's bits are distinct, so its running sum is its running OR
+    slot_bits = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))
+    runs = np.zeros((g, words, 65), dtype="<u8")
+    np.cumsum(slot_bits[key & 63], axis=2, out=runs[..., 1:])
+    tables = np.repeat(runs.ravel(), np.diff(edges, axis=2).ravel())
+    return np.ascontiguousarray(tables.reshape(g, words, height)
+                                .transpose(0, 2, 1)).reshape(-1, words)
+
+
 def _packed_leq(values, bounds):
     """Packed rows of [all m: values[m, i] <= bounds[m, j]].
 
     values is (k, n) and bounds (k, w); the result is (n, ceil(w / 64))
-    '<u8', bit j of row i being bit j % 64 of word j // 64.  Rank bitsets
-    (Tan, Eng & Ooi, VLDB 2001), as in compactify._induced_graph: row t
-    of a member's table holds the columns whose bound ranks >= w - t, so
-    {j : v <= b_j} is row w - searchsorted(sorted bounds, v, "left"), the
-    float compare bit for bit.  NaN sorts last: a NaN bound is in no row
-    and a NaN value takes a row below every ranked bound.  Each word of a
-    table is a step function of t with at most 64 steps, so tables are
-    built (_TILE_CELLS // 128 words at a time) by one np.repeat of each
-    word's running OR over its step lengths, then copied to row-major;
-    rows are gathered and ANDed in tiles of _TILE_CELLS // 32 words.  With
-    no members every column's bit is set.
+    '<u8', bit j of row i being bit j % 64 of word j // 64.  The package's
+    rank-bitset kernel (Tan, Eng & Ooi, VLDB 2001), for validation's column
+    blocks and close_and_cluster's quantized H-part (as values and bounds).  A
+    member whose bounds take d distinct non-NaN values gets d + 1 table
+    rows: row t holds the columns whose bound is among the t largest, so
+    {j : v <= b_j} is row d - searchsorted(distinct bounds, v, "left"), the
+    compare bit for bit; a NaN bound is in no row, a NaN value takes the
+    empty row 0.  Members are ranked by one argsort per _TILE_CELLS // 64
+    bounds, their tables built (_rank_tables) up to _TILE_CELLS // 8 words
+    at a time, at the group's largest height, and ANDed in row tiles of
+    _TILE_CELLS // 32 words.  With no members every column's bit is set.
     """
     k, w = bounds.shape
     n, words = values.shape[1], -(-w // 64)
+    if not (k and w):  # no members: every column
+        return np.repeat(_pack_rows(np.ones((1, w), dtype=bool), words), n,
+                         axis=0)
     out = None  # the first member's rows, made once its table is built
-    group = max(1, _TILE_CELLS // 128 // (words * (w + 1)))
     step = max(1, _TILE_CELLS // 32 // words)
     scratch = np.empty((min(step, n), words), dtype="<u8")
-    slot_bits = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))
-    rank = np.arange(w)
-    for g in range(0, k, group):
-        b = bounds[g:g + group]
-        rows = np.arange(len(b))[:, None]
+    width = max(1, _TILE_CELLS // 64 // w)
+    for g in range(0, k, width):
+        b = np.ascontiguousarray(bounds[g:g + width])
         order = b.argsort(axis=1)
-        ranked = b[rows, order]
-        # column j sets its bit from row w - rank(j) on; NaN and padding
-        # columns from row w + 1, past the table
-        start = np.full((len(b), 64 * words), w + 1)
-        start[rows, order] = np.where(np.isnan(ranked), w + 1, w - rank)
-        start = start.reshape(len(b), words, 64)
-        slot = start.argsort(axis=2)
-        edges = np.full((len(b), words, 66), w + 1)
-        edges[..., 0] = 0
-        edges[..., 1:65] = np.sort(start, axis=2)
-        # a word's bits are distinct, so its running sum is its running OR
-        runs = np.zeros((len(b), words, 65), dtype="<u8")
-        np.cumsum(slot_bits[slot], axis=2, out=runs[..., 1:])
-        lengths = edges[..., 1:] - edges[..., :-1]
-        tables = np.repeat(runs.ravel(), lengths.ravel())
-        tables = np.ascontiguousarray(
-            tables.reshape(len(b), words, w + 1).transpose(0, 2, 1))
-        for m, (table, sorted_b) in enumerate(zip(tables, ranked), g):
-            index = w - np.searchsorted(sorted_b, values[m], "left")
+        ranked = np.take_along_axis(b, order, axis=1)
+        new = ranked == ranked  # the first position of each distinct bound
+        new[:, 1:] &= ranked[:, 1:] != ranked[:, :-1]
+        start = np.cumsum(new, axis=1)  # distinct bounds up to a position
+        d = start[:, -1:].copy()
+        height = int(d.max()) + 1
+        np.subtract(d + 1, start, out=start)  # a bound's first row
+        start[ranked != ranked] = height  # NaN: past the table, in no row
+        v = np.ascontiguousarray(values[g:g + width])
+        batch = max(1, _TILE_CELLS // 8 // (height * words))
+        for lo in range(0, len(b), batch):
+            tables = _rank_tables(order[lo:lo + batch], start[lo:lo + batch],
+                                  height, words)
+            rows = np.empty((len(tables) // height, n), dtype=np.intp)
+            for l, row in enumerate(rows, lo):  # each value's table row
+                np.subtract(d[l, 0] + (l - lo) * height,
+                            ranked[l, new[l]].searchsorted(v[l]), out=row)
             if out is None:
-                out = table.take(index, axis=0)
-                continue
-            for lo in range(0, n, step):
-                part = scratch[:min(step, n - lo)]
-                np.take(table, index[lo:lo + step], axis=0, out=part,
-                        mode="clip")
-                out[lo:lo + step] &= part
-    if out is None:  # no members: every column
-        out = np.repeat(_pack_rows(np.ones((1, w), dtype=bool), words), n,
-                        axis=0)
+                out, rows = tables.take(rows[0], axis=0), rows[1:]
+            for r0 in range(0, n, step):
+                tile = out[r0:r0 + step]
+                part = scratch[:len(tile)]
+                for member in rows[:, r0:r0 + step]:
+                    np.take(tables, member, axis=0, out=part, mode="clip")
+                    tile &= part
     return out
 
 

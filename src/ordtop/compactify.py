@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import DEFAULT_RESOLUTION, DEFAULT_TAIL_DEPTH, _TILE_CELLS, \
+from .catalog import DEFAULT_RESOLUTION, DEFAULT_TAIL_DEPTH, _packed_leq, \
     sample_values, validate_family
 from .preorder import PreorderGraph, _closure_numpy, is_antisymmetric, \
     quotient_preorder
@@ -25,6 +25,10 @@ DEFAULT_EPS_CAUCHY = 0.01
 # violation rate at which verify still passes each of its two checks
 DELTA_EMBED = 0.01
 VERIFY_RESOLUTION = 2048
+# most vertices for which a build runs the smallest-closure diagnostic
+DIAGNOSTIC_BUDGET = 1500
+# most candidate maps attempt_domination tries
+SEARCH_CAP = 200_000
 
 
 class DominationError(ValueError):
@@ -134,46 +138,9 @@ def _induced_graph(quant, h_count):
 
     Integer <= per coordinate is reflexive and transitive, so the result
     is a preorder by construction (the test suite checks it as a property).
-    Rank bitsets (Tan, Eng & Ooi, VLDB 2001): bitset t of column k holds
-    the vertices whose value ranks >= t among the column's distinct
-    values, and row i is the AND over the columns of bitset rank_k(i).
-    Bitsets are rows of 64-bit words.  Columns are ranked by one argsort
-    per chunk of _TILE_CELLS // 32 values, and ANDed into row tiles of
-    _TILE_CELLS // 32 words, which stay in cache.
     """
-    n = len(quant)
-    if not n:
-        return PreorderGraph(0, ())
-    words = -(-n // 64)
-    word = np.arange(n) >> 6
-    bit = np.left_shift(np.uint64(1), np.arange(n, dtype=np.uint64) % 64)
-    full = np.zeros(words, dtype="<u8")
-    np.bitwise_or.at(full, word, bit)
-    rows = np.tile(full, (n, 1))
-    width = max(1, _TILE_CELLS // 32 // n)
-    step = max(1, _TILE_CELLS // 32 // words)
-    for k in range(0, h_count, width):
-        cols = np.ascontiguousarray(quant[:, k:min(k + width, h_count)].T)
-        order = np.argsort(cols, axis=1)
-        ranked = np.take_along_axis(cols, order, axis=1)
-        dense = np.zeros(cols.shape, dtype=np.intp)
-        dense[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
-        np.cumsum(dense, axis=1, out=dense)
-        # a column's bitsets run from its highest threshold down to its
-        # last one, so each is the OR of the vertices at its rank and the
-        # bitset before it
-        last = np.cumsum(dense[:, -1] + 1) - 1
-        top = np.empty_like(dense)
-        np.put_along_axis(top, order, last[:, None] - dense, axis=1)
-        bits = np.zeros((last[-1] + 1, words), dtype="<u8")
-        np.bitwise_or.at(bits, (top, word), bit)
-        for lo, hi in zip((last - dense[:, -1]).tolist(), (last + 1).tolist()):
-            np.bitwise_or.accumulate(bits[lo:hi], axis=0, out=bits[lo:hi])
-        for start in range(0, n, step):
-            tile = rows[start:start + step]
-            for index in top[:, start:start + step]:
-                tile &= bits[index]
-    return PreorderGraph.from_packed(rows)
+    h = quant[:, :h_count].T
+    return PreorderGraph.from_packed(_packed_leq(h, h))
 
 
 def close_and_cluster(cloud, eps_q=DEFAULT_EPS_Q,
@@ -418,7 +385,7 @@ class DominationSearch:
 _SEARCH_REMAINDER_LIMIT = 8
 
 
-def attempt_domination(comp_a, comp_b, cap=200000) -> DominationSearch:
+def attempt_domination(comp_a, comp_b) -> DominationSearch:
     """Exhaustive search for a domination map comp_a -> comp_b.
 
     The core identification is forced sample-by-sample; only the images
@@ -451,10 +418,10 @@ def attempt_domination(comp_a, comp_b, cap=200000) -> DominationSearch:
 
     n_b = comp_b.n_vertices
     count = n_b ** n_rem
-    if count > cap:
+    if count > SEARCH_CAP:
         raise DominationError(
             f"{count} candidate maps exceed the exhaustive search cap "
-            f"of {cap}")
+            f"of {SEARCH_CAP}")
     m2, m1 = comp_a.induced.matrix, comp_b.induced.matrix
     target_rem = set(comp_b.remainder_ids())
     core_images = vm[:n_core]
@@ -673,8 +640,7 @@ def nachbin_pipeline(entry, family, resolution=DEFAULT_RESOLUTION,
 def build_compactification(entry, family, resolution=DEFAULT_RESOLUTION,
                            tail_depth=DEFAULT_TAIL_DEPTH,
                            eps_q=DEFAULT_EPS_Q,
-                           eps_cauchy=DEFAULT_EPS_CAUCHY,
-                           diagnostic_budget=1500):
+                           eps_cauchy=DEFAULT_EPS_CAUCHY):
     """Full pipeline: validate, embed, close, verify.  (comp, report).
 
     The space is sampled and the family evaluated once; validation and
@@ -685,7 +651,7 @@ def build_compactification(entry, family, resolution=DEFAULT_RESOLUTION,
     samples^2), and the same pass gathers the relation that verify and
     the diagnostic read, so the relation is evaluated once per build.
     The smallest-closure diagnostic needs an exact transitive closure,
-    so it is included only up to diagnostic_budget vertices; past that
+    so it is included only up to DIAGNOSTIC_BUDGET vertices; past that
     the report simply omits it.
     """
     sample, raw = sample_values(entry.space, family, resolution, tail_depth)
@@ -706,7 +672,7 @@ def build_compactification(entry, family, resolution=DEFAULT_RESOLUTION,
     reports.append(verify_preorder_embedding(comp, samples, relations))
     if comp.complete:
         reports.append(remainder_is_ordered(comp))
-        if comp.n_vertices <= diagnostic_budget:
+        if comp.n_vertices <= DIAGNOSTIC_BUDGET:
             reports.append(smallest_closed_preorder_diagnostic(
                 comp, relations[0]))
     return comp, merge_reports(*reports)

@@ -860,13 +860,32 @@ def test_packed_leq_matches_the_direct_compare(k, n, w, eps, cells, seed):
     palette = _palette(eps)
     values = palette[rng.integers(0, len(palette), (k, n))]
     bounds = palette[rng.integers(0, len(palette), (k, w))]
-    if k and rng.random() < 0.5:  # the bounds of the values, as validation
+    kind = rng.integers(3)
+    if k and kind == 1:  # the bounds of the values, as validation
         values = palette[rng.integers(0, len(palette), (k, w))]
         bounds = values + eps
+    elif kind == 2:  # few distinct integers, one strided array, as the build
+        values = bounds = rng.integers(-2, 3, (w, k + 1)).T[:k]
     with mock.patch.object(catalog_module, "_TILE_CELLS", cells):
         got = catalog_module._packed_leq(values, bounds)
     assert got.dtype == np.dtype("<u8")
     assert np.array_equal(got, _packed_direct(values, bounds))
+
+
+def test_packed_leq_builds_a_rank_group_in_table_batches():
+    # 600 distinct bounds make tables of 601 rows of 10 words: 27 members
+    # are ranked together, but only 21 fit one batch of tables.  Member m
+    # alone removes column 20 * m, so each member's rows show
+    rng = np.random.default_rng(0)
+    values = -0.99 * rng.random((30, 40))
+    bounds = np.argsort(rng.random((30, 600)), axis=1) / 600
+    bounds[np.arange(30), 20 * np.arange(30)] = -1.0 - np.arange(30) / 100
+    want = _packed_direct(values, bounds)
+    rel = np.unpackbits(want.view(np.uint8), axis=1, count=600,
+                        bitorder="little")
+    assert np.flatnonzero(rel.sum(axis=0) == 0).tolist() == \
+        list(range(0, 600, 20)) and rel.sum() == 40 * 570
+    assert np.array_equal(catalog_module._packed_leq(values, bounds), want)
 
 
 @st.composite
@@ -1028,6 +1047,39 @@ def test_sampling_past_the_budget_is_refused_before_sampling():
     # nat-discrete's bump families hold one member per sample
     with pytest.raises(BudgetError, match=f"more than {budget} samples"):
         catalog("nat-discrete").family("C", budget + 1)
+    # tail shells: at most TAIL_DEPTH_LIMIT, and one core sample left
+    limit = catalog_module.TAIL_DEPTH_LIMIT
+    with pytest.raises(BudgetError, match=f"more than {limit} tail shells"):
+        sample_values(Unsampled(), fam, 512, limit + 1)
+    with pytest.raises(BudgetError, match="more than 7 tail shells"):
+        sample_values(Unsampled(), fam, 8, 8)
+
+
+# what each catalog space is, as a test on its sample coordinates
+_INSIDE = {
+    "half-open-interval": lambda c: (c[:, 0] >= 0) & (c[:, 0] < 1),
+    "closed-interval": lambda c: (c[:, 0] >= 0) & (c[:, 0] <= 1),
+    "nat-discrete": lambda c: (c[:, 0] >= 0) & (c[:, 0] == np.round(c[:, 0])),
+    "real-line-mirror": lambda c: np.isfinite(c[:, 0]),
+    "misner-strip": lambda c: (c[:, 0] > 0) & (c[:, 0] <= 1)
+    & np.isfinite(c[:, 1]),
+}
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+@pytest.mark.parametrize("extra", (1, 512))
+def test_the_deepest_tails_stay_distinct_and_inside_the_space(name, extra):
+    # the largest allowed depth, with one core sample left and with many
+    depth = catalog_module.TAIL_DEPTH_LIMIT
+    space = catalog(name).space
+    sample, _ = sample_values(space, FunctionFamily((), ()), depth + extra,
+                              depth)
+    assert _INSIDE[name](sample.coords).all()
+    assert len(sample.tails) == space.ends
+    for shells in sample.tails:
+        assert len(shells) == depth
+        points = [tuple(sample.coords[i]) for shell in shells for i in shell]
+        assert len(set(points)) == len(points)
 
 
 # --------------------------------------------------------- family types

@@ -139,6 +139,30 @@ def test_resolution_past_the_sample_budget_is_a_usage_error(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("space, resolution, depth", (
+    ("half-open-interval", 8, 20),  # would leave no core sample
+    ("real-line-mirror", 8, 3000),
+    ("misner-strip", 64, catalog_module.TAIL_DEPTH_LIMIT + 1),
+))
+def test_tail_depth_past_its_limit_is_a_usage_error(
+        tmp_path, capsys, monkeypatch, space, resolution, depth):
+    def unsampled(*args):
+        raise AssertionError("sampled past the limit")
+
+    monkeypatch.setattr(type(catalog_module.catalog(space).space), "sample",
+                        unsampled)
+    limit = min(catalog_module.TAIL_DEPTH_LIMIT, resolution - 1)
+    out = tmp_path / "build"
+    assert ordtop.cli.main([
+        "compactify", "--space", space, "--resolution", str(resolution),
+        "--tail-depth", str(depth), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: budget exceeded: more than {limit} tail shells\n")
+    assert not out.exists()
+
+
 def test_compactify_writes_build_directory(tmp_path):
     out = tmp_path / "build"
     proc = run_cli("compactify", "--space", "half-open-interval",

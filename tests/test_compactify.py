@@ -7,6 +7,7 @@ hand against the shell schedule; nothing here re-reads pipeline output.
 
 import dataclasses
 import functools
+import importlib
 import itertools
 import math
 import random
@@ -49,6 +50,8 @@ from ordtop.export import _condense, write_build
 from ordtop.generators import random_nested_families
 from ordtop.preorder import PreorderGraph, is_transitive, quotient_preorder
 from ordtop.report import Check, CheckReport
+
+catalog_module = importlib.import_module("ordtop.catalog")
 
 
 def build(space, selector="default", resolution=512, **kw):
@@ -287,8 +290,9 @@ def test_induced_relation_is_a_preorder_on_catalog_builds(name, resolution,
 
 @pytest.mark.parametrize("offset", (-1, 0, 1))
 def test_induced_graph_tiles_match_direct_compare(offset):
-    # the largest vertex count that is still compared in a single tile
-    tile = math.isqrt(ordtop.compactify._TILE_CELLS)
+    # vertex counts around sqrt(_TILE_CELLS), across a word boundary of
+    # the packed rows
+    tile = math.isqrt(catalog_module._TILE_CELLS)
     n = tile + offset
     rng = np.random.default_rng(n)
     # eps_q = 1e-6 puts coordinates at up to 1e6, beyond int16; the last
@@ -311,7 +315,7 @@ def test_rank_bitsets_match_direct_compare(n, h, spread, cells, data):
         st.lists(st.integers(-spread, spread), min_size=h + 1,
                  max_size=h + 1), min_size=n, max_size=n)), dtype=np.int64)
     direct = (quant[:, None, :h] <= quant[None, :, :h]).all(axis=2)
-    with mock.patch.object(ordtop.compactify, "_TILE_CELLS", cells):
+    with mock.patch.object(catalog_module, "_TILE_CELLS", cells):
         got = ordtop.compactify._induced_graph(quant, h)
     assert got.rows == PreorderGraph.from_matrix(direct).rows
     assert np.array_equal(got.matrix, direct)
@@ -457,8 +461,8 @@ def test_no_build_relation_is_unpacked(monkeypatch, tmp_path):
     matrix.__set_name__(PreorderGraph, "matrix")
     monkeypatch.setattr(PreorderGraph, "matrix", matrix)
     nat = catalog("nat-discrete")
-    comps = [build_compactification(nat, nat.family(sel, 32), resolution=32,
-                                    diagnostic_budget=1500)[0]
+    comps = [build_compactification(nat, nat.family(sel, 32),
+                                    resolution=32)[0]
              for sel in ("C", "Cminus", "Cplus")]
     half = catalog("half-open-interval")
     inner, outer = (build_compactification(half, half.family(names, 64),
@@ -660,7 +664,7 @@ def with_remainder(comp, count):
     return dataclasses.replace(comp, n_core=comp.n_vertices - count)
 
 
-def test_search_budgets_name_their_limit():
+def test_search_budgets_name_their_limit(monkeypatch):
     entry, comp, _ = build("half-open-interval", "id", resolution=32)
     n = comp.n_vertices
     for source, target, side in ((with_remainder(comp, 9), comp, "source"),
@@ -676,23 +680,27 @@ def test_search_budgets_name_their_limit():
     assert str(exc.value) == (
         f"{n ** 8} candidate maps exceed the exhaustive search cap of 200000")
     # one remainder vertex: n candidates
+    monkeypatch.setattr(ordtop.compactify, "SEARCH_CAP", n - 1)
     with pytest.raises(DominationError) as exc:
-        attempt_domination(comp, comp, cap=n - 1)
+        attempt_domination(comp, comp)
     assert str(exc.value) == (
         f"{n} candidate maps exceed the exhaustive search cap of {n - 1}")
-    assert attempt_domination(comp, comp, cap=n).found is not None
+    monkeypatch.setattr(ordtop.compactify, "SEARCH_CAP", n)
+    assert attempt_domination(comp, comp).found is not None
 
 
-def test_search_without_remainder_has_one_candidate():
+def test_search_without_remainder_has_one_candidate(monkeypatch):
     entry = catalog("closed-interval")
     comp, _ = build_compactification(entry, entry.family("id", 32),
                                      resolution=32)
     assert comp.remainder_ids() == ()
     # n_b ** 0 = 1 candidate map, however many target vertices there are
-    search = attempt_domination(comp, comp, cap=1)
+    monkeypatch.setattr(ordtop.compactify, "SEARCH_CAP", 1)
+    search = attempt_domination(comp, comp)
     assert search.found is not None and search.candidates == ()
+    monkeypatch.setattr(ordtop.compactify, "SEARCH_CAP", 0)
     with pytest.raises(DominationError, match="1 candidate maps exceed"):
-        attempt_domination(comp, comp, cap=0)
+        attempt_domination(comp, comp)
 
 
 def test_dominate_matches_row_scan_reference():
@@ -909,8 +917,8 @@ def test_build_verifies_from_the_validation_relation(space, monkeypatch):
     monkeypatch.setattr(type(entry.space), "relation_matrix", counting)
     for budget in (0, 1500):  # without and with the diagnostic
         calls.clear()
-        comp, report = build_compactification(entry, fam, resolution=256,
-                                              diagnostic_budget=budget)
+        monkeypatch.setattr(ordtop.compactify, "DIAGNOSTIC_BUDGET", budget)
+        comp, report = build_compactification(entry, fam, resolution=256)
         # validation's row tiles are the only relation calls: they cover
         # every sample once, each against all samples
         n = comp.cloud.n_samples
@@ -939,7 +947,7 @@ def test_build_relation_tiles_cover_large_samples(monkeypatch):
     comp, report = build_compactification(entry, entry.family("default"),
                                           resolution=3000)
     assert report.passed
-    step = ordtop.compactify._TILE_CELLS // 3000
+    step = catalog_module._TILE_CELLS // 3000
     assert len(calls) == -(-3000 // step) > 1
     assert sum(rows for rows, _ in calls) == 3000
     assert {cols for _, cols in calls} == {3000}

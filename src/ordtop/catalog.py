@@ -594,7 +594,8 @@ def _rank_tables(order, start, height, words):
     slot_bits = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))
     runs = np.zeros((g, words, 65), dtype="<u8")
     np.cumsum(slot_bits[key & 63], axis=2, out=runs[..., 1:])
-    tables = np.repeat(runs.ravel(), np.diff(edges, axis=2).ravel())
+    lengths = edges[..., 1:] - edges[..., :-1]
+    tables = np.repeat(runs.ravel(), lengths.ravel())
     return np.ascontiguousarray(tables.reshape(g, words, height)
                                 .transpose(0, 2, 1)).reshape(-1, words)
 
@@ -611,9 +612,10 @@ def _packed_leq(values, bounds):
     {j : v <= b_j} is row d - searchsorted(distinct bounds, v, "left"), the
     compare bit for bit; a NaN bound is in no row, a NaN value takes the
     empty row 0.  Members are ranked by one argsort per _TILE_CELLS // 64
-    bounds, their tables built (_rank_tables) up to _TILE_CELLS // 8 words
-    at a time, at the group's largest height, and ANDed in row tiles of
-    _TILE_CELLS // 32 words.  With no members every column's bit is set.
+    bounds, their tables built (_rank_tables) at the group's largest height
+    in batches of at most _TILE_CELLS // 8 words, values' rows included,
+    and ANDed in row tiles of _TILE_CELLS // 32 words.  With no members
+    every column's bit is set.
     """
     k, w = bounds.shape
     n, words = values.shape[1], -(-w // 64)
@@ -627,7 +629,7 @@ def _packed_leq(values, bounds):
     for g in range(0, k, width):
         b = np.ascontiguousarray(bounds[g:g + width])
         order = b.argsort(axis=1)
-        ranked = np.take_along_axis(b, order, axis=1)
+        ranked = b[np.arange(len(b))[:, None], order]
         new = ranked == ranked  # the first position of each distinct bound
         new[:, 1:] &= ranked[:, 1:] != ranked[:, :-1]
         start = np.cumsum(new, axis=1)  # distinct bounds up to a position
@@ -635,15 +637,16 @@ def _packed_leq(values, bounds):
         height = int(d.max()) + 1
         np.subtract(d + 1, start, out=start)  # a bound's first row
         start[ranked != ranked] = height  # NaN: past the table, in no row
-        v = np.ascontiguousarray(values[g:g + width])
-        batch = max(1, _TILE_CELLS // 8 // (height * words))
+        # a member's table words and its values' rows
+        batch = max(1, _TILE_CELLS // 8 // (height * words + n))
         for lo in range(0, len(b), batch):
-            tables = _rank_tables(order[lo:lo + batch], start[lo:lo + batch],
-                                  height, words)
-            rows = np.empty((len(tables) // height, n), dtype=np.intp)
-            for l, row in enumerate(rows, lo):  # each value's table row
-                np.subtract(d[l, 0] + (l - lo) * height,
-                            ranked[l, new[l]].searchsorted(v[l]), out=row)
+            hi = min(lo + batch, len(b))
+            tables = _rank_tables(order[lo:hi], start[lo:hi], height, words)
+            v = np.ascontiguousarray(values[g + lo:g + hi])
+            rows = np.empty(v.shape, dtype=np.intp)  # each value's table row
+            for l, m in enumerate(range(lo, hi)):
+                np.subtract(d[m, 0] + l * height,
+                            ranked[m, new[m]].searchsorted(v[l]), out=rows[l])
             if out is None:
                 out, rows = tables.take(rows[0], axis=0), rows[1:]
             for r0 in range(0, n, step):

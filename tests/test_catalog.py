@@ -888,6 +888,22 @@ def test_packed_leq_builds_a_rank_group_in_table_batches():
     assert np.array_equal(catalog_module._packed_leq(values, bounds), want)
 
 
+def test_packed_leq_memory_stays_bounded_with_many_members():
+    # 300 members of 8 bounds against 4,000 values are ranked as one group;
+    # its values' table rows are made a batch of members at a time, not as
+    # one 300 x 4,000 array (9.6 MB)
+    rng = np.random.default_rng(0)
+    values, bounds = rng.random((300, 4000)), rng.random((300, 8))
+    tracemalloc.start()
+    try:
+        got = catalog_module._packed_leq(values, bounds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < got.nbytes + 4 * 2 ** 20
+    assert np.array_equal(got[:50], _packed_direct(values[:, :50], bounds))
+
+
 @st.composite
 def _blocked_inputs(draw):
     """Validation inputs past one word: n up to 300 samples, values from

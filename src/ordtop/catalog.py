@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .finite_space import BudgetError
+from .preorder import _first_set, _or_columns, _pack_rows
 from .report import Check, CheckReport
 
 TWO_PI = 2.0 * math.pi
@@ -566,14 +567,6 @@ def sample_values(space, family, resolution, tail_depth):
     return sample, evaluate_family(family, sample.coords)
 
 
-def _pack_rows(rel, words):
-    """Bool rows as rows of little-endian 64-bit words, zero-padded."""
-    packed = np.zeros((len(rel), 8 * words), dtype=np.uint8)
-    packed[:, :-(-rel.shape[1] // 8)] = np.packbits(rel, axis=1,
-                                                   bitorder="little")
-    return packed.view("<u8")
-
-
 def _rank_tables(order, start, height, words):
     """g members' tables as (g * height, words) '<u8' rows: row l * height
     + t holds member l's columns order[l, p] with start[l, p] <= t.  Each
@@ -687,7 +680,7 @@ def validate_family(family, sample, raw, space, eps_fn=EPS_FN,
     against the block, packed and XORed with those rows, so memory stays
     O(n * _BLOCK).  A tag's pass compares only members that some pair
     could break.  Returns the report and, for each sorted index array in
-    gather, the relation among those samples.
+    gather, the relation among those samples as packed '<u8' rows.
     """
     coords, levels = sample.coords, sample.levels
     members, n_h, n = family.members(), len(family.h), len(coords)
@@ -724,7 +717,8 @@ def validate_family(family, sample, raw, space, eps_fn=EPS_FN,
     first_bad = {}  # member -> its first violating (i, j), row-major
     first_diff = None  # (i, j, label) of the first disagreement
     disagreements = 0
-    blocks = [np.empty((len(s), len(s)), dtype=bool) for s in gather]
+    blocks = [np.zeros((len(s), -(-len(s) // 64)), dtype="<u8")
+              for s in gather]
     step = max(1, _TILE_CELLS // max(min(_BLOCK, n), 1))
     for c0 in range(0, n, _BLOCK):
         cols = slice(c0, c0 + _BLOCK)
@@ -737,17 +731,16 @@ def validate_family(family, sample, raw, space, eps_fn=EPS_FN,
             rel = space.relation_matrix(coords[rows], coords[cols])
             for s, (clo, chi), block in zip(gather, spans, blocks):
                 lo, hi = np.searchsorted(s, (start, start + step))
-                block[lo:hi, clo:chi] = rel.take(s[lo:hi] - start, axis=0) \
-                    .take(s[clo:chi] - c0, axis=1)
+                _or_columns(block[lo:hi], clo,
+                            rel.take(s[lo:hi] - start, axis=0)
+                            .take(s[clo:chi] - c0, axis=1))
             if n_h:  # where the H-induced relation differs from rel
                 rel_bits = _pack_rows(rel, words)
                 diff = rel_bits ^ h_bits[rows]
                 wrong = int(np.bitwise_count(diff).sum(dtype=np.int64))
                 disagreements += wrong
                 if wrong and start < (first_diff or (n,))[0]:
-                    i, k = divmod(int(np.flatnonzero(diff)[0]), words)
-                    word = int(diff[i, k])
-                    j = 64 * k + (word & -word).bit_length() - 1
+                    i, j = _first_set(diff)
                     first_diff = min(first_diff or (n,), (
                         start + i, c0 + j,
                         "missing" if rel[i, j] else "induced"))

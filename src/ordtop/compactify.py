@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import DEFAULT_RESOLUTION, DEFAULT_TAIL_DEPTH, _packed_leq, \
-    sample_values, validate_family
-from .preorder import PreorderGraph, _closure_numpy, is_antisymmetric, \
-    quotient_preorder
+from .catalog import DEFAULT_RESOLUTION, DEFAULT_TAIL_DEPTH, _TILE_CELLS, \
+    _packed_leq, sample_values, validate_family
+from .preorder import PreorderGraph, _closure_numpy, _first_set, \
+    _unpack_rows, is_antisymmetric, quotient_preorder
 from .report import Check, CheckReport, merge_reports
 
 DEFAULT_EPS_Q = 1e-3
@@ -228,25 +228,28 @@ def verify_preorder_embedding(comp, samples, relations) -> CheckReport:
     """Spot-check that vertex order mirrors the space order.
 
     samples = _verify_samples(comp), relations the space relation within
-    each.  (a) Over distinct core-vertex pairs, the space relation
-    between representative samples must match the induced relation both
-    ways; (b) over a stride subsample of points, a space relation must
-    be preserved forward into the induced relation.  Pass iff each
-    violation rate is at most DELTA_EMBED.
+    each, as the packed rows validate_family gathers.  (a) Over distinct
+    core-vertex pairs, the space relation between representative samples
+    must match the induced relation both ways: the XOR of the two packed
+    relations is popcounted.  (b) Over a stride subsample of points, a
+    space relation must be preserved forward into the induced relation:
+    both are unpacked a row tile at a time.  Pass iff each violation rate
+    is at most DELTA_EMBED.
     """
-    coords, ind = comp.cloud.sample.coords, comp.induced.matrix
+    coords, graph, n_core = comp.cloud.sample.coords, comp.induced, comp.n_core
     (reps, idx), (rel, sub_rel) = samples, relations
-    rep_coords = coords[reps]
-    ind_core = ind[:comp.n_core, :comp.n_core]
-    mism = rel != ind_core
-    pairs = mism.size
-    count = int(np.count_nonzero(mism))
+    words = -(-n_core // 64)
+    diff = rel ^ graph.packed[:n_core, :words]
+    if n_core % 64:  # the core rows' bits past the core
+        diff[:, -1] &= np.uint64((1 << n_core % 64) - 1)
+    pairs = n_core * n_core
+    count = int(np.bitwise_count(diff).sum(dtype=np.int64))
     witness = None
     if count:
-        i, j = divmod(int(np.argmax(mism)), mism.shape[1])
-        witness = (tuple(rep_coords[i].tolist()),
-                   tuple(rep_coords[j].tolist()),
-                   "induced" if ind_core[i, j] else "missing")
+        i, j = _first_set(diff)
+        witness = (tuple(coords[reps[i]].tolist()),
+                   tuple(coords[reps[j]].tolist()),
+                   "induced" if graph.leq(i, j) else "missing")
     rate = count / pairs if pairs else 0.0
     vertex_check = Check(
         "vertex_order_matches_space", rate <= DELTA_EMBED, witness=witness,
@@ -254,18 +257,24 @@ def verify_preorder_embedding(comp, samples, relations) -> CheckReport:
     )
 
     sub_map = comp.sample_map[idx]
-    sub_ind = ind.take(sub_map, 0).take(sub_map, 1)
-    viol = sub_rel & ~sub_ind
-    count2 = int(np.count_nonzero(viol))
+    step = max(1, _TILE_CELLS // max(graph.n, 1))
+    count2 = 0
     witness2 = None
-    if count2:
-        i, j = divmod(int(np.argmax(viol)), viol.shape[1])
-        witness2 = (tuple(coords[idx[i]].tolist()),
-                    tuple(coords[idx[j]].tolist()))
-    rate2 = count2 / viol.size if viol.size else 0.0
+    for r0 in range(0, len(idx), step):
+        rows = slice(r0, r0 + step)
+        viol = _unpack_rows(sub_rel[rows], len(idx)) & ~_unpack_rows(
+            graph.packed[sub_map[rows]], graph.n).take(sub_map, axis=1)
+        found = int(np.count_nonzero(viol))
+        if found and not count2:
+            i, j = divmod(int(np.argmax(viol)), viol.shape[1])
+            witness2 = (tuple(coords[idx[r0 + i]].tolist()),
+                        tuple(coords[idx[j]].tolist()))
+        count2 += found
+    sub_pairs = len(idx) * len(idx)
+    rate2 = count2 / sub_pairs if sub_pairs else 0.0
     sample_check = Check(
         "sampled_relation_preserved", rate2 <= DELTA_EMBED, witness=witness2,
-        metrics={"violations": count2, "pairs": int(viol.size), "rate": rate2},
+        metrics={"violations": count2, "pairs": sub_pairs, "rate": rate2},
     )
     return CheckReport((vertex_check, sample_check))
 
@@ -648,8 +657,9 @@ def build_compactification(entry, family, resolution=DEFAULT_RESOLUTION,
     NaN fails validation's values_in_unit_interval, and embed clips it,
     so such a family still gets its report.  Validation walks the
     sample relation in row tiles (memory O(samples * tile), never
-    samples^2), and the same pass gathers the relation that verify and
-    the diagnostic read, so the relation is evaluated once per build.
+    samples^2), and the same pass gathers, as packed rows, the relation
+    that verify and the diagnostic read, so the relation is evaluated
+    once per build.
     The smallest-closure diagnostic needs an exact transitive closure,
     so it is included only up to DIAGNOSTIC_BUDGET vertices; past that
     the report simply omits it.
@@ -674,5 +684,5 @@ def build_compactification(entry, family, resolution=DEFAULT_RESOLUTION,
         reports.append(remainder_is_ordered(comp))
         if comp.n_vertices <= DIAGNOSTIC_BUDGET:
             reports.append(smallest_closed_preorder_diagnostic(
-                comp, relations[0]))
+                comp, _unpack_rows(relations[0], comp.n_core)))
     return comp, merge_reports(*reports)

@@ -7,7 +7,8 @@ import os
 import numpy as np
 
 from .compactify import _row_keys
-from .preorder import PreorderGraph, quotient_preorder
+from .preorder import PreorderGraph, _first_set, _pack_rows, \
+    quotient_preorder
 from .report import _plain
 
 
@@ -32,36 +33,65 @@ def write_vertices_csv(comp, path):
                              for v in block))
 
 
+def _lowest_bits(rows):
+    """Column of the lowest set bit of each nonzero row of '<u8' words."""
+    first = (rows != 0).argmax(axis=1)
+    word = rows[np.arange(len(rows)), first]
+    return 64 * first + np.bitwise_count((word & -word) - np.uint64(1))
+
+
 def transitive_reduction(graph: PreorderGraph) -> tuple:
     """Covering edges of a finite partial order, as sorted (i, j) pairs.
 
-    An edge i -> j survives iff nothing sits strictly between.  Ranked by
-    descending up-set size, the first point left in a row's strict up-set is
-    a cover, whose strict up-set is then struck out.  Struck points stay in
-    the row iff the input is a partial order; else ValueError names a witness.
+    An edge i -> j survives iff nothing sits strictly between (Aho, Garey
+    & Ullman 1972).  The points are taken in an order that is a linear
+    extension: their labels when no packed row has a bit below its
+    diagonal, else descending up-set size, read off .matrix.  In that
+    order the first point left in a row's strict up-set is a cover, and
+    the cover's up-set is then struck out; each round takes one cover
+    from every row with points left, on the packed words.  Struck points
+    stay in the row iff the input is a partial order; else ValueError
+    names a witness.
     """
-    mat = graph.matrix
-    order = np.argsort(-mat.sum(axis=1), kind="stable").tolist()
-    ranked = PreorderGraph.from_matrix(mat.take(order, 0).take(order, 1)).rows
-    strict = [row & ~(1 << i) for i, row in enumerate(ranked)]
-    keep = [~(up | 1 << k) for k, up in enumerate(strict)]
-    pairs = []
-    for i, reach in enumerate(strict):
-        rest, struck = reach, 0
-        while rest:
-            k = (rest & -rest).bit_length() - 1
-            pairs.append((order[i], order[k]))
-            struck |= strict[k]
-            rest &= keep[k]
-        bad = struck & ~reach
-        if bad:
-            j = (bad & -bad).bit_length() - 1
-            k = next(k for k, up in enumerate(strict)
-                     if reach >> k & 1 and up >> j & 1)
-            raise ValueError(
-                "not a partial order: %d < %d < %d but not %d < %d" % (
-                    order[i], order[k], order[j], order[i], order[j]))
-    return tuple(sorted(pairs))
+    packed, n = graph.packed, graph.n
+    order = None
+    if n and np.any(_lowest_bits(packed) != np.arange(n)):
+        mat = graph.matrix
+        order = np.argsort(-mat.sum(axis=1), kind="stable")
+        packed = _pack_rows(mat.take(order, 0).take(order, 1),
+                            packed.shape[1])
+    diag = np.arange(n)
+    strict = packed.copy()
+    strict[diag, diag >> 6] &= ~(np.uint64(1) << (diag & 63).astype("<u8"))
+    tails, heads, leaky = [diag[:0]], [diag[:0]], [diag[:0]]
+    live = np.flatnonzero(strict.any(axis=1))
+    left = strict[live]  # the live rows' points not yet taken or struck
+    while live.size:
+        cover = _lowest_bits(left)
+        tails.append(live)
+        heads.append(cover)
+        up = packed[cover]  # the cover and the points it strikes out
+        leaky.append(live[(up & ~strict[live]).any(axis=1)])
+        left &= ~up
+        keep = left.any(axis=1)
+        live, left = live[keep], left[keep]
+    tails, heads, leaky = map(np.concatenate, (tails, heads, leaky))
+    if leaky.size:
+        i = int(leaky.min())
+        struck = np.bitwise_or.reduce(packed[heads[tails == i]], axis=0)
+        j = _first_set((struck & ~strict[i])[None])[1]
+        # j is in the strict up-set of some k in row i
+        into_j = np.flatnonzero(strict[:, j >> 6] >> np.uint64(j & 63) & 1)
+        k = int(into_j[np.argmax(strict[i, into_j >> 6]
+                                 >> (into_j & 63).astype("<u8") & 1)])
+        if order is not None:
+            i, k, j = (int(order[p]) for p in (i, k, j))
+        raise ValueError("not a partial order: %d < %d < %d but not %d < %d"
+                         % (i, k, j, i, j))
+    if order is not None:
+        tails, heads = order[tails], order[heads]
+    by_pair = (tails * n + heads).argsort()
+    return tuple(zip(tails[by_pair].tolist(), heads[by_pair].tolist()))
 
 
 def _condense(comp):
@@ -101,8 +131,7 @@ def write_preorder_dot(comp, path):
         if members[-1] >= comp.n_core:  # a member is a remainder vertex
             attrs += ', shape=doublecircle, style=filled, fillcolor="#d0d0d0"'
         lines.append("  n%d [%s];" % (ci, attrs))
-    for i, j in edges:
-        lines.append("  n%d -> n%d;" % (i, j))
+    lines += map("  n%d -> n%d;".__mod__, edges)
     lines.append("}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

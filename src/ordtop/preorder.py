@@ -3,10 +3,15 @@
 A relation on n points is stored as n ints; bit j of rows[i] set means
 i <= j.  Reflexivity is enforced at construction, transitivity is not:
 use transitive_reflexive_closure when the input is just a seed relation.
-This module is the only one that converts between bit rows and the
-read-only bool matrix PreorderGraph.matrix; everything else reads it.
-A graph made by from_matrix or from_packed holds its matrix from the
-start, so a build's relation is never unpacked from its rows.
+This module is the only one that converts between the three forms of a
+relation: the int rows, PreorderGraph.packed (the rows as read-only
+64-bit words) and PreorderGraph.matrix (the read-only n x n bools,
+unpacked from packed on first read and cached).  A build's relation is
+the rank-bitset kernel's array, kept as packed by from_packed: verify
+and the Hasse reduction read .packed, so a build that only verifies
+and exports never unpacks it; the diagnostic, extendability,
+domination, the Nachbin check, the closure and the quotient read
+.matrix.
 """
 
 from __future__ import annotations
@@ -18,6 +23,41 @@ import numpy as np
 
 # above this size the numpy matmul path beats pure-python Warshall
 _NUMPY_CUTOVER = 96
+_WORD = np.dtype("<u8")  # one packed word: 64 columns, lowest first
+
+
+def _pack_rows(rel, words):
+    """Bool rows as rows of little-endian 64-bit words, zero-padded."""
+    packed = np.zeros((len(rel), 8 * words), dtype=np.uint8)
+    packed[:, :-(-rel.shape[1] // 8)] = np.packbits(rel, axis=1,
+                                                   bitorder="little")
+    return packed.view(_WORD)
+
+
+def _or_columns(dst, col, rel):
+    """OR the bool rows rel into the '<u8' rows dst at columns col on."""
+    lead = col % 8
+    if lead:  # start the packed bytes on a byte edge
+        rel = np.concatenate([np.zeros((len(rel), lead), dtype=bool), rel],
+                             axis=1)
+    bits = np.packbits(rel, axis=1, bitorder="little")
+    dst.view(np.uint8)[:, col // 8:col // 8 + bits.shape[1]] |= bits
+
+
+def _unpack_rows(packed, n):
+    """The first n columns of '<u8' rows, as a bool matrix."""
+    return np.unpackbits(packed.view(np.uint8), axis=-1, count=n,
+                         bitorder="little").view(bool)
+
+
+def _first_set(packed):
+    """(i, j) of the row-major first set bit of '<u8' rows, or None."""
+    hits = np.flatnonzero(packed)
+    if not hits.size:
+        return None
+    i, k = divmod(int(hits[0]), packed.shape[1])
+    word = int(packed[i, k])
+    return i, 64 * k + (word & -word).bit_length() - 1
 
 
 @dataclass(frozen=True)
@@ -71,26 +111,40 @@ class PreorderGraph:
                 out |= 1 << i
         return out
 
+    @property
+    def packed(self) -> np.ndarray:
+        """Read-only (n, ceil(n / 64)) '<u8' rows: bit j of row i is bit
+        j % 64 of word j // 64, built from the rows on first read.  It is
+        cached by hand: a cached_property takes a lock on its first read,
+        a cost each of the finite tier's many small graphs would pay."""
+        packed = self.__dict__.get("_packed")
+        if packed is None:
+            width = 8 * -(-self.n // 64)
+            packed = self.__dict__["_packed"] = np.frombuffer(
+                b"".join(row.to_bytes(width, "little") for row in self.rows),
+                dtype=_WORD).reshape(self.n, width // 8)
+        return packed
+
     @cached_property
     def matrix(self) -> np.ndarray:
-        """Read-only bool n x n matrix, unpacked from the rows on first read."""
-        n = self.n
-        nbytes = (n + 7) // 8
-        raw = np.frombuffer(
-            b"".join(row.to_bytes(nbytes, "little") for row in self.rows),
-            dtype=np.uint8).reshape(n, nbytes)
-        mat = np.unpackbits(raw, axis=1, count=n, bitorder="little").view(bool)
+        """Read-only bool n x n matrix, unpacked from packed on first read."""
+        mat = _unpack_rows(self.packed, self.n)
         mat.flags.writeable = False
         return mat
 
     @classmethod
     def from_packed(cls, packed: np.ndarray) -> "PreorderGraph":
-        """One row per array row, bit j of its little-endian bytes set iff
-        i <= j; the graph keeps the read-only matrix the rows unpack to."""
-        packed = np.ascontiguousarray(packed)
-        mat = np.unpackbits(packed.view(np.uint8), axis=1, count=len(packed),
-                            bitorder="little").view(bool)
-        return cls._keeping(packed, mat)
+        """The graph whose packed rows are the (n, ceil(n / 64)) '<u8'
+        array packed, kept (read-only) as .packed."""
+        packed = np.ascontiguousarray(packed, dtype=_WORD)
+        graph = cls._from_bytes(packed)
+        words = -(-graph.n // 64)
+        if packed.shape[1] != words:
+            raise ValueError(f"rows of {graph.n} bits take {words} words, "
+                             f"got {packed.shape[1]}")
+        packed.flags.writeable = False
+        graph.__dict__["_packed"] = packed
+        return graph
 
     @classmethod
     def from_matrix(cls, mat: np.ndarray) -> "PreorderGraph":
@@ -98,16 +152,16 @@ class PreorderGraph:
         mat = np.asarray(mat, dtype=bool)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError("matrix must be square")
-        return cls._keeping(np.packbits(mat, axis=1, bitorder="little"), mat)
-
-    @classmethod
-    def _keeping(cls, packed, mat):
-        """The graph of packed's rows, with mat, made read-only, as .matrix."""
-        graph = cls(len(packed), tuple(int.from_bytes(row.tobytes(), "little")
-                                       for row in packed))
+        graph = cls._from_bytes(np.packbits(mat, axis=1, bitorder="little"))
         mat.flags.writeable = False
         graph.__dict__["matrix"] = mat
         return graph
+
+    @classmethod
+    def _from_bytes(cls, packed):
+        """The graph whose rows are packed's rows as little-endian ints."""
+        return cls(len(packed), tuple(int.from_bytes(row.tobytes(), "little")
+                                      for row in packed))
 
     @classmethod
     def diagonal(cls, n: int) -> "PreorderGraph":

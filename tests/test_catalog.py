@@ -34,10 +34,16 @@ from ordtop.catalog import (
     validate_family,
 )
 from ordtop.finite_space import BudgetError
+from ordtop.preorder import _pack_rows
 from ordtop.report import Check, CheckReport
 
 # the module itself: the package exports the catalog() function under its name
 catalog_module = importlib.import_module("ordtop.catalog")
+
+
+def packed(rel):
+    """Bool rows as the packed '<u8' rows that validation gathers."""
+    return _pack_rows(rel, -(-rel.shape[1] // 64))
 
 
 # ----------------------------------------------------------- RK4 oracle
@@ -635,7 +641,7 @@ def test_tiled_validation_matches_the_untiled_reference(family, n,
                                        min_agreement)
             assert repr(tiled.to_dict()) == repr(want.to_dict())
     for idx, block in zip(gather, blocks):
-        assert np.array_equal(block, rel[np.ix_(idx, idx)])
+        assert np.array_equal(block, packed(rel[np.ix_(idx, idx)]))
 
 
 def test_tiled_validation_fixtures_fail_where_meant():
@@ -822,7 +828,7 @@ def test_tile_pass_matches_the_reference_pass(args):
         assert repr(got.to_dict()) == repr(want.to_dict())
         assert len(got_blocks) == len(want_blocks)
         for a, b in zip(got_blocks, want_blocks):
-            assert np.array_equal(a, b)
+            assert np.array_equal(a, packed(b))
 
 
 # ------------------------------------------------- bit-space validation
@@ -961,7 +967,7 @@ def test_blocked_validation_matches_the_reference_pass(args, block, cells):
         want, want_blocks = _reference_tile_validation(*args)
     assert repr(got.to_dict()) == repr(want.to_dict())
     for a, b in zip(got_blocks, want_blocks, strict=True):
-        assert np.array_equal(a, b)
+        assert np.array_equal(a, packed(b))
 
 
 def test_blocked_witnesses_are_the_row_major_first_across_blocks(

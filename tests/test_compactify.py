@@ -13,6 +13,7 @@ import math
 import random
 import tracemalloc
 import warnings
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -30,6 +31,7 @@ from ordtop.catalog import (
 import ordtop.compactify
 from ordtop.compactify import (
     DEFAULT_EPS_Q,
+    DELTA_EMBED,
     DominationError,
     DominationMap,
     DominationSearch,
@@ -48,7 +50,12 @@ from ordtop.compactify import (
 )
 from ordtop.export import _condense, write_build
 from ordtop.generators import random_nested_families
-from ordtop.preorder import PreorderGraph, is_transitive, quotient_preorder
+from ordtop.preorder import (
+    PreorderGraph,
+    _pack_rows,
+    is_transitive,
+    quotient_preorder,
+)
 from ordtop.report import Check, CheckReport
 
 catalog_module = importlib.import_module("ordtop.catalog")
@@ -74,11 +81,17 @@ def core_relation(entry, comp):
     return entry.space.relation_matrix(comp.cloud.sample.coords[reps])
 
 
+def packed(rel):
+    """Bool rows as the packed '<u8' rows that validation gathers."""
+    return _pack_rows(rel, -(-rel.shape[1] // 64))
+
+
 def verify_alone(entry, comp):
     """verify_preorder_embedding on relations evaluated here, not gathered."""
     samples = ordtop.compactify._verify_samples(comp)
     coords = comp.cloud.sample.coords
-    relations = [entry.space.relation_matrix(coords[i]) for i in samples]
+    relations = [packed(entry.space.relation_matrix(coords[i]))
+                 for i in samples]
     return verify_preorder_embedding(comp, samples, relations)
 
 
@@ -447,9 +460,9 @@ def test_no_smallest_one_point_compactification():
     assert len(down.candidates) > 0 and len(up.candidates) > 0
 
 
-def test_no_build_relation_is_unpacked(monkeypatch, tmp_path):
-    # a build's graph keeps the matrix of its packed rows; every other
-    # graph unpacks its rows at most once
+def test_build_relation_stays_packed(monkeypatch, tmp_path):
+    # every graph unpacks its matrix at most once, and a build whose
+    # readers are verify and the export never unpacks it at all
     unpacked = []
     unpack = PreorderGraph.matrix.func
 
@@ -460,6 +473,16 @@ def test_no_build_relation_is_unpacked(monkeypatch, tmp_path):
     matrix = functools.cached_property(counting)
     matrix.__set_name__(PreorderGraph, "matrix")
     monkeypatch.setattr(PreorderGraph, "matrix", matrix)
+    # the diagnostic reads the matrix; past its budget a build skips it
+    monkeypatch.setattr(ordtop.compactify, "DIAGNOSTIC_BUDGET", 0)
+    misner = catalog("misner-strip")
+    comp, report = build_compactification(
+        misner, misner.family("default", 256), resolution=256)
+    write_build(comp, report, str(tmp_path / "misner"))
+    assert comp.n_vertices == 257 and not comp.induced.packed.flags.writeable
+    assert unpacked == []
+
+    monkeypatch.setattr(ordtop.compactify, "DIAGNOSTIC_BUDGET", 1500)
     nat = catalog("nat-discrete")
     comps = [build_compactification(nat, nat.family(sel, 32),
                                     resolution=32)[0]
@@ -479,11 +502,28 @@ def test_no_build_relation_is_unpacked(monkeypatch, tmp_path):
     pool = [half.pool[k] for k in ("id", "sq", "cube", "sqrt")]
     for comp in (inner, outer):
         i_closure(half, comp, pool)
-    assert not any(g is c.induced for g in unpacked for c in comps)
+    # the count sees build graphs, each unpacked once
+    assert all(any(g is c.induced for g in unpacked) for c in comps)
     assert len({id(g) for g in unpacked}) == len(unpacked)
-    probe = PreorderGraph.diagonal(2)  # the count sees a graph from rows
+    probe = PreorderGraph.diagonal(2)  # and a graph from rows
     assert probe.matrix is probe.matrix
     assert sum(g is probe for g in unpacked) == 1
+
+
+def test_misner_build_and_export_hold_no_relation_matrix(tmp_path):
+    # a vertices^2 bool matrix is 16 MiB here: the build, its verify and
+    # its export hold none, only packed rows of 1/8 that size
+    entry = catalog("misner-strip")
+    fam = entry.family("default", 4096)
+    tracemalloc.start()
+    try:
+        comp, report = build_compactification(entry, fam, resolution=4096)
+        write_build(comp, report, str(tmp_path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert comp.n_vertices == 4097 and report.passed
+    assert peak < 40 * 2**20
 
 
 def test_relation_is_read_only():
@@ -870,7 +910,8 @@ def test_verify_witnesses_are_python_floats():
     vertex = report.check("vertex_order_matches_space")
     samples = ordtop.compactify._verify_samples(comp)
     # every sampled pair related in the space: the induced order misses some
-    relations = [np.ones((len(s), len(s)), dtype=bool) for s in samples]
+    relations = [packed(np.ones((len(s), len(s)), dtype=bool))
+                 for s in samples]
     sampled = verify_preorder_embedding(comp, samples, relations).check(
         "sampled_relation_preserved")
     for check in (vertex, sampled):
@@ -887,19 +928,86 @@ def test_verify_witnesses_are_the_first_row_major_violations():
     space_rel = [entry.space.relation_matrix(coords[s]) for s in samples]
     ind_core = ind[:comp.n_core, :comp.n_core]
     i, j = np.argwhere(space_rel[0] != ind_core)[0]
-    vertex = verify_preorder_embedding(comp, samples, space_rel).check(
+    vertex = verify_preorder_embedding(
+        comp, samples, [packed(r) for r in space_rel]).check(
         "vertex_order_matches_space")
     assert vertex.witness == (tuple(coords[reps[i]].tolist()),
                               tuple(coords[reps[j]].tolist()),
                               "induced" if ind_core[i, j] else "missing")
     # every sampled pair related in the space: the induced order misses some
-    related = [np.ones((len(s), len(s)), dtype=bool) for s in samples]
+    related = [packed(np.ones((len(s), len(s)), dtype=bool))
+               for s in samples]
     sub_map = comp.sample_map[idx]
     i, j = np.argwhere(~ind[np.ix_(sub_map, sub_map)])[0]
     sampled = verify_preorder_embedding(comp, samples, related).check(
         "sampled_relation_preserved")
     assert sampled.witness == (tuple(coords[idx[i]].tolist()),
                                tuple(coords[idx[j]].tolist()))
+
+
+def reference_verify(comp, samples, relations):
+    """verify_preorder_embedding on the induced order's bool matrix."""
+    coords, ind = comp.cloud.sample.coords, comp.induced.matrix
+    (reps, idx), (rel, sub_rel) = samples, relations
+    ind_core = ind[:comp.n_core, :comp.n_core]
+    mism = rel != ind_core
+    count = int(np.count_nonzero(mism))
+    witness = None
+    if count:
+        i, j = divmod(int(np.argmax(mism)), mism.shape[1])
+        witness = (tuple(coords[reps[i]].tolist()),
+                   tuple(coords[reps[j]].tolist()),
+                   "induced" if ind_core[i, j] else "missing")
+    rate = count / mism.size if mism.size else 0.0
+    sub_map = comp.sample_map[idx]
+    viol = sub_rel & ~ind.take(sub_map, 0).take(sub_map, 1)
+    count2 = int(np.count_nonzero(viol))
+    witness2 = None
+    if count2:
+        i, j = divmod(int(np.argmax(viol)), viol.shape[1])
+        witness2 = (tuple(coords[idx[i]].tolist()),
+                    tuple(coords[idx[j]].tolist()))
+    rate2 = count2 / viol.size if viol.size else 0.0
+    return CheckReport((
+        Check("vertex_order_matches_space", rate <= DELTA_EMBED,
+              witness=witness, metrics={"violations": count,
+                                        "pairs": mism.size, "rate": rate}),
+        Check("sampled_relation_preserved", rate2 <= DELTA_EMBED,
+              witness=witness2, metrics={"violations": count2,
+                                         "pairs": int(viol.size),
+                                         "rate": rate2})))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 150), st.integers(0, 20), st.integers(0, 2**32 - 1),
+       st.sampled_from((0.0, 0.002, 0.3)), st.sampled_from((64, 1 << 20)))
+def test_packed_verify_matches_the_matrix_reference(n_core, n_rem, seed,
+                                                    flip, cells):
+    # random relations, the space's a few flips off the induced order's
+    rng = np.random.default_rng(seed)
+    n = n_core + n_rem
+    ind = (rng.random((n, n)) < rng.random()) | np.eye(n, dtype=bool)
+    induced = PreorderGraph.from_packed(
+        PreorderGraph.from_matrix(ind).packed.copy())
+    n_samples = n_core + int(rng.integers(0, 40))
+    sample_map = rng.integers(0, n_core, n_samples)
+    sample_map[:n_core] = np.arange(n_core)
+    reps = np.arange(n_core)
+    idx = np.sort(rng.choice(n_samples, int(rng.integers(0, n_samples + 1)),
+                             replace=False))
+    comp = SimpleNamespace(
+        cloud=SimpleNamespace(sample=SimpleNamespace(
+            coords=rng.random((n_samples, 2)))),
+        induced=induced, n_core=n_core, sample_map=sample_map)
+    rel = ind[:n_core, :n_core] ^ (rng.random((n_core, n_core)) < flip)
+    sub = ind[np.ix_(sample_map[idx], sample_map[idx])]
+    sub_rel = sub | (rng.random(sub.shape) < flip)
+    samples = (reps, idx)
+    with mock.patch.object(ordtop.compactify, "_TILE_CELLS", cells):
+        got = verify_preorder_embedding(comp, samples,
+                                        (packed(rel), packed(sub_rel)))
+    assert "matrix" not in induced.__dict__
+    assert got == reference_verify(comp, samples, (rel, sub_rel))
 
 
 @pytest.mark.parametrize("space", ("real-line-mirror", "misner-strip",

@@ -4,11 +4,13 @@ import csv
 import hashlib
 import json
 import random
+import re
 from types import SimpleNamespace
 
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ordtop.cli
 from ordtop.catalog import catalog
@@ -22,7 +24,12 @@ from ordtop.export import (
 )
 from ordtop.finite_space import graph_is_closed
 from ordtop.generators import random_finite_space, space_stream
-from ordtop.preorder import PreorderGraph, transitive_reflexive_closure
+from ordtop.preorder import (
+    PreorderGraph,
+    is_antisymmetric,
+    is_transitive,
+    transitive_reflexive_closure,
+)
 
 
 def small_build(resolution=128):
@@ -103,6 +110,42 @@ def test_transitive_reduction_matches_networkx():
         dag.add_nodes_from(range(n))
         want = sorted(nx.transitive_reduction(dag).edges())
         assert list(transitive_reduction(g)) == want
+
+
+def test_transitive_reduction_of_labelled_extensions_matches_networkx():
+    # labels that are a linear extension: the reduction runs on the packed
+    # rows as they are and never unpacks the matrix
+    rng = random.Random(13)
+    for n in list(range(41)) + [63, 64, 65, 130]:
+        density = rng.choice((0.05, 0.2, 0.5))
+        pairs = [(a, b) for a in range(n) for b in range(a + 1, n)
+                 if rng.random() < density]
+        g = transitive_reflexive_closure(PreorderGraph.from_pairs(n, pairs))
+        g = PreorderGraph(n, g.rows)  # a graph from rows, no matrix yet
+        dag = nx.DiGraph((i, j) for i, j in g.pairs() if i != j)
+        dag.add_nodes_from(range(n))
+        want = sorted(nx.transitive_reduction(dag).edges())
+        assert list(transitive_reduction(g)) == want
+        assert "matrix" not in g.__dict__
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 9).flatmap(lambda n: st.tuples(
+    st.just(n), st.sets(st.tuples(st.integers(0, n - 1),
+                                  st.integers(0, n - 1))))))
+def test_transitive_reduction_names_a_witness_off_partial_orders(drawn):
+    n, pairs = drawn
+    g = PreorderGraph.from_pairs(n, pairs)
+    if is_transitive(g) and is_antisymmetric(g)[0]:
+        transitive_reduction(g)
+        return
+    with pytest.raises(ValueError, match="not a partial order") as err:
+        transitive_reduction(g)
+    i, k, j = map(int, re.search(r"(\d+) < (\d+) < (\d+) but not "
+                                 r"\1 < \3$", str(err.value)).groups())
+    # i < k < j strictly, and not i < j (i == j on a cycle)
+    assert i != k != j and g.leq(i, k) and g.leq(k, j)
+    assert i == j or not g.leq(i, j)
 
 
 def test_transitive_reduction_rejects_a_two_cycle():

@@ -667,13 +667,12 @@ def _breakable(raw, bounds, isotone):
         < np.fmax.reduce(bounds, axis=1, initial=-np.inf))
 
 
-def validate_family(family, sample, raw, space, eps_fn=EPS_FN,
-                    min_agreement=MIN_AGREEMENT, gather=()):
+def validate_family(family, sample, raw, space, gather=()):
     """Check tags on samples and that the H-part represents the relation.
 
     raw holds the family's values on sample, as from sample_values.  The
     agreement rate of the space relation with the coordinate-wise H
-    comparison over all sampled pairs passes at min_agreement.  The
+    comparison over all sampled pairs passes at MIN_AGREEMENT.  The
     samples are walked in column blocks of _BLOCK: per block the H-part's
     relation is built as packed rows (_packed_leq), and the space
     relation is evaluated in row tiles of _TILE_CELLS // _BLOCK samples
@@ -696,20 +695,20 @@ def validate_family(family, sample, raw, space, eps_fn=EPS_FN,
     for m, f in enumerate(members):
         vals = raw[m]
         # each test negates the passing comparison, so NaN fails it
-        outside = ~((vals >= -eps_fn) & (vals <= 1.0 + eps_fn))
+        outside = ~((vals >= -EPS_FN) & (vals <= 1.0 + EPS_FN))
         if outside.any():
             range_witness = range_witness or (f.name,
                                               point(int(np.argmax(outside))))
         if f.klass is not None and tail_witness is None:
             off = (levels >= f.tail_level) & \
-                ~(np.abs(vals - f.tail_value) <= eps_fn)
+                ~(np.abs(vals - f.tail_value) <= EPS_FN)
             if off.any():
                 tail_witness = (f.name, point(int(np.argmax(off))),
                                 "not at declared tail constant")
                 limit = m + 1
     # isotone breaks on v_i > v_j + eps, anti-isotone on v_i < v_j - eps
     isotone = np.array([f.monotone == "isotone" for f in members], dtype=bool)
-    bounds = raw + np.where(isotone, eps_fn, -eps_fn)[:, None]
+    bounds = raw + np.where(isotone, EPS_FN, -EPS_FN)[:, None]
     breakable = _breakable(raw, bounds, isotone)
     passes = [m for m, f in enumerate(members[:limit])
               if f.monotone != "none" and breakable[m]]
@@ -782,8 +781,8 @@ def validate_family(family, sample, raw, space, eps_fn=EPS_FN,
             i, j, label = first_diff
             first_diff = (point(i), point(j), label)
         checks.append(Check(
-            "represents_relation", rate >= min_agreement,
-            witness=first_diff if rate < min_agreement else None,
+            "represents_relation", rate >= MIN_AGREEMENT,
+            witness=first_diff if rate < MIN_AGREEMENT else None,
             metrics={"agreement_rate": rate, "pairs": pairs,
                      "disagreements": disagreements},
         ))

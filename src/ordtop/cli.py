@@ -36,7 +36,7 @@ from .finite_space import (
     quotient_space,
     representation_check,
 )
-from .preorder import is_antisymmetric
+from .preorder import _hex_rows, is_antisymmetric
 from .report import Check, CheckReport, merge_reports
 
 
@@ -153,7 +153,7 @@ def _rebuild_from_dir(path: str):
         entry.space, family, cfg["resolution"], cfg["tail_depth"])),
         cfg["eps_q"], cfg["eps_cauchy"])
     stored = payload.get("relation_rows_hex", [])
-    rebuilt = [format(r, "x") for r in comp.induced.rows]
+    rebuilt = _hex_rows(comp.induced.packed)
     rows = itertools.zip_longest(stored, rebuilt)
     for row, (stored_row, rebuilt_row) in enumerate(rows):
         if stored_row != rebuilt_row:

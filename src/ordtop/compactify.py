@@ -246,10 +246,11 @@ def verify_preorder_embedding(comp, samples, relations) -> CheckReport:
     count = int(np.bitwise_count(diff).sum(dtype=np.int64))
     witness = None
     if count:
-        i, j = _first_set(diff)
+        i, j = _first_set(diff)  # the induced order has (i, j) iff rel has not
         witness = (tuple(coords[reps[i]].tolist()),
                    tuple(coords[reps[j]].tolist()),
-                   "induced" if graph.leq(i, j) else "missing")
+                   "missing" if int(rel[i, j >> 6]) >> (j & 63) & 1
+                   else "induced")
     rate = count / pairs if pairs else 0.0
     vertex_check = Check(
         "vertex_order_matches_space", rate <= DELTA_EMBED, witness=witness,
@@ -284,8 +285,8 @@ def remainder_is_ordered(comp) -> CheckReport:
     if not comp.complete:
         raise ValueError("compactification is incomplete")
     n_core, rem = comp.n_core, comp.remainder_ids()
-    anti, pair = is_antisymmetric(PreorderGraph(
-        len(rem), tuple(comp.induced.rows[v] >> n_core for v in rem)))
+    anti, pair = is_antisymmetric(PreorderGraph.from_matrix(_unpack_rows(
+        comp.induced.packed[n_core:], comp.n_vertices)[:, n_core:]))
     witness = None if anti else (pair[0] + n_core, pair[1] + n_core)
     return CheckReport((Check(
         "remainder_antisymmetric", witness is None, witness=witness,

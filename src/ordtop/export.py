@@ -7,8 +7,8 @@ import os
 import numpy as np
 
 from .compactify import _row_keys
-from .preorder import PreorderGraph, _first_set, _pack_rows, \
-    quotient_preorder
+from .preorder import PreorderGraph, _first_set, _hex_rows, _lowest_bits, \
+    _pack_rows, quotient_preorder
 from .report import _plain
 
 
@@ -31,13 +31,6 @@ def write_vertices_csv(comp, path):
             block = range(start, min(start + 1024, len(cells)))
             fh.write("".join(",".join([str(v), kinds[v]] + cells[v]) + "\r\n"
                              for v in block))
-
-
-def _lowest_bits(rows):
-    """Column of the lowest set bit of each nonzero row of '<u8' words."""
-    first = (rows != 0).argmax(axis=1)
-    word = rows[np.arange(len(rows)), first]
-    return 64 * first + np.bitwise_count((word & -word) - np.uint64(1))
 
 
 def transitive_reduction(graph: PreorderGraph) -> tuple:
@@ -167,7 +160,7 @@ def report_payload(comp, report, config=None) -> dict:
                           for v in comp.remainder_ids()],
         },
         "end_info": _plain(list(comp.end_info)),
-        "relation_rows_hex": [format(r, "x") for r in comp.induced.rows],
+        "relation_rows_hex": _hex_rows(comp.induced.packed),
         "checks": report.to_dict(),
     }
     if config is not None:

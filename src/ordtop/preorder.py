@@ -1,17 +1,14 @@
 """Finite preorders as bitset adjacency rows.
 
-A relation on n points is stored as n ints; bit j of rows[i] set means
-i <= j.  Reflexivity is enforced at construction, transitivity is not:
-use transitive_reflexive_closure when the input is just a seed relation.
-This module is the only one that converts between the three forms of a
-relation: the int rows, PreorderGraph.packed (the rows as read-only
-64-bit words) and PreorderGraph.matrix (the read-only n x n bools,
-unpacked from packed on first read and cached).  A build's relation is
-the rank-bitset kernel's array, kept as packed by from_packed: verify
-and the Hasse reduction read .packed, so a build that only verifies
-and exports never unpacks it; the diagnostic, extendability,
-domination, the Nachbin check, the closure and the quotient read
-.matrix.
+A relation on n points has three forms on PreorderGraph: int rows (bit j
+of rows[i] set means i <= j), packed (read-only '<u8' words of the rows)
+and matrix (read-only n x n bools).  A graph keeps the form it was made
+from (from_matrix also its words), checked there for reflexivity, not
+transitivity (close a seed with transitive_reflexive_closure), and makes
+and caches the others on first read.  A build's relation is the
+rank-bitset kernel's words, kept by from_packed: its verify and export
+read them without unpacking them or making int rows.  Only this module
+converts between the forms.
 """
 
 from __future__ import annotations
@@ -50,14 +47,33 @@ def _unpack_rows(packed, n):
                          bitorder="little").view(bool)
 
 
+def _lowest_bits(rows):
+    """Column of the lowest set bit of each nonzero row of '<u8' words."""
+    first = (rows != 0).argmax(axis=1)
+    word = rows[np.arange(len(rows)), first]
+    return 64 * first + np.bitwise_count((word & -word) - np.uint64(1))
+
+
 def _first_set(packed):
     """(i, j) of the row-major first set bit of '<u8' rows, or None."""
     hits = np.flatnonzero(packed)
     if not hits.size:
         return None
-    i, k = divmod(int(hits[0]), packed.shape[1])
-    word = int(packed[i, k])
-    return i, 64 * k + (word & -word).bit_length() - 1
+    i, k = divmod(int(hits[0]), packed.shape[1])  # the first nonzero word
+    return i, 64 * k + int(_lowest_bits(packed[i:i + 1, k:k + 1])[0])
+
+
+def _int_rows(packed):
+    """Each '<u8' row as an int: bit j of the int is column j."""
+    return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
+
+
+def _hex_rows(packed):
+    """Each '<u8' row as the hex text format(row, "x") gives its int."""
+    width = 16 * packed.shape[1]
+    text = packed.view(np.uint8)[:, ::-1].tobytes().hex()
+    return [text[k * width:(k + 1) * width].lstrip("0") or "0"
+            for k in range(len(packed))]
 
 
 @dataclass(frozen=True)
@@ -92,22 +108,25 @@ class PreorderGraph:
                 row ^= low
 
     def pair_count(self) -> int:
-        return sum(row.bit_count() for row in self.rows)
+        """Popcount of the rows a graph holds, else of its packed words."""
+        rows = self.__dict__.get("rows")
+        if rows is not None:
+            return sum(row.bit_count() for row in rows)
+        return int(np.bitwise_count(self.packed).sum())
 
     def up_set(self, mask: int) -> int:
         """Bitmask of points above anything in mask."""
-        out = 0
-        rest = mask
+        out, rest, rows = 0, mask, self.rows  # one read past the lazy rows
         while rest:
             low = rest & -rest
-            out |= self.rows[low.bit_length() - 1]
+            out |= rows[low.bit_length() - 1]
             rest ^= low
         return out
 
     def down_set(self, mask: int) -> int:
         out = 0
-        for i in range(self.n):
-            if self.rows[i] & mask:
+        for i, row in enumerate(self.rows):
+            if row & mask:
                 out |= 1 << i
         return out
 
@@ -135,33 +154,42 @@ class PreorderGraph:
     @classmethod
     def from_packed(cls, packed: np.ndarray) -> "PreorderGraph":
         """The graph whose packed rows are the (n, ceil(n / 64)) '<u8'
-        array packed, kept (read-only) as .packed."""
+        array packed, kept (read-only) as .packed and checked on it:
+        every diagonal bit set, no bit set past column n - 1."""
         packed = np.ascontiguousarray(packed, dtype=_WORD)
-        graph = cls._from_bytes(packed)
-        words = -(-graph.n // 64)
-        if packed.shape[1] != words:
-            raise ValueError(f"rows of {graph.n} bits take {words} words, "
-                             f"got {packed.shape[1]}")
-        packed.flags.writeable = False
-        graph.__dict__["_packed"] = packed
-        return graph
+        n = len(packed)
+        if packed.ndim != 2 or packed.shape[1] != -(-n // 64):
+            raise ValueError(f"{n} rows take {-(-n // 64)} words each, "
+                             f"got shape {packed.shape}")
+        if n % 64 and (packed[:, -1] >> np.uint64(n % 64)).any():
+            raise ValueError(f"rows have bits outside 0..{n - 1}")
+        diag = np.arange(n)
+        return cls._checked(packed, packed[diag, diag >> 6]
+                            >> (diag & 63).astype(_WORD) & 1)
 
     @classmethod
     def from_matrix(cls, mat: np.ndarray) -> "PreorderGraph":
-        """Pack a square matrix; a bool one is kept, read-only, as .matrix."""
+        """Pack a square matrix; a bool one is kept, read-only, as .matrix.
+        Its diagonal is checked, which costs a small graph less than
+        checking the words."""
         mat = np.asarray(mat, dtype=bool)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError("matrix must be square")
-        graph = cls._from_bytes(np.packbits(mat, axis=1, bitorder="little"))
+        graph = cls._checked(_pack_rows(mat, -(-len(mat) // 64)),
+                             mat.diagonal())
         mat.flags.writeable = False
         graph.__dict__["matrix"] = mat
         return graph
 
     @classmethod
-    def _from_bytes(cls, packed):
-        """The graph whose rows are packed's rows as little-endian ints."""
-        return cls(len(packed), tuple(int.from_bytes(row.tobytes(), "little")
-                                      for row in packed))
+    def _checked(cls, packed, diagonal):
+        """The graph of the words packed, whose diagonal bits are diagonal."""
+        if not diagonal.all():
+            raise ValueError(f"relation not reflexive at {np.argmin(diagonal)}")
+        packed.flags.writeable = False
+        graph = object.__new__(cls)
+        graph.__dict__.update(n=len(packed), _packed=packed)
+        return graph
 
     @classmethod
     def diagonal(cls, n: int) -> "PreorderGraph":
@@ -180,6 +208,12 @@ class PreorderGraph:
                 raise ValueError(f"pair ({i}, {j}) out of range")
             rows[i] |= 1 << j
         return cls(n, tuple(rows))
+
+
+# The rows of a graph made from an array, made on first read; set here so
+# that rows stays a required field.  A graph made from rows shadows it.
+PreorderGraph.rows = cached_property(lambda graph: _int_rows(graph.packed))
+PreorderGraph.rows.__set_name__(PreorderGraph, "rows")
 
 
 def transitive_reflexive_closure(graph: PreorderGraph) -> PreorderGraph:
@@ -226,13 +260,12 @@ def is_transitive(graph: PreorderGraph) -> bool:
 
 
 def is_antisymmetric(graph: PreorderGraph):
-    """(True, None) or (False, (i, j)) with i < j mutually related."""
-    for i in range(graph.n):
-        row = graph.rows[i]
-        for j in range(i + 1, graph.n):
-            if row >> j & 1 and graph.rows[j] >> i & 1:
-                return False, (i, j)
-    return True, None
+    """(True, None) or (False, (i, j)): the row-major first mutual i < j."""
+    mutual = graph.matrix & graph.matrix.T
+    np.fill_diagonal(mutual, False)  # so the row-major first has i < j
+    if not mutual.any():
+        return True, None
+    return False, divmod(int(np.argmax(mutual)), graph.n)
 
 
 @dataclass(frozen=True)
@@ -258,9 +291,6 @@ class EquivalenceClasses:
         if seen != (1 << self.n) - 1:
             raise ValueError("classes do not cover all points")
 
-    def representative(self, class_index: int) -> int:
-        return self.classes[class_index][0]
-
     def index_map(self) -> dict:
         """point -> class index, for bulk lookups."""
         return {m: idx for idx, cls in enumerate(self.classes) for m in cls}
@@ -273,7 +303,7 @@ def symmetric_part(graph: PreorderGraph) -> EquivalenceClasses:
     a non-transitive graph can overlap, which EquivalenceClasses rejects.
     """
     mat = graph.matrix
-    sym = PreorderGraph.from_matrix(mat & mat.T).rows
+    sym = _int_rows(_pack_rows(mat & mat.T, -(-graph.n // 64)))
     seen = 0
     classes = []
     for i in range(graph.n):
@@ -294,8 +324,8 @@ def quotient_preorder(graph: PreorderGraph):
     """Collapse mutual-relation classes; returns (quotient, classes).
 
     The quotient of a preorder by its symmetric part is a partial order.
-    Each class's columns, then its rows, are OR-ed by one reduceat over
-    bit-packed rows: a <= b iff some member of a <= some member of b.
+    Each class's columns, then its rows, are OR-ed by one reduceat: a <= b
+    iff some member of a <= some member of b.
     When every class is a singleton (ordered by index) the quotient is
     the graph itself and is returned as is.
     """
@@ -305,13 +335,8 @@ def quotient_preorder(graph: PreorderGraph):
         return graph, classes
     members = np.array([m for block in blocks for m in block], dtype=np.intp)
     starts = np.cumsum([0] + [len(block) for block in blocks])[:-1]
-
-    def merge_rows(mat):
-        packed = np.packbits(mat[members], axis=1)
-        merged = np.bitwise_or.reduceat(packed, starts, axis=0)
-        return np.unpackbits(merged, axis=1, count=mat.shape[1])
-
-    merged = merge_rows(merge_rows(graph.matrix.T).T)
+    cols = np.logical_or.reduceat(graph.matrix.T[members], starts, axis=0)
+    merged = np.logical_or.reduceat(cols.T[members], starts, axis=0)
     return PreorderGraph.from_matrix(merged), classes
 
 

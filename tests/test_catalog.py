@@ -635,8 +635,9 @@ def test_tiled_validation_matches_the_untiled_reference(family, n,
               np.unique(rng.integers(0, n, 9)))
     with np.errstate(invalid="ignore"):
         for min_agreement in (0.99, 1.0):
-            tiled, blocks = validate_family(fam, sample, vals, space, 1e-6,
-                                            min_agreement, gather)
+            monkeypatch.setattr(catalog_module, "MIN_AGREEMENT",
+                                min_agreement)
+            tiled, blocks = validate_family(fam, sample, vals, space, gather)
             want = _untiled_validation(fam, sample, vals, rel, 1e-6,
                                        min_agreement)
             assert repr(tiled.to_dict()) == repr(want.to_dict())
@@ -652,7 +653,7 @@ def test_tiled_validation_fixtures_fail_where_meant():
         fam = FunctionFamily(*parts)
         sample, vals = sample_values(space, fam, n, 4)
         with np.errstate(invalid="ignore"):
-            report, _ = validate_family(fam, sample, vals, space, 1e-6, 0.99)
+            report, _ = validate_family(fam, sample, vals, space)
         fails[name] = {c.name: c.witness for c in report.checks
                        if not c.passed}
     assert fails["passing"] == {}
@@ -763,6 +764,14 @@ def _reference_tile_validation(family, sample, raw, space, eps_fn,
     return CheckReport(tuple(checks)), blocks
 
 
+def _validate_with(family, sample, raw, space, eps_fn, min_agreement,
+                   gather):
+    """validate_family with EPS_FN and MIN_AGREEMENT set for one call."""
+    with mock.patch.object(catalog_module, "EPS_FN", eps_fn), \
+            mock.patch.object(catalog_module, "MIN_AGREEMENT", min_agreement):
+        return validate_family(family, sample, raw, space, gather)
+
+
 class _TableSpace:
     """A space over sample indices whose relation is a given bool table."""
 
@@ -823,7 +832,7 @@ def test_tile_pass_matches_the_reference_pass(args):
     for cells in (n, 2 * n + 1, 1 << 20):
         with mock.patch.object(catalog_module, "_TILE_CELLS", cells), \
                 np.errstate(invalid="ignore"):
-            got, got_blocks = validate_family(*args)
+            got, got_blocks = _validate_with(*args)
             want, want_blocks = _reference_tile_validation(*args)
         assert repr(got.to_dict()) == repr(want.to_dict())
         assert len(got_blocks) == len(want_blocks)
@@ -963,7 +972,7 @@ def test_blocked_validation_matches_the_reference_pass(args, block, cells):
     with mock.patch.object(catalog_module, "_BLOCK", block), \
             mock.patch.object(catalog_module, "_TILE_CELLS", cells), \
             np.errstate(invalid="ignore"):
-        got, got_blocks = validate_family(*args)
+        got, got_blocks = _validate_with(*args)
         want, want_blocks = _reference_tile_validation(*args)
     assert repr(got.to_dict()) == repr(want.to_dict())
     for a, b in zip(got_blocks, want_blocks, strict=True):
@@ -998,7 +1007,7 @@ def test_blocked_witnesses_are_the_row_major_first_across_blocks(
     for h, c, raw, table, check, witness in cases:
         args = (FunctionFamily(h, c), sample, raw, _TableSpace(table), 1e-6,
                 1.0, ())
-        got, _ = validate_family(*args)
+        got, _ = _validate_with(*args)
         assert got.check(check).witness == witness
         assert repr(got.to_dict()) == repr(
             _reference_tile_validation(*args)[0].to_dict())

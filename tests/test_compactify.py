@@ -481,6 +481,11 @@ def test_build_relation_stays_packed(monkeypatch, tmp_path):
     write_build(comp, report, str(tmp_path / "misner"))
     assert comp.n_vertices == 257 and not comp.induced.packed.flags.writeable
     assert unpacked == []
+    assert "rows" not in vars(comp.induced)  # nor made any int rows
+    # rows read later, as a digest does, are the matrix's rows
+    want = tuple(sum(1 << int(j) for j in np.flatnonzero(row))
+                 for row in comp.induced.matrix)
+    assert comp.induced.rows == want
 
     monkeypatch.setattr(ordtop.compactify, "DIAGNOSTIC_BUDGET", 1500)
     nat = catalog("nat-discrete")

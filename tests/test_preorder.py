@@ -1,4 +1,6 @@
+import pathlib
 import random
+import re
 from unittest import mock
 
 import networkx as nx
@@ -10,6 +12,7 @@ import ordtop.preorder
 from ordtop.preorder import (
     EquivalenceClasses,
     PreorderGraph,
+    _hex_rows,
     function_preorder,
     is_antisymmetric,
     is_transitive,
@@ -76,6 +79,65 @@ def test_matrix_roundtrip_small_and_large():
         mat = g.matrix
         assert mat.shape == (n, n)
         assert PreorderGraph.from_matrix(mat).rows == g.rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from((0, 1, 63, 64, 65, 130)), st.integers(0, 2**32 - 1),
+       st.sampled_from((0.0, 0.05, 0.5, 1.0)))
+def test_the_three_forms_agree(n, seed, density):
+    # a graph made from rows, from packed words or from a matrix gives
+    # the same rows, words, matrix, pair count and hex rows
+    rng = np.random.default_rng(seed)
+    mat = (rng.random((n, n)) < density) | np.eye(n, dtype=bool)
+    rows = tuple(sum(1 << int(j) for j in np.flatnonzero(r)) for r in mat)
+    graphs = (PreorderGraph(n, rows),
+              PreorderGraph.from_packed(
+                  PreorderGraph(n, rows).packed.copy()),
+              PreorderGraph.from_matrix(mat.copy()))
+    assert "rows" not in vars(graphs[1]) and "rows" not in vars(graphs[2])
+    hexes = [format(r, "x") for r in rows]
+    for g in graphs:
+        assert g.n == n and g.pair_count() == int(mat.sum())
+        assert _hex_rows(g.packed) == hexes
+        assert g.packed.shape == (n, -(-n // 64)) and \
+            g.packed.dtype == np.dtype("<u8")
+        assert np.array_equal(g.packed, graphs[0].packed)
+        assert np.array_equal(g.matrix, mat)
+        assert g.rows == rows and g == graphs[0]
+
+
+def test_from_packed_checks_the_words():
+    for n in (1, 63, 64, 65, 130):
+        words = PreorderGraph.diagonal(n).packed
+        for i in {0, n // 2, n - 1}:
+            bad = words.copy()
+            bad[i, i >> 6] ^= np.uint64(1 << (i & 63))
+            with pytest.raises(ValueError, match=f"not reflexive at {i}"):
+                PreorderGraph.from_packed(bad)
+        if n % 64:  # a bit past column n - 1 in the last word
+            bad = words.copy()
+            bad[n - 1, -1] |= np.uint64(1 << 63)
+            with pytest.raises(ValueError, match="bits outside"):
+                PreorderGraph.from_packed(bad)
+        with pytest.raises(ValueError, match="words"):
+            PreorderGraph.from_packed(np.zeros((n, words.shape[1] + 1),
+                                               dtype="<u8"))
+
+
+def test_only_preorder_converts_between_the_forms():
+    # bytes, ints, bit-packed arrays and hex text of relation rows are
+    # made from one another in preorder.py alone
+    conversion = re.compile(r"packbits|unpackbits|from_bytes|to_bytes"
+                            r"|\.hex\(|format\([^)]*[\"']x[\"']\)")
+    found = []
+    for path in sorted(pathlib.Path(ordtop.preorder.__file__).parent
+                       .glob("*.py")):
+        if path.name == "preorder.py":
+            continue
+        for k, line in enumerate(path.read_text().splitlines(), 1):
+            if conversion.search(line):
+                found.append(f"{path.name}:{k}: {line.strip()}")
+    assert found == []
 
 
 def test_closure_matches_naive_fixpoint():
@@ -176,7 +238,6 @@ def test_symmetric_part_matches_networkx_sccs():
         assert set(part.classes) == want
         # ordered by least member
         assert list(part.classes) == sorted(part.classes, key=lambda c: c[0])
-        assert part.representative(0) == part.classes[0][0]
 
 
 def test_quotient_is_partial_order():

@@ -152,9 +152,8 @@ def _rebuild_from_dir(path: str):
     comp = close_and_cluster(embed(entry, family, *sample_values(
         entry.space, family, cfg["resolution"], cfg["tail_depth"])),
         cfg["eps_q"], cfg["eps_cauchy"])
-    stored = payload.get("relation_rows_hex", [])
-    rebuilt = _hex_rows(comp.induced.packed)
-    rows = itertools.zip_longest(stored, rebuilt)
+    rows = itertools.zip_longest(payload.get("relation_rows_hex", []),
+                                 _hex_rows(comp.induced.packed))
     for row, (stored_row, rebuilt_row) in enumerate(rows):
         if stored_row != rebuilt_row:
             raise SpaceFormatError(

@@ -285,9 +285,11 @@ def remainder_is_ordered(comp) -> CheckReport:
     if not comp.complete:
         raise ValueError("compactification is incomplete")
     n_core, rem = comp.n_core, comp.remainder_ids()
-    anti, pair = is_antisymmetric(PreorderGraph.from_matrix(_unpack_rows(
-        comp.induced.packed[n_core:], comp.n_vertices)[:, n_core:]))
-    witness = None if anti else (pair[0] + n_core, pair[1] + n_core)
+    block = _unpack_rows(comp.induced.packed[n_core:, n_core // 64:],
+                         comp.n_vertices - n_core // 64 * 64)[:, n_core % 64:]
+    # the row-major first mutual pair (i, j) has i < j
+    pairs = np.argwhere(block & block.T & ~np.eye(len(rem), dtype=bool))
+    witness = tuple((pairs[0] + n_core).tolist()) if len(pairs) else None
     return CheckReport((Check(
         "remainder_antisymmetric", witness is None, witness=witness,
         metrics={"remainder_count": len(rem)},

@@ -394,10 +394,12 @@ def representation_check(space, fns) -> CheckReport:
                else PreorderGraph.full(space.n))
     want = space.preorder
     witness = None
-    for i, (got, row) in enumerate(zip(induced.rows, want.rows)):
-        if got != row:
-            j = _least_bit(got ^ row)
-            witness = (i, j, "extra" if got >> j & 1 else "missing")
+    for i in range(space.n):
+        diff = induced.rows[i] ^ want.rows[i]
+        if diff:
+            j = _least_bit(diff)
+            kind = "extra" if induced.leq(i, j) else "missing"
+            witness = (i, j, kind)
             break
     metrics = {
         "induced_pairs": induced.pair_count(),

@@ -3,12 +3,10 @@
 A relation on n points has three forms on PreorderGraph: int rows (bit j
 of rows[i] set means i <= j), packed (read-only '<u8' words of the rows)
 and matrix (read-only n x n bools).  A graph keeps the form it was made
-from (from_matrix also its words), checked there for reflexivity, not
-transitivity (close a seed with transitive_reflexive_closure), and makes
-and caches the others on first read.  A build's relation is the
-rank-bitset kernel's words, kept by from_packed: its verify and export
-read them without unpacking them or making int rows.  Only this module
-converts between the forms.
+from (from_matrix also its words), checked there for reflexivity but not
+transitivity, and makes and caches the others on first read; so a
+build's relation, the kernel's words, is never held as int rows.  Only
+this module converts between the forms.
 """
 
 from __future__ import annotations
@@ -56,16 +54,11 @@ def _lowest_bits(rows):
 
 def _first_set(packed):
     """(i, j) of the row-major first set bit of '<u8' rows, or None."""
-    hits = np.flatnonzero(packed)
-    if not hits.size:
+    nonzero = packed.any(axis=1)
+    if not nonzero.any():
         return None
-    i, k = divmod(int(hits[0]), packed.shape[1])  # the first nonzero word
-    return i, 64 * k + int(_lowest_bits(packed[i:i + 1, k:k + 1])[0])
-
-
-def _int_rows(packed):
-    """Each '<u8' row as an int: bit j of the int is column j."""
-    return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
+    i = int(nonzero.argmax())  # the first nonzero row, then its lowest bit
+    return i, int(_lowest_bits(packed[i:i + 1])[0])
 
 
 def _hex_rows(packed):
@@ -108,25 +101,22 @@ class PreorderGraph:
                 row ^= low
 
     def pair_count(self) -> int:
-        """Popcount of the rows a graph holds, else of its packed words."""
-        rows = self.__dict__.get("rows")
-        if rows is not None:
-            return sum(row.bit_count() for row in rows)
         return int(np.bitwise_count(self.packed).sum())
 
     def up_set(self, mask: int) -> int:
         """Bitmask of points above anything in mask."""
-        out, rest, rows = 0, mask, self.rows  # one read past the lazy rows
+        out = 0
+        rest = mask
         while rest:
             low = rest & -rest
-            out |= rows[low.bit_length() - 1]
+            out |= self.rows[low.bit_length() - 1]
             rest ^= low
         return out
 
     def down_set(self, mask: int) -> int:
         out = 0
-        for i, row in enumerate(self.rows):
-            if row & mask:
+        for i in range(self.n):
+            if self.rows[i] & mask:
                 out |= 1 << i
         return out
 
@@ -158,14 +148,13 @@ class PreorderGraph:
         every diagonal bit set, no bit set past column n - 1."""
         packed = np.ascontiguousarray(packed, dtype=_WORD)
         n = len(packed)
-        if packed.ndim != 2 or packed.shape[1] != -(-n // 64):
+        if packed.shape != (n, -(-n // 64)):
             raise ValueError(f"{n} rows take {-(-n // 64)} words each, "
                              f"got shape {packed.shape}")
-        if n % 64 and (packed[:, -1] >> np.uint64(n % 64)).any():
+        if n % 64 and (packed[:, -1] >> n % 64).any():
             raise ValueError(f"rows have bits outside 0..{n - 1}")
-        diag = np.arange(n)
-        return cls._checked(packed, packed[diag, diag >> 6]
-                            >> (diag & 63).astype(_WORD) & 1)
+        diag = np.arange(n, dtype=_WORD)
+        return cls._checked(packed, packed[diag, diag >> 6] >> (diag & 63) & 1)
 
     @classmethod
     def from_matrix(cls, mat: np.ndarray) -> "PreorderGraph":
@@ -182,10 +171,10 @@ class PreorderGraph:
         return graph
 
     @classmethod
-    def _checked(cls, packed, diagonal):
-        """The graph of the words packed, whose diagonal bits are diagonal."""
-        if not diagonal.all():
-            raise ValueError(f"relation not reflexive at {np.argmin(diagonal)}")
+    def _checked(cls, packed, loops):
+        """The graph of the words packed, whose diagonal bits are loops."""
+        if not loops.all():
+            raise ValueError(f"relation not reflexive at {np.argmin(loops)}")
         packed.flags.writeable = False
         graph = object.__new__(cls)
         graph.__dict__.update(n=len(packed), _packed=packed)
@@ -212,7 +201,8 @@ class PreorderGraph:
 
 # The rows of a graph made from an array, made on first read; set here so
 # that rows stays a required field.  A graph made from rows shadows it.
-PreorderGraph.rows = cached_property(lambda graph: _int_rows(graph.packed))
+PreorderGraph.rows = cached_property(lambda graph: tuple(
+    int.from_bytes(row.tobytes(), "little") for row in graph.packed))
 PreorderGraph.rows.__set_name__(PreorderGraph, "rows")
 
 
@@ -260,12 +250,13 @@ def is_transitive(graph: PreorderGraph) -> bool:
 
 
 def is_antisymmetric(graph: PreorderGraph):
-    """(True, None) or (False, (i, j)): the row-major first mutual i < j."""
-    mutual = graph.matrix & graph.matrix.T
-    np.fill_diagonal(mutual, False)  # so the row-major first has i < j
-    if not mutual.any():
-        return True, None
-    return False, divmod(int(np.argmax(mutual)), graph.n)
+    """(True, None) or (False, (i, j)) with i < j mutually related."""
+    for i in range(graph.n):
+        row = graph.rows[i]
+        for j in range(i + 1, graph.n):
+            if row >> j & 1 and graph.rows[j] >> i & 1:
+                return False, (i, j)
+    return True, None
 
 
 @dataclass(frozen=True)
@@ -291,6 +282,9 @@ class EquivalenceClasses:
         if seen != (1 << self.n) - 1:
             raise ValueError("classes do not cover all points")
 
+    def representative(self, class_index: int) -> int:
+        return self.classes[class_index][0]
+
     def index_map(self) -> dict:
         """point -> class index, for bulk lookups."""
         return {m: idx for idx, cls in enumerate(self.classes) for m in cls}
@@ -303,7 +297,7 @@ def symmetric_part(graph: PreorderGraph) -> EquivalenceClasses:
     a non-transitive graph can overlap, which EquivalenceClasses rejects.
     """
     mat = graph.matrix
-    sym = _int_rows(_pack_rows(mat & mat.T, -(-graph.n // 64)))
+    sym = PreorderGraph.from_matrix(mat & mat.T).rows
     seen = 0
     classes = []
     for i in range(graph.n):
@@ -324,8 +318,8 @@ def quotient_preorder(graph: PreorderGraph):
     """Collapse mutual-relation classes; returns (quotient, classes).
 
     The quotient of a preorder by its symmetric part is a partial order.
-    Each class's columns, then its rows, are OR-ed by one reduceat: a <= b
-    iff some member of a <= some member of b.
+    Each class's columns, then its rows, are OR-ed by one reduceat over
+    bit-packed rows: a <= b iff some member of a <= some member of b.
     When every class is a singleton (ordered by index) the quotient is
     the graph itself and is returned as is.
     """
@@ -335,8 +329,13 @@ def quotient_preorder(graph: PreorderGraph):
         return graph, classes
     members = np.array([m for block in blocks for m in block], dtype=np.intp)
     starts = np.cumsum([0] + [len(block) for block in blocks])[:-1]
-    cols = np.logical_or.reduceat(graph.matrix.T[members], starts, axis=0)
-    merged = np.logical_or.reduceat(cols.T[members], starts, axis=0)
+
+    def merge_rows(mat):
+        packed = np.packbits(mat[members], axis=1)
+        merged = np.bitwise_or.reduceat(packed, starts, axis=0)
+        return np.unpackbits(merged, axis=1, count=mat.shape[1])
+
+    merged = merge_rows(merge_rows(graph.matrix.T).T)
     return PreorderGraph.from_matrix(merged), classes
 
 

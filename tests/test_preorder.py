@@ -238,6 +238,7 @@ def test_symmetric_part_matches_networkx_sccs():
         assert set(part.classes) == want
         # ordered by least member
         assert list(part.classes) == sorted(part.classes, key=lambda c: c[0])
+        assert part.representative(0) == part.classes[0][0]
 
 
 def test_quotient_is_partial_order():

@@ -63,17 +63,20 @@ def _build_config(args) -> dict:
     return cfg
 
 
-def _tolerance_ok(x) -> bool:
-    return isinstance(x, (int, float)) and math.isfinite(x) and x > 0
-
-
-def _validate_config(parser, args):
-    if args.resolution < 8:
-        parser.error("--resolution must be at least 8")
-    if args.tail_depth < 3:
-        parser.error("--tail-depth must be at least 3")
-    if not (_tolerance_ok(args.eps_q) and _tolerance_ok(args.eps_cauchy)):
-        parser.error("tolerances must be finite and positive")
+def _config_error(cfg):
+    """Why compactify refuses the options in the config cfg, or None."""
+    for key, least in (("resolution", 8), ("tail_depth", 3)):
+        if type(cfg[key]) is not int or cfg[key] < least:
+            return (f"{key} must be an integer of at least {least}, "
+                    f"not {cfg[key]!r}")
+    if not isinstance(cfg["family"], str):
+        return f"family must be a string, not {cfg['family']!r}"
+    for key in ("eps_q", "eps_cauchy"):
+        if not (type(cfg[key]) in (int, float) and math.isfinite(cfg[key])
+                and cfg[key] > 0):
+            return (f"tolerances must be finite and positive, not {key} "
+                    f"{cfg[key]!r}")
+    return None
 
 
 def cmd_check_finite(args, parser) -> int:
@@ -102,7 +105,10 @@ def cmd_check_finite(args, parser) -> int:
 
 
 def cmd_compactify(args, parser) -> int:
-    _validate_config(parser, args)
+    config = _build_config(args)
+    error = _config_error(config)
+    if error:
+        parser.error(error)
     try:
         entry = catalog(args.space)
     except KeyError as exc:
@@ -115,7 +121,6 @@ def cmd_compactify(args, parser) -> int:
         entry, family, resolution=args.resolution, tail_depth=args.tail_depth,
         eps_q=args.eps_q, eps_cauchy=args.eps_cauchy,
     )
-    config = _build_config(args)
     paths = write_build(comp, report, args.out, config)
     print(f"space: {entry.name}")
     print(f"vertices: {comp.n_vertices} "
@@ -136,17 +141,16 @@ def _rebuild_from_dir(path: str):
 
     The rebuilt relation must equal the stored relation_rows_hex; a
     build written by other code or edited since fails with the first
-    row that differs.
+    row that differs.  A config that compactify would refuse fails too.
     """
     with open(os.path.join(path, "report.json"), "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     cfg = payload.get("config")
     if cfg is None:
         raise SpaceFormatError(f"{path}/report.json has no config block")
-    for key in ("eps_q", "eps_cauchy"):
-        if not _tolerance_ok(cfg[key]):
-            raise SpaceFormatError(f"{path}: stored {key} {cfg[key]!r} "
-                                   "is not finite and positive")
+    error = _config_error(cfg)
+    if error:
+        raise SpaceFormatError(f"{path}: stored {error}")
     entry = catalog(cfg["space"])
     family = entry.family(cfg["family"], cfg["resolution"], cfg["tail_depth"])
     comp = close_and_cluster(embed(entry, family, *sample_values(

@@ -17,7 +17,7 @@ import numpy as np
 from .catalog import DEFAULT_RESOLUTION, DEFAULT_TAIL_DEPTH, _TILE_CELLS, \
     _packed_leq, sample_values, validate_family
 from .preorder import PreorderGraph, _closure_numpy, _first_set, \
-    _unpack_rows, is_antisymmetric, quotient_preorder
+    _row_keys, _unpack_rows, is_antisymmetric, quotient_preorder
 from .report import Check, CheckReport, merge_reports
 
 DEFAULT_EPS_Q = 1e-3
@@ -100,13 +100,6 @@ class Compactification:
         vertices, first = np.unique(self.sample_map, return_index=True)
         reps[vertices] = first
         return reps
-
-
-def _row_keys(rows):
-    """One void scalar per row of a 2-d array, equal iff the rows are."""
-    rows = np.ascontiguousarray(rows)
-    key = np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))
-    return rows.view(key)[:, 0]
 
 
 def _quantize(values, eps_q):
@@ -285,11 +278,12 @@ def remainder_is_ordered(comp) -> CheckReport:
     if not comp.complete:
         raise ValueError("compactification is incomplete")
     n_core, rem = comp.n_core, comp.remainder_ids()
-    block = _unpack_rows(comp.induced.packed[n_core:, n_core // 64:],
-                         comp.n_vertices - n_core // 64 * 64)[:, n_core % 64:]
-    # the row-major first mutual pair (i, j) has i < j
-    pairs = np.argwhere(block & block.T & ~np.eye(len(rem), dtype=bool))
-    witness = tuple((pairs[0] + n_core).tolist()) if len(pairs) else None
+    # mutual vertices of a preorder have equal rows; the row-major first
+    # such pair (i, j) has i < j
+    keys = _row_keys(comp.induced.packed[n_core:]).tolist()
+    witness = next(((n_core + i, n_core + j) for i, j in
+                    itertools.combinations(range(len(keys)), 2)
+                    if keys[i] == keys[j]), None)
     return CheckReport((Check(
         "remainder_antisymmetric", witness is None, witness=witness,
         metrics={"remainder_count": len(rem)},

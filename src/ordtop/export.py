@@ -6,7 +6,6 @@ import os
 
 import numpy as np
 
-from .compactify import _row_keys
 from .preorder import PreorderGraph, _first_set, _hex_rows, _lowest_bits, \
     _pack_rows, quotient_preorder
 from .report import _plain
@@ -87,21 +86,6 @@ def transitive_reduction(graph: PreorderGraph) -> tuple:
     return tuple(zip(tails[by_pair].tolist(), heads[by_pair].tolist()))
 
 
-def _condense(comp):
-    """The induced preorder's quotient graph and its classes, as
-    quotient_preorder gives them.
-
-    Vertices are mutually related iff their quantized H-parts are equal,
-    so when those rows are distinct every class is a singleton and the
-    quotient is the induced graph itself.
-    """
-    h = comp.quant[:, :comp.h_count]
-    if comp.h_count and len(np.unique(_row_keys(h))) == len(h):
-        return comp.induced, tuple((v,) for v in range(len(h)))
-    qgraph, classes = quotient_preorder(comp.induced)
-    return qgraph, classes.classes
-
-
 def write_preorder_dot(comp, path):
     """Hasse-style DOT of the induced order.
 
@@ -109,11 +93,11 @@ def write_preorder_dot(comp, path):
     reduction (the full relation lives in report.json), and any node
     containing a remainder vertex is drawn filled with a double border.
     """
-    qgraph, classes = _condense(comp)
+    qgraph, classes = quotient_preorder(comp.induced)
     edges = transitive_reduction(qgraph)
     lines = ["digraph induced_order {", "  rankdir=BT;",
              "  node [shape=ellipse];"]
-    for ci, members in enumerate(classes):
+    for ci, members in enumerate(classes.classes):
         tagged = ["v%d" % m if m < comp.n_core else "r%d" % m
                   for m in members]
         if len(tagged) <= 3:

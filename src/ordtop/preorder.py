@@ -61,6 +61,13 @@ def _first_set(packed):
     return i, int(_lowest_bits(packed[i:i + 1])[0])
 
 
+def _row_keys(rows):
+    """One void scalar per row of a 2-d array, equal iff the rows are."""
+    rows = np.ascontiguousarray(rows)
+    key = np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))
+    return rows.view(key).reshape(len(rows))
+
+
 def _hex_rows(packed):
     """Each '<u8' row as the hex text format(row, "x") gives its int."""
     width = 16 * packed.shape[1]
@@ -291,52 +298,30 @@ class EquivalenceClasses:
 
 
 def symmetric_part(graph: PreorderGraph) -> EquivalenceClasses:
-    """Classes of mutual relation, ordered by smallest member.
+    """Classes of mutual relation of a preorder, ordered by least member.
 
-    An unseen point i takes the j >= i in its row and column; classes of
-    a non-transitive graph can overlap, which EquivalenceClasses rejects.
+    In a preorder i ~ j iff rows i and j are equal, so points are grouped
+    by packed row in order of first occurrence.
     """
-    mat = graph.matrix
-    sym = PreorderGraph.from_matrix(mat & mat.T).rows
-    seen = 0
-    classes = []
-    for i in range(graph.n):
-        if seen >> i & 1:
-            continue
-        mask = sym[i] >> i << i
-        seen |= mask
-        cls = []
-        while mask:
-            low = mask & -mask
-            cls.append(low.bit_length() - 1)
-            mask ^= low
-        classes.append(tuple(cls))
-    return EquivalenceClasses(graph.n, tuple(classes))
+    classes = {}
+    for i, key in enumerate(_row_keys(graph.packed).tolist()):
+        classes.setdefault(key, []).append(i)
+    return EquivalenceClasses(graph.n, tuple(map(tuple, classes.values())))
 
 
 def quotient_preorder(graph: PreorderGraph):
-    """Collapse mutual-relation classes; returns (quotient, classes).
+    """(quotient, classes) of a preorder by its mutual-relation classes.
 
-    The quotient of a preorder by its symmetric part is a partial order.
-    Each class's columns, then its rows, are OR-ed by one reduceat over
-    bit-packed rows: a <= b iff some member of a <= some member of b.
-    When every class is a singleton (ordered by index) the quotient is
-    the graph itself and is returned as is.
+    The quotient, a partial order, relates two classes as it relates
+    their representatives.  When every class is a singleton it is the
+    graph itself, returned as is, and the matrix is not read.
     """
     classes = symmetric_part(graph)
-    blocks = classes.classes
-    if len(blocks) == graph.n:
+    if len(classes.classes) == graph.n:
         return graph, classes
-    members = np.array([m for block in blocks for m in block], dtype=np.intp)
-    starts = np.cumsum([0] + [len(block) for block in blocks])[:-1]
-
-    def merge_rows(mat):
-        packed = np.packbits(mat[members], axis=1)
-        merged = np.bitwise_or.reduceat(packed, starts, axis=0)
-        return np.unpackbits(merged, axis=1, count=mat.shape[1])
-
-    merged = merge_rows(merge_rows(graph.matrix.T).T)
-    return PreorderGraph.from_matrix(merged), classes
+    reps = list(map(classes.representative, range(len(classes.classes))))
+    return PreorderGraph.from_matrix(
+        graph.matrix.take(reps, 0).take(reps, 1)), classes
 
 
 def function_preorder(values) -> PreorderGraph:

@@ -319,7 +319,7 @@ def test_dominate_rejects_an_edited_build(tmp_path):
     assert "row 3" in proc.stderr
 
 
-@pytest.mark.parametrize("value", (float("nan"), float("inf"), 0.0))
+@pytest.mark.parametrize("value", (float("nan"), float("inf"), 0.0, True))
 def test_dominate_rejects_a_stored_bad_tolerance(tmp_path, capsys, value):
     out = tmp_path / "build"
     assert ordtop.cli.main(["compactify", "--space", "half-open-interval",
@@ -334,6 +334,22 @@ def test_dominate_rejects_a_stored_bad_tolerance(tmp_path, capsys, value):
     err = capsys.readouterr().err
     assert err.startswith("error: bad build directory:")
     assert "eps_q" in err
+
+
+@pytest.mark.parametrize("key,value", (
+    ("tail_depth", 2), ("tail_depth", 4.0), ("resolution", "64"),
+    ("resolution", True), ("family", ["id"])))
+def test_dominate_rejects_a_stored_bad_config(tmp_path, capsys, key, value):
+    # each would otherwise end in a traceback from the rebuild
+    out = tmp_path / "build"
+    assert ordtop.cli.main(["compactify", "--space", "half-open-interval",
+                            "--resolution", "64", "--out", str(out)]) == 0
+    _edit_report(out, lambda payload: payload["config"].update({key: value}))
+    capsys.readouterr()
+    assert ordtop.cli.main(["dominate", str(out), str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad build directory:")
+    assert key in err and repr(value) in err
 
 
 def test_dominate_accepts_builds_whose_config_has_a_seed(tmp_path):

@@ -48,7 +48,7 @@ from ordtop.compactify import (
     smallest_closed_preorder_diagnostic,
     verify_preorder_embedding,
 )
-from ordtop.export import _condense, write_build
+from ordtop.export import write_build
 from ordtop.generators import random_nested_families
 from ordtop.preorder import (
     PreorderGraph,
@@ -334,26 +334,41 @@ def test_rank_bitsets_match_direct_compare(n, h, spread, cells, data):
     assert np.array_equal(got.matrix, direct)
 
 
+def condense(comp):
+    """Oracle for quotient_preorder(comp.induced) from the quantized
+    H-parts alone: (relation, classes), the classes being the groups of
+    equal H rows ordered by least member, and the relation coordinate-
+    wise <= over one H row per class."""
+    h = comp.quant[:, :comp.h_count]
+    groups = {}
+    for v, row in enumerate(h.tolist()):
+        groups.setdefault(tuple(row), []).append(v)
+    classes = sorted(map(tuple, groups.values()))
+    reps = h[[members[0] for members in classes]]
+    return (reps[:, None] <= reps[None]).all(axis=2), tuple(classes)
+
+
+def _assert_condense_matches_quotient_preorder(comp):
+    leq, classes = condense(comp)
+    qgraph, part = quotient_preorder(comp.induced)
+    assert part.classes == classes
+    assert np.array_equal(qgraph.matrix, leq)
+
+
 @settings(max_examples=100, deadline=None)
 @given(grid_clouds())
 def test_condense_matches_quotient_preorder_on_integer_clouds(cloud):
     # C columns split vertices whose H-parts are equal: non-singleton classes
-    comp = close_and_cluster(cloud, eps_q=0.25)
-    qgraph, classes = _condense(comp)
-    want, want_classes = quotient_preorder(comp.induced)
-    assert qgraph.rows == want.rows
-    assert classes == want_classes.classes
+    _assert_condense_matches_quotient_preorder(
+        close_and_cluster(cloud, eps_q=0.25))
 
 
 @pytest.mark.parametrize("space,selector", (
     ("real-line-mirror", "default"), ("real-line-mirror", "exp2"),
     ("misner-strip", "default"), ("nat-discrete", "Cminus")))
 def test_condense_matches_quotient_preorder_on_builds(space, selector):
-    _, comp, _ = build(space, selector, resolution=97)
-    qgraph, classes = _condense(comp)
-    want, want_classes = quotient_preorder(comp.induced)
-    assert qgraph.rows == want.rows
-    assert classes == want_classes.classes
+    _assert_condense_matches_quotient_preorder(
+        build(space, selector, resolution=97)[1])
 
 
 # ------------------------------------------------------- divergent tails

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .finite_space import BudgetError
-from .preorder import _first_set, _or_columns, _pack_rows
+from .preorder import _TILE_CELLS, _first_set, _or_columns, _pack_rows
 from .report import Check, CheckReport
 
 TWO_PI = 2.0 * math.pi
@@ -24,9 +24,6 @@ TWO_PI = 2.0 * math.pi
 # deeper shells halve the distance to the end, so a run with tail_depth
 # T samples levels 7 .. 6+T
 TAIL_SHELL_BASE = 7
-
-# cells per row tile of an all-pairs pass: up to 1,024 points take one tile
-_TILE_CELLS = 1 << 20
 
 # samples per column block of validation's bit-space pass, a multiple of
 # 64: a block's rank table takes _BLOCK**2 / 8 bytes and its packed rows
@@ -599,16 +596,16 @@ def _packed_leq(values, bounds):
     values is (k, n) and bounds (k, w); the result is (n, ceil(w / 64))
     '<u8', bit j of row i being bit j % 64 of word j // 64.  The package's
     rank-bitset kernel (Tan, Eng & Ooi, VLDB 2001), for validation's column
-    blocks and close_and_cluster's quantized H-part (as values and bounds).  A
-    member whose bounds take d distinct non-NaN values gets d + 1 table
-    rows: row t holds the columns whose bound is among the t largest, so
-    {j : v <= b_j} is row d - searchsorted(distinct bounds, v, "left"), the
-    compare bit for bit; a NaN bound is in no row, a NaN value takes the
-    empty row 0.  Members are ranked by one argsort per _TILE_CELLS // 64
-    bounds, their tables built (_rank_tables) at the group's largest height
-    in batches of at most _TILE_CELLS // 8 words, values' rows included,
-    and ANDed in row tiles of _TILE_CELLS // 32 words.  With no members
-    every column's bit is set.
+    blocks, close_and_cluster's quantized H-part (as values and bounds) and
+    extendability's isotone compare.  A member whose bounds take d distinct
+    non-NaN values gets d + 1 table rows: row t holds the columns whose
+    bound is among the t largest, so {j : v <= b_j} is row
+    d - searchsorted(distinct bounds, v, "left"), the compare bit for bit; a
+    NaN bound is in no row, a NaN value takes the empty row 0.  Members are
+    ranked by one argsort per _TILE_CELLS // 64 bounds, their tables built
+    (_rank_tables) at the group's largest height in batches of at most
+    _TILE_CELLS // 8 words, values' rows included, and ANDed in row tiles of
+    _TILE_CELLS // 32 words.  With no members every column's bit is set.
     """
     k, w = bounds.shape
     n, words = values.shape[1], -(-w // 64)

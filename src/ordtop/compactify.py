@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import DEFAULT_RESOLUTION, DEFAULT_TAIL_DEPTH, _TILE_CELLS, \
-    _packed_leq, sample_values, validate_family
+from .catalog import DEFAULT_RESOLUTION, DEFAULT_TAIL_DEPTH, _packed_leq, \
+    sample_values, validate_family
 from .preorder import PreorderGraph, _closure_numpy, _first_set, \
     _row_keys, _unpack_rows, is_antisymmetric, quotient_preorder
 from .report import Check, CheckReport, merge_reports
@@ -225,9 +225,9 @@ def verify_preorder_embedding(comp, samples, relations) -> CheckReport:
     core-vertex pairs, the space relation between representative samples
     must match the induced relation both ways: the XOR of the two packed
     relations is popcounted.  (b) Over a stride subsample of points, a
-    space relation must be preserved forward into the induced relation:
-    both are unpacked a row tile at a time.  Pass iff each violation rate
-    is at most DELTA_EMBED.
+    space relation must be preserved forward into the induced relation
+    restricted to their vertices: the space relation's words less those
+    are popcounted.  Pass iff each violation rate is at most DELTA_EMBED.
     """
     coords, graph, n_core = comp.cloud.sample.coords, comp.induced, comp.n_core
     (reps, idx), (rel, sub_rel) = samples, relations
@@ -250,20 +250,10 @@ def verify_preorder_embedding(comp, samples, relations) -> CheckReport:
         metrics={"violations": count, "pairs": pairs, "rate": rate},
     )
 
-    sub_map = comp.sample_map[idx]
-    step = max(1, _TILE_CELLS // max(graph.n, 1))
-    count2 = 0
-    witness2 = None
-    for r0 in range(0, len(idx), step):
-        rows = slice(r0, r0 + step)
-        viol = _unpack_rows(sub_rel[rows], len(idx)) & ~_unpack_rows(
-            graph.packed[sub_map[rows]], graph.n).take(sub_map, axis=1)
-        found = int(np.count_nonzero(viol))
-        if found and not count2:
-            i, j = divmod(int(np.argmax(viol)), viol.shape[1])
-            witness2 = (tuple(coords[idx[r0 + i]].tolist()),
-                        tuple(coords[idx[j]].tolist()))
-        count2 += found
+    viol = sub_rel & ~graph.restrict(comp.sample_map[idx]).packed
+    count2 = int(np.bitwise_count(viol).sum(dtype=np.int64))
+    first = _first_set(viol)
+    witness2 = first and tuple(tuple(coords[idx[k]].tolist()) for k in first)
     sub_pairs = len(idx) * len(idx)
     rate2 = count2 / sub_pairs if sub_pairs else 0.0
     sample_check = Check(
@@ -312,12 +302,9 @@ def _domination_report(comp2, comp1, vertex_map) -> CheckReport:
         witness = (i, tuple(comp2.cloud.sample.coords[i].tolist()))
     commutes = Check("commutes_on_samples", same_samples, witness=witness)
 
-    bad = comp2.induced.matrix & ~comp1.induced.matrix.take(vm, 0).take(vm, 1)
-    witness = None
-    if bad.any():
-        u, v = divmod(int(np.argmax(bad)), bad.shape[1])
-        witness = (u, v, int(vm[u]), int(vm[v]))
-    isotone = Check("isotone", not bad.any(), witness=witness)
+    bad = _first_set(comp2.induced.packed & ~comp1.induced.restrict(vm).packed)
+    isotone = Check("isotone", bad is None,
+                    witness=bad and (*bad, int(vm[bad[0]]), int(vm[bad[1]])))
 
     image = {int(vm[r]) for r in comp2.remainder_ids()}
     target = set(comp1.remainder_ids())
@@ -440,7 +427,7 @@ def attempt_domination(comp_a, comp_b) -> DominationSearch:
         vm[n_core:] = assign
         images = vm[n_core:]
         isotone = core_isotone \
-            and not (m2_rows & ~m1.take(images, 0).take(vm, 1)).any() \
+            and not (m2_rows & ~m1[images].take(vm, axis=1)).any() \
             and not (m2_cols & ~m1_core[:, images]).any()
         if not isotone:
             candidates.append((assign, "isotone"))
@@ -514,12 +501,14 @@ def extendability(entry, comp, f) -> ExtendabilityResult:
     full = core_mean.copy()
     for vid, value in extension.items():
         full[vid] = value
-    bad = comp.induced.matrix & (full[:, None] > full[None, :] + eps)
-    if bad.any():
-        u, v = divmod(int(np.argmax(bad)), bad.shape[1])
+    # a compare with NaN is no break: NaN is -inf as a value, +inf as a bound
+    bad = _first_set(comp.induced.packed & ~_packed_leq(
+        np.nan_to_num(full, nan=-np.inf)[None],
+        np.nan_to_num(full + eps, nan=np.inf)[None]))
+    if bad is not None:
         return ExtendabilityResult(
             False, {}, f"extension of {f.name} breaks isotonicity between "
-            f"vertices {u} and {v}")
+            f"vertices {bad[0]} and {bad[1]}")
     return ExtendabilityResult(True, extension)
 
 
@@ -617,9 +606,8 @@ def nachbin_pipeline(entry, family, resolution=DEFAULT_RESOLUTION,
         return CheckReport(tuple(checks))
 
     perm = [phi[i] for i in range(len(class_vecs))]
-    differ = qgraph.matrix != comp_b.induced.matrix.take(perm, 0).take(perm, 1)
-    iso_witness = divmod(int(np.argmax(differ)), len(perm)) \
-        if differ.any() else None
+    iso_witness = _first_set(qgraph.packed
+                             ^ comp_b.induced.restrict(perm).packed)
     checks.append(Check("order_isomorphism", iso_witness is None,
                         witness=iso_witness))
 

@@ -7,7 +7,7 @@ import os
 import numpy as np
 
 from .preorder import PreorderGraph, _first_set, _hex_rows, _lowest_bits, \
-    _pack_rows, quotient_preorder
+    quotient_preorder
 from .report import _plain
 
 
@@ -38,20 +38,19 @@ def transitive_reduction(graph: PreorderGraph) -> tuple:
     An edge i -> j survives iff nothing sits strictly between (Aho, Garey
     & Ullman 1972).  The points are taken in an order that is a linear
     extension: their labels when no packed row has a bit below its
-    diagonal, else descending up-set size, read off .matrix.  In that
-    order the first point left in a row's strict up-set is a cover, and
-    the cover's up-set is then struck out; each round takes one cover
-    from every row with points left, on the packed words.  Struck points
-    stay in the row iff the input is a partial order; else ValueError
-    names a witness.
+    diagonal, else descending up-set size (each packed row's popcount),
+    permuted by graph.restrict.  In that order the first point left in a
+    row's strict up-set is a cover, and the cover's up-set is then struck
+    out; each round takes one cover from every row with points left, on
+    the packed words.  Struck points stay in the row iff the input is a
+    partial order; else ValueError names a witness.
     """
     packed, n = graph.packed, graph.n
     order = None
     if n and np.any(_lowest_bits(packed) != np.arange(n)):
-        mat = graph.matrix
-        order = np.argsort(-mat.sum(axis=1), kind="stable")
-        packed = _pack_rows(mat.take(order, 0).take(order, 1),
-                            packed.shape[1])
+        order = np.argsort(-np.bitwise_count(packed).sum(
+            axis=1, dtype=np.int64), kind="stable")
+        packed = graph.restrict(order).packed
     diag = np.arange(n)
     strict = packed.copy()
     strict[diag, diag >> 6] &= ~(np.uint64(1) << (diag & 63).astype("<u8"))
@@ -167,5 +166,8 @@ def write_build(comp, report, outdir, config=None) -> dict:
     write_vertices_csv(comp, paths["vertices"])
     write_preorder_dot(comp, paths["dot"])
     with open(paths["report"], "w", encoding="utf-8") as fh:
-        fh.write(canonical_json(report_payload(comp, report, config)))
+        # streamed: the same text as canonical_json, never held whole
+        json.dump(report_payload(comp, report, config), fh, sort_keys=True,
+                  indent=2)
+        fh.write("\n")
     return paths

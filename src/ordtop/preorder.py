@@ -19,6 +19,8 @@ import numpy as np
 # above this size the numpy matmul path beats pure-python Warshall
 _NUMPY_CUTOVER = 96
 _WORD = np.dtype("<u8")  # one packed word: 64 columns, lowest first
+# cells per row tile of an all-pairs pass: up to 1,024 points take one tile
+_TILE_CELLS = 1 << 20
 
 
 def _pack_rows(rel, words):
@@ -147,6 +149,18 @@ class PreorderGraph:
         mat = _unpack_rows(self.packed, self.n)
         mat.flags.writeable = False
         return mat
+
+    def restrict(self, idx) -> "PreorderGraph":
+        """The graph on len(idx) points, i <= j iff idx[i] <= idx[j] (ids
+        may repeat), packed from the words of a tile of rows at a time."""
+        idx = np.asarray(idx, dtype=np.intp)
+        out = np.empty((len(idx), -(-len(idx) // 64)), dtype=_WORD)
+        step = max(1, _TILE_CELLS // max(self.n, 1))
+        for r0 in range(0, len(idx), step):
+            out[r0:r0 + step] = _pack_rows(_unpack_rows(
+                self.packed[idx[r0:r0 + step]], self.n).take(idx, axis=1),
+                out.shape[1])
+        return PreorderGraph.from_packed(out)
 
     @classmethod
     def from_packed(cls, packed: np.ndarray) -> "PreorderGraph":
@@ -312,16 +326,15 @@ def symmetric_part(graph: PreorderGraph) -> EquivalenceClasses:
 def quotient_preorder(graph: PreorderGraph):
     """(quotient, classes) of a preorder by its mutual-relation classes.
 
-    The quotient, a partial order, relates two classes as it relates
-    their representatives.  When every class is a singleton it is the
-    graph itself, returned as is, and the matrix is not read.
+    The quotient, a partial order, is the graph restricted to the
+    classes' representatives.  When every class is a singleton it is the
+    graph itself, returned as is.
     """
     classes = symmetric_part(graph)
     if len(classes.classes) == graph.n:
         return graph, classes
     reps = list(map(classes.representative, range(len(classes.classes))))
-    return PreorderGraph.from_matrix(
-        graph.matrix.take(reps, 0).take(reps, 1)), classes
+    return graph.restrict(reps), classes
 
 
 def function_preorder(values) -> PreorderGraph:

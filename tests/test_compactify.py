@@ -36,6 +36,7 @@ from ordtop.compactify import (
     DominationMap,
     DominationSearch,
     ImageCloud,
+    _tail_limit,
     attempt_domination,
     build_compactification,
     close_and_cluster,
@@ -48,10 +49,11 @@ from ordtop.compactify import (
     smallest_closed_preorder_diagnostic,
     verify_preorder_embedding,
 )
-from ordtop.export import write_build
+from ordtop.export import transitive_reduction, write_build
 from ordtop.generators import random_nested_families
 from ordtop.preorder import (
     PreorderGraph,
+    _lowest_bits,
     _pack_rows,
     is_transitive,
     quotient_preorder,
@@ -546,6 +548,26 @@ def test_misner_build_and_export_hold_no_relation_matrix(tmp_path):
     assert peak < 40 * 2**20
 
 
+def test_builds_off_a_linear_extension_hold_no_relation_matrix(
+        tmp_path, monkeypatch):
+    # real-line-mirror's vertex ids are not a linear extension, so the
+    # Hasse reduction permutes its words; it, the quotient, domination and
+    # extendability's isotone compare restrict the packed relation and
+    # never unpack the n x n matrix (the diagnostic reads it by design)
+    monkeypatch.setattr(ordtop.compactify, "DIAGNOSTIC_BUDGET", 0)
+    entry = catalog("real-line-mirror")
+    comp, report = build_compactification(
+        entry, entry.family("default", 4096), resolution=4096)
+    graph = comp.induced
+    ids = np.arange(graph.n)
+    assert np.count_nonzero(_lowest_bits(graph.packed) < ids) == 264
+    write_build(comp, report, str(tmp_path))
+    assert dominate(comp, comp).ok
+    assert extendability(entry, comp, entry.pool["invmod"])
+    assert transitive_reduction(quotient_preorder(graph)[0])
+    assert "matrix" not in graph.__dict__
+
+
 def test_relation_is_read_only():
     entry, comp, _ = build("half-open-interval", "id", resolution=32)
     from_rows = PreorderGraph(comp.n_vertices, comp.induced.rows)
@@ -863,6 +885,52 @@ def test_nan_tail_is_not_cauchy():
     assert res.reason == "tail of end 0 is not Cauchy for nan_tail: spread nan"
 
 
+def isotone_oracle(comp, f):
+    """extendability's last step as a float compare on the n x n matrix,
+    for a function whose tails pass: (extendable, values, reason)."""
+    vals = f.evaluate(comp.cloud.sample.coords)
+    n, eps = comp.n_vertices, comp.eps_cauchy
+    counts = np.bincount(comp.sample_map, minlength=n)
+    with np.errstate(invalid="ignore"):
+        full = np.where(counts > 0, np.bincount(
+            comp.sample_map, vals, n) / np.maximum(counts, 1), 0.0)
+    extension = {}
+    for shells, vid in zip(comp.cloud.sample.tails, comp.end_map):
+        if vid >= comp.n_core:
+            extension.setdefault(vid, _tail_limit(f, vals, shells)[1])
+    for vid, value in extension.items():
+        full[vid] = value
+    bad = comp.induced.matrix & (full[:, None] > full[None, :] + eps)
+    if not bad.any():
+        return True, extension, ""
+    u, v = divmod(int(np.argmax(bad)), n)
+    return False, {}, (f"extension of {f.name} breaks isotonicity between "
+                       f"vertices {u} and {v}")
+
+
+@pytest.mark.parametrize("dip", (False, True))
+def test_a_nan_value_breaks_no_isotonicity(dip):
+    # a core vertex whose mean is NaN: compared with NaN, no pair breaks
+    # isotonicity, in the packed compare as in the float one; a dip adds
+    # real breaks, and the row-major first of them is the witness
+    entry, comp, _ = build("half-open-interval", "id", resolution=256)
+    x = comp.cloud.sample.coords[:, 0]
+    nan_at = int(np.argmin(np.abs(x - 0.1)))
+
+    def fn(a):  # a is the build's sample, as extendability reads it
+        out = a[:, 0].copy()
+        if dip:
+            out[(out > 0.3) & (out < 0.4)] = 0.0
+        out[nan_at] = np.nan
+        return out
+
+    f = ScalarFunction("nan_at_one", fn, monotone="isotone")
+    res = extendability(entry, comp, f)
+    assert (res.extendable, res.values, res.reason) == \
+        isotone_oracle(comp, f)
+    assert res.extendable != dip
+
+
 def test_extendability_guards():
     entry, comp, _ = build("half-open-interval", "id,pow64")
     with pytest.raises(ValueError):
@@ -1023,7 +1091,7 @@ def test_packed_verify_matches_the_matrix_reference(n_core, n_rem, seed,
     sub = ind[np.ix_(sample_map[idx], sample_map[idx])]
     sub_rel = sub | (rng.random(sub.shape) < flip)
     samples = (reps, idx)
-    with mock.patch.object(ordtop.compactify, "_TILE_CELLS", cells):
+    with mock.patch.object(ordtop.preorder, "_TILE_CELLS", cells):
         got = verify_preorder_embedding(comp, samples,
                                         (packed(rel), packed(sub_rel)))
     assert "matrix" not in induced.__dict__

@@ -72,6 +72,17 @@ def test_relation_rows_roundtrip(tmp_path):
     assert rows == comp.induced.rows
 
 
+def test_written_report_is_the_canonical_json(tmp_path):
+    # write_build streams the report; its bytes are canonical_json's
+    comp, report = small_build()
+    cfg = {"space": "half-open-interval", "family": "default"}
+    paths = write_build(comp, report, str(tmp_path), cfg)
+    with open(paths["report"], "rb") as fh:
+        written = fh.read()
+    assert written == canonical_json(
+        report_payload(comp, report, cfg)).encode("utf-8")
+
+
 def test_canonical_json_is_stable():
     comp1, rep1 = small_build()
     comp2, rep2 = small_build()

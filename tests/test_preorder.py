@@ -124,6 +124,35 @@ def test_from_packed_checks_the_words():
                                                dtype="<u8"))
 
 
+@st.composite
+def _graph_and_ids(draw):
+    """A reflexive graph of up to 200 points, made from packed words, and
+    a list of its ids: empty, a permutation, or drawn with repeats."""
+    n = draw(st.sampled_from((0, 1, 63, 64, 65, 129)) | st.integers(0, 200))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mat = (rng.random((n, n)) < rng.random()) | np.eye(n, dtype=bool)
+    graph = PreorderGraph.from_packed(PreorderGraph.from_matrix(mat).packed
+                                      .copy())
+    if not n:
+        return graph, []
+    return graph, draw(st.just([]) | st.permutations(range(n))
+                       | st.lists(st.integers(0, n - 1), max_size=2 * n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_graph_and_ids(), st.sampled_from((1, 100, 1 << 20)))
+def test_restrict_matches_the_matrix_oracle(drawn, cells):
+    # a small tile runs many row tiles, one row each at cells=1
+    graph, idx = drawn
+    with mock.patch.object(ordtop.preorder, "_TILE_CELLS", cells):
+        got = graph.restrict(idx)
+    assert "matrix" not in got.__dict__ and "matrix" not in graph.__dict__
+    assert got.n == len(idx)
+    assert got.packed.shape == (len(idx), -(-len(idx) // 64))
+    ids = np.asarray(idx, dtype=int)
+    assert np.array_equal(got.matrix, graph.matrix[np.ix_(ids, ids)])
+
+
 def test_only_preorder_converts_between_the_forms():
     # bytes, ints, bit-packed arrays, byte keys and hex text of relation
     # rows are made from one another in preorder.py alone

@@ -44,6 +44,10 @@ MIN_AGREEMENT = 0.99  # share of sampled pairs where H induces the relation
 # (its build at 8,192 peaks near 300 MB); half-open-interval@20000, the
 # largest build in use, validates in about 0.1 s
 SAMPLE_BUDGET = 20_000
+# most sampled values (samples x family members) a build may hold; a
+# build traces about 32 bytes per value, so nat-discrete C@4096 (exactly
+# this many) peaks near 1 GB; misner-strip@20000 holds 2.6 M
+VALUE_BUDGET = 1 << 25
 # most tail shells per end: half-open-interval's shell at level 6 + T is
 # 1 - 0.6 * 2**-(6 + T), which at T = 47 rounds onto the shell before it
 # and at T = 48 onto 1.0, outside [0, 1)
@@ -553,10 +557,13 @@ def _check_sample_budget(resolution):
 def sample_values(space, family, resolution, tail_depth):
     """One sample of the space and the family's raw values on it.
 
-    Raises BudgetError, before sampling, past SAMPLE_BUDGET, or past
-    TAIL_DEPTH_LIMIT shells or so many that no core sample is left.
+    Raises BudgetError, before sampling, past SAMPLE_BUDGET, past
+    VALUE_BUDGET values, or past TAIL_DEPTH_LIMIT shells or so many that
+    no core sample is left.
     """
     _check_sample_budget(resolution)
+    if resolution * len(family.members()) > VALUE_BUDGET:
+        raise BudgetError("sampled values", VALUE_BUDGET)
     shells = min(TAIL_DEPTH_LIMIT, resolution - 1)
     if tail_depth > shells:
         raise BudgetError("tail shells", shells)

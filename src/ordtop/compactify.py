@@ -17,7 +17,7 @@ import numpy as np
 from .catalog import DEFAULT_RESOLUTION, DEFAULT_TAIL_DEPTH, _packed_leq, \
     sample_values, validate_family
 from .preorder import PreorderGraph, _closure_numpy, _first_set, \
-    _row_keys, _unpack_rows, is_antisymmetric, quotient_preorder
+    _key_rows, _row_keys, _unpack_rows, is_antisymmetric, quotient_preorder
 from .report import Check, CheckReport, merge_reports
 
 DEFAULT_EPS_Q = 1e-3
@@ -52,12 +52,13 @@ class ImageCloud:
 
 
 def embed(entry, family, sample, raw) -> ImageCloud:
-    """Clip sample_values' raw values into an image cloud, NaN to 0.
+    """Clip one copy of sample_values' raw values in place, NaN to 0.
 
     validate_family reports values outside [0,1]; a build still embeds
     them, so its report carries the witness.
     """
-    values = np.clip(np.nan_to_num(raw.T), 0.0, 1.0)
+    values = np.nan_to_num(raw.T)
+    np.clip(values, 0.0, 1.0, out=values)
     names = tuple(f"H:{f.name}" for f in family.h) \
         + tuple(f"C:{f.name}" for f in family.c)
     return ImageCloud(entry, family, sample, values, len(family.h), names)
@@ -103,7 +104,9 @@ class Compactification:
 
 
 def _quantize(values, eps_q):
-    return np.rint(np.asarray(values, dtype=float) / eps_q).astype(np.int64)
+    """values / eps_q rounded in place, as C-order int64."""
+    q = np.divide(values, eps_q, order="C")
+    return np.rint(q, out=q).astype(np.int64)
 
 
 def _aitken(seq):
@@ -146,17 +149,15 @@ def close_and_cluster(cloud, eps_q=DEFAULT_EPS_Q,
     the deepest supports would misreport that).  All other coordinates
     must stay within eps_cauchy over the window and are extrapolated
     from the last three shell means, so an end needs at least three
-    shells (ValueError otherwise).  A quantized limit equal to a core
-    vertex adds nothing; equal limits of different ends merge.
+    shells (ValueError otherwise).  One dict, filled in sample order,
+    keys vertex ids by quantized row; an end's limit found below n_core
+    converges into the core, one an earlier end added merges with it,
+    and a new one is a remainder vertex.  quant is the keys, read-only.
     """
-    q = _quantize(cloud.values, eps_q)
-    _, first, inverse = np.unique(_row_keys(q), return_index=True,
-                                  return_inverse=True)
-    rank = np.empty(len(first), dtype=np.int64)
-    rank[np.argsort(first)] = np.arange(len(first))
-    sample_map = rank[inverse]
-    core = q[np.sort(first)]  # vertex ids in order of first occurrence
-    remainder = []  # quantized limits of the remainder vertices
+    ids = {}  # quantized row's key -> vertex id, by first occurrence
+    sample_map = np.array([ids.setdefault(key, len(ids)) for key in
+                           _row_keys(_quantize(cloud.values, eps_q)).tolist()])
+    n_core = len(ids)
 
     members = cloud.family.members()
     end_map = []
@@ -184,27 +185,19 @@ def close_and_cluster(cloud, eps_q=DEFAULT_EPS_Q,
             })
             continue
         ql = _quantize(limit, eps_q)
-        info = {"status": "", "limit": tuple(ql.tolist()),
-                "spread": worst_spread, "shells": len(shells)}
-        hit = np.flatnonzero((core == ql).all(axis=1))
-        if hit.size:
-            vid = int(hit[0])
-            info["status"] = "converges_into_core"
-        elif info["limit"] in remainder:
-            vid = len(core) + remainder.index(info["limit"])
-            info["status"] = "merged_remainder"
-        else:
-            vid = len(core) + len(remainder)
-            remainder.append(info["limit"])
-            info["status"] = "remainder"
+        new = len(ids)
+        vid = ids.setdefault(_row_keys(ql[None]).item(), new)
         end_map.append(vid)
-        end_info.append(info)
+        end_info.append({
+            "status": "converges_into_core" if vid < n_core
+            else "remainder" if vid == new else "merged_remainder",
+            "limit": tuple(ql.tolist()), "spread": worst_spread,
+            "shells": len(shells)})
 
-    quant = np.vstack([core, np.array(remainder, dtype=np.int64)
-                       .reshape(-1, core.shape[1])])
+    quant = _key_rows(ids, np.int64, cloud.values.shape[1])
     induced = _induced_graph(quant, cloud.h_count)
     return Compactification(
-        cloud=cloud, eps_q=eps_q, eps_cauchy=eps_cauchy, n_core=len(core),
+        cloud=cloud, eps_q=eps_q, eps_cauchy=eps_cauchy, n_core=n_core,
         quant=quant, sample_map=sample_map, induced=induced,
         end_map=tuple(end_map), end_info=tuple(end_info), complete=complete,
     )
@@ -348,20 +341,20 @@ def dominate(comp2, comp1) -> DominationMap:
 
     target = comp1.quant
     lookup = {}
-    for vid, row in enumerate(target.tolist()):
-        lookup.setdefault(tuple(row), vid)
+    for vid, key in enumerate(_row_keys(target).tolist()):
+        lookup.setdefault(key, vid)
+    proj = comp2.quant[:, proj_idx]
     vertex_map = []
-    for v, p in enumerate(comp2.quant[:, proj_idx].tolist()):
-        p = tuple(p)
-        if p in lookup:
-            vertex_map.append(lookup[p])
+    for v, key in enumerate(_row_keys(proj).tolist()):
+        if key in lookup:
+            vertex_map.append(lookup[key])
             continue
-        cheb = np.abs(target - p).max(axis=1)
+        cheb = np.abs(target - proj[v]).max(axis=1)
         best = int(cheb.min())
         if best > 1:
             raise DominationError(
-                f"projected vertex {v} at {p} is farther than one "
-                f"quantum from every target vertex"
+                f"projected vertex {v} at {tuple(proj[v].tolist())} is "
+                f"farther than one quantum from every target vertex"
             )
         vertex_map.append(int(np.argmax(cheb == best)))
     report = _domination_report(comp2, comp1, vertex_map)

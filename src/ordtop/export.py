@@ -6,8 +6,8 @@ import os
 
 import numpy as np
 
-from .preorder import PreorderGraph, _first_set, _hex_rows, _lowest_bits, \
-    quotient_preorder
+from .preorder import _TILE_CELLS, PreorderGraph, _first_set, _hex_rows, \
+    _lowest_bits, quotient_preorder
 from .report import _plain
 
 
@@ -15,21 +15,23 @@ def write_vertices_csv(comp, path):
     """One row per vertex: id, kind, then the quantized coordinates.
 
     A coordinate is float(q) * eps_q for its integer q in comp.quant.
-    Each distinct q is formatted once, with repr of that float.  Rows
-    are joined as csv.writer writes them, since no field needs quoting.
+    Each distinct q in a row tile of at most _TILE_CELLS cells is
+    formatted once, with repr of that float.  Rows are joined as
+    csv.writer writes them, since no field needs quoting.
     """
     quant = comp.quant
-    values, inverse = np.unique(quant, return_inverse=True)
-    texts = np.array([repr(float(q) * comp.eps_q) for q in values.tolist()],
-                     dtype=object)
-    cells = texts[inverse.reshape(quant.shape)].tolist()
     kinds = ["core"] * comp.n_core + ["remainder"] * (len(quant) - comp.n_core)
+    step = max(1, _TILE_CELLS // max(quant.shape[1], 1))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh).writerow(["id", "kind"] + list(comp.names))
-        for start in range(0, len(cells), 1024):  # no whole-file string
-            block = range(start, min(start + 1024, len(cells)))
-            fh.write("".join(",".join([str(v), kinds[v]] + cells[v]) + "\r\n"
-                             for v in block))
+        for start in range(0, len(quant), step):
+            tile = quant[start:start + step]
+            values, inverse = np.unique(tile, return_inverse=True)
+            texts = np.array([repr(float(q) * comp.eps_q)
+                              for q in values.tolist()], dtype=object)
+            cells = texts[inverse].reshape(tile.shape).tolist()
+            fh.writelines(",".join([str(v), kinds[v]] + row) + "\r\n"
+                          for v, row in enumerate(cells, start))
 
 
 def transitive_reduction(graph: PreorderGraph) -> tuple:

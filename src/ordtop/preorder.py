@@ -70,6 +70,11 @@ def _row_keys(rows):
     return rows.view(key).reshape(len(rows))
 
 
+def _key_rows(keys, dtype, width):
+    """The read-only rows whose _row_keys, as bytes, are keys."""
+    return np.frombuffer(b"".join(keys), dtype=dtype).reshape(len(keys), width)
+
+
 def _hex_rows(packed):
     """Each '<u8' row as the hex text format(row, "x") gives its int."""
     width = 16 * packed.shape[1]

@@ -1086,6 +1086,27 @@ def test_sampling_past_the_budget_is_refused_before_sampling():
         sample_values(Unsampled(), fam, 8, 8)
 
 
+def test_sampled_values_past_the_budget_are_refused_before_sampling():
+    # nat-discrete's C family holds two members per sample: 4,096 samples
+    # hold exactly VALUE_BUDGET values, 4,097 the first count past it
+    budget = catalog_module.VALUE_BUDGET
+    nat = catalog("nat-discrete")
+    assert 4096 * len(nat.family("C", 4096).members()) == budget
+
+    class Sampled(Exception):
+        pass
+
+    class Unsampled:
+        def sample(self, resolution, tail_depth):
+            raise Sampled
+
+    with pytest.raises(BudgetError,
+                       match=f"more than {budget} sampled values"):
+        sample_values(Unsampled(), nat.family("C", 4097), 4097, 4)
+    with pytest.raises(Sampled):  # the budget itself is admitted
+        sample_values(Unsampled(), nat.family("C", 4096), 4096, 4)
+
+
 # what each catalog space is, as a test on its sample coordinates
 _INSIDE = {
     "half-open-interval": lambda c: (c[:, 0] >= 0) & (c[:, 0] < 1),

@@ -139,6 +139,24 @@ def test_resolution_past_the_sample_budget_is_a_usage_error(
     assert not out.exists()
 
 
+def test_sampled_values_past_their_budget_are_a_usage_error(
+        tmp_path, capsys, monkeypatch):
+    def unreached(*args):
+        raise AssertionError("sampled past the budget")
+
+    monkeypatch.setattr(catalog_module.NaturalsDiscrete, "sample", unreached)
+    monkeypatch.setattr(ScalarFunction, "evaluate", unreached)
+    out = tmp_path / "build"
+    assert ordtop.cli.main([
+        "compactify", "--space", "nat-discrete", "--family", "C",
+        "--resolution", "4097", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: budget exceeded: more than 33554432 sampled values\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("space, resolution, depth", (
     ("half-open-interval", 8, 20),  # would leave no core sample
     ("real-line-mirror", 8, 3000),

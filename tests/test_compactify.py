@@ -249,30 +249,96 @@ def test_build_reports_functions_leaving_unit_interval(name, fn):
 # ------------------------------------------------- induced preorder laws
 
 
-def _grid_cloud(rows, h_count):
-    """Image cloud of integer rows / 4: no ends, H columns first, then C."""
-    width = len(rows[0])
+def _grid_cloud(rows, h_count, ends, c_tails):
+    """Image cloud of integer rows / 4, H columns first, then C.
+
+    Each end (limit, signs, step, sizes) adds shells after the rows:
+    shell k holds sizes[k] samples at limit / 8 + signs * step / 2**k,
+    so the shell means decay geometrically onto limit / 8.  The C
+    members declare tail values c_tails / 4.
+    """
     h = tuple(ScalarFunction(f"h{k}", lambda a: a[:, 0], monotone="isotone")
               for k in range(h_count))
     c = tuple(ScalarFunction(f"c{k}", lambda a: a[:, 0], klass="C",
-                             tail_value=0.0)
-              for k in range(width - h_count))
+                             tail_value=t / 4)
+              for k, t in enumerate(c_tails))
+    values = [np.array(rows, dtype=float) / 4.0]
     n = len(rows)
+    tails = []
+    for limit, signs, step, sizes in ends:
+        shells = []
+        for k, size in enumerate(sizes):
+            shells.append(tuple(range(n, n + size)))
+            n += size
+            row = np.array(limit) / 8 + np.array(signs) * step / 2 ** k
+            values.append(np.tile(row, (size, 1)))
+        tails.append(tuple(shells))
     sample = SampleSet(np.arange(n, dtype=float)[:, None],
-                       np.zeros(n, dtype=int), ())
+                       np.zeros(n, dtype=int), tuple(tails))
     names = tuple(f"H:{f.name}" for f in h) + tuple(f"C:{f.name}" for f in c)
     return ImageCloud(catalog("closed-interval"), FunctionFamily(h, c),
-                      sample, np.array(rows, dtype=float) / 4.0, h_count,
-                      names)
+                      sample, np.concatenate(values), h_count, names)
 
 
 @st.composite
-def grid_clouds(draw):
+def grid_clouds(draw, min_ends=0):
+    """Grid clouds with min_ends to 3 ends of 3 to 5 shells each.
+
+    An end's limit is drawn from eighths 0, 3/8, 1/2 and 1 (3/8 sits on
+    a rounding edge of the quarter grid), so its quantized limit often
+    hits a core row, hits another end's limit or is new; C coordinates
+    take their declared tail value whatever the samples are.  A step
+    of 0.1 spreads the shells past eps_cauchy = 0.01 in H coordinates.
+    """
     width = draw(st.integers(1, 4))
     h_count = draw(st.integers(0, width))
     row = st.lists(st.integers(0, 4), min_size=width, max_size=width)
     rows = draw(st.lists(row, min_size=1, max_size=24))
-    return _grid_cloud(rows, h_count)
+    coords = functools.partial(st.lists, min_size=width, max_size=width)
+    ends = draw(st.lists(st.tuples(
+        coords(st.sampled_from((0, 3, 4, 8))),
+        coords(st.sampled_from((-1, 1))), st.sampled_from((1e-3, 0.1)),
+        st.lists(st.integers(1, 2), min_size=3, max_size=5)),
+        min_size=min_ends, max_size=3))
+    c_tails = draw(st.lists(st.integers(0, 4), min_size=width - h_count,
+                            max_size=width - h_count))
+    return _grid_cloud(rows, h_count, ends, c_tails)
+
+
+def _placement_reference(cloud, eps_q, eps_cauchy):
+    """(sample_map, quant, n_core, end_map, end_info) of close_and_cluster
+    from a first-occurrence dict of quantized rows as tuples."""
+    def key(row):
+        return tuple(int(q) for q in np.rint(np.asarray(row) / eps_q))
+
+    ids = {}
+    sample_map = [ids.setdefault(key(row), len(ids)) for row in cloud.values]
+    n_core = len(ids)
+    end_map, end_info = [], []
+    for shells in cloud.sample.tails:
+        spreads, limit = zip(*(_tail_limit(f, cloud.values[:, j], shells)
+                               for j, f in enumerate(cloud.family.members())))
+        worst = max(spreads)
+        if worst > eps_cauchy:
+            end_map.append(None)
+            end_info.append({
+                "status": "diverges", "spread": worst,
+                "worst_coordinate": cloud.names[spreads.index(worst)]})
+            continue
+        ql = key(limit)
+        if ql not in ids:
+            status = "remainder"
+            ids[ql] = len(ids)
+        elif ids[ql] < n_core:
+            status = "converges_into_core"
+        else:
+            status = "merged_remainder"
+        end_map.append(ids[ql])
+        end_info.append({"status": status, "limit": ql, "spread": worst,
+                         "shells": len(shells)})
+    quant = np.array(list(ids), dtype=np.int64).reshape(
+        len(ids), cloud.values.shape[1])
+    return sample_map, quant, n_core, end_map, end_info
 
 
 def _assert_preorder(comp):
@@ -290,6 +356,35 @@ def test_induced_relation_is_a_preorder_on_integer_clouds(cloud):
     for i in range(comp.n_vertices):
         for j in range(comp.n_vertices):
             assert comp.induced.leq(i, j) == bool((h[i] <= h[j]).all())
+
+
+@settings(max_examples=300, deadline=None)
+@given(grid_clouds(min_ends=1))
+def test_vertices_and_ends_are_placed_as_the_reference_places_them(cloud):
+    comp = close_and_cluster(cloud, eps_q=0.25, eps_cauchy=0.01)
+    sample_map, quant, n_core, end_map, end_info = _placement_reference(
+        cloud, 0.25, 0.01)
+    assert comp.sample_map.tolist() == sample_map
+    assert comp.quant.dtype == np.int64 and not comp.quant.flags.writeable
+    assert np.array_equal(comp.quant, quant)
+    assert comp.n_core == n_core
+    assert comp.end_map == tuple(end_map)
+    assert comp.end_info == tuple(end_info)
+
+
+def test_close_and_cluster_peaks_below_four_raw_sizes():
+    # the image cloud is one copy of the raw values, the quantized rows a
+    # second and their keys a third; no stage copies them whole again
+    entry = catalog("nat-discrete")
+    fam = entry.family("C", 512)
+    sample, raw = sample_values(entry.space, fam, 512, 4)
+    tracemalloc.start()
+    try:
+        close_and_cluster(embed(entry, fam, sample, raw))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * raw.nbytes
 
 
 @settings(max_examples=15, deadline=None)

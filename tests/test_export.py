@@ -2,10 +2,12 @@
 
 import csv
 import hashlib
+import importlib
 import json
 import random
 import re
 from types import SimpleNamespace
+from unittest import mock
 
 import networkx as nx
 import numpy as np
@@ -30,6 +32,8 @@ from ordtop.preorder import (
     is_transitive,
     transitive_reflexive_closure,
 )
+
+export_module = importlib.import_module("ordtop.export")
 
 
 def small_build(resolution=128):
@@ -217,6 +221,22 @@ def test_vertices_csv_formats_each_value_with_repr(tmp_path):
                             n_core=0, eps_q=1e-3)
     write_vertices_csv(empty, path)
     assert path.read_bytes() == b"id,kind,H:a\r\n"
+
+
+@pytest.mark.parametrize("cells", (1, 64))
+def test_vertices_csv_in_small_tiles_matches_the_default(tmp_path, cells):
+    # a tile of 64 cells holds a few rows, of 1 cell one row; each tile
+    # formats its own distinct values
+    comp, _ = small_build(64)
+    assert 0 < comp.n_core < comp.n_vertices
+    write_vertices_csv(comp, tmp_path / "default.csv")
+    step = max(1, cells // comp.quant.shape[1])
+    with mock.patch.object(export_module, "_TILE_CELLS", cells), \
+            mock.patch.object(np, "unique", wraps=np.unique) as unique:
+        write_vertices_csv(comp, tmp_path / "tiled.csv")
+    assert unique.call_count == -(-comp.n_vertices // step) > 1
+    assert (tmp_path / "tiled.csv").read_bytes() \
+        == (tmp_path / "default.csv").read_bytes()
 
 
 # sha256 of vertices.csv, preorder.dot and report.json from

@@ -513,40 +513,40 @@ class _NatEntry(CatalogEntry):
         return FunctionFamily(h, ())
 
 
+# name -> a new entry; the order is CATALOG_NAMES'
+_ENTRIES = {
+    "half-open-interval": lambda: CatalogEntry(
+        HalfOpenInterval(), _interval_pool(), ("id",), (_CONST_ONE,)),
+    "nat-discrete": lambda: _NatEntry(
+        NaturalsDiscrete(), _nat_pool(), (), ()),
+    "real-line-mirror": lambda: _MirrorEntry(
+        RealLineMirror(), _mirror_pool(), ("invmod",), (_CONST_ONE,)),
+    "misner-strip": lambda: CatalogEntry(
+        MisnerStrip(), _misner_pool(), tuple(sorted(_misner_pool())),
+        (_CONST_ONE,)),
+    "closed-interval": lambda: CatalogEntry(
+        ClosedInterval(), _interval_pool(), ("id",), (_CONST_ONE,)),
+}
+CATALOG_NAMES = tuple(_ENTRIES)
+
+
 def catalog(name: str) -> CatalogEntry:
-    if name == "half-open-interval":
-        return CatalogEntry(HalfOpenInterval(), _interval_pool(), ("id",),
-                            (_CONST_ONE,))
-    if name == "closed-interval":
-        return CatalogEntry(ClosedInterval(), _interval_pool(), ("id",),
-                            (_CONST_ONE,))
-    if name == "nat-discrete":
-        return _NatEntry(NaturalsDiscrete(), _nat_pool(), (), ())
-    if name == "real-line-mirror":
-        return _MirrorEntry(RealLineMirror(), _mirror_pool(), ("invmod",),
-                            (_CONST_ONE,))
-    if name == "misner-strip":
-        return CatalogEntry(MisnerStrip(), _misner_pool(),
-                            tuple(sorted(_misner_pool())), (_CONST_ONE,))
-    raise KeyError(f"unknown catalog space {name!r}")
-
-
-CATALOG_NAMES = (
-    "half-open-interval",
-    "nat-discrete",
-    "real-line-mirror",
-    "misner-strip",
-    "closed-interval",
-)
+    if name not in _ENTRIES:
+        raise KeyError(f"unknown catalog space {name!r}")
+    return _ENTRIES[name]()
 
 
 # ------------------------------------------------------------ validation
 
 
 def evaluate_family(family: FunctionFamily, coords: np.ndarray):
-    """Stack family values: rows follow family.members() order."""
-    vals = [f.evaluate(coords) for f in family.members()]
-    return np.array(vals, dtype=float) if vals else np.zeros((0, len(coords)))
+    """Family values, one row per member in family.members() order, each
+    written into one (members, samples) array as it is evaluated."""
+    members = family.members()
+    vals = np.empty((len(members), len(coords)))
+    for row, f in zip(vals, members):
+        row[:] = f.evaluate(coords)
+    return vals
 
 
 def _check_sample_budget(resolution):

@@ -52,15 +52,8 @@ def _print_report(report: CheckReport, as_json: bool):
 
 
 def _build_config(args) -> dict:
-    cfg = {
-        "space": args.space,
-        "family": args.family,
-        "resolution": args.resolution,
-        "tail_depth": args.tail_depth,
-        "eps_q": args.eps_q,
-        "eps_cauchy": args.eps_cauchy,
-    }
-    return cfg
+    return {key: getattr(args, key) for key in (
+        "space", "family", "resolution", "tail_depth", "eps_q", "eps_cauchy")}
 
 
 def _config_error(cfg):
@@ -260,7 +253,13 @@ def _demo_one_point(res: int, failures: list):
         _assertion(f"family {sel}: remainder {want}", got, failures)
 
 
-def cmd_demo(args) -> int:
+def cmd_demo(args, parser) -> int:
+    # the demos build with compactify's defaults at their own resolution
+    error = _config_error(dict(
+        resolution=args.resolution, tail_depth=DEFAULT_TAIL_DEPTH,
+        family="default", eps_q=DEFAULT_EPS_Q, eps_cauchy=DEFAULT_EPS_CAUCHY))
+    if error:
+        parser.error(error)
     failures = []
     if args.name == "no-smallest":
         _demo_no_smallest(args.resolution, failures)
@@ -334,7 +333,7 @@ def main(argv=None) -> int:
         if args.command == "dominate":
             return cmd_dominate(args)
         if args.command == "demo":
-            return cmd_demo(args)
+            return cmd_demo(args, parser)
     except BudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

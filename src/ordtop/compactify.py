@@ -261,14 +261,10 @@ def remainder_is_ordered(comp) -> CheckReport:
     if not comp.complete:
         raise ValueError("compactification is incomplete")
     n_core, rem = comp.n_core, comp.remainder_ids()
-    # mutual vertices of a preorder have equal rows; the row-major first
-    # such pair (i, j) has i < j
-    keys = _row_keys(comp.induced.packed[n_core:]).tolist()
-    witness = next(((n_core + i, n_core + j) for i, j in
-                    itertools.combinations(range(len(keys)), 2)
-                    if keys[i] == keys[j]), None)
+    _, pair = is_antisymmetric(comp.induced.restrict(rem))
     return CheckReport((Check(
-        "remainder_antisymmetric", witness is None, witness=witness,
+        "remainder_antisymmetric", pair is None,
+        witness=pair and (n_core + pair[0], n_core + pair[1]),
         metrics={"remainder_count": len(rem)},
     ),))
 
@@ -374,9 +370,10 @@ _SEARCH_REMAINDER_LIMIT = 8
 def attempt_domination(comp_a, comp_b) -> DominationSearch:
     """Exhaustive search for a domination map comp_a -> comp_b.
 
-    The core identification is forced sample-by-sample; only the images
-    of comp_a's remainder vertices are free.  Returns the first map
-    passing all checks, or every candidate with its failing check.
+    Each sampled vertex is forced to where its first sample goes, and
+    every sample must agree; only the images of comp_a's remainder
+    vertices are free.  Returns the first map passing all checks, or
+    every candidate with its failing check.
 
     Remainder vertices carry no samples, so once the core identification
     holds every candidate commutes on samples, and the core x core block
@@ -393,14 +390,12 @@ def attempt_domination(comp_a, comp_b) -> DominationSearch:
                 f"allows at most {_SEARCH_REMAINDER_LIMIT}")
     _require_same_samples(comp_a, comp_b)
 
-    vm = np.full(comp_a.n_vertices, -1, dtype=int)
-    for i, va in enumerate(comp_a.sample_map):
-        vb = comp_b.sample_map[i]
-        if vm[va] == -1:
-            vm[va] = vb
-        elif vm[va] != vb:
-            return DominationSearch(None, ((("core", int(va)),
-                                            "core_identification"),))
+    reps = comp_a.representatives()
+    vm = np.where(reps < 0, -1, comp_b.sample_map[reps])
+    clash = vm[comp_a.sample_map] != comp_b.sample_map
+    if clash.any():
+        return DominationSearch(None, ((("core", int(
+            comp_a.sample_map[clash.argmax()])), "core_identification"),))
 
     n_b = comp_b.n_vertices
     count = n_b ** n_rem
@@ -549,15 +544,13 @@ def nachbin_pipeline(entry, family, resolution=DEFAULT_RESOLUTION,
     space.  The report checks an order isomorphism matching the sample
     projections vertex-for-vertex.
     """
-    comp_a = close_and_cluster(embed(entry, family, *sample_values(
-        entry.space, family, resolution, tail_depth)), eps_q, eps_cauchy)
-    checks = [Check("path_a_complete", comp_a.complete,
-                    witness=None if comp_a.complete else comp_a.end_info)]
     q_entry, project = entry.quotient_data()
-    comp_b = close_and_cluster(embed(q_entry, family, *sample_values(
-        q_entry.space, family, resolution, tail_depth)), eps_q, eps_cauchy)
-    checks.append(Check("path_b_complete", comp_b.complete,
-                        witness=None if comp_b.complete else comp_b.end_info))
+    comp_a, comp_b = (close_and_cluster(embed(e, family, *sample_values(
+        e.space, family, resolution, tail_depth)), eps_q, eps_cauchy)
+        for e in (entry, q_entry))
+    checks = [Check(f"path_{path}_complete", comp.complete,
+                    witness=None if comp.complete else comp.end_info)
+              for path, comp in (("a", comp_a), ("b", comp_b))]
     if not (comp_a.complete and comp_b.complete):
         return CheckReport(tuple(checks))
 
@@ -566,39 +559,33 @@ def nachbin_pipeline(entry, family, resolution=DEFAULT_RESOLUTION,
     checks.append(Check("quotient_antisymmetric", anti, witness=wit))
 
     h = comp_a.h_count
-    class_vecs = []
-    consistent = True
-    for block in classes.classes:
-        vecs = {tuple(comp_a.quant[v, :h]) for v in block}
-        if len(vecs) != 1:
-            consistent = False
-        class_vecs.append(next(iter(vecs)))
+    keys = _row_keys(comp_a.quant[:, :h]).tolist()
+    consistent = all(keys[v] == keys[block[0]] for block in classes.classes
+                     for v in block)
     checks.append(Check("classes_share_h_coordinates", consistent,
                         witness=None if consistent else "mixed class"))
 
-    b_vecs = [tuple(row[:h]) for row in comp_b.quant]
-    phi = {}
+    reps = [block[0] for block in classes.classes]
+    lookup = {}  # a quotient vertex's H-row key -> its id
+    for vid, key in enumerate(_row_keys(comp_b.quant[:, :h]).tolist()):
+        lookup.setdefault(key, vid)
+    perm = [lookup.get(keys[v]) for v in reps]  # None: no partner
     missing = None
-    lookup = {vec: i for i, vec in enumerate(b_vecs)}
-    if len(lookup) != len(b_vecs):
+    if len(lookup) != comp_b.n_vertices:
         missing = "duplicate H-vectors among quotient vertices"
-    else:
-        for ci, vec in enumerate(class_vecs):
-            if vec not in lookup:
-                missing = ("class without partner", ci, vec)
-                break
-            phi[ci] = lookup[vec]
-    bijective = missing is None and len(phi) == len(class_vecs) \
-        and len(set(phi.values())) == len(b_vecs)
+    elif None in perm:
+        c = perm.index(None)
+        missing = ("class without partner", c,
+                   tuple(comp_a.quant[reps[c], :h].tolist()))
+    bijective = missing is None and len(set(perm)) == comp_b.n_vertices
     checks.append(Check(
         "vertex_bijection", bijective,
         witness=None if bijective else (missing or "counts differ"),
-        metrics={"classes": len(class_vecs), "quotient_vertices": len(b_vecs)},
+        metrics={"classes": len(perm), "quotient_vertices": comp_b.n_vertices},
     ))
     if not bijective:
         return CheckReport(tuple(checks))
 
-    perm = [phi[i] for i in range(len(class_vecs))]
     iso_witness = _first_set(qgraph.packed
                              ^ comp_b.induced.restrict(perm).packed)
     checks.append(Check("order_isomorphism", iso_witness is None,
@@ -614,7 +601,7 @@ def nachbin_pipeline(entry, family, resolution=DEFAULT_RESOLUTION,
         if target not in b_coords:
             proj_witness = (coords, "projection not among quotient samples")
             break
-        via_a = phi[index_map[int(comp_a.sample_map[i])]]
+        via_a = perm[index_map[int(comp_a.sample_map[i])]]
         via_b = int(comp_b.sample_map[b_coords[target]])
         if via_a != via_b:
             proj_witness = (coords, via_a, via_b)

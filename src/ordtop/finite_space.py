@@ -299,18 +299,16 @@ def _least_bit(mask: int):
     return (mask & -mask).bit_length() - 1 if mask else None
 
 
-def clopen_increasing_sets(space: FinitePreorderedSpace, budget=None):
+def clopen_increasing_sets(space: FinitePreorderedSpace):
     """All clopen increasing masks, ascending.
 
     These are the up-sets of the clopen order (see _clopen_order).  They
     are enumerated by deciding the lowest undecided point: taking it
     adds its up-set, leaving it out adds its down-set.  Both branches
     stay consistent and every leaf is a distinct set, so the cost is
-    O(n) per set.  Raises BudgetError when more than `budget` sets
-    (default CLOPEN_BUDGET) would be produced.
+    O(n) per set.  Raises BudgetError when more than CLOPEN_BUDGET sets
+    would be produced.
     """
-    if budget is None:
-        budget = CLOPEN_BUDGET
     order = _clopen_order(space)
     up = order.rows
     down = [order.down_set(1 << x) for x in range(space.n)]
@@ -321,8 +319,8 @@ def clopen_increasing_sets(space: FinitePreorderedSpace, budget=None):
         taken, left = stack.pop()
         rest = full & ~(taken | left)
         if not rest:
-            if len(out) == budget:
-                raise BudgetError("clopen increasing sets", budget)
+            if len(out) == CLOPEN_BUDGET:
+                raise BudgetError("clopen increasing sets", CLOPEN_BUDGET)
             out.append(taken)
             continue
         x = (rest & -rest).bit_length() - 1
@@ -331,7 +329,7 @@ def clopen_increasing_sets(space: FinitePreorderedSpace, budget=None):
     return tuple(sorted(out))
 
 
-def enumerate_isotone_functions(space, levels: int, budget=None):
+def enumerate_isotone_functions(space, levels: int):
     """All continuous isotone functions into {0, 1/L, ..., 1}, as rows.
 
     A chain-valued function is continuous and isotone iff it is isotone
@@ -342,18 +340,16 @@ def enumerate_isotone_functions(space, levels: int, budget=None):
     class.  Returns a read-only (F, n) float64 array of counts / L, rows
     in ascending lexicographic order.  Every partial row extends to a
     function, so no step holds more rows than the result: BudgetError is
-    raised, before any allocation past it, when more than `budget`
-    functions (default FUNCTION_BUDGET) exist.
+    raised, before any allocation past it, when more than FUNCTION_BUDGET
+    functions exist.
     """
     if levels < 1:
         raise ValueError("levels must be >= 1")
-    if budget is None:
-        budget = FUNCTION_BUDGET
     n = space.n
     # the L + 1 constants are functions (an empty space has one), so the
     # counts below always fit the dtype that holds L
-    if (levels + 1 if n else 1) > budget:
-        raise BudgetError("isotone functions", budget)
+    if (levels + 1 if n else 1) > FUNCTION_BUDGET:
+        raise BudgetError("isotone functions", FUNCTION_BUDGET)
     order = _clopen_order(space)
     down = [order.down_set(1 << x) for x in range(n)]
     counts = np.zeros((1, n), dtype=np.min_scalar_type(levels if n else 0))
@@ -367,8 +363,8 @@ def enumerate_isotone_functions(space, levels: int, budget=None):
         low = counts[:, below].max(axis=1, initial=0).astype(np.intp)
         reps = levels + 1 - low  # one row per value low..L
         total = int(reps.sum())
-        if total > budget:
-            raise BudgetError("isotone functions", budget)
+        if total > FUNCTION_BUDGET:
+            raise BudgetError("isotone functions", FUNCTION_BUDGET)
         first = np.repeat(np.cumsum(reps) - reps, reps)
         value = np.repeat(low, reps) + np.arange(total) - first
         counts = np.repeat(counts, reps, axis=0)

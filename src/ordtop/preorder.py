@@ -65,9 +65,9 @@ def _first_set(packed):
 
 def _row_keys(rows):
     """One void scalar per row of a 2-d array, equal iff the rows are."""
-    rows = np.ascontiguousarray(rows)
-    key = np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))
-    return rows.view(key).reshape(len(rows))
+    rows = np.ascontiguousarray(rows)  # a 0-column row is b"", as is its key
+    return np.ndarray(len(rows), (np.void, rows.itemsize * rows.shape[1]),
+                      rows)
 
 
 def _key_rows(keys, dtype, width):
@@ -275,14 +275,21 @@ def is_transitive(graph: PreorderGraph) -> bool:
     return True
 
 
+def _equal_rows(graph):
+    """A preorder's points grouped by equal packed row (i ~ j iff their
+    up-sets are equal), groups and members in order of first occurrence."""
+    groups = {}
+    for i, key in enumerate(_row_keys(graph.packed).tolist()):
+        groups.setdefault(key, []).append(i)
+    return groups.values()
+
+
 def is_antisymmetric(graph: PreorderGraph):
-    """(True, None) or (False, (i, j)) with i < j mutually related."""
-    for i in range(graph.n):
-        row = graph.rows[i]
-        for j in range(i + 1, graph.n):
-            if row >> j & 1 and graph.rows[j] >> i & 1:
-                return False, (i, j)
-    return True, None
+    """(True, None) or (False, (i, j)) for a preorder: i < j the first two
+    members of its first class with two, its row-major first mutual pair."""
+    pair = next((tuple(c[:2]) for c in _equal_rows(graph) if len(c) > 1),
+                None)
+    return pair is None, pair
 
 
 @dataclass(frozen=True)
@@ -317,15 +324,9 @@ class EquivalenceClasses:
 
 
 def symmetric_part(graph: PreorderGraph) -> EquivalenceClasses:
-    """Classes of mutual relation of a preorder, ordered by least member.
-
-    In a preorder i ~ j iff rows i and j are equal, so points are grouped
-    by packed row in order of first occurrence.
-    """
-    classes = {}
-    for i, key in enumerate(_row_keys(graph.packed).tolist()):
-        classes.setdefault(key, []).append(i)
-    return EquivalenceClasses(graph.n, tuple(map(tuple, classes.values())))
+    """Classes of mutual relation of a preorder, ordered by least member:
+    the groups of equal packed rows."""
+    return EquivalenceClasses(graph.n, tuple(map(tuple, _equal_rows(graph))))
 
 
 def quotient_preorder(graph: PreorderGraph):

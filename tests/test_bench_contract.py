@@ -63,8 +63,8 @@ def test_each_finite_check_kind_passes_its_check():
         assert op.check(op.run()), kind
 
 
-def test_traced_op_counts_related_pairs(small_ops):
-    op = small_ops["nested"]
+def _traced(op):
+    """The tracer after one traced run of op, whose output passes its check."""
     t = tracer.Tracer()
     t.install()
     try:
@@ -73,7 +73,26 @@ def test_traced_op_counts_related_pairs(small_ops):
     finally:
         t.active = False
         t.restore()
-    op.check(output)
+    assert op.check(output)
+    return t
+
+
+def test_mutual_pair_checks_record_no_quotient_span(small_ops):
+    # preorder.quotient_s times the quotient alone: is_antisymmetric groups
+    # equal rows without calling the traced symmetric_part
+    finite = workloads.finite_operations(
+        {"items": workloads.finite_inputs(0)["items"][:1]}, None)[0]
+    for op, caller in ((finite, "finite_space.quotient"),
+                       (small_ops["nachbin"], "compactify.nachbin")):
+        spans = _traced(op).spans
+        quotients = [span for span in spans if span[0] == "preorder.quotient"]
+        assert len(quotients) == 1, op.kind
+        assert spans[quotients[0][3]][0] == caller
+        assert "preorder.other" in {span[0] for span in spans}
+
+
+def test_traced_op_counts_related_pairs(small_ops):
+    t = _traced(small_ops["nested"])
     assert t.counts["compactify.related_pairs"] > 0
     assert "compactify.build" in {span[0] for span in t.spans}
 

@@ -1189,6 +1189,34 @@ def test_evaluate_family_row_order():
     assert vals[0, 0] == 0.5 and vals[1, 0] == 0.25 and vals[2, 0] == 1.0
 
 
+def test_evaluate_family_matches_the_stacked_rows():
+    for name in CATALOG_NAMES:
+        entry = catalog(name)
+        fam = entry.family("default", 64)
+        coords = entry.space.sample(64, 4).coords
+        want = np.array([f.evaluate(coords) for f in fam.members()])
+        got = evaluate_family(fam, coords)
+        assert got.dtype == np.float64
+        assert got.tobytes() == want.tobytes(), name
+    empty = evaluate_family(FunctionFamily((), ()), np.zeros((5, 1)))
+    assert empty.shape == (0, 5) and empty.dtype == np.float64
+
+
+def test_sample_values_peaks_near_the_raw_size():
+    # each member's row is written into the result as it is evaluated,
+    # never held in a list beside it
+    entry = catalog("nat-discrete")
+    fam = entry.family("C", 512)
+    tracemalloc.start()
+    try:
+        _, raw = sample_values(entry.space, fam, 512, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert raw.shape == (1024, 512)
+    assert peak <= 1.25 * raw.nbytes
+
+
 # ------------------------------------------------------------- quotient
 
 

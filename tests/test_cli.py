@@ -139,6 +139,26 @@ def test_resolution_past_the_sample_budget_is_a_usage_error(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("name", ["no-smallest", "nachbin-diagram",
+                                  "misner", "one-point-suite"])
+@pytest.mark.parametrize("resolution", [0, 5, 7])
+def test_demo_resolution_below_eight_is_a_usage_error(
+        capsys, monkeypatch, name, resolution):
+    def unsampled(*args):
+        raise AssertionError("sampled below the least resolution")
+
+    for space in catalog_module.SampledSpace.__subclasses__():
+        monkeypatch.setattr(space, "sample", unsampled)
+    with pytest.raises(SystemExit) as exc:
+        ordtop.cli.main(["demo", name, "--resolution", str(resolution)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(
+        f"error: resolution must be an integer of at least 8, "
+        f"not {resolution}\n")
+
+
 def test_sampled_values_past_their_budget_are_a_usage_error(
         tmp_path, capsys, monkeypatch):
     def unreached(*args):

@@ -22,6 +22,7 @@ from hypothesis import given, settings, strategies as st
 
 from ordtop.catalog import (
     CATALOG_NAMES,
+    DEFAULT_TAIL_DEPTH,
     FunctionFamily,
     SampleSet,
     ScalarFunction,
@@ -52,6 +53,7 @@ from ordtop.compactify import (
 from ordtop.export import transitive_reduction, write_build
 from ordtop.generators import random_nested_families
 from ordtop.preorder import (
+    EquivalenceClasses,
     PreorderGraph,
     _lowest_bits,
     _pack_rows,
@@ -1281,3 +1283,107 @@ def test_nachbin_diagram_trivial_quotient():
     entry = catalog("half-open-interval")
     report = nachbin_pipeline(entry, entry.family("default"))
     assert report.passed
+
+
+# C-class, so it leaves the induced order alone, but x and -x get
+# different vertices and the mirror line's classes merge
+SIGN = ScalarFunction(
+    "sign", lambda a: 0.5 + 0.5 * np.sign(a[:, 0]) * (np.abs(a[:, 0]) < 100),
+    klass="C", tail_value=0.5)
+
+
+def nachbin_case(case, monkeypatch):
+    """nachbin_pipeline(...) at resolution 32 on the mirror line (on a
+    half-open build that diverges for "incomplete"), one piece patched."""
+    entry = catalog("real-line-mirror")
+    family = entry.family("default", 32)
+    ray, project = entry.quotient_data()
+    first = tuple(ray.space.sample(32, DEFAULT_TAIL_DEPTH).coords[0].tolist())
+    quotients = {
+        "projection off the samples": (ray, lambda c: (-1.0 - abs(c[0]),)),
+        "one projected sample": (ray, lambda c: first),
+        "quotient not taken": (catalog("real-line-mirror"), project),
+        "classes without partner": (catalog("closed-interval"), project),
+    }
+    if case == "incomplete":
+        entry = catalog("half-open-interval")
+        family = entry.family("id,pow64", 32)
+    elif case == "no H-part":
+        family = FunctionFamily((), family.c)
+    elif case != "mirror line":
+        family = FunctionFamily(family.h, family.c + (SIGN,))
+    if case in quotients:
+        monkeypatch.setattr(entry, "quotient_data", lambda: quotients[case])
+    elif case not in ("mirror line", "incomplete", "no H-part", "sign"):
+        real = ordtop.compactify.quotient_preorder
+
+        def patched(graph):
+            q, classes = real(graph)
+            if case == "one class":
+                return PreorderGraph.full(1), EquivalenceClasses(
+                    graph.n, (tuple(range(graph.n)),))
+            if case == "every class a singleton":
+                return graph, EquivalenceClasses(
+                    graph.n, tuple((v,) for v in range(graph.n)))
+            return PreorderGraph.from_matrix(q.matrix.T), classes
+
+        monkeypatch.setattr(ordtop.compactify, "quotient_preorder", patched)
+    return nachbin_pipeline(entry, family, resolution=32)
+
+
+_NACHBIN_CHECKS = ("path_a_complete", "path_b_complete",
+                   "quotient_antisymmetric", "classes_share_h_coordinates",
+                   "vertex_bijection", "order_isomorphism",
+                   "projections_commute")
+
+
+def nachbin_dict(classes=16, quotient_vertices=16, **failing):
+    """A nachbin report's to_dict(): every check passes but those in
+    failing (name -> witness), and none follows a failing path or
+    vertex_bijection check."""
+    checks = []
+    for name in _NACHBIN_CHECKS:
+        check = {"name": name, "passed": name not in failing}
+        if name in failing:
+            check["witness"] = failing[name]
+        if name == "vertex_bijection":
+            check["metrics"] = {"classes": classes,
+                                "quotient_vertices": quotient_vertices}
+        checks.append(check)
+        if name in failing and name in ("path_b_complete", "vertex_bijection"):
+            break
+    return {"passed": not failing, "checks": checks}
+
+
+_DIVERGES = [{"status": "diverges", "worst_coordinate": "H:pow64",
+              "spread": 0.22288794809029688}]
+
+# each report as the pipeline gave it before the classes and the quotient
+# build were keyed by _row_keys
+NACHBIN_REPORTS = {
+    "mirror line": nachbin_dict(),
+    "incomplete": nachbin_dict(path_a_complete=_DIVERGES,
+                               path_b_complete=_DIVERGES),
+    "no H-part": nachbin_dict(1, 1),
+    "sign": nachbin_dict(),
+    "projection off the samples": nachbin_dict(projections_commute=[
+        [0.0], "projection not among quotient samples"]),
+    "one projected sample": nachbin_dict(
+        projections_commute=[[8.727272727272727], 1, 0]),
+    "quotient not taken": nachbin_dict(16, 27, vertex_bijection=(
+        "duplicate H-vectors among quotient vertices")),
+    "classes without partner": nachbin_dict(16, 32, vertex_bijection=[
+        "class without partner", 1, [103]]),
+    "one class": nachbin_dict(1, 16,
+                              classes_share_h_coordinates="mixed class",
+                              vertex_bijection="counts differ"),
+    "every class a singleton": nachbin_dict(27, 16,
+                                            quotient_antisymmetric=[1, 2]),
+    "reversed quotient": nachbin_dict(order_isomorphism=[0, 1]),
+}
+
+
+@pytest.mark.parametrize("case", NACHBIN_REPORTS)
+def test_nachbin_reports_are_pinned(case, monkeypatch):
+    report = nachbin_case(case, monkeypatch)
+    assert report.to_dict() == NACHBIN_REPORTS[case]

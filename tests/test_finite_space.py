@@ -601,12 +601,13 @@ def test_enumerate_against_bruteforce():
         assert got.tolist() == [list(f) for f in sorted(want)]
 
 
-def test_enumerate_budget():
+def test_enumerate_budget(monkeypatch):
     space = FinitePreorderedSpace(
         FiniteTopology.discrete(6), PreorderGraph.diagonal(6)
     )
-    with pytest.raises(ValueError):
-        enumerate_isotone_functions(space, 6, budget=100)
+    with monkeypatch.context() as patch, pytest.raises(ValueError):
+        patch.setattr(ordtop.finite_space, "FUNCTION_BUDGET", 100)
+        enumerate_isotone_functions(space, 6)
     # the L + 1 constants alone are past the budget; no level count is
     # made, however wide L is
     with pytest.raises(BudgetError, match="more than 2000000 isotone"):
@@ -931,19 +932,23 @@ def test_fast_paths_match_references_property(case):
                               random.Random(n))
 
 
-def test_clopen_budget_fires_one_set_past_the_limit():
+def test_clopen_budget_fires_one_set_past_the_limit(monkeypatch):
     # discrete antichain on 4 points: all 16 subsets are clopen up-sets
     space = FinitePreorderedSpace(FiniteTopology.discrete(4),
                                   PreorderGraph.diagonal(4))
-    assert len(clopen_increasing_sets(space, budget=16)) == 16
+    monkeypatch.setattr(ordtop.finite_space, "CLOPEN_BUDGET", 16)
+    assert len(clopen_increasing_sets(space)) == 16
+    monkeypatch.setattr(ordtop.finite_space, "CLOPEN_BUDGET", 15)
     with pytest.raises(BudgetError, match="more than 15 clopen"):
-        clopen_increasing_sets(space, budget=15)
+        clopen_increasing_sets(space)
     # the functions' budget counts the same way: 3^2 chains at levels 2
     pair = FinitePreorderedSpace(FiniteTopology.discrete(2),
                                  PreorderGraph.diagonal(2))
-    assert len(enumerate_isotone_functions(pair, 2, budget=9)) == 9
+    monkeypatch.setattr(ordtop.finite_space, "FUNCTION_BUDGET", 9)
+    assert len(enumerate_isotone_functions(pair, 2)) == 9
+    monkeypatch.setattr(ordtop.finite_space, "FUNCTION_BUDGET", 8)
     with pytest.raises(BudgetError, match="more than 8 isotone"):
-        enumerate_isotone_functions(pair, 2, budget=8)
+        enumerate_isotone_functions(pair, 2)
 
 
 def test_check_finite_never_reads_the_open_family(tmp_path, monkeypatch,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .finite_space import BudgetError
+from .finite_space import VALUE_BUDGET, BudgetError
 from .preorder import _TILE_CELLS, _first_set, _or_columns, _pack_rows
 from .report import Check, CheckReport
 
@@ -44,10 +44,6 @@ MIN_AGREEMENT = 0.99  # share of sampled pairs where H induces the relation
 # (its build at 8,192 peaks near 300 MB); half-open-interval@20000, the
 # largest build in use, validates in about 0.1 s
 SAMPLE_BUDGET = 20_000
-# most sampled values (samples x family members) a build may hold; a
-# build traces about 32 bytes per value, so nat-discrete C@4096 (exactly
-# this many) peaks near 1 GB; misner-strip@20000 holds 2.6 M
-VALUE_BUDGET = 1 << 25
 # most tail shells per end: half-open-interval's shell at level 6 + T is
 # 1 - 0.6 * 2**-(6 + T), which at T = 47 rounds onto the shell before it
 # and at T = 48 onto 1.0, outside [0, 1)

@@ -102,10 +102,7 @@ def cmd_compactify(args, parser) -> int:
     error = _config_error(config)
     if error:
         parser.error(error)
-    try:
-        entry = catalog(args.space)
-    except KeyError as exc:
-        parser.error(str(exc.args[0]))
+    entry = catalog(args.space)
     try:
         family = entry.family(args.family, args.resolution, args.tail_depth)
     except KeyError as exc:
@@ -332,12 +329,10 @@ def main(argv=None) -> int:
             return cmd_compactify(args, parser)
         if args.command == "dominate":
             return cmd_dominate(args)
-        if args.command == "demo":
-            return cmd_demo(args, parser)
+        return cmd_demo(args, parser)  # the subparsers allow no other
     except BudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    parser.error(f"unknown command {args.command}")
 
 
 if __name__ == "__main__":

@@ -309,10 +309,15 @@ def _family_label(comp):
 
 
 def _require_same_samples(comp_a, comp_b):
-    n_a, n_b = len(comp_a.sample_map), len(comp_b.sample_map)
-    if n_a != n_b:
-        raise DominationError(
-            f"builds sample different point sets ({n_a} vs {n_b} samples)")
+    a, b = comp_a.cloud.sample.coords, comp_b.cloud.sample.coords
+    if len(a) != len(b):
+        raise DominationError(f"builds sample different point sets "
+                              f"({len(a)} vs {len(b)} samples)")
+    if not np.array_equal(a, b):
+        i, p, q = next((i, p, q) for i, (p, q) in enumerate(
+            zip(a.tolist(), b.tolist())) if p != q)
+        raise DominationError(f"builds sample different point sets "
+                              f"(sample {i} at {tuple(p)} vs {tuple(q)})")
 
 
 def dominate(comp2, comp1) -> DominationMap:
@@ -534,19 +539,18 @@ def smallest_closed_preorder_diagnostic(comp, core_rel) -> CheckReport:
     ),))
 
 
-def nachbin_pipeline(entry, family, resolution=DEFAULT_RESOLUTION,
-                     tail_depth=DEFAULT_TAIL_DEPTH, eps_q=DEFAULT_EPS_Q,
-                     eps_cauchy=DEFAULT_EPS_CAUCHY) -> CheckReport:
+def nachbin_pipeline(entry, family,
+                     resolution=DEFAULT_RESOLUTION) -> CheckReport:
     """Quotient-then-compactify against compactify-then-quotient.
 
     Path A compactifies the space and quotients the induced preorder by
     its symmetric part; path B compactifies the catalog's quotient
-    space.  The report checks an order isomorphism matching the sample
-    projections vertex-for-vertex.
+    space, both with the default tail depth and tolerances.  The report
+    checks an order isomorphism matching sample projections vertex-for-vertex.
     """
     q_entry, project = entry.quotient_data()
     comp_a, comp_b = (close_and_cluster(embed(e, family, *sample_values(
-        e.space, family, resolution, tail_depth)), eps_q, eps_cauchy)
+        e.space, family, resolution, DEFAULT_TAIL_DEPTH)))
         for e in (entry, q_entry))
     checks = [Check(f"path_{path}_complete", comp.complete,
                     witness=None if comp.complete else comp.end_info)
@@ -577,7 +581,7 @@ def nachbin_pipeline(entry, family, resolution=DEFAULT_RESOLUTION,
         c = perm.index(None)
         missing = ("class without partner", c,
                    tuple(comp_a.quant[reps[c], :h].tolist()))
-    bijective = missing is None and len(set(perm)) == comp_b.n_vertices
+    bijective = missing is None and sorted(perm) == [*range(comp_b.n_vertices)]
     checks.append(Check(
         "vertex_bijection", bijective,
         witness=None if bijective else (missing or "counts differ"),

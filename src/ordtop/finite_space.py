@@ -28,6 +28,9 @@ from .report import Check, CheckReport
 # Default caps of the two exponential enumerations.
 CLOPEN_BUDGET = 1 << 22  # clopen increasing sets
 FUNCTION_BUDGET = 2_000_000  # chain-valued isotone functions
+# most values (rows x points) of a build's samples or an isotone function
+# enumeration step; a build traces about 32 bytes a value, 1 GB at the cap
+VALUE_BUDGET = 1 << 25
 
 
 class SpaceFormatError(ValueError):
@@ -341,7 +344,7 @@ def enumerate_isotone_functions(space, levels: int):
     in ascending lexicographic order.  Every partial row extends to a
     function, so no step holds more rows than the result: BudgetError is
     raised, before any allocation past it, when more than FUNCTION_BUDGET
-    functions exist.
+    functions exist or a step would hold more than VALUE_BUDGET values.
     """
     if levels < 1:
         raise ValueError("levels must be >= 1")
@@ -365,6 +368,8 @@ def enumerate_isotone_functions(space, levels: int):
         total = int(reps.sum())
         if total > FUNCTION_BUDGET:
             raise BudgetError("isotone functions", FUNCTION_BUDGET)
+        if total * n > VALUE_BUDGET:
+            raise BudgetError("isotone function values", VALUE_BUDGET)
         first = np.repeat(np.cumsum(reps) - reps, reps)
         value = np.repeat(low, reps) + np.arange(total) - first
         counts = np.repeat(counts, reps, axis=0)
@@ -408,32 +413,26 @@ def representation_check(space, fns) -> CheckReport:
 
 
 def quotient_space(space: FinitePreorderedSpace):
-    """Quotient by the symmetric part: (space on blocks, classes).
+    """Quotient by the symmetric part: (space on classes, classes).
 
-    A block's minimal neighborhood is the projection of the least
-    saturated open containing it, grown by alternately adding the
-    minimal neighborhood of each point and every block it meets; that
-    is exactly the quotient topology.
+    A class's minimal neighborhood holds the classes in its up-set for the
+    preorder linking each point to its minimal neighborhood and its class:
+    the least saturated open containing it.  No class merged: space as is.
     """
     q_graph, part = quotient_preorder(space.preorder)
-    umin = space.topology.umin
-    block_of = part.index_map()
-    masks = [sum(1 << p for p in members) for members in part.classes]
-    q_umin = []
-    for cur in masks:
-        while True:
-            nxt = cur
-            for x in _bits(cur):
-                nxt |= umin[x]
-            for x in _bits(nxt & ~cur):
-                nxt |= masks[block_of[x]]
-            if nxt == cur:
-                break
-            cur = nxt
-        # cur is saturated: a block meeting it lies inside it
-        q_umin.append(sum(1 << i for i, m in enumerate(masks) if m & cur))
-    q_top = FiniteTopology(len(masks), tuple(q_umin))
-    return FinitePreorderedSpace(q_top, q_graph), part
+    if len(part.classes) == space.n:
+        return space, part
+    links = list(space.topology.umin)
+    for members in part.classes:
+        mask = sum(1 << p for p in members)
+        for p in members:
+            links[p] |= mask
+    reach = transitive_reflexive_closure(PreorderGraph(space.n, tuple(links)))
+    reps = [members[0] for members in part.classes]
+    q_umin = tuple(sum(1 << i for i, r in enumerate(reps)
+                       if reach.rows[c] >> r & 1) for c in reps)
+    return FinitePreorderedSpace(FiniteTopology(len(reps), q_umin),
+                                 q_graph), part
 
 
 def smallest_closed_preorder(top: FiniteTopology, seed_pairs) -> PreorderGraph:

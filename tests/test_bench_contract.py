@@ -91,6 +91,24 @@ def test_mutual_pair_checks_record_no_quotient_span(small_ops):
         assert "preorder.other" in {span[0] for span in spans}
 
 
+def test_quotient_space_closes_once_when_a_class_merges():
+    # the quotient topology is one closure of the links, taken only when
+    # some class merges; with none, the space is its own quotient
+    def merges(item):
+        space = workloads.FIN.load_space(item["space"])
+        classes = workloads.PRE.symmetric_part(space.preorder).classes
+        return len(classes) < space.n
+
+    items = workloads.finite_inputs(0)["items"]
+    ops = workloads.finite_operations({"items": items}, None)
+    for merged in (True, False):
+        op = next(op for op, item in zip(ops, items) if merges(item) == merged)
+        spans = _traced(op).spans
+        closures = [span for span in spans if span[0] == "preorder.closure"
+                    and spans[span[3]][0] == "finite_space.quotient"]
+        assert len(closures) == merged, op.kind
+
+
 def test_traced_op_counts_related_pairs(small_ops):
     t = _traced(small_ops["nested"])
     assert t.counts["compactify.related_pairs"] > 0

@@ -115,6 +115,20 @@ def test_check_finite_default_budget_fails_fast(tmp_path, capsys):
         "error: budget exceeded: more than 2000000 isotone functions\n")
 
 
+def test_check_finite_bounds_the_function_values(tmp_path, capsys):
+    # a 600-point discrete chain has 180,901 functions at --levels 2, within
+    # FUNCTION_BUDGET, but their values pass VALUE_BUDGET long before
+    n = 600
+    path = write_json(tmp_path / "chain.json", {
+        "n": n, "basis": [[p] for p in range(n)],
+        "relation": [[i, i + 1] for i in range(n - 1)]})
+    assert ordtop.cli.main(["check-finite", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: budget exceeded: more than 33554432 isotone function values\n")
+
+
 @pytest.mark.parametrize("argv", (
     ["compactify", "--space", "misner-strip"],
     ["compactify", "--space", "nat-discrete", "--family", "C"],
@@ -330,6 +344,22 @@ def test_dominate_rejects_builds_with_different_samples(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ("domination impossible: builds sample different "
                             "point sets (1001 vs 1000 samples)\n")
+    assert captured.err == ""
+
+
+def test_dominate_rejects_builds_sampling_other_points(tmp_path, capsys):
+    # equal sample counts, but tail depth 5 samples other points than 4
+    dirs = [str(tmp_path / f"t{depth}") for depth in (5, 4)]
+    for depth, family, out in zip((5, 4), ("id,sq", "id"), dirs):
+        assert ordtop.cli.main(["compactify", "--space", "half-open-interval",
+                                "--family", family, "--resolution", "512",
+                                "--tail-depth", str(depth), "--out", out]) == 0
+    capsys.readouterr()
+    assert ordtop.cli.main(["dominate", *dirs]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == (
+        "domination impossible: builds sample different point sets (sample "
+        "1 at (0.0019569773175542407,) vs (0.001953125,))\n")
     assert captured.err == ""
 
 

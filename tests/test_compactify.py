@@ -838,6 +838,22 @@ def test_search_rejects_builds_with_different_samples():
     assert str(exc.value) == message
 
 
+def test_search_rejects_builds_sampling_other_points_of_equal_count():
+    # tail depth 5 against 4: 512 samples each, the second one differs
+    entry = catalog("half-open-interval")
+    comps = [build_compactification(entry, entry.family(sel, 512),
+                                    resolution=512, tail_depth=depth)[0]
+             for sel, depth in (("id,sq", 5), ("id", 4))]
+    a, b = (comp.cloud.sample.coords.tolist() for comp in comps)
+    assert len(a) == len(b) == 512 and a[0] == b[0] and a[1] != b[1]
+    message = (f"builds sample different point sets (sample 1 at "
+               f"{tuple(a[1])} vs {tuple(b[1])})")
+    for attempt in (attempt_domination, dominate):
+        with pytest.raises(DominationError) as exc:
+            attempt(*comps)
+        assert str(exc.value) == message
+
+
 def with_remainder(comp, count):
     """comp with its last `count` vertices relabelled as remainder."""
     return dataclasses.replace(comp, n_core=comp.n_vertices - count)
@@ -1359,7 +1375,8 @@ _DIVERGES = [{"status": "diverges", "worst_coordinate": "H:pow64",
               "spread": 0.22288794809029688}]
 
 # each report as the pipeline gave it before the classes and the quotient
-# build were keyed by _row_keys
+# build were keyed by _row_keys, but for "every class a singleton", which
+# then passed vertex_bijection with more classes than quotient vertices
 NACHBIN_REPORTS = {
     "mirror line": nachbin_dict(),
     "incomplete": nachbin_dict(path_a_complete=_DIVERGES,
@@ -1377,8 +1394,10 @@ NACHBIN_REPORTS = {
     "one class": nachbin_dict(1, 16,
                               classes_share_h_coordinates="mixed class",
                               vertex_bijection="counts differ"),
+    # 27 classes onto 16 quotient vertices: not injective
     "every class a singleton": nachbin_dict(27, 16,
-                                            quotient_antisymmetric=[1, 2]),
+                                            quotient_antisymmetric=[1, 2],
+                                            vertex_bijection="counts differ"),
     "reversed quotient": nachbin_dict(order_isomorphism=[0, 1]),
 }
 

@@ -622,6 +622,24 @@ def test_enumerate_fails_fast_past_the_budget():
         enumerate_isotone_functions(space, 2)
 
 
+def test_enumerate_values_budget_fires_one_value_past_the_limit(
+        monkeypatch):
+    # 3^2 functions at levels 2 hold 18 values; the step to them is refused
+    # one value past the budget, while the function budget still holds
+    pair = FinitePreorderedSpace(FiniteTopology.discrete(2),
+                                 PreorderGraph.diagonal(2))
+    monkeypatch.setattr(ordtop.finite_space, "VALUE_BUDGET", 18)
+    assert len(enumerate_isotone_functions(pair, 2)) == 9
+    monkeypatch.setattr(ordtop.finite_space, "VALUE_BUDGET", 17)
+    with pytest.raises(BudgetError,
+                       match="more than 17 isotone function values"):
+        enumerate_isotone_functions(pair, 2)
+    # with both budgets past, the function count is named
+    monkeypatch.setattr(ordtop.finite_space, "FUNCTION_BUDGET", 8)
+    with pytest.raises(BudgetError, match="more than 8 isotone functions"):
+        enumerate_isotone_functions(pair, 2)
+
+
 def assert_enumeration_matches_reference(space, levels):
     fns = enumerate_isotone_functions(space, levels)
     assert fns.dtype == np.float64 and fns.shape[1:] == (space.n,)
@@ -720,6 +738,83 @@ def test_quotient_space_computes_the_partition_once(monkeypatch):
                                   PreorderGraph.full(3))
     q, part = quotient_space(space)
     assert q.n == 1 and calls == [3]
+
+
+def saturation_quotient_space(space):
+    """quotient_space as a saturation fixpoint: a class's minimal
+    neighborhood is the projection of the least saturated open containing
+    it, grown by alternately adding the minimal neighborhood of each point
+    and every class it meets."""
+    q_graph, part = ordtop.preorder.quotient_preorder(space.preorder)
+    umin = space.topology.umin
+    block_of = part.index_map()
+    masks = [sum(1 << p for p in members) for members in part.classes]
+    q_umin = []
+    for cur in masks:
+        while True:
+            nxt = cur
+            for x in range(space.n):
+                if cur >> x & 1:
+                    nxt |= umin[x]
+            for x in range(space.n):
+                if (nxt & ~cur) >> x & 1:
+                    nxt |= masks[block_of[x]]
+            if nxt == cur:
+                break
+            cur = nxt
+        q_umin.append(sum(1 << i for i, m in enumerate(masks) if m & cur))
+    q_top = FiniteTopology(len(masks), tuple(q_umin))
+    return FinitePreorderedSpace(q_top, q_graph), part
+
+
+def test_quotient_space_matches_the_saturation_fixpoint():
+    # n from 1 to 130 runs both closures, Warshall up to 96 points and
+    # numpy above; each style has spaces that merge classes on both sides
+    rng = random.Random(27)
+    merged = dict.fromkeys(itertools.product(SPACE_STYLES, (False, True)), 0)
+    for n in range(1, 131):
+        for style in SPACE_STYLES:
+            space = random_finite_space(rng, n, style)
+            q, part = quotient_space(space)
+            q_ref, part_ref = saturation_quotient_space(space)
+            assert part.classes == part_ref.classes
+            assert q.preorder.rows == q_ref.preorder.rows
+            assert q.topology == q_ref.topology
+            if len(part.classes) == n:
+                assert q is space
+            else:
+                merged[style, n > 96] += 1
+    assert min(merged.values()) > 0
+
+
+def test_quotient_space_follows_merges_across_neighborhoods():
+    # classes {1,2}, {3,4}, {5,6}: the least saturated open containing 0
+    # reaches each class only through the one before it
+    top = FiniteTopology.from_basis(
+        7, [0b11, 0b10, 0b1100, 0b1000, 0b110000, 0b100000, 0b1000000])
+    graph = transitive_reflexive_closure(PreorderGraph.from_pairs(
+        7, [(1, 2), (2, 1), (3, 4), (4, 3), (5, 6), (6, 5)]))
+    space = FinitePreorderedSpace(top, graph)
+    q, part = quotient_space(space)
+    assert part.classes == ((0,), (1, 2), (3, 4), (5, 6))
+    assert q.topology.umin == (0b1111, 0b1110, 0b1100, 0b1000)
+    assert q.topology == saturation_quotient_space(space)[0].topology
+    # a single class: the quotient is one point
+    space = FinitePreorderedSpace(FiniteTopology.discrete(4),
+                                  PreorderGraph.full(4))
+    assert quotient_space(space)[0].topology.umin == (0b1,)
+
+
+def test_quotient_of_singleton_classes_is_the_space_itself(monkeypatch):
+    closures = []
+    monkeypatch.setattr(ordtop.finite_space, "transitive_reflexive_closure",
+                        lambda graph: closures.append(graph))
+    for space in (chain_space(5), FinitePreorderedSpace(
+            FiniteTopology.indiscrete(3), PreorderGraph.diagonal(3))):
+        q, part = quotient_space(space)
+        assert q is space
+        assert part.classes == tuple((x,) for x in range(space.n))
+    assert closures == []
 
 
 def test_quotient_of_closed_graph_space_is_T2_ordered():

@@ -210,6 +210,15 @@ def _verify_samples(comp):
     return reps, np.arange(0, n, max(1, -(-n // min(VERIFY_RESOLUTION, n))))
 
 
+def _core_diff(rel, graph, n_core):
+    """The packed core relation rel XOR graph's core x core block, the
+    core rows' bits past the core cleared."""
+    diff = rel ^ graph.packed[:n_core, :-(-n_core // 64)]
+    if n_core % 64:
+        diff[:, -1] &= np.uint64((1 << n_core % 64) - 1)
+    return diff
+
+
 def verify_preorder_embedding(comp, samples, relations) -> CheckReport:
     """Spot-check that vertex order mirrors the space order.
 
@@ -224,10 +233,7 @@ def verify_preorder_embedding(comp, samples, relations) -> CheckReport:
     """
     coords, graph, n_core = comp.cloud.sample.coords, comp.induced, comp.n_core
     (reps, idx), (rel, sub_rel) = samples, relations
-    words = -(-n_core // 64)
-    diff = rel ^ graph.packed[:n_core, :words]
-    if n_core % 64:  # the core rows' bits past the core
-        diff[:, -1] &= np.uint64((1 << n_core % 64) - 1)
+    diff = _core_diff(rel, graph, n_core)
     pairs = n_core * n_core
     count = int(np.bitwise_count(diff).sum(dtype=np.int64))
     witness = None
@@ -514,23 +520,37 @@ def i_closure(entry, comp, candidates) -> tuple:
 def smallest_closed_preorder_diagnostic(comp, core_rel) -> CheckReport:
     """Compare the induced preorder with the least closed relation over it.
 
-    Seed relation: the diagonal, core_rel (the space relation between
-    the core vertices' representatives), and the remainder rows/columns
+    core_rel is the space relation between the core vertices'
+    representatives, as the packed rows validate_family gathers.  Seed
+    relation: the diagonal, core_rel, and the remainder rows/columns
     (tail-limit inheritance: a remainder vertex relates exactly where
     its quantized limit vector does).  One transitive closure gives the
     least closed preorder containing the seed; the check reports whether
-    the induced preorder adds pairs beyond it.
+    the induced preorder adds pairs beyond it, the first 20 in row-major
+    order as its witness.  When core_rel equals the induced core block
+    the seed is the induced preorder, transitive by construction, so it
+    is its own closure and no closure is computed.
     """
     if not comp.complete:
         raise ValueError("compactification is incomplete")
-    n_core, ind = comp.n_core, comp.induced.matrix
+    n_core, graph = comp.n_core, comp.induced
+    if not _core_diff(core_rel, graph, n_core).any():
+        pairs = graph.pair_count()
+        return CheckReport((Check(
+            "induced_equals_smallest_closure", True,
+            metrics={"induced_pairs": pairs, "closure_pairs": pairs,
+                     "excess_pairs": 0}),))
+    ind = graph.matrix
     seed = np.eye(comp.n_vertices, dtype=bool)
-    seed[:n_core, :n_core] = core_rel
+    seed[:n_core, :n_core] = _unpack_rows(core_rel, n_core)
     seed[n_core:] = ind[n_core:]
     seed[:, n_core:] = ind[:, n_core:]
     fix = _closure_numpy(seed)
     excess = ind & ~fix
-    witness = [tuple(map(int, p)) for p in np.argwhere(excess)[:20]] or None
+    # the first 20 excess pairs, row-major, lie in the first 20 such rows
+    rows = np.flatnonzero(excess.any(axis=1))[:20]
+    witness = [(int(i), int(j)) for i in rows
+               for j in np.flatnonzero(excess[i])[:20]][:20] or None
     return CheckReport((Check(
         "induced_equals_smallest_closure", not excess.any(), witness=witness,
         metrics={"induced_pairs": int(np.count_nonzero(ind)),
@@ -629,9 +649,10 @@ def build_compactification(entry, family, resolution=DEFAULT_RESOLUTION,
     samples^2), and the same pass gathers, as packed rows, the relation
     that verify and the diagnostic read, so the relation is evaluated
     once per build.
-    The smallest-closure diagnostic needs an exact transitive closure,
-    so it is included only up to DIAGNOSTIC_BUDGET vertices; past that
-    the report simply omits it.
+    The smallest-closure diagnostic computes an exact transitive closure
+    unless the core relation already equals the induced core block, so
+    it is included only up to DIAGNOSTIC_BUDGET vertices; past that the
+    report simply omits it.
     """
     sample, raw = sample_values(entry.space, family, resolution, tail_depth)
     comp = close_and_cluster(embed(entry, family, sample, raw),
@@ -653,5 +674,5 @@ def build_compactification(entry, family, resolution=DEFAULT_RESOLUTION,
         reports.append(remainder_is_ordered(comp))
         if comp.n_vertices <= DIAGNOSTIC_BUDGET:
             reports.append(smallest_closed_preorder_diagnostic(
-                comp, _unpack_rows(relations[0], comp.n_core)))
+                comp, relations[0]))
     return comp, merge_reports(*reports)

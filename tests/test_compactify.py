@@ -484,7 +484,8 @@ def test_wild_tail_blocks_completion():
     with pytest.raises(ValueError):
         remainder_is_ordered(comp)
     with pytest.raises(ValueError, match="incomplete"):
-        smallest_closed_preorder_diagnostic(comp, core_relation(entry, comp))
+        smallest_closed_preorder_diagnostic(
+            comp, packed(core_relation(entry, comp)))
 
 
 def test_remainder_witness_is_the_first_mutual_remainder_pair():
@@ -587,7 +588,8 @@ def test_build_relation_stays_packed(monkeypatch, tmp_path):
     matrix = functools.cached_property(counting)
     matrix.__set_name__(PreorderGraph, "matrix")
     monkeypatch.setattr(PreorderGraph, "matrix", matrix)
-    # the diagnostic reads the matrix; past its budget a build skips it
+    # the diagnostic's closure reads the matrix; past its budget a build
+    # skips it
     monkeypatch.setattr(ordtop.compactify, "DIAGNOSTIC_BUDGET", 0)
     misner = catalog("misner-strip")
     comp, report = build_compactification(
@@ -600,6 +602,7 @@ def test_build_relation_stays_packed(monkeypatch, tmp_path):
     want = tuple(sum(1 << int(j) for j in np.flatnonzero(row))
                  for row in comp.induced.matrix)
     assert comp.induced.rows == want
+    graphs = [comp.induced]
 
     monkeypatch.setattr(ordtop.compactify, "DIAGNOSTIC_BUDGET", 1500)
     nat = catalog("nat-discrete")
@@ -621,9 +624,11 @@ def test_build_relation_stays_packed(monkeypatch, tmp_path):
     pool = [half.pool[k] for k in ("id", "sq", "cube", "sqrt")]
     for comp in (inner, outer):
         i_closure(half, comp, pool)
-    # the count sees build graphs, each unpacked once
-    assert all(any(g is c.induced for g in unpacked) for c in comps)
-    assert len({id(g) for g in unpacked}) == len(unpacked)
+    # past the misner graph read above, attempt_domination unpacks the
+    # nat-discrete graphs, once each; the diagnostic, dominate and
+    # i_closure leave the half-open ones packed
+    graphs += [c.induced for c in comps[:3]]
+    assert [id(g) for g in unpacked] == [id(g) for g in graphs]
     probe = PreorderGraph.diagonal(2)  # and a graph from rows
     assert probe.matrix is probe.matrix
     assert sum(g is probe for g in unpacked) == 1
@@ -650,7 +655,7 @@ def test_builds_off_a_linear_extension_hold_no_relation_matrix(
     # real-line-mirror's vertex ids are not a linear extension, so the
     # Hasse reduction permutes its words; it, the quotient, domination and
     # extendability's isotone compare restrict the packed relation and
-    # never unpack the n x n matrix (the diagnostic reads it by design)
+    # never unpack the n x n matrix (the diagnostic's closure reads it)
     monkeypatch.setattr(ordtop.compactify, "DIAGNOSTIC_BUDGET", 0)
     entry = catalog("real-line-mirror")
     comp, report = build_compactification(
@@ -1092,10 +1097,104 @@ def test_smallest_closure_diagnostic_matches_on_simple_builds():
                             ("nat-discrete", "Cminus", 96)):
         entry, comp, _ = build(space, sel, resolution=res)
         report = smallest_closed_preorder_diagnostic(
-            comp, core_relation(entry, comp))
+            comp, packed(core_relation(entry, comp)))
         check = report.check("induced_equals_smallest_closure")
         assert check.passed, (space, check.metrics)
         assert check.metrics["excess_pairs"] == 0
+
+
+def reference_diagnostic(comp, core_rel):
+    """The diagnostic as the closure of the bool seed, always computed by
+    Warshall's sweep, its witness the first 20 of np.argwhere."""
+    n_core, ind = comp.n_core, comp.induced.matrix
+    fix = np.eye(comp.n_vertices, dtype=bool)
+    fix[:n_core, :n_core] = core_rel
+    fix[n_core:] = ind[n_core:]
+    fix[:, n_core:] = ind[:, n_core:]
+    for k in range(len(fix)):
+        fix |= fix[:, k:k + 1] & fix[k]
+    excess = ind & ~fix
+    witness = [tuple(map(int, p)) for p in np.argwhere(excess)[:20]] or None
+    return CheckReport((Check(
+        "induced_equals_smallest_closure", not excess.any(), witness=witness,
+        metrics={"induced_pairs": int(np.count_nonzero(ind)),
+                 "closure_pairs": int(np.count_nonzero(fix)),
+                 "excess_pairs": int(np.count_nonzero(excess))},
+    ),))
+
+
+@functools.lru_cache(maxsize=None)
+def cached_build(space, selector, resolution):
+    """build, once per argument triple across hypothesis examples."""
+    return build(space, selector, resolution=resolution)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=st.sampled_from((("half-open-interval", "default"),
+                             ("closed-interval", "default"),
+                             ("real-line-mirror", "default"),
+                             ("nat-discrete", "default"),
+                             ("misner-strip", "default"),
+                             ("misner-strip", "arc000"))),
+       resolution=st.integers(16, 128),
+       flips=st.lists(st.tuples(st.integers(0, 999), st.integers(0, 999)),
+                      max_size=4))
+def test_diagnostic_matches_the_seed_closure(case, resolution, flips):
+    # the true core relation takes the equality shortcut where it equals
+    # the induced core block; off-diagonal flips force the closure
+    entry, comp, _ = cached_build(*case, resolution)
+    assert comp.complete
+    rel = core_relation(entry, comp)
+    for i, j in flips:
+        i, j = i % comp.n_core, j % comp.n_core
+        if i != j:
+            rel[i, j] ^= True
+    got = smallest_closed_preorder_diagnostic(comp, packed(rel))
+    assert got.to_dict() == reference_diagnostic(comp, rel).to_dict()
+
+
+def test_diagnostic_witness_is_the_first_twenty_excess_pairs():
+    # 8 chains of 4 points, the last one remainder, over a diagonal core
+    # relation: 42 excess pairs, 3 to a chain, the first 20 over 10 rows
+    n, n_core = 32, 28
+    block = np.triu(np.ones((4, 4), dtype=bool))
+    ind = np.kron(np.eye(8, dtype=bool), block)
+    comp = SimpleNamespace(complete=True, n_core=n_core, n_vertices=n,
+                           induced=PreorderGraph.from_packed(packed(ind)))
+    rel = np.eye(n_core, dtype=bool)
+    check = smallest_closed_preorder_diagnostic(comp, packed(rel)).checks[0]
+    excess = ind.copy()
+    excess[:n_core, :n_core] &= ~rel
+    want = [tuple(map(int, p)) for p in np.argwhere(excess)[:20]]
+    assert check.metrics["excess_pairs"] == 42
+    assert check.witness == want
+    assert len({i for i, _ in want}) == 10
+    assert check.to_dict() \
+        == reference_diagnostic(comp, rel).checks[0].to_dict()
+
+
+def test_diagnostic_closes_only_a_seed_unlike_the_induced_order(monkeypatch):
+    calls = []
+    closure = ordtop.compactify._closure_numpy
+
+    def counting(mat):
+        calls.append(len(mat))
+        return closure(mat)
+
+    monkeypatch.setattr(ordtop.compactify, "_closure_numpy", counting)
+    entry, comp, report = build("closed-interval", "id,sq", resolution=256)
+    assert report.check("induced_equals_smallest_closure").passed
+    assert calls == [] and "matrix" not in vars(comp.induced)
+
+    entry, comp, report = build("misner-strip", "arc000", resolution=32)
+    check = report.check("induced_equals_smallest_closure")
+    assert calls == [comp.n_vertices]
+    assert not check.passed
+    assert check.metrics == {"induced_pairs": 105, "closure_pairs": 64,
+                             "excess_pairs": 41}
+    rel = core_relation(entry, comp)
+    assert check.to_dict() \
+        == reference_diagnostic(comp, rel).checks[0].to_dict()
 
 
 def test_verify_runs_standalone():
@@ -1239,7 +1338,7 @@ def test_build_verifies_from_the_validation_relation(space, monkeypatch):
             assert report.check(name).to_dict() == alone.check(name).to_dict()
         if budget and comp.complete:
             diag = smallest_closed_preorder_diagnostic(
-                comp, core_relation(entry, comp)).checks[0]
+                comp, packed(core_relation(entry, comp))).checks[0]
             assert report.check(diag.name).to_dict() == diag.to_dict()
 
 
@@ -1265,7 +1364,7 @@ def test_build_relation_tiles_cover_large_samples(monkeypatch):
     for name in alone.names():
         assert report.check(name).to_dict() == alone.check(name).to_dict()
     diag = smallest_closed_preorder_diagnostic(
-        comp, core_relation(entry, comp)).checks[0]
+        comp, packed(core_relation(entry, comp))).checks[0]
     assert report.check(diag.name).to_dict() == diag.to_dict()
 
 

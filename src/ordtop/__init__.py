@@ -49,10 +49,8 @@ from .finite_space import (
     FiniteTopology,
     SpaceFormatError,
     clopen_increasing_sets,
-    decreasing_hull,
     enumerate_isotone_functions,
     graph_is_closed,
-    increasing_hull,
     is_T1_preordered,
     load_space,
     minimal_neighborhood,

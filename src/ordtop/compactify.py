@@ -542,7 +542,7 @@ def smallest_closed_preorder_diagnostic(comp, core_rel) -> CheckReport:
                      "excess_pairs": 0}),))
     ind = graph.matrix
     seed = np.eye(comp.n_vertices, dtype=bool)
-    seed[:n_core, :n_core] = _unpack_rows(core_rel, n_core)
+    seed[:n_core, :n_core] |= _unpack_rows(core_rel, n_core)
     seed[n_core:] = ind[n_core:]
     seed[:, n_core:] = ind[:, n_core:]
     fix = _closure_numpy(seed)

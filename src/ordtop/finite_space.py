@@ -1,12 +1,13 @@
 """Exact order-topology checks on finite topological preordered spaces.
 
 Points are indices 0..n-1 and subsets are int bitmasks.  A finite
-topology is the Alexandrov topology of its specialization preorder, so
-it is stored as the minimal open neighborhood of each point: a set is
-open iff it contains the minimal neighborhood of each of its points.
-Closure, closedness of the relation graph, quotients, the separation
-fixpoints and the clopen increasing sets are all computed from these n
-masks; the family of all opens is built only when someone reads it.
+topology is the Alexandrov topology of its specialization preorder: it
+is stored as the minimal open neighborhood of each point and held as the
+relation U, x -> y iff y is in umin[x].  The opens are the up-sets of U,
+a set's closure is its down-set, and for the preorder G the graph is
+closed iff U·G·Uᵀ ⊆ G, every increasing hull is closed iff G·Uᵀ ⊆ G and
+every decreasing hull iff U·G ⊆ G.  The family of all opens is built
+only when someone reads it.
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ import numpy as np
 
 from .preorder import (
     PreorderGraph,
+    _first_excess,
+    _product,
     function_preorder,
     quotient_preorder,
     transitive_reflexive_closure,
@@ -58,7 +61,7 @@ class FiniteTopology:
     umin[x] is the smallest open mask containing x; equality and hashing
     compare (n, umin), which is the same as comparing the opens.  Masks
     form such a system iff each umin[x] contains x and, with any point
-    y, all of umin[y]; anything else raises ValueError.
+    y, all of umin[y] (U·U ⊆ U); anything else raises ValueError.
     """
 
     n: int
@@ -75,11 +78,15 @@ class FiniteTopology:
                                  f"outside 0..{self.n - 1}")
             if not u >> x & 1:
                 raise ValueError(f"minimal neighborhood of {x} misses {x}")
-            for y in _bits(u):
-                if self.umin[y] & ~u:
-                    raise ValueError(
-                        f"minimal neighborhood of {x} contains {y} but not "
-                        f"the minimal neighborhood of {y}")
+        spec = PreorderGraph(self.n, self.umin)
+        object.__setattr__(self, "_spec", spec)  # U, the one relation
+        pair = _first_excess(_product(spec, spec, None), spec)
+        if pair is not None:
+            u = self.umin[pair[0]]
+            y = next(y for y in _bits(u) if self.umin[y] & ~u)
+            raise ValueError(
+                f"minimal neighborhood of {pair[0]} contains {y} but not "
+                f"the minimal neighborhood of {y}")
 
     @classmethod
     def from_basis(cls, n: int, basis) -> "FiniteTopology":
@@ -115,9 +122,8 @@ class FiniteTopology:
         return frozenset(joins)
 
     def is_open(self, mask: int) -> bool:
-        if mask & ~((1 << self.n) - 1):
-            return False
-        return all(self.umin[x] & ~mask == 0 for x in _bits(mask))
+        """An up-set of U: it holds the minimal neighborhood of each point."""
+        return not mask >> self.n and self._spec.up_set(mask) == mask
 
     def is_closed(self, mask: int) -> bool:
         return self.is_open(((1 << self.n) - 1) ^ mask)
@@ -131,12 +137,8 @@ def minimal_neighborhood(top: FiniteTopology, i: int) -> int:
 
 
 def set_closure(top: FiniteTopology, mask: int) -> int:
-    """Smallest closed superset: points whose every neighborhood meets mask."""
-    out = 0
-    for x in range(top.n):
-        if top.umin[x] & mask:
-            out |= 1 << x
-    return out
+    """Smallest closed superset: the down-set of mask in U."""
+    return top._spec.down_set(mask)
 
 
 @dataclass(frozen=True)
@@ -153,52 +155,37 @@ class FinitePreorderedSpace:
         return self.topology.n
 
 
-def _closure_row(top: FiniteTopology, g: PreorderGraph, x: int) -> int:
-    """Row x of g's closure: the y with umin(x) x umin(y) meeting g."""
-    return set_closure(top, g.up_set(top.umin[x]))
-
-
 def graph_is_closed(space: FinitePreorderedSpace) -> CheckReport:
     """Is the relation closed in the product topology?
 
-    The graph is closed iff every row equals its row of the closure;
-    the box umin(x) x umin(y) is the smallest product neighborhood, so
-    the criterion is exact.  Witness: the lexicographically least
-    failing pair.
+    The box umin(x) x umin(y) is the smallest product neighborhood of
+    (x, y), so the graph's closure is U·G·Uᵀ and G is closed iff
+    U·G·Uᵀ ⊆ G.  Witness: the row-major first pair of the closure not
+    in G.
     """
-    g = space.preorder
-    witness = None
-    for x in range(g.n):
-        extra = _closure_row(space.topology, g, x) & ~g.rows[x]
-        if extra:
-            witness = (x, (extra & -extra).bit_length() - 1)
-            break
+    g, spec = space.preorder, space.topology._spec
+    witness = _first_excess(_product(spec, g, spec), g)
     return CheckReport(
         (Check("graph_is_closed", witness is None, witness=witness),)
     )
 
 
-def increasing_hull(space: FinitePreorderedSpace, i: int) -> int:
-    return space.preorder.up_set(1 << i)
-
-
-def decreasing_hull(space: FinitePreorderedSpace, i: int) -> int:
-    return space.preorder.down_set(1 << i)
-
-
 def is_T1_preordered(space: FinitePreorderedSpace) -> CheckReport:
-    """Every increasing hull i(x) and decreasing hull d(x) is closed."""
-    top = space.topology
-    witness = None
-    for x in range(space.n):
-        up = increasing_hull(space, x)
-        if set_closure(top, up) != up:
-            witness = (x, "increasing_hull")
-            break
-        down = decreasing_hull(space, x)
-        if set_closure(top, down) != down:
-            witness = (x, "decreasing_hull")
-            break
+    """Every increasing hull i(x) and decreasing hull d(x) is closed.
+
+    Row x of G·Uᵀ is the closure of i(x), and column x of U·G the
+    closure of d(x).  Witness: the least x with a hull not closed, i(x)
+    before d(x).
+    """
+    g, spec = space.preorder, space.topology._spec
+    inc = dec = 0  # the x whose i(x) is not closed; columns of U·G - G
+    for x, (up, down, own) in enumerate(zip(
+            _product(None, g, spec), _product(spec, g, None), g.rows)):
+        inc |= bool(up & ~own) << x
+        dec |= down & ~own
+    x = _least_bit(inc | dec)
+    witness = None if x is None else (
+        x, "increasing_hull" if inc >> x & 1 else "decreasing_hull")
     return CheckReport(
         (Check("is_T1_preordered", witness is None, witness=witness),)
     )
@@ -206,20 +193,16 @@ def is_T1_preordered(space: FinitePreorderedSpace) -> CheckReport:
 
 def _clopen_order(space: FinitePreorderedSpace) -> PreorderGraph:
     """The preorder generated by <= and the links between each point and
-    its minimal neighborhood.
+    its minimal neighborhood (G, U and Uᵀ): the closure of U·G·Uᵀ.
 
     The clopen sets are the unions of connected components of the link
     graph, and the links are symmetric, so a set is clopen and
     increasing iff it is an up-set of this order, and clopen and
     decreasing iff it is a down-set.
     """
-    n = space.n
-    umin = space.topology.umin
-    linked = [row | u for row, u in zip(space.preorder.rows, umin)]
-    for x in range(n):
-        for y in _bits(umin[x]):
-            linked[y] |= 1 << x
-    return transitive_reflexive_closure(PreorderGraph(n, tuple(linked)))
+    spec = space.topology._spec
+    return transitive_reflexive_closure(
+        PreorderGraph(space.n, tuple(_product(spec, space.preorder, spec))))
 
 
 @dataclass(frozen=True)
@@ -249,32 +232,23 @@ def monotone_separation(space, a_mask: int, b_mask: int) -> SeparationResult:
     top = space.topology
     g = space.preorder
     pre = []
-    wit = None
-    if set_closure(top, a_mask) != a_mask:
-        wit = ("A not closed", _least_bit(set_closure(top, a_mask) & ~a_mask))
-    elif g.up_set(a_mask) != a_mask:
-        wit = ("A not increasing", _least_bit(g.up_set(a_mask) & ~a_mask))
-    pre.append(Check("A_closed_increasing", wit is None, witness=wit))
-    wit = None
-    if set_closure(top, b_mask) != b_mask:
-        wit = ("B not closed", _least_bit(set_closure(top, b_mask) & ~b_mask))
-    elif g.down_set(b_mask) != b_mask:
-        wit = ("B not decreasing", _least_bit(g.down_set(b_mask) & ~b_mask))
-    pre.append(Check("B_closed_decreasing", wit is None, witness=wit))
+    for side, mask, hull, kind in (("A", a_mask, g.up_set, "increasing"),
+                                   ("B", b_mask, g.down_set, "decreasing")):
+        extras = (("closed", set_closure(top, mask) & ~mask),
+                  (kind, hull(mask) & ~mask))  # the first nonempty one
+        wit = next(((f"{side} not {what}", _least_bit(extra))
+                    for what, extra in extras if extra), None)
+        pre.append(Check(f"{side}_closed_{kind}", wit is None, witness=wit))
     overlap = a_mask & b_mask
-    pre.append(
-        Check("disjoint_inputs", overlap == 0,
-              witness=None if overlap == 0 else _least_bit(overlap))
-    )
+    pre.append(Check("disjoint_inputs", overlap == 0,
+                     witness=_least_bit(overlap)))
     if not all(c.passed for c in pre):
         return SeparationResult(CheckReport(tuple(pre)), None)
 
-    if a_mask == 0:
+    if not (a_mask and b_mask):  # 0 when A is empty, else 1 (B is)
         pre.append(Check("monotone_separation", True))
-        return SeparationResult(CheckReport(tuple(pre)), (0.0,) * space.n)
-    if b_mask == 0:
-        pre.append(Check("monotone_separation", True))
-        return SeparationResult(CheckReport(tuple(pre)), (1.0,) * space.n)
+        return SeparationResult(CheckReport(tuple(pre)),
+                                (1.0 if a_mask else 0.0,) * space.n)
 
     order = _clopen_order(space)
     s_star = order.up_set(a_mask)
@@ -395,12 +369,10 @@ def representation_check(space, fns) -> CheckReport:
                else PreorderGraph.full(space.n))
     want = space.preorder
     witness = None
-    for i in range(space.n):
-        diff = induced.rows[i] ^ want.rows[i]
-        if diff:
-            j = _least_bit(diff)
-            kind = "extra" if induced.leq(i, j) else "missing"
-            witness = (i, j, kind)
+    for i, (got, own) in enumerate(zip(induced.rows, want.rows)):
+        if got != own:
+            j = _least_bit(got ^ own)
+            witness = (i, j, "extra" if got >> j & 1 else "missing")
             break
     metrics = {
         "induced_pairs": induced.pair_count(),
@@ -429,8 +401,8 @@ def quotient_space(space: FinitePreorderedSpace):
             links[p] |= mask
     reach = transitive_reflexive_closure(PreorderGraph(space.n, tuple(links)))
     reps = [members[0] for members in part.classes]
-    q_umin = tuple(sum(1 << i for i, r in enumerate(reps)
-                       if reach.rows[c] >> r & 1) for c in reps)
+    q_umin = tuple(sum(1 << i for i, r in enumerate(reps) if row >> r & 1)
+                   for row in [reach.rows[c] for c in reps])
     return FinitePreorderedSpace(FiniteTopology(len(reps), q_umin),
                                  q_graph), part
 
@@ -439,18 +411,20 @@ def smallest_closed_preorder(top: FiniteTopology, seed_pairs) -> PreorderGraph:
     """Least closed preorder containing the seed pairs.
 
     Alternates transitive-reflexive closure with topological closure of
-    the graph in the product topology (a pair joins when its minimal
-    neighborhood box meets the current graph) until stable.  Both steps
-    keep the relation inside any closed preorder containing the seed,
-    so the fixpoint is the intersection of them all.
+    the graph in the product topology (U·G·Uᵀ: a pair joins when its
+    minimal neighborhood box meets the current graph) until stable.
+    Both steps keep the relation inside any closed preorder containing
+    the seed, so the fixpoint is the intersection of them all.
     """
     n = top.n
     g = transitive_reflexive_closure(PreorderGraph.from_pairs(n, seed_pairs))
     while True:
-        rows = tuple(_closure_row(top, g, x) for x in range(n))
+        rows = tuple(_product(top._spec, g, top._spec))
         if rows == g.rows:
             return g
         g = transitive_reflexive_closure(PreorderGraph(n, rows))
+        if g.rows == rows:  # U·G·Uᵀ is closed already, as U·U = U
+            return g
 
 
 def _is_int(value) -> bool:

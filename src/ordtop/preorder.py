@@ -119,18 +119,17 @@ class PreorderGraph:
 
     def up_set(self, mask: int) -> int:
         """Bitmask of points above anything in mask."""
-        out = 0
-        rest = mask
-        while rest:
-            low = rest & -rest
-            out |= self.rows[low.bit_length() - 1]
-            rest ^= low
+        rows, out = self.rows, 0  # rows read once: each read is slow
+        while mask:
+            low = mask & -mask
+            out |= rows[low.bit_length() - 1]
+            mask ^= low
         return out
 
     def down_set(self, mask: int) -> int:
-        out = 0
+        rows, out = self.rows, 0
         for i in range(self.n):
-            if self.rows[i] & mask:
+            if rows[i] & mask:
                 out |= 1 << i
         return out
 
@@ -262,17 +261,38 @@ def _closure_numpy(mat: np.ndarray) -> np.ndarray:
     return cur > 0
 
 
-def is_transitive(graph: PreorderGraph) -> bool:
+def _product(left, graph, right):
+    """Int rows of left·graph·rightᵀ (None: the identity): i to l iff
+    i <= j in left, j <= k in graph and l <= k in right, some j and k.
+    Lazy up to _NUMPY_CUTOVER points, so a caller that stops early makes
+    no more; above it read off float32 matmuls binarised after each."""
+    if graph.n > _NUMPY_CUTOVER:
+        out = graph.matrix
+        if left is not None:
+            out = left.matrix.astype(np.float32) @ out.astype(np.float32) > 0
+        if right is not None:
+            out = out.astype(np.float32) @ right.matrix.T.astype(np.float32) > 0
+        return PreorderGraph.from_matrix(out).rows
     rows = graph.rows
-    for i in range(graph.n):
-        row = rows[i]
-        rest = row
-        while rest:
-            low = rest & -rest
-            if rows[low.bit_length() - 1] & ~row:
-                return False
-            rest ^= low
-    return True
+    if left is not None:
+        rows = map(graph.up_set, left.rows)
+    if right is not None:
+        rows = map(right.down_set, rows)
+    return rows
+
+
+def _first_excess(rows, graph):
+    """Row-major first (i, j) with bit j of the i-th of the int rows set
+    and i <= j not in graph, or None."""
+    for i, (row, own) in enumerate(zip(rows, graph.rows)):
+        extra = row & ~own
+        if extra:
+            return i, (extra & -extra).bit_length() - 1
+    return None
+
+
+def is_transitive(graph: PreorderGraph) -> bool:
+    return _first_excess(_product(graph, graph, None), graph) is None
 
 
 def _equal_rows(graph):

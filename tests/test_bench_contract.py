@@ -91,6 +91,30 @@ def test_mutual_pair_checks_record_no_quotient_span(small_ops):
         assert "preorder.other" in {span[0] for span in spans}
 
 
+def test_finite_check_op_records_its_stage_spans_only():
+    # each stage of a check-finite op is a span of its own, and the
+    # preorder calls under them are the public ones it makes: the
+    # relation products are private, so a public one would add a
+    # preorder.other span under a finite_space stage
+    finite = workloads.finite_operations(
+        {"items": workloads.finite_inputs(0)["items"][:1]}, None)[0]
+    spans = _traced(finite).spans
+    edges = {(name, None if parent is None else spans[parent][0])
+             for name, _, _, parent, _ in spans}
+    stages = ("load", "closed", "t1", "quotient", "enumerate",
+              "representation", "smallest_closed")
+    assert edges == {(f"finite_space.{stage}", None) for stage in stages} | {
+        ("preorder.other", None),  # is_antisymmetric
+        ("preorder.other", "finite_space.load"),  # from_pairs
+        ("preorder.other", "finite_space.smallest_closed"),
+        ("preorder.closure", "finite_space.load"),
+        ("preorder.closure", "finite_space.enumerate"),
+        ("preorder.closure", "finite_space.smallest_closed"),
+        ("preorder.quotient", "finite_space.quotient"),
+        ("preorder.function_preorder", "finite_space.representation"),
+    }
+
+
 def test_quotient_space_closes_once_when_a_class_merges():
     # the quotient topology is one closure of the links, taken only when
     # some class merges; with none, the space is its own quotient

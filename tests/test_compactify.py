@@ -1108,7 +1108,7 @@ def reference_diagnostic(comp, core_rel):
     Warshall's sweep, its witness the first 20 of np.argwhere."""
     n_core, ind = comp.n_core, comp.induced.matrix
     fix = np.eye(comp.n_vertices, dtype=bool)
-    fix[:n_core, :n_core] = core_rel
+    fix[:n_core, :n_core] |= core_rel
     fix[n_core:] = ind[n_core:]
     fix[:, n_core:] = ind[:, n_core:]
     for k in range(len(fix)):
@@ -1169,6 +1169,20 @@ def test_diagnostic_witness_is_the_first_twenty_excess_pairs():
     assert check.metrics["excess_pairs"] == 42
     assert check.witness == want
     assert len({i for i, _ in want}) == 10
+    assert check.to_dict() \
+        == reference_diagnostic(comp, rel).checks[0].to_dict()
+
+
+def test_diagnostic_seed_keeps_the_diagonal_of_a_core_relation():
+    # the closure path ORs the core relation into the diagonal: a loop
+    # missing from core_rel is still in the seed, so it is no excess
+    entry, comp, _ = build("closed-interval", resolution=16)
+    rel = core_relation(entry, comp)
+    rel[3, 3] = False
+    check = smallest_closed_preorder_diagnostic(comp, packed(rel)).checks[0]
+    assert check.passed and check.witness is None
+    assert check.metrics == {"induced_pairs": 136, "closure_pairs": 136,
+                             "excess_pairs": 0}
     assert check.to_dict() \
         == reference_diagnostic(comp, rel).checks[0].to_dict()
 

@@ -17,10 +17,8 @@ from ordtop.finite_space import (
     FiniteTopology,
     SpaceFormatError,
     clopen_increasing_sets,
-    decreasing_hull,
     enumerate_isotone_functions,
     graph_is_closed,
-    increasing_hull,
     is_T1_preordered,
     load_space,
     minimal_neighborhood,
@@ -391,9 +389,9 @@ def test_hulls_match_relation_rows():
         space = rand_space(rng, n)
         g = space.preorder
         for i in range(n):
-            assert increasing_hull(space, i) == g.rows[i]
+            assert g.up_set(1 << i) == g.rows[i]
             col = sum(1 << j for j in range(n) if g.leq(j, i))
-            assert decreasing_hull(space, i) == col
+            assert g.down_set(1 << i) == col
 
 
 def test_T1_frozen_and_T2_implies_T1():
@@ -418,6 +416,85 @@ def test_T1_frozen_and_T2_implies_T1():
         assert is_T1_preordered(space).passed
         hit += 1
     assert hit == 200
+
+
+def unclosed_hulls(space):
+    """(x, kind) for each hull not closed, walking the points in order and
+    at each point the increasing hull before the decreasing one."""
+    umin, g = space.topology.umin, space.preorder
+    for x in range(space.n):
+        column = sum(1 << j for j in range(space.n) if g.leq(j, x))
+        for hull, kind in ((g.rows[x], "increasing_hull"),
+                           (column, "decreasing_hull")):
+            if sum(1 << y for y, u in enumerate(umin) if u & hull) != hull:
+                yield x, kind
+
+
+def test_T1_witness_matches_the_per_point_walk():
+    rng = random.Random(31)
+    orders = set()  # how the first failures of the two hulls compare
+    for trial in range(3000):
+        n = rng.randint(1, 9)
+        space = random_finite_space(rng, n, SPACE_STYLES[trial % 3])
+        failing = list(unclosed_hulls(space))
+        assert is_T1_preordered(space).checks[0].witness \
+            == (failing[0] if failing else None)
+        up, down = ([x for x, k in failing if k == kind]
+                    for kind in ("increasing_hull", "decreasing_hull"))
+        if up and down:
+            orders.add((up[0] > down[0]) - (up[0] < down[0]))
+    # both hulls fail: first at an increasing one, at the same point, and
+    # first at a decreasing one
+    assert orders == {-1, 0, 1}
+
+
+def test_products_match_across_the_numpy_cutover(monkeypatch):
+    # each size up to 130 on int rows (cutover n) and on float32 matmuls
+    # (cutover n - 1); the minimal neighborhoods are the rows of a random
+    # preorder, and the topology check gets them with one point added
+    def both_paths(check, n):
+        got = []
+        for cutover in (n, n - 1):
+            monkeypatch.setattr(ordtop.preorder, "_NUMPY_CUTOVER", cutover)
+            try:
+                got.append(check())
+            except ValueError as exc:
+                got.append(str(exc))
+        assert got[0] == got[1], n
+        return got[0]
+
+    def random_pairs(n):
+        return [(rng.randrange(n), rng.randrange(n)) for _ in range(n)]
+
+    rng = random.Random(32)
+    invalid = 0
+    for n in range(1, 131):
+        umin = list(transitive_reflexive_closure(
+            PreorderGraph.from_pairs(n, random_pairs(n))).rows)
+        top = FiniteTopology(n, tuple(umin))
+        graph = (transitive_reflexive_closure(
+                     PreorderGraph.from_pairs(n, random_pairs(n))),
+                 smallest_closed_preorder(top, random_pairs(n)),
+                 PreorderGraph(n, top.umin))[n % 3]
+        space = FinitePreorderedSpace(top, graph)
+        seeds = random_pairs(n)
+        for check in (lambda: graph_is_closed(space).to_dict(),
+                      lambda: is_T1_preordered(space).to_dict(),
+                      lambda: ordtop.finite_space._clopen_order(space).rows,
+                      lambda: smallest_closed_preorder(top, seeds).rows):
+            both_paths(check, n)
+        umin[rng.randrange(n)] |= 1 << rng.randrange(n)
+        fault = next(((x, y) for x, u in enumerate(umin) for y in range(n)
+                      if u >> y & 1 and umin[y] & ~u), None)
+        got = both_paths(lambda: FiniteTopology(n, tuple(umin)), n)
+        if fault is None:
+            assert got.umin == tuple(umin)
+        else:
+            invalid += 1
+            assert got == (f"minimal neighborhood of {fault[0]} contains "
+                           f"{fault[1]} but not the minimal neighborhood of "
+                           f"{fault[1]}")
+    assert invalid > 90
 
 
 # ------------------------------------------------------------ separation

@@ -22,12 +22,10 @@ from .compactify import (
     DominationMap,
     DominationSearch,
     ExtendabilityResult,
-    ImageCloud,
     attempt_domination,
     build_compactification,
     close_and_cluster,
     dominate,
-    embed,
     extendability,
     i_closure,
     nachbin_pipeline,

@@ -109,18 +109,13 @@ class FunctionFamily:
         for f in self.c:
             if f.klass is None:
                 raise ValueError(f"C-part member {f.name} is not C-class")
-        names = [f.name for f in self.h]
-        if len(set(names)) != len(names):
-            raise ValueError("duplicate names in H-part")
-        names = [f.name for f in self.c]
-        if len(set(names)) != len(names):
-            raise ValueError("duplicate names in C-part")
+        for part, members in (("H", self.h), ("C", self.c)):
+            names = [f.name for f in members]
+            if len(set(names)) != len(names):
+                raise ValueError(f"duplicate names in {part}-part")
 
     def members(self) -> tuple:
         return self.h + self.c
-
-    def h_names(self) -> tuple:
-        return tuple(f.name for f in self.h)
 
 
 class SampledSpace:

@@ -21,7 +21,6 @@ from .compactify import (
     build_compactification,
     close_and_cluster,
     dominate,
-    embed,
     nachbin_pipeline,
     remainder_is_ordered,
 )
@@ -127,7 +126,7 @@ def cmd_compactify(args, parser) -> int:
 
 
 def _rebuild_from_dir(path: str):
-    """Re-embed a build directory from its stored config.
+    """Rebuild a build directory from its stored config.
 
     The rebuilt relation must equal the stored relation_rows_hex; a
     build written by other code or edited since fails with the first
@@ -143,8 +142,8 @@ def _rebuild_from_dir(path: str):
         raise SpaceFormatError(f"{path}: stored {error}")
     entry = catalog(cfg["space"])
     family = entry.family(cfg["family"], cfg["resolution"], cfg["tail_depth"])
-    comp = close_and_cluster(embed(entry, family, *sample_values(
-        entry.space, family, cfg["resolution"], cfg["tail_depth"])),
+    comp = close_and_cluster(entry, family, *sample_values(
+        entry.space, family, cfg["resolution"], cfg["tail_depth"]),
         cfg["eps_q"], cfg["eps_cauchy"])
     rows = itertools.zip_longest(payload.get("relation_rows_hex", []),
                                  _hex_rows(comp.induced.packed))

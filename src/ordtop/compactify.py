@@ -1,8 +1,9 @@
 """Numeric H-compactification of cataloged preordered spaces.
 
-Pipeline: embed samples through a function family into the unit cube,
-quantize, deduplicate into core vertices, extrapolate each end's tail
-to a remainder vertex, and read the induced preorder off the quantized
+Pipeline: evaluate a function family on samples of the space, read
+their image in the unit cube [0,1]^(H u C) clipped, quantize,
+deduplicate into core vertices, extrapolate each end's tail to a
+remainder vertex, and read the induced preorder off the quantized
 H-coordinates.  Quantization before comparison is the soundness anchor:
 tolerance-based comparisons are not transitive, integer comparisons are.
 """
@@ -16,8 +17,9 @@ import numpy as np
 
 from .catalog import DEFAULT_RESOLUTION, DEFAULT_TAIL_DEPTH, _packed_leq, \
     sample_values, validate_family
-from .preorder import PreorderGraph, _closure_numpy, _first_set, \
-    _key_rows, _row_keys, _unpack_rows, is_antisymmetric, quotient_preorder
+from .preorder import _TILE_CELLS, PreorderGraph, _closure_numpy, \
+    _first_set, _key_rows, _row_keys, _unpack_rows, is_antisymmetric, \
+    quotient_preorder
 from .report import Check, CheckReport, merge_reports
 
 DEFAULT_EPS_Q = 1e-3
@@ -36,37 +38,10 @@ class DominationError(ValueError):
 
 
 @dataclass(frozen=True)
-class ImageCloud:
-    """Sampled image of the space in [0,1]^(H u C), H coordinates first."""
-
+class Compactification:
     entry: CatalogEntry
     family: FunctionFamily
     sample: object
-    values: np.ndarray  # (n_samples, n_coords)
-    h_count: int
-    names: tuple
-
-    @property
-    def n_samples(self):
-        return len(self.values)
-
-
-def embed(entry, family, sample, raw) -> ImageCloud:
-    """Clip one copy of sample_values' raw values in place, NaN to 0.
-
-    validate_family reports values outside [0,1]; a build still embeds
-    them, so its report carries the witness.
-    """
-    values = np.nan_to_num(raw.T)
-    np.clip(values, 0.0, 1.0, out=values)
-    names = tuple(f"H:{f.name}" for f in family.h) \
-        + tuple(f"C:{f.name}" for f in family.c)
-    return ImageCloud(entry, family, sample, values, len(family.h), names)
-
-
-@dataclass(frozen=True)
-class Compactification:
-    cloud: ImageCloud
     eps_q: float
     eps_cauchy: float
     n_core: int  # vertices 0..n_core-1 are core, the rest remainder
@@ -79,11 +54,11 @@ class Compactification:
 
     @property
     def h_count(self):
-        return self.cloud.h_count
+        return len(self.family.h)
 
     @property
     def names(self):
-        return self.cloud.names
+        return _coordinate_names(self.family)
 
     @property
     def n_vertices(self):
@@ -103,10 +78,22 @@ class Compactification:
         return reps
 
 
+def _coordinate_names(family):
+    """Coordinate names, H coordinates first."""
+    return tuple(f"H:{f.name}" for f in family.h) \
+        + tuple(f"C:{f.name}" for f in family.c)
+
+
+def _clipped(values):
+    """A C-order copy of values clipped to [0, 1]; fmax takes NaN to 0."""
+    out = np.fmax(values, 0.0, order="C")
+    return np.minimum(out, 1.0, out=out)
+
+
 def _quantize(values, eps_q):
-    """values / eps_q rounded in place, as C-order int64."""
-    q = np.divide(values, eps_q, order="C")
-    return np.rint(q, out=q).astype(np.int64)
+    """values / eps_q rounded as int64, overwriting the float array values."""
+    np.divide(values, eps_q, out=values)
+    return np.rint(values, out=values).astype(np.int64)
 
 
 def _aitken(seq):
@@ -139,10 +126,13 @@ def _induced_graph(quant, h_count):
     return PreorderGraph.from_packed(_packed_leq(h, h))
 
 
-def close_and_cluster(cloud, eps_q=DEFAULT_EPS_Q,
+def close_and_cluster(entry, family, sample, raw, eps_q=DEFAULT_EPS_Q,
                       eps_cauchy=DEFAULT_EPS_CAUCHY) -> Compactification:
     """Quantize, dedup core vertices, extrapolate ends, build the preorder.
 
+    raw is sample_values' (members, samples) array, never copied whole:
+    it is read clipped to [0, 1] (NaN to 0), in row tiles of at most
+    _TILE_CELLS values to quantize and one tail window per end.
     Per end, the tail window is every sample in its shells.  Coordinates
     of C-class members take their declared tail constants (they are
     exactly constant outside a compact set; a finite window straddling
@@ -154,35 +144,36 @@ def close_and_cluster(cloud, eps_q=DEFAULT_EPS_Q,
     converges into the core, one an earlier end added merges with it,
     and a new one is a remainder vertex.  quant is the keys, read-only.
     """
+    width, n = raw.shape
     ids = {}  # quantized row's key -> vertex id, by first occurrence
-    sample_map = np.array([ids.setdefault(key, len(ids)) for key in
-                           _row_keys(_quantize(cloud.values, eps_q)).tolist()])
+    step = max(1, _TILE_CELLS // max(width, 1))
+    sample_map = np.array([  # each row tile quantized, keyed and freed
+        ids.setdefault(key, len(ids)) for r0 in range(0, n, step)
+        for key in _row_keys(_quantize(_clipped(
+            raw[:, r0:r0 + step].T), eps_q)).tolist()])
     n_core = len(ids)
 
-    members = cloud.family.members()
-    end_map = []
-    end_info = []
-    complete = True
-    for end, shells in enumerate(cloud.sample.tails):
+    members, names = family.members(), _coordinate_names(family)
+    end_map, end_info, complete = [], [], True
+    for end, shells in enumerate(sample.tails):
         if len(shells) < 3:
             raise ValueError(
                 f"end {end} has {len(shells)} tail shells; extrapolating "
                 f"its limit needs at least 3")
+        window = _clipped(raw[:, [i for s in shells for i in s]])
+        local = [range(*span) for span in itertools.pairwise(
+            itertools.accumulate(map(len, shells), initial=0))]
         limit = np.empty(len(members))
-        worst_spread = 0.0
-        worst_name = None
+        worst_spread, worst_name = 0.0, None
         for j, f in enumerate(members):
-            spread, limit[j] = _tail_limit(f, cloud.values[:, j], shells)
+            spread, limit[j] = _tail_limit(f, window[j], local)
             if spread > worst_spread:
-                worst_spread, worst_name = spread, cloud.names[j]
+                worst_spread, worst_name = spread, names[j]
         if worst_spread > eps_cauchy:
             complete = False
             end_map.append(None)
-            end_info.append({
-                "status": "diverges",
-                "worst_coordinate": worst_name,
-                "spread": worst_spread,
-            })
+            end_info.append({"status": "diverges", "worst_coordinate":
+                             worst_name, "spread": worst_spread})
             continue
         ql = _quantize(limit, eps_q)
         new = len(ids)
@@ -194,18 +185,18 @@ def close_and_cluster(cloud, eps_q=DEFAULT_EPS_Q,
             "limit": tuple(ql.tolist()), "spread": worst_spread,
             "shells": len(shells)})
 
-    quant = _key_rows(ids, np.int64, cloud.values.shape[1])
-    induced = _induced_graph(quant, cloud.h_count)
+    quant = _key_rows(ids, np.int64, width)
+    del ids  # its keys are a second copy of quant
     return Compactification(
-        cloud=cloud, eps_q=eps_q, eps_cauchy=eps_cauchy, n_core=n_core,
-        quant=quant, sample_map=sample_map, induced=induced,
-        end_map=tuple(end_map), end_info=tuple(end_info), complete=complete,
-    )
+        entry=entry, family=family, sample=sample, eps_q=eps_q,
+        eps_cauchy=eps_cauchy, n_core=n_core, quant=quant,
+        sample_map=sample_map, induced=_induced_graph(quant, len(family.h)),
+        end_map=tuple(end_map), end_info=tuple(end_info), complete=complete)
 
 
 def _verify_samples(comp):
     """Verify's sorted samples: core representatives, a stride subsample."""
-    n = comp.cloud.n_samples
+    n = len(comp.sample.coords)
     reps = comp.representatives()[:comp.n_core]
     return reps, np.arange(0, n, max(1, -(-n // min(VERIFY_RESOLUTION, n))))
 
@@ -231,7 +222,7 @@ def verify_preorder_embedding(comp, samples, relations) -> CheckReport:
     restricted to their vertices: the space relation's words less those
     are popcounted.  Pass iff each violation rate is at most DELTA_EMBED.
     """
-    coords, graph, n_core = comp.cloud.sample.coords, comp.induced, comp.n_core
+    coords, graph, n_core = comp.sample.coords, comp.induced, comp.n_core
     (reps, idx), (rel, sub_rel) = samples, relations
     diff = _core_diff(rel, graph, n_core)
     pairs = n_core * n_core
@@ -294,7 +285,7 @@ def _domination_report(comp2, comp1, vertex_map) -> CheckReport:
     witness = None
     if not same_samples:
         i = int(np.argmax(vm[comp2.sample_map] != comp1.sample_map))
-        witness = (i, tuple(comp2.cloud.sample.coords[i].tolist()))
+        witness = (i, tuple(comp2.sample.coords[i].tolist()))
     commutes = Check("commutes_on_samples", same_samples, witness=witness)
 
     bad = _first_set(comp2.induced.packed & ~comp1.induced.restrict(vm).packed)
@@ -311,19 +302,21 @@ def _domination_report(comp2, comp1, vertex_map) -> CheckReport:
 
 
 def _family_label(comp):
-    return f"{comp.cloud.entry.name}[H={','.join(comp.cloud.family.h_names())}]"
+    return f"{comp.entry.name}[H={','.join(f.name for f in comp.family.h)}]"
 
 
 def _require_same_samples(comp_a, comp_b):
-    a, b = comp_a.cloud.sample.coords, comp_b.cloud.sample.coords
+    a, b = comp_a.sample.coords, comp_b.sample.coords
     if len(a) != len(b):
         raise DominationError(f"builds sample different point sets "
                               f"({len(a)} vs {len(b)} samples)")
-    if not np.array_equal(a, b):
-        i, p, q = next((i, p, q) for i, (p, q) in enumerate(
-            zip(a.tolist(), b.tolist())) if p != q)
-        raise DominationError(f"builds sample different point sets "
-                              f"(sample {i} at {tuple(p)} vs {tuple(q)})")
+    # points of other dimensions differ from the first sample on
+    differ = (a != b).any(axis=1) if a.shape == b.shape else [True]
+    if np.any(differ):
+        i = int(np.argmax(differ))
+        raise DominationError(f"builds sample different point sets (sample "
+                              f"{i} at {tuple(a[i].tolist())} vs "
+                              f"{tuple(b[i].tolist())})")
 
 
 def dominate(comp2, comp1) -> DominationMap:
@@ -465,10 +458,10 @@ def extendability(entry, comp, f) -> ExtendabilityResult:
     if f.monotone != "isotone":
         raise ValueError(f"{f.name} is not tagged isotone")
     eps = comp.eps_cauchy
-    vals = f.evaluate(comp.cloud.sample.coords)
+    vals = f.evaluate(comp.sample.coords)
 
     end_limits = {}
-    for end, shells in enumerate(comp.cloud.sample.tails):
+    for end, shells in enumerate(comp.sample.tails):
         spread, end_limits[end] = _tail_limit(f, vals, shells)
         if not spread <= eps:  # a NaN spread fails too
             return ExtendabilityResult(
@@ -477,9 +470,8 @@ def extendability(entry, comp, f) -> ExtendabilityResult:
 
     extension = {}
     core_mean = np.zeros(comp.n_vertices)
-    counts = np.zeros(comp.n_vertices)
     np.add.at(core_mean, comp.sample_map, vals)
-    np.add.at(counts, comp.sample_map, 1.0)
+    counts = np.bincount(comp.sample_map, minlength=comp.n_vertices)
     with np.errstate(invalid="ignore"):
         core_mean = np.where(counts > 0, core_mean / np.maximum(counts, 1), 0.0)
 
@@ -497,9 +489,8 @@ def extendability(entry, comp, f) -> ExtendabilityResult:
                 f"{f.name}: {extension[vid]:.4f} vs {lim:.4f}")
         extension.setdefault(vid, lim)
 
-    full = core_mean.copy()
-    for vid, value in extension.items():
-        full[vid] = value
+    full = core_mean  # the core means, then each remainder vertex's limit
+    full[list(extension)] = list(extension.values())
     # a compare with NaN is no break: NaN is -inf as a value, +inf as a bound
     bad = _first_set(comp.induced.packed & ~_packed_leq(
         np.nan_to_num(full, nan=-np.inf)[None],
@@ -569,8 +560,8 @@ def nachbin_pipeline(entry, family,
     checks an order isomorphism matching sample projections vertex-for-vertex.
     """
     q_entry, project = entry.quotient_data()
-    comp_a, comp_b = (close_and_cluster(embed(e, family, *sample_values(
-        e.space, family, resolution, DEFAULT_TAIL_DEPTH)))
+    comp_a, comp_b = (close_and_cluster(e, family, *sample_values(
+        e.space, family, resolution, DEFAULT_TAIL_DEPTH))
         for e in (entry, q_entry))
     checks = [Check(f"path_{path}_complete", comp.complete,
                     witness=None if comp.complete else comp.end_info)
@@ -617,9 +608,9 @@ def nachbin_pipeline(entry, family,
 
     index_map = classes.index_map()
     b_coords = {tuple(row): i
-                for i, row in enumerate(comp_b.cloud.sample.coords.tolist())}
+                for i, row in enumerate(comp_b.sample.coords.tolist())}
     proj_witness = None
-    for i, row in enumerate(comp_a.cloud.sample.coords.tolist()):
+    for i, row in enumerate(comp_a.sample.coords.tolist()):
         coords = tuple(row)
         target = project(coords)
         if target not in b_coords:
@@ -639,12 +630,13 @@ def build_compactification(entry, family, resolution=DEFAULT_RESOLUTION,
                            tail_depth=DEFAULT_TAIL_DEPTH,
                            eps_q=DEFAULT_EPS_Q,
                            eps_cauchy=DEFAULT_EPS_CAUCHY):
-    """Full pipeline: validate, embed, close, verify.  (comp, report).
+    """Full pipeline: close, validate, verify.  (comp, report).
 
     The space is sampled and the family evaluated once; validation and
-    the image cloud read the same raw values.  A value outside [0,1] or
-    NaN fails validation's values_in_unit_interval, and embed clips it,
-    so such a family still gets its report.  Validation walks the
+    close_and_cluster read the same raw values, the one copy of them a
+    build holds.  A value outside [0,1] or NaN fails validation's
+    values_in_unit_interval, and close_and_cluster clips it as it reads
+    it, so such a family still gets its report.  Validation walks the
     sample relation in row tiles (memory O(samples * tile), never
     samples^2), and the same pass gathers, as packed rows, the relation
     that verify and the diagnostic read, so the relation is evaluated
@@ -655,8 +647,7 @@ def build_compactification(entry, family, resolution=DEFAULT_RESOLUTION,
     report simply omits it.
     """
     sample, raw = sample_values(entry.space, family, resolution, tail_depth)
-    comp = close_and_cluster(embed(entry, family, sample, raw),
-                             eps_q, eps_cauchy)
+    comp = close_and_cluster(entry, family, sample, raw, eps_q, eps_cauchy)
     samples = _verify_samples(comp)
     validation, relations = validate_family(family, sample, raw, entry.space,
                                             gather=samples)

@@ -122,10 +122,10 @@ def report_payload(comp, report, config=None) -> dict:
     row i has bit j set iff vertex i <= vertex j.
     """
     payload = {
-        "space": comp.cloud.entry.name,
+        "space": comp.entry.name,
         "family": {
-            "h": [f.name for f in comp.cloud.family.h],
-            "c": [f.name for f in comp.cloud.family.c],
+            "h": [f.name for f in comp.family.h],
+            "c": [f.name for f in comp.family.c],
         },
         "parameters": {
             "eps_q": comp.eps_q,
@@ -137,7 +137,7 @@ def report_payload(comp, report, config=None) -> dict:
             "vertices": comp.n_vertices,
             "core": len(comp.core_ids()),
             "remainder": len(comp.remainder_ids()),
-            "samples": comp.cloud.n_samples,
+            "samples": len(comp.sample.coords),
         },
         "remainder": {
             "ids": list(comp.remainder_ids()),

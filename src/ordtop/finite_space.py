@@ -32,7 +32,7 @@ from .report import Check, CheckReport
 CLOPEN_BUDGET = 1 << 22  # clopen increasing sets
 FUNCTION_BUDGET = 2_000_000  # chain-valued isotone functions
 # most values (rows x points) of a build's samples or an isotone function
-# enumeration step; a build traces about 32 bytes a value, 1 GB at the cap
+# enumeration step; a build's traced peak is 24 B a value, 778 MiB at the cap
 VALUE_BUDGET = 1 << 25
 
 

@@ -186,6 +186,6 @@ def test_build_large_kind_traces_the_export(tmp_path):
     for name, _, _, parent, _ in t.spans:
         parents.setdefault(name, set()).add(
             None if parent is None else t.spans[parent][0])
-    for stage in ("catalog.validate", "compactify.embed", "compactify.verify",
-                  "compactify.diagnostic"):
+    for stage in ("catalog.validate", "compactify.close_and_cluster",
+                  "compactify.verify", "compactify.diagnostic"):
         assert "compactify.build" in parents.get(stage, ()), stage

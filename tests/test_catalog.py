@@ -1047,12 +1047,11 @@ def test_an_all_nan_member_validates_without_a_warning():
 def test_validation_memory_stays_within_its_gathered_blocks():
     # tracemalloc sees numpy's buffers; the half-open@20000 build is the
     # largest in use, and no samples^2 array (packed or not) may appear
-    from ordtop.compactify import _verify_samples, close_and_cluster, embed
+    from ordtop.compactify import _verify_samples, close_and_cluster
     entry = catalog("half-open-interval")
     fam = entry.family("id")
     sample, raw = sample_values(entry.space, fam, 20000, 4)
-    gather = _verify_samples(close_and_cluster(embed(entry, fam, sample,
-                                                     raw)))
+    gather = _verify_samples(close_and_cluster(entry, fam, sample, raw))
     tracemalloc.start()
     try:
         report, blocks = validate_family(fam, sample, raw, entry.space,

@@ -36,13 +36,11 @@ from ordtop.compactify import (
     DominationError,
     DominationMap,
     DominationSearch,
-    ImageCloud,
     _tail_limit,
     attempt_domination,
     build_compactification,
     close_and_cluster,
     dominate,
-    embed,
     extendability,
     i_closure,
     nachbin_pipeline,
@@ -73,16 +71,16 @@ def build(space, selector="default", resolution=512, **kw):
     return entry, comp, report
 
 
-def embed_sample(entry, family, resolution, tail_depth=4):
-    """The image cloud of one sample of the entry's space."""
-    return embed(entry, family, *sample_values(entry.space, family,
-                                               resolution, tail_depth))
+def cluster_sample(entry, family, resolution, tail_depth=4, **kw):
+    """close_and_cluster on one sample of the entry's space."""
+    return close_and_cluster(entry, family, *sample_values(
+        entry.space, family, resolution, tail_depth), **kw)
 
 
 def core_relation(entry, comp):
     """The space relation between the core vertices' representatives."""
     reps = comp.representatives()[:comp.n_core]
-    return entry.space.relation_matrix(comp.cloud.sample.coords[reps])
+    return entry.space.relation_matrix(comp.sample.coords[reps])
 
 
 def packed(rel):
@@ -93,7 +91,7 @@ def packed(rel):
 def verify_alone(entry, comp):
     """verify_preorder_embedding on relations evaluated here, not gathered."""
     samples = ordtop.compactify._verify_samples(comp)
-    coords = comp.cloud.sample.coords
+    coords = comp.sample.coords
     relations = [packed(entry.space.relation_matrix(coords[i]))
                  for i in samples]
     return verify_preorder_embedding(comp, samples, relations)
@@ -192,11 +190,10 @@ def test_build_is_deterministic():
 
 def test_vertices_keep_first_occurrence_order():
     entry = catalog("half-open-interval")
-    cloud = embed_sample(entry, entry.family("id"), 64)
-    comp = close_and_cluster(cloud)
+    comp = cluster_sample(entry, entry.family("id"), 64)
     seen = set()
     expect = 0
-    for s in range(cloud.n_samples):
+    for s in range(len(comp.sample.coords)):
         v = comp.sample_map[s]
         if v not in seen:
             assert v == expect
@@ -243,21 +240,24 @@ def test_build_reports_functions_leaving_unit_interval(name, fn):
         comp, report = build_compactification(entry, fam, resolution=64)
     check = report.check("values_in_unit_interval")
     assert not check.passed
-    xs = comp.cloud.sample.coords[:, 0]
+    xs = comp.sample.coords[:, 0]
     assert check.witness == (name, (xs[xs > 0.5].min(),))
-    assert ((comp.cloud.values >= 0.0) & (comp.cloud.values <= 1.0)).all()
+    top = round(1 / comp.eps_q)
+    assert ((comp.quant >= 0) & (comp.quant <= top)).all()
 
 
 # ------------------------------------------------- induced preorder laws
 
 
 def _grid_cloud(rows, h_count, ends, c_tails):
-    """Image cloud of integer rows / 4, H columns first, then C.
+    """(entry, family, sample, raw) of integer rows / 4, H columns first,
+    then C, raw holding the rows as its columns.
 
     Each end (limit, signs, step, sizes) adds shells after the rows:
     shell k holds sizes[k] samples at limit / 8 + signs * step / 2**k,
-    so the shell means decay geometrically onto limit / 8.  The C
-    members declare tail values c_tails / 4.
+    so the shell means decay geometrically onto limit / 8 (an end at 0
+    or 1 strays outside [0, 1]).  The C members declare tail values
+    c_tails / 4.
     """
     h = tuple(ScalarFunction(f"h{k}", lambda a: a[:, 0], monotone="isotone")
               for k in range(h_count))
@@ -277,9 +277,8 @@ def _grid_cloud(rows, h_count, ends, c_tails):
         tails.append(tuple(shells))
     sample = SampleSet(np.arange(n, dtype=float)[:, None],
                        np.zeros(n, dtype=int), tuple(tails))
-    names = tuple(f"H:{f.name}" for f in h) + tuple(f"C:{f.name}" for f in c)
-    return ImageCloud(catalog("closed-interval"), FunctionFamily(h, c),
-                      sample, np.concatenate(values), h_count, names)
+    return (catalog("closed-interval"), FunctionFamily(h, c), sample,
+            np.ascontiguousarray(np.concatenate(values).T))
 
 
 @st.composite
@@ -309,23 +308,31 @@ def grid_clouds(draw, min_ends=0):
 
 def _placement_reference(cloud, eps_q, eps_cauchy):
     """(sample_map, quant, n_core, end_map, end_info) of close_and_cluster
-    from a first-occurrence dict of quantized rows as tuples."""
-    def key(row):
-        return tuple(int(q) for q in np.rint(np.asarray(row) / eps_q))
+    from a first-occurrence dict of quantized rows as tuples, every value
+    clipped to [0, 1] (NaN to 0) where it is read."""
+    _, family, sample, raw = cloud
 
+    def clip(values):
+        return np.clip(np.nan_to_num(values), 0.0, 1.0)
+
+    def key(row):
+        return tuple(int(q) for q in np.rint(clip(row) / eps_q))
+
+    names = [f"H:{f.name}" for f in family.h] + \
+        [f"C:{f.name}" for f in family.c]
     ids = {}
-    sample_map = [ids.setdefault(key(row), len(ids)) for row in cloud.values]
+    sample_map = [ids.setdefault(key(row), len(ids)) for row in raw.T]
     n_core = len(ids)
     end_map, end_info = [], []
-    for shells in cloud.sample.tails:
-        spreads, limit = zip(*(_tail_limit(f, cloud.values[:, j], shells)
-                               for j, f in enumerate(cloud.family.members())))
+    for shells in sample.tails:
+        spreads, limit = zip(*(_tail_limit(f, clip(raw[j]), shells)
+                               for j, f in enumerate(family.members())))
         worst = max(spreads)
         if worst > eps_cauchy:
             end_map.append(None)
             end_info.append({
                 "status": "diverges", "spread": worst,
-                "worst_coordinate": cloud.names[spreads.index(worst)]})
+                "worst_coordinate": names[spreads.index(worst)]})
             continue
         ql = key(limit)
         if ql not in ids:
@@ -338,8 +345,7 @@ def _placement_reference(cloud, eps_q, eps_cauchy):
         end_map.append(ids[ql])
         end_info.append({"status": status, "limit": ql, "spread": worst,
                          "shells": len(shells)})
-    quant = np.array(list(ids), dtype=np.int64).reshape(
-        len(ids), cloud.values.shape[1])
+    quant = np.array(list(ids), dtype=np.int64).reshape(len(ids), len(raw))
     return sample_map, quant, n_core, end_map, end_info
 
 
@@ -352,18 +358,22 @@ def _assert_preorder(comp):
 @settings(max_examples=200, deadline=None)
 @given(grid_clouds())
 def test_induced_relation_is_a_preorder_on_integer_clouds(cloud):
-    comp = close_and_cluster(cloud, eps_q=0.25)
+    comp = close_and_cluster(*cloud, eps_q=0.25)
     _assert_preorder(comp)
-    h = comp.quant[:, :cloud.h_count]
+    h = comp.quant[:, :comp.h_count]
     for i in range(comp.n_vertices):
         for j in range(comp.n_vertices):
             assert comp.induced.leq(i, j) == bool((h[i] <= h[j]).all())
 
 
+# a tile of 4 values holds 1 to 4 rows, so the rows span several tiles
+@pytest.mark.parametrize("cells", (1 << 20, 4), ids=("one_tile", "tiles"))
 @settings(max_examples=300, deadline=None)
-@given(grid_clouds(min_ends=1))
-def test_vertices_and_ends_are_placed_as_the_reference_places_them(cloud):
-    comp = close_and_cluster(cloud, eps_q=0.25, eps_cauchy=0.01)
+@given(cloud=grid_clouds(min_ends=1))
+def test_vertices_and_ends_are_placed_as_the_reference_places_them(cells,
+                                                                   cloud):
+    with mock.patch.object(ordtop.compactify, "_TILE_CELLS", cells):
+        comp = close_and_cluster(*cloud, eps_q=0.25, eps_cauchy=0.01)
     sample_map, quant, n_core, end_map, end_info = _placement_reference(
         cloud, 0.25, 0.01)
     assert comp.sample_map.tolist() == sample_map
@@ -374,19 +384,37 @@ def test_vertices_and_ends_are_placed_as_the_reference_places_them(cloud):
     assert comp.end_info == tuple(end_info)
 
 
-def test_close_and_cluster_peaks_below_four_raw_sizes():
-    # the image cloud is one copy of the raw values, the quantized rows a
-    # second and their keys a third; no stage copies them whole again
+def test_close_and_cluster_holds_one_copy_of_the_raw_values():
+    # raw is quantized a row tile at a time, so past raw the peak holds
+    # the quantized rows' keys and quant joined from them; after the
+    # return only quant stays (nat-discrete: one vertex per sample)
     entry = catalog("nat-discrete")
     fam = entry.family("C", 512)
-    sample, raw = sample_values(entry.space, fam, 512, 4)
     tracemalloc.start()
     try:
-        close_and_cluster(embed(entry, fam, sample, raw))
+        sample, raw = sample_values(entry.space, fam, 512, 4)
+        tracemalloc.reset_peak()
+        comp = close_and_cluster(entry, fam, sample, raw)
+        resident, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert comp.n_core == len(sample.coords)
+    assert peak <= 3.3 * raw.nbytes and resident <= 2.1 * raw.nbytes
+
+
+def test_build_peaks_below_three_and_a_third_raw_sizes():
+    # past raw and quant, validation's bounds are the one copy of raw a
+    # build adds; at 1024 samples its packed compare's tiles, whose size
+    # does not grow with the input, stay below a quarter of raw's size
+    entry = catalog("nat-discrete")
+    fam = entry.family("C", 1024)
+    tracemalloc.start()
+    try:
+        comp, _ = build_compactification(entry, fam, resolution=1024)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4 * raw.nbytes
+    assert peak <= 3.3 * 8 * len(fam.members()) * len(comp.sample.coords)
 
 
 @settings(max_examples=15, deadline=None)
@@ -395,9 +423,8 @@ def test_close_and_cluster_peaks_below_four_raw_sizes():
 def test_induced_relation_is_a_preorder_on_catalog_builds(name, resolution,
                                                          eps_q):
     entry = catalog(name)
-    cloud = embed_sample(entry, entry.family("default", resolution),
-                         resolution)
-    _assert_preorder(close_and_cluster(cloud, eps_q=eps_q))
+    _assert_preorder(cluster_sample(entry, entry.family("default", resolution),
+                                    resolution, eps_q=eps_q))
 
 
 @pytest.mark.parametrize("offset", (-1, 0, 1))
@@ -459,7 +486,7 @@ def _assert_condense_matches_quotient_preorder(comp):
 def test_condense_matches_quotient_preorder_on_integer_clouds(cloud):
     # C columns split vertices whose H-parts are equal: non-singleton classes
     _assert_condense_matches_quotient_preorder(
-        close_and_cluster(cloud, eps_q=0.25))
+        close_and_cluster(*cloud, eps_q=0.25))
 
 
 @pytest.mark.parametrize("space,selector", (
@@ -705,7 +732,7 @@ def reference_checker(comp2, comp1):
         witness = None
         if not same_samples:
             i = int(np.argmax(vm[comp2.sample_map] != comp1.sample_map))
-            witness = (i, tuple(comp2.cloud.sample.coords[i].tolist()))
+            witness = (i, tuple(comp2.sample.coords[i].tolist()))
         commutes = Check("commutes_on_samples", same_samples, witness=witness)
         bad = m2 & ~m1[np.ix_(vm, vm)]
         witness = None
@@ -849,7 +876,7 @@ def test_search_rejects_builds_sampling_other_points_of_equal_count():
     comps = [build_compactification(entry, entry.family(sel, 512),
                                     resolution=512, tail_depth=depth)[0]
              for sel, depth in (("id,sq", 5), ("id", 4))]
-    a, b = (comp.cloud.sample.coords.tolist() for comp in comps)
+    a, b = (comp.sample.coords.tolist() for comp in comps)
     assert len(a) == len(b) == 512 and a[0] == b[0] and a[1] != b[1]
     message = (f"builds sample different point sets (sample 1 at "
                f"{tuple(a[1])} vs {tuple(b[1])})")
@@ -1006,14 +1033,14 @@ def test_nan_tail_is_not_cauchy():
 def isotone_oracle(comp, f):
     """extendability's last step as a float compare on the n x n matrix,
     for a function whose tails pass: (extendable, values, reason)."""
-    vals = f.evaluate(comp.cloud.sample.coords)
+    vals = f.evaluate(comp.sample.coords)
     n, eps = comp.n_vertices, comp.eps_cauchy
     counts = np.bincount(comp.sample_map, minlength=n)
     with np.errstate(invalid="ignore"):
         full = np.where(counts > 0, np.bincount(
             comp.sample_map, vals, n) / np.maximum(counts, 1), 0.0)
     extension = {}
-    for shells, vid in zip(comp.cloud.sample.tails, comp.end_map):
+    for shells, vid in zip(comp.sample.tails, comp.end_map):
         if vid >= comp.n_core:
             extension.setdefault(vid, _tail_limit(f, vals, shells)[1])
     for vid, value in extension.items():
@@ -1032,7 +1059,7 @@ def test_a_nan_value_breaks_no_isotonicity(dip):
     # isotonicity, in the packed compare as in the float one; a dip adds
     # real breaks, and the row-major first of them is the witness
     entry, comp, _ = build("half-open-interval", "id", resolution=256)
-    x = comp.cloud.sample.coords[:, 0]
+    x = comp.sample.coords[:, 0]
     nan_at = int(np.argmin(np.abs(x - 0.1)))
 
     def fn(a):  # a is the build's sample, as extendability reads it
@@ -1068,7 +1095,7 @@ def test_i_closure_is_idempotent_and_contains_h():
     again = i_closure(entry, comp, kept)
     assert sorted(f.name for f in again) == sorted(f.name for f in kept)
     # H itself always extends (each member is a coordinate of the build)
-    for f in comp.cloud.family.h:
+    for f in comp.family.h:
         assert extendability(entry, comp, entry.pool[f.name])
 
 
@@ -1238,7 +1265,7 @@ def test_verify_witnesses_are_python_floats():
 def test_verify_witnesses_are_the_first_row_major_violations():
     entry, comp, _ = build("misner-strip", "arc000", resolution=16)
     reps, idx = samples = ordtop.compactify._verify_samples(comp)
-    coords, ind = comp.cloud.sample.coords, comp.induced.matrix
+    coords, ind = comp.sample.coords, comp.induced.matrix
     space_rel = [entry.space.relation_matrix(coords[s]) for s in samples]
     ind_core = ind[:comp.n_core, :comp.n_core]
     i, j = np.argwhere(space_rel[0] != ind_core)[0]
@@ -1261,7 +1288,7 @@ def test_verify_witnesses_are_the_first_row_major_violations():
 
 def reference_verify(comp, samples, relations):
     """verify_preorder_embedding on the induced order's bool matrix."""
-    coords, ind = comp.cloud.sample.coords, comp.induced.matrix
+    coords, ind = comp.sample.coords, comp.induced.matrix
     (reps, idx), (rel, sub_rel) = samples, relations
     ind_core = ind[:comp.n_core, :comp.n_core]
     mism = rel != ind_core
@@ -1310,8 +1337,7 @@ def test_packed_verify_matches_the_matrix_reference(n_core, n_rem, seed,
     idx = np.sort(rng.choice(n_samples, int(rng.integers(0, n_samples + 1)),
                              replace=False))
     comp = SimpleNamespace(
-        cloud=SimpleNamespace(sample=SimpleNamespace(
-            coords=rng.random((n_samples, 2)))),
+        sample=SimpleNamespace(coords=rng.random((n_samples, 2))),
         induced=induced, n_core=n_core, sample_map=sample_map)
     rel = ind[:n_core, :n_core] ^ (rng.random((n_core, n_core)) < flip)
     sub = ind[np.ix_(sample_map[idx], sample_map[idx])]
@@ -1343,7 +1369,7 @@ def test_build_verifies_from_the_validation_relation(space, monkeypatch):
         comp, report = build_compactification(entry, fam, resolution=256)
         # validation's row tiles are the only relation calls: they cover
         # every sample once, each against all samples
-        n = comp.cloud.n_samples
+        n = len(comp.sample.coords)
         assert calls and sum(rows for rows, _ in calls) == n
         assert all(cols == n for _, cols in calls)
         # the gathered relation gives what verify's own relation gives
@@ -1391,7 +1417,7 @@ def test_build_memory_stays_below_one_samples_squared_matrix():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert report.passed and comp.cloud.n_samples == 8000
+    assert report.passed and len(comp.sample.coords) == 8000
     assert peak < 8000 * 8000  # one samples x samples boolean matrix
 
 

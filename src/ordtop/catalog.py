@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .finite_space import VALUE_BUDGET, BudgetError
-from .preorder import _TILE_CELLS, _first_set, _or_columns, _pack_rows
+from .preorder import _TILE_CELLS, _first_set, _or_columns, _pack_rows, \
+    _unpack_rows
 from .report import Check, CheckReport
 
 TWO_PI = 2.0 * math.pi
@@ -27,8 +28,7 @@ TAIL_SHELL_BASE = 7
 
 # samples per column block of validation's bit-space pass, a multiple of
 # 64: a block's rank table takes _BLOCK**2 / 8 bytes and its packed rows
-# samples * _BLOCK / 8; below 4,096 columns the interval spaces' relation
-# tiles (a broadcast compare) run about 6x slower per cell
+# samples * _BLOCK / 8; the H part's tables are built once per block
 _BLOCK = 4096
 
 # relative distance from a factored Misner bound below which a cell is
@@ -42,7 +42,7 @@ MIN_AGREEMENT = 0.99  # share of sampled pairs where H induces the relation
 # largest resolution a build may sample: validation is samples^2 in time,
 # and misner-strip keeps about one vertex per sample with an n^2 relation
 # (its build at 8,192 peaks near 300 MB); half-open-interval@20000, the
-# largest build in use, validates in about 0.1 s
+# largest build in use, validates in about 0.05 s
 SAMPLE_BUDGET = 20_000
 # most tail shells per end: half-open-interval's shell at level 6 + T is
 # 1 - 0.6 * 2**-(6 + T), which at T = 47 rounds onto the shell before it
@@ -123,7 +123,9 @@ class SampledSpace:
 
     relation_matrix(coords, other=None) is the boolean block whose entry
     (i, j) is coords[i] <= other[j]; other defaults to coords (square).
-    Subclasses give it as _block(p, q) on (rows, dim) and (cols, dim).
+    A subclass gives it as _keys(coords), (k, n) floats with p <= q iff
+    each key of p is at most q's, which validation compares in bit space,
+    or else as _block(p, q) on (rows, dim) and (cols, dim).
     """
 
     name = ""
@@ -137,28 +139,30 @@ class SampledSpace:
     def relation_matrix(self, coords, other=None) -> np.ndarray:
         return self._block(coords, coords if other is None else other)
 
+    def _keys(self, coords):
+        return None
+
     def _block(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        return (self._keys(p)[:, :, None] <= self._keys(q)[:, None, :]) \
+            .all(axis=0)
 
     def sample(self, resolution: int, tail_depth: int) -> SampleSet:
         raise NotImplementedError
 
 
-def _sample_set(points, n_ends):
-    """SampleSet of (row, level, end) triples; end -1 marks the core.
-
-    Each end's tail points are grouped into shells by level, shallow first.
-    """
-    shells = [{} for _ in range(n_ends)]
-    for idx, (_, level, end) in enumerate(points):
-        if end >= 0:
-            shells[end].setdefault(level, []).append(idx)
-    return SampleSet(
-        np.array([p[0] for p in points], dtype=float),
-        np.array([p[1] for p in points], dtype=int),
-        tuple(tuple(tuple(by_level[k]) for k in sorted(by_level))
-              for by_level in shells),
-    )
+def _sample_set(coords, levels, ends, n_ends):
+    """SampleSet of coordinate rows with their levels and ends; end -1
+    marks the core.  Each end's tail points are grouped into shells by
+    level, shallow first, in sample order within a shell."""
+    levels, ends = np.asarray(levels, dtype=int), np.asarray(ends)
+    tails = []
+    for end in range(n_ends):
+        idx = np.flatnonzero(ends == end)
+        idx = idx[np.argsort(levels[idx], kind="stable")]
+        cuts = np.flatnonzero(np.diff(levels[idx])) + 1
+        tails.append(tuple(tuple(shell.tolist())
+                           for shell in np.split(idx, cuts) if len(shell)))
+    return SampleSet(np.asarray(coords, dtype=float), levels, tuple(tails))
 
 
 def _near(values, centres, widths):
@@ -181,20 +185,19 @@ class HalfOpenInterval(SampledSpace):
     dim = 1
     ends = 1
 
-    def _block(self, p, q):
-        return p[:, None, 0] <= q[None, :, 0]
+    def _keys(self, coords):
+        return coords.T
 
     def sample(self, resolution, tail_depth):
-        pts = []
         core = np.linspace(0.0, 1.0 - 2.0 ** -TAIL_SHELL_BASE,
                            resolution - tail_depth, endpoint=False)
-        for x in core:
-            level = 0 if x <= 0.5 else int(-math.log2(1.0 - x))
-            pts.append(((float(x),), level, -1))
-        for k in range(TAIL_SHELL_BASE, TAIL_SHELL_BASE + tail_depth):
-            x = 1.0 - 0.6 * 2.0 ** -k
-            pts.append(((x,), k, 0))
-        return _sample_set(pts, self.ends)
+        shells = np.arange(TAIL_SHELL_BASE, TAIL_SHELL_BASE + tail_depth)
+        levels = [0 if x <= 0.5 else int(-math.log2(1.0 - x))
+                  for x in core.tolist()]
+        return _sample_set(
+            np.concatenate([core, 1.0 - 0.6 * 2.0 ** -shells])[:, None],
+            levels + shells.tolist(), [-1] * len(core) + [0] * tail_depth,
+            self.ends)
 
 
 class ClosedInterval(SampledSpace):
@@ -204,11 +207,11 @@ class ClosedInterval(SampledSpace):
     dim = 1
     ends = 0
 
-    _block = HalfOpenInterval._block  # the standard order, as on [0,1)
+    _keys = HalfOpenInterval._keys  # the standard order, as on [0,1)
 
     def sample(self, resolution, tail_depth):
-        xs = np.linspace(0.0, 1.0, resolution)
-        return _sample_set([((float(x),), 0, -1) for x in xs], self.ends)
+        return _sample_set(np.linspace(0.0, 1.0, resolution)[:, None],
+                           np.zeros(resolution), (), self.ends)
 
 
 class NaturalsDiscrete(SampledSpace):
@@ -218,15 +221,14 @@ class NaturalsDiscrete(SampledSpace):
     dim = 1
     ends = 1
 
-    def _block(self, p, q):
-        return p[:, None, 0] == q[None, :, 0]
+    def _keys(self, coords):
+        return np.concatenate([coords.T, -coords.T])
 
     def sample(self, resolution, tail_depth):
-        pts = []
-        for n in range(resolution):
-            end = 0 if n >= resolution - tail_depth else -1
-            pts.append(((float(n),), n, end))
-        return _sample_set(pts, self.ends)
+        n = np.arange(resolution)
+        return _sample_set(n[:, None], n,
+                           np.where(n >= resolution - tail_depth, 0, -1),
+                           self.ends)
 
 
 class RealLineMirror(SampledSpace):
@@ -236,8 +238,8 @@ class RealLineMirror(SampledSpace):
     dim = 1
     ends = 2  # +inf and -inf; every C function ends up merging them
 
-    def _block(self, p, q):
-        return np.abs(q[None, :, 0]) <= np.abs(p[:, None, 0])
+    def _keys(self, coords):
+        return -np.abs(coords.T)
 
     def sample(self, resolution, tail_depth):
         return _mirror_sample(resolution, tail_depth, (1.0, -1.0))
@@ -251,8 +253,8 @@ class MirrorRay(SampledSpace):
     dim = 1
     ends = 1
 
-    def _block(self, p, q):
-        return q[None, :, 0] <= p[:, None, 0]
+    def _keys(self, coords):
+        return -coords.T
 
     def sample(self, resolution, tail_depth):
         return _mirror_sample(resolution, tail_depth, (1.0,))
@@ -261,14 +263,17 @@ class MirrorRay(SampledSpace):
 def _mirror_sample(resolution, tail_depth, signs):
     """The mirror line's sample on the given signs: each core magnitude
     once per sign (0 once), and one end per sign."""
-    pts = []
     half = max(2, (resolution - 2 * tail_depth + 1) // 2)
-    for m in np.linspace(0.0, 96.0, half):
-        level = 0 if m < 1.0 else int(math.log2(m))
-        pts += [((float(s * m),), level, -1) for s in signs if s > 0 or m > 0]
-    for k in range(TAIL_SHELL_BASE, TAIL_SHELL_BASE + tail_depth):
-        pts += [((s * 1.5 * 2.0 ** k,), k, end) for end, s in enumerate(signs)]
-    return _sample_set(pts, len(signs))
+    core = np.linspace(0.0, 96.0, half)
+    shells = np.arange(TAIL_SHELL_BASE, TAIL_SHELL_BASE + tail_depth)
+    x = np.concatenate([core, 1.5 * 2.0 ** shells])[:, None] * signs
+    keep = ((x != 0) | (np.array(signs) > 0)).ravel()  # -0.0 goes
+    levels = [0 if m < 1.0 else int(math.log2(m)) for m in core.tolist()]
+    ends = np.where(np.arange(len(x))[:, None] < half, -1,
+                    np.arange(len(signs)))
+    return _sample_set(x.ravel()[keep, None],
+                       np.repeat(levels + shells.tolist(), len(signs))[keep],
+                       ends.ravel()[keep], len(signs))
 
 
 class MisnerStrip(SampledSpace):
@@ -323,19 +328,17 @@ class MisnerStrip(SampledSpace):
         n_theta = max(8, int(round(math.sqrt(resolution))))
         n_rows = max(2, int(round(resolution / n_theta)))
         thetas = np.arange(n_theta) * TWO_PI / n_theta
-        pts = []
         t_lo = 1.05 * 2.0 ** -TAIL_SHELL_BASE
         core_t = np.exp(np.linspace(0.0, math.log(t_lo),
                                     max(2, n_rows - tail_depth)))
-        for t in core_t:
-            level = max(0, int(-math.log2(t)))
-            for th in thetas:
-                pts.append(((float(t), float(th)), level, -1))
-        for k in range(TAIL_SHELL_BASE, TAIL_SHELL_BASE + tail_depth):
-            t = 0.6 * 2.0 ** -k
-            for th in thetas:
-                pts.append(((t, float(th)), k, 0))
-        return _sample_set(pts, self.ends)
+        shells = np.arange(TAIL_SHELL_BASE, TAIL_SHELL_BASE + tail_depth)
+        levels = [max(0, int(-math.log2(t))) for t in core_t.tolist()]
+        t = np.concatenate([core_t, 0.6 * 2.0 ** -shells])
+        return _sample_set(
+            np.column_stack([np.repeat(t, n_theta), np.tile(thetas, len(t))]),
+            np.repeat(levels + shells.tolist(), n_theta),
+            np.repeat([-1] * len(core_t) + [0] * tail_depth, n_theta),
+            self.ends)
 
 
 # ------------------------------------------------------------- functions
@@ -593,26 +596,29 @@ def _packed_leq(values, bounds):
 
     values is (k, n) and bounds (k, w); the result is (n, ceil(w / 64))
     '<u8', bit j of row i being bit j % 64 of word j // 64.  The package's
-    rank-bitset kernel (Tan, Eng & Ooi, VLDB 2001), for validation's column
-    blocks, close_and_cluster's quantized H-part (as values and bounds) and
-    extendability's isotone compare.  A member whose bounds take d distinct
-    non-NaN values gets d + 1 table rows: row t holds the columns whose
-    bound is among the t largest, so {j : v <= b_j} is row
-    d - searchsorted(distinct bounds, v, "left"), the compare bit for bit; a
-    NaN bound is in no row, a NaN value takes the empty row 0.  Members are
-    ranked by one argsort per _TILE_CELLS // 64 bounds, their tables built
-    (_rank_tables) at the group's largest height in batches of at most
-    _TILE_CELLS // 8 words, values' rows included, and ANDed in row tiles of
-    _TILE_CELLS // 32 words.  With no members every column's bit is set.
+    rank-bitset kernel (Tan, Eng & Ooi, VLDB 2001), for validation, the
+    quantized H-part and extendability: tables over the bounds, then a
+    lookup of the values.  With no members every column's bit is set.
     """
     k, w = bounds.shape
-    n, words = values.shape[1], -(-w // 64)
     if not (k and w):  # no members: every column
-        return np.repeat(_pack_rows(np.ones((1, w), dtype=bool), words), n,
-                         axis=0)
-    out = None  # the first member's rows, made once its table is built
-    step = max(1, _TILE_CELLS // 32 // words)
-    scratch = np.empty((min(step, n), words), dtype="<u8")
+        return np.repeat(_pack_rows(np.ones((1, w), dtype=bool), -(-w // 64)),
+                         values.shape[1], axis=0)
+    return _leq_lookup(_leq_tables(bounds, values.shape[1]), values)
+
+
+def _leq_tables(bounds, n):
+    """The kernel's tables over the (k, w) bounds, yielded per batch of
+    members as (members, tables, top, distinct).  A member whose bounds
+    take d distinct non-NaN values gets d + 1 rows: row t holds the columns
+    whose bound is among the t largest, so {j : v <= b_j} is row top[l] -
+    distinct[l].searchsorted(v) of the batch's member l; a NaN bound is in
+    no row, a NaN value takes the empty row 0.  Members are ranked by one
+    argsort per _TILE_CELLS // 64 bounds, their tables built at the group's
+    largest height in batches of _TILE_CELLS // 8 words with n values'
+    rows."""
+    k, w = bounds.shape
+    words = -(-w // 64)
     width = max(1, _TILE_CELLS // 64 // w)
     for g in range(0, k, width):
         b = np.ascontiguousarray(bounds[g:g + width])
@@ -621,28 +627,36 @@ def _packed_leq(values, bounds):
         new = ranked == ranked  # the first position of each distinct bound
         new[:, 1:] &= ranked[:, 1:] != ranked[:, :-1]
         start = np.cumsum(new, axis=1)  # distinct bounds up to a position
-        d = start[:, -1:].copy()
+        d = start[:, -1].copy()
         height = int(d.max()) + 1
-        np.subtract(d + 1, start, out=start)  # a bound's first row
+        np.subtract(d[:, None] + 1, start, out=start)  # a bound's first row
         start[ranked != ranked] = height  # NaN: past the table, in no row
-        # a member's table words and its values' rows
         batch = max(1, _TILE_CELLS // 8 // (height * words + n))
         for lo in range(0, len(b), batch):
-            hi = min(lo + batch, len(b))
-            tables = _rank_tables(order[lo:hi], start[lo:hi], height, words)
-            v = np.ascontiguousarray(values[g + lo:g + hi])
-            rows = np.empty(v.shape, dtype=np.intp)  # each value's table row
-            for l, m in enumerate(range(lo, hi)):
-                np.subtract(d[m, 0] + l * height,
-                            ranked[m, new[m]].searchsorted(v[l]), out=rows[l])
-            if out is None:
-                out, rows = tables.take(rows[0], axis=0), rows[1:]
-            for r0 in range(0, n, step):
-                tile = out[r0:r0 + step]
-                part = scratch[:len(tile)]
-                for member in rows[:, r0:r0 + step]:
-                    np.take(tables, member, axis=0, out=part, mode="clip")
-                    tile &= part
+            part = slice(lo, min(lo + batch, len(b)))
+            yield (slice(g + lo, g + part.stop),
+                   _rank_tables(order[part], start[part], height, words),
+                   d[part] + height * np.arange(len(d[part])),
+                   list(map(np.compress, new[part], ranked[part])))
+
+
+def _leq_lookup(batches, values):
+    """The AND of the table rows that the batches' members take for their
+    rows of values, in row tiles of _TILE_CELLS // 32 words."""
+    out = None
+    for members, tables, top, distinct in batches:
+        rows = top[:, None] - np.array(  # each value's table row
+            list(map(np.searchsorted, distinct, values[members])))
+        if out is None:
+            out, rows = tables.take(rows[0], axis=0), rows[1:]
+        step = max(1, _TILE_CELLS // 32 // out.shape[1])
+        scratch = np.empty((min(step, len(out)), out.shape[1]), dtype="<u8")
+        for r0 in range(0, len(out), step):
+            tile = out[r0:r0 + step]
+            part = scratch[:len(tile)]
+            for member in rows[:, r0:r0 + step]:
+                np.take(tables, member, axis=0, out=part, mode="clip")
+                tile &= part
     return out
 
 
@@ -662,6 +676,14 @@ def _breakable(raw, bounds, isotone):
         < np.fmax.reduce(bounds, axis=1, initial=-np.inf))
 
 
+def _ids(ids, offset):
+    """Sorted unique ids less offset, as the slice they are when they run
+    consecutively, so that a gather of them is a view."""
+    if len(ids) and ids[-1] - ids[0] == len(ids) - 1:
+        return slice(ids[0] - offset, ids[-1] - offset + 1)
+    return ids - offset
+
+
 def validate_family(family, sample, raw, space, gather=()):
     """Check tags on samples and that the H-part represents the relation.
 
@@ -670,11 +692,13 @@ def validate_family(family, sample, raw, space, gather=()):
     comparison over all sampled pairs passes at MIN_AGREEMENT.  The
     samples are walked in column blocks of _BLOCK: per block the H-part's
     relation is built as packed rows (_packed_leq), and the space
-    relation is evaluated in row tiles of _TILE_CELLS // _BLOCK samples
-    against the block, packed and XORed with those rows, so memory stays
-    O(n * _BLOCK).  A tag's pass compares only members that some pair
-    could break.  Returns the report and, for each sorted index array in
-    gather, the relation among those samples as packed '<u8' rows.
+    relation's packed rows in row tiles of _TILE_CELLS // _BLOCK samples
+    (a key space's looked up in its keys' tables over the block, another's
+    packed from relation_matrix) are XORed with those rows, so memory
+    stays O(n * _BLOCK).  A tag's pass compares only members that some
+    pair could break, on the tile unpacked.  Returns the report and, for
+    each sorted index array in gather, the relation among those samples as
+    packed '<u8' rows.
     """
     coords, levels = sample.coords, sample.levels
     members, n_h, n = family.members(), len(family.h), len(coords)
@@ -714,22 +738,30 @@ def validate_family(family, sample, raw, space, gather=()):
     blocks = [np.zeros((len(s), -(-len(s) // 64)), dtype="<u8")
               for s in gather]
     step = max(1, _TILE_CELLS // max(min(_BLOCK, n), 1))
+    keys = space._keys(coords)
     for c0 in range(0, n, _BLOCK):
         cols = slice(c0, c0 + _BLOCK)
         w = min(_BLOCK, n - c0)
         words = -(-w // 64)
+        # before h_bits, so that the tables' transient copies are gone
+        tables = keys is not None and list(_leq_tables(keys[:, cols], step))
         h_bits = _packed_leq(raw[:n_h], bounds[:n_h, cols]) if n_h else None
-        spans = [np.searchsorted(s, (c0, c0 + w)) for s in gather]
+        spans = [(lo, _ids(s[lo:hi], c0)) for s in gather
+                 for lo, hi in [np.searchsorted(s, (c0, c0 + w))]]
         for start in range(0, n, step):
             rows = slice(start, start + step)
-            rel = space.relation_matrix(coords[rows], coords[cols])
-            for s, (clo, chi), block in zip(gather, spans, blocks):
-                lo, hi = np.searchsorted(s, (start, start + step))
-                _or_columns(block[lo:hi], clo,
-                            rel.take(s[lo:hi] - start, axis=0)
-                            .take(s[clo:chi] - c0, axis=1))
-            if n_h:  # where the H-induced relation differs from rel
+            if not tables:
+                rel = space.relation_matrix(coords[rows], coords[cols])
                 rel_bits = _pack_rows(rel, words)
+            else:  # the bool tile is unpacked only if a tag pass reads it
+                rel, rel_bits = None, _leq_lookup(tables, keys[:, rows])
+            for s, (clo, cids), block in zip(gather, spans, blocks):
+                lo, hi = np.searchsorted(s, (start, start + step))
+                rids = _ids(s[lo:hi], start)
+                got = _unpack_rows(rel_bits[rids], w) if rel is None \
+                    else rel[rids]
+                _or_columns(block[lo:hi], clo, got[:, cids])
+            if n_h:  # where the H-induced relation differs from rel
                 diff = rel_bits ^ h_bits[rows]
                 wrong = int(np.bitwise_count(diff).sum(dtype=np.int64))
                 disagreements += wrong
@@ -737,7 +769,8 @@ def validate_family(family, sample, raw, space, gather=()):
                     i, j = _first_set(diff)
                     first_diff = min(first_diff or (n,), (
                         start + i, c0 + j,
-                        "missing" if rel[i, j] else "induced"))
+                        "missing" if int(rel_bits[i, j >> 6]) >> (j & 63) & 1
+                        else "induced"))
                 # an H member breaks its tag only where H misses a related
                 # pair: v_i > v_j + eps implies not v_i <= v_j + eps
                 missing = wrong and (rel_bits & diff).any()
@@ -748,6 +781,8 @@ def validate_family(family, sample, raw, space, gather=()):
                 if m < n_h and not missing or \
                         first_bad.get(m, (n,))[0] <= start:
                     continue
+                if rel is None:
+                    rel = _unpack_rows(rel_bits, w)
                 broken = np.greater if members[m].monotone == "isotone" \
                     else np.less
                 bad = broken(raw[m, rows, None], bounds[m, cols])
@@ -757,7 +792,7 @@ def validate_family(family, sample, raw, space, gather=()):
                     first_bad[m] = min(first_bad.get(m, (n,)),
                                        (start + i, c0 + j))
                     limit = m + 1
-        del h_bits  # before the next block's rows are built
+        del tables, h_bits  # before the next block's are built
 
     if first_bad:
         m = min(first_bad)

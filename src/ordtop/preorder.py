@@ -156,11 +156,19 @@ class PreorderGraph:
 
     def restrict(self, idx) -> "PreorderGraph":
         """The graph on len(idx) points, i <= j iff idx[i] <= idx[j] (ids
-        may repeat), packed from the words of a tile of rows at a time."""
+        may repeat), packed from the words of a tile of rows at a time, or
+        for ids 0..m-1 in order (two O(1) tests first) the leading block."""
         idx = np.asarray(idx, dtype=np.intp)
-        out = np.empty((len(idx), -(-len(idx) // 64)), dtype=_WORD)
+        m = len(idx)
+        out = np.empty((m, -(-m // 64)), dtype=_WORD)
+        if m and not idx[0] and idx[-1] == m - 1 and \
+                (np.diff(idx) == 1).all():
+            out[:] = self.packed[:m, :out.shape[1]]
+            if m % 64:
+                out[:, -1] &= np.uint64((1 << m % 64) - 1)
+            return PreorderGraph.from_packed(out)
         step = max(1, _TILE_CELLS // max(self.n, 1))
-        for r0 in range(0, len(idx), step):
+        for r0 in range(0, m, step):
             out[r0:r0 + step] = _pack_rows(_unpack_rows(
                 self.packed[idx[r0:r0 + step]], self.n).take(idx, axis=1),
                 out.shape[1])

@@ -24,6 +24,7 @@ from ordtop.catalog import (
     MirrorRay,
     MisnerStrip,
     SampleSet,
+    SampledSpace,
     ScalarFunction,
     TAIL_SHELL_BASE,
     _window_integral,
@@ -772,7 +773,7 @@ def _validate_with(family, sample, raw, space, eps_fn, min_agreement,
         return validate_family(family, sample, raw, space, gather)
 
 
-class _TableSpace:
+class _TableSpace(SampledSpace):
     """A space over sample indices whose relation is a given bool table."""
 
     def __init__(self, table):
@@ -1061,6 +1062,119 @@ def test_validation_memory_stays_within_its_gathered_blocks():
         tracemalloc.stop()
     assert report.passed
     assert peak <= sum(b.nbytes for b in blocks) + (16 << 20)
+
+
+# ------------------------------------------------------------ key spaces
+
+# each key space's order as the broadcast compare it was written as
+# before it became keys
+_KEY_ORDERS = {
+    "half-open-interval": lambda p, q: p[:, None, 0] <= q[None, :, 0],
+    "closed-interval": lambda p, q: p[:, None, 0] <= q[None, :, 0],
+    "real-line-mirror": lambda p, q: (np.abs(q[None, :, 0])
+                                      <= np.abs(p[:, None, 0])),
+    "mirror-ray": lambda p, q: q[None, :, 0] <= p[:, None, 0],
+    "nat-discrete": lambda p, q: p[:, None, 0] == q[None, :, 0],
+}
+
+
+def _key_space(name):
+    return MirrorRay() if name == "mirror-ray" else catalog(name).space
+
+
+@st.composite
+def _key_points(draw):
+    """A key space and two coordinate arrays: ties, +-0.0, +-inf and NaN,
+    and points of the space's own sample."""
+    name = draw(st.sampled_from(sorted(_KEY_ORDERS)))
+    own = _key_space(name).sample(draw(st.integers(2, 70)), 2).coords[:, 0]
+    values = st.sampled_from((0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 3.0, np.inf,
+                              -np.inf, np.nan)) | st.sampled_from(own)
+    p, q = (np.array(draw(st.lists(values, max_size=70)), dtype=float)
+            .reshape(-1, 1) for _ in range(2))
+    return name, p, q
+
+
+@settings(max_examples=300, deadline=None)
+@given(_key_points())
+def test_key_spaces_keep_their_broadcast_orders(drawn):
+    name, p, q = drawn
+    space = _key_space(name)
+    want = _KEY_ORDERS[name](p, q)
+    assert np.array_equal(space.relation_matrix(p, q), want)
+    # validation's packed rows: the kernel's tables of q's keys, looked up
+    # with p's
+    assert np.array_equal(
+        catalog_module._packed_leq(space._keys(p), space._keys(q)),
+        packed(want))
+
+
+def test_key_spaces_keep_their_orders_on_their_samples():
+    for name, order in _KEY_ORDERS.items():
+        space = _key_space(name)
+        coords = space.sample(700, 4).coords
+        want = order(coords, coords)
+        assert np.array_equal(space.relation_matrix(coords), want)
+        assert np.array_equal(catalog_module._packed_leq(
+            space._keys(coords), space._keys(coords)), packed(want))
+
+
+class _KeySpace(SampledSpace):
+    """A space over sample indices ordered by given (k, n) keys."""
+
+    def __init__(self, keys):
+        self.keys = keys
+
+    def _keys(self, coords):
+        return self.keys[:, coords[:, 0].astype(int)]
+
+
+def _runs(n):
+    """Sorted gathers that run: all samples, a middle run, one sample."""
+    return (np.arange(n), np.arange(n // 3, n // 2), np.arange(n - 1, n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_blocked_inputs(), st.integers(1, 2), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from((64, 128)), st.sampled_from((64, 200, 1 << 20)))
+def test_key_space_validation_matches_the_reference_pass(args, k, seed,
+                                                         block, cells):
+    # the reference pass evaluates the key order as a bool tile; keys from
+    # the tie/NaN/inf palette, or the first H member's values, so that H
+    # often agrees with the relation and the tag passes run
+    family, sample, raw, _, eps, min_agreement, gather = args
+    n = len(sample.coords)
+    rng = np.random.default_rng(seed)
+    keys = _palette(eps)[rng.integers(0, 10, (k, n))]
+    if family.h and rng.random() < 0.5:
+        keys[0] = raw[0]
+    args = (family, sample, raw, _KeySpace(keys), eps, min_agreement,
+            gather + _runs(n))
+    with mock.patch.object(catalog_module, "_BLOCK", block), \
+            mock.patch.object(catalog_module, "_TILE_CELLS", cells), \
+            np.errstate(invalid="ignore"):
+        got, got_blocks = _validate_with(*args)
+        want, want_blocks = _reference_tile_validation(*args)
+    assert repr(got.to_dict()) == repr(want.to_dict())
+    for a, b in zip(got_blocks, want_blocks, strict=True):
+        assert np.array_equal(a, packed(b))
+
+
+@pytest.mark.parametrize("space", ("half-open-interval", "misner-strip"))
+def test_gathered_runs_equal_the_matrix_blocks(space, monkeypatch):
+    # runs, strides and no ids, across column blocks and row tiles
+    monkeypatch.setattr(catalog_module, "_BLOCK", 128)
+    monkeypatch.setattr(catalog_module, "_TILE_CELLS", 128 * 37)
+    entry = catalog(space)
+    fam = entry.family("default")
+    sample, raw = sample_values(entry.space, fam, 300, 4)
+    n = len(sample.coords)
+    gather = _runs(n) + (np.arange(0), np.arange(5, n, 7),
+                         np.arange(100, 260))
+    _, blocks = validate_family(fam, sample, raw, entry.space, gather)
+    rel = entry.space.relation_matrix(sample.coords)
+    for idx, block in zip(gather, blocks, strict=True):
+        assert np.array_equal(block, packed(rel[np.ix_(idx, idx)]))
 
 
 def test_sampling_past_the_budget_is_refused_before_sampling():

@@ -25,6 +25,7 @@ from ordtop.catalog import (
     DEFAULT_TAIL_DEPTH,
     FunctionFamily,
     SampleSet,
+    SampledSpace,
     ScalarFunction,
     catalog,
     sample_values,
@@ -1350,28 +1351,63 @@ def test_packed_verify_matches_the_matrix_reference(n_core, n_rem, seed,
     assert got == reference_verify(comp, samples, (rel, sub_rel))
 
 
+def relation_tiles(monkeypatch, space):
+    """(tiles, calls): the (rows, cols) of each relation tile validation
+    makes from here on, and of each relation_matrix call.  Misner's tiles
+    are its relation_matrix calls; a key space's are the lookups of its
+    keys into the key tables of a column block."""
+    tiles, calls = [], []
+    cls = type(space)
+    relation_matrix, keys_of = cls.relation_matrix, cls._keys
+
+    def counting(self, coords, other=None):
+        calls.append((len(coords), len(coords if other is None else other)))
+        return relation_matrix(self, coords, other)
+
+    monkeypatch.setattr(cls, "relation_matrix", counting)
+    if keys_of is SampledSpace._keys:
+        return calls, calls
+    keys, widths = [], []
+    tables, lookup = catalog_module._leq_tables, catalog_module._leq_lookup
+
+    def kept(self, coords):
+        keys.append(keys_of(self, coords))
+        return keys[-1]
+
+    def tabled(bounds, n):
+        if keys and np.shares_memory(bounds, keys[-1]):
+            widths.append(bounds.shape[1])
+        return tables(bounds, n)
+
+    def looked_up(batches, values):
+        if keys and np.shares_memory(values, keys[-1]):
+            tiles.append((values.shape[1], widths[-1]))
+        return lookup(batches, values)
+
+    monkeypatch.setattr(cls, "_keys", kept)
+    monkeypatch.setattr(catalog_module, "_leq_tables", tabled)
+    monkeypatch.setattr(catalog_module, "_leq_lookup", looked_up)
+    return tiles, calls
+
+
 @pytest.mark.parametrize("space", ("real-line-mirror", "misner-strip",
                                    "nat-discrete"))
 def test_build_verifies_from_the_validation_relation(space, monkeypatch):
     entry = catalog(space)
     fam = entry.family("default", 256)
-    calls = []
-    relation_matrix = type(entry.space).relation_matrix
-
-    def counting(self, coords, other=None):
-        calls.append((len(coords), None if other is None else len(other)))
-        return relation_matrix(self, coords, other)
-
-    monkeypatch.setattr(type(entry.space), "relation_matrix", counting)
+    tiles, calls = relation_tiles(monkeypatch, entry.space)
     for budget in (0, 1500):  # without and with the diagnostic
+        tiles.clear()
         calls.clear()
         monkeypatch.setattr(ordtop.compactify, "DIAGNOSTIC_BUDGET", budget)
         comp, report = build_compactification(entry, fam, resolution=256)
-        # validation's row tiles are the only relation calls: they cover
-        # every sample once, each against all samples
+        # validation's row tiles are the only relation it makes: they
+        # cover every sample once, each against all samples; a key space
+        # calls no relation_matrix
         n = len(comp.sample.coords)
-        assert calls and sum(rows for rows, _ in calls) == n
-        assert all(cols == n for _, cols in calls)
+        assert tiles and sum(rows for rows, _ in tiles) == n
+        assert all(cols == n for _, cols in tiles)
+        assert calls == (tiles if space == "misner-strip" else [])
         # the gathered relation gives what verify's own relation gives
         alone = verify_alone(entry, comp)
         for name in alone.names():
@@ -1384,22 +1420,20 @@ def test_build_verifies_from_the_validation_relation(space, monkeypatch):
 
 def test_build_relation_tiles_cover_large_samples(monkeypatch):
     entry = catalog("half-open-interval")
-    calls = []
-    relation_matrix = type(entry.space).relation_matrix
+    tiles, _ = relation_tiles(monkeypatch, entry.space)
 
-    def counting(self, coords, other=None):
-        calls.append((len(coords), None if other is None else len(other)))
-        return relation_matrix(self, coords, other)
+    def refused(self, coords, other=None):
+        raise AssertionError("a key space's build called relation_matrix")
 
-    monkeypatch.setattr(type(entry.space), "relation_matrix", counting)
-    comp, report = build_compactification(entry, entry.family("default"),
-                                          resolution=3000)
+    with monkeypatch.context() as patch:
+        patch.setattr(type(entry.space), "relation_matrix", refused)
+        comp, report = build_compactification(
+            entry, entry.family("default"), resolution=3000)
     assert report.passed
     step = catalog_module._TILE_CELLS // 3000
-    assert len(calls) == -(-3000 // step) > 1
-    assert sum(rows for rows, _ in calls) == 3000
-    assert {cols for _, cols in calls} == {3000}
-    calls.clear()
+    assert len(tiles) == -(-3000 // step) > 1
+    assert sum(rows for rows, _ in tiles) == 3000
+    assert {cols for _, cols in tiles} == {3000}
     alone = verify_alone(entry, comp)
     for name in alone.names():
         assert report.check(name).to_dict() == alone.check(name).to_dict()

@@ -153,6 +153,22 @@ def test_restrict_matches_the_matrix_oracle(drawn, cells):
     assert np.array_equal(got.matrix, graph.matrix[np.ix_(ids, ids)])
 
 
+@pytest.mark.parametrize("n", (9, 64, 130))
+def test_restrict_matches_the_matrix_oracle_on_runs(n):
+    # runs from 0 keep the leading words; the others are packed
+    rng = np.random.default_rng(n)
+    mat = (rng.random((n, n)) < 0.4) | np.eye(n, dtype=bool)
+    graph = PreorderGraph.from_packed(PreorderGraph.from_matrix(mat).packed
+                                      .copy())
+    for idx in (np.arange(n), np.arange(n - 1), np.arange(1), np.arange(3, n),
+                np.arange(n - 1, -1, -1), np.array([0, 1, 1, 2]),
+                np.array([0, 2, 1, n - 1])[:min(n, 4)], np.arange(0),
+                np.sort(rng.integers(0, n, n))):
+        got = graph.restrict(idx)
+        assert got.packed.shape == (len(idx), -(-len(idx) // 64))
+        assert np.array_equal(got.matrix, mat[np.ix_(idx, idx)])
+
+
 def test_only_preorder_converts_between_the_forms():
     # bytes, ints, bit-packed arrays, byte keys and hex text of relation
     # rows, and rows read back from their keys, are made from one another

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .finite_space import VALUE_BUDGET, BudgetError
-from .preorder import _TILE_CELLS, _first_set, _or_columns, _pack_rows, \
-    _unpack_rows
+from .preorder import _TILE_CELLS, _first_set, _leq_lookup, _leq_tables, \
+    _or_columns, _pack_rows, _packed_leq, _unpack_rows
 from .report import Check, CheckReport
 
 TWO_PI = 2.0 * math.pi
@@ -516,8 +516,7 @@ _ENTRIES = {
     "real-line-mirror": lambda: _MirrorEntry(
         RealLineMirror(), _mirror_pool(), ("invmod",), (_CONST_ONE,)),
     "misner-strip": lambda: CatalogEntry(
-        MisnerStrip(), _misner_pool(), tuple(sorted(_misner_pool())),
-        (_CONST_ONE,)),
+        MisnerStrip(), pool := _misner_pool(), sorted(pool), (_CONST_ONE,)),
     "closed-interval": lambda: CatalogEntry(
         ClosedInterval(), _interval_pool(), ("id",), (_CONST_ONE,)),
 }
@@ -565,101 +564,6 @@ def sample_values(space, family, resolution, tail_depth):
     return sample, evaluate_family(family, sample.coords)
 
 
-def _rank_tables(order, start, height, words):
-    """g members' tables as (g * height, words) '<u8' rows: row l * height
-    + t holds member l's columns order[l, p] with start[l, p] <= t.  Each
-    word of a table steps at most 64 times, so the tables are one np.repeat
-    of each word's running OR over its step lengths, copied to row-major.
-    """
-    g = len(order)
-    # each word's slots ordered by their start: start << 6 | slot
-    key = np.full((g, 64 * words), height << 6)
-    key[np.arange(g)[:, None], order] = start << 6
-    key |= np.arange(64 * words) & 63
-    key = key.reshape(g, words, 64)
-    key.sort(axis=2)
-    edges = np.full((g, words, 66), height)
-    edges[..., 0] = 0
-    np.right_shift(key, 6, out=edges[..., 1:65])
-    # a word's bits are distinct, so its running sum is its running OR
-    slot_bits = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))
-    runs = np.zeros((g, words, 65), dtype="<u8")
-    np.cumsum(slot_bits[key & 63], axis=2, out=runs[..., 1:])
-    lengths = edges[..., 1:] - edges[..., :-1]
-    tables = np.repeat(runs.ravel(), lengths.ravel())
-    return np.ascontiguousarray(tables.reshape(g, words, height)
-                                .transpose(0, 2, 1)).reshape(-1, words)
-
-
-def _packed_leq(values, bounds):
-    """Packed rows of [all m: values[m, i] <= bounds[m, j]].
-
-    values is (k, n) and bounds (k, w); the result is (n, ceil(w / 64))
-    '<u8', bit j of row i being bit j % 64 of word j // 64.  The package's
-    rank-bitset kernel (Tan, Eng & Ooi, VLDB 2001), for validation, the
-    quantized H-part and extendability: tables over the bounds, then a
-    lookup of the values.  With no members every column's bit is set.
-    """
-    k, w = bounds.shape
-    if not (k and w):  # no members: every column
-        return np.repeat(_pack_rows(np.ones((1, w), dtype=bool), -(-w // 64)),
-                         values.shape[1], axis=0)
-    return _leq_lookup(_leq_tables(bounds, values.shape[1]), values)
-
-
-def _leq_tables(bounds, n):
-    """The kernel's tables over the (k, w) bounds, yielded per batch of
-    members as (members, tables, top, distinct).  A member whose bounds
-    take d distinct non-NaN values gets d + 1 rows: row t holds the columns
-    whose bound is among the t largest, so {j : v <= b_j} is row top[l] -
-    distinct[l].searchsorted(v) of the batch's member l; a NaN bound is in
-    no row, a NaN value takes the empty row 0.  Members are ranked by one
-    argsort per _TILE_CELLS // 64 bounds, their tables built at the group's
-    largest height in batches of _TILE_CELLS // 8 words with n values'
-    rows."""
-    k, w = bounds.shape
-    words = -(-w // 64)
-    width = max(1, _TILE_CELLS // 64 // w)
-    for g in range(0, k, width):
-        b = np.ascontiguousarray(bounds[g:g + width])
-        order = b.argsort(axis=1)
-        ranked = b[np.arange(len(b))[:, None], order]
-        new = ranked == ranked  # the first position of each distinct bound
-        new[:, 1:] &= ranked[:, 1:] != ranked[:, :-1]
-        start = np.cumsum(new, axis=1)  # distinct bounds up to a position
-        d = start[:, -1].copy()
-        height = int(d.max()) + 1
-        np.subtract(d[:, None] + 1, start, out=start)  # a bound's first row
-        start[ranked != ranked] = height  # NaN: past the table, in no row
-        batch = max(1, _TILE_CELLS // 8 // (height * words + n))
-        for lo in range(0, len(b), batch):
-            part = slice(lo, min(lo + batch, len(b)))
-            yield (slice(g + lo, g + part.stop),
-                   _rank_tables(order[part], start[part], height, words),
-                   d[part] + height * np.arange(len(d[part])),
-                   list(map(np.compress, new[part], ranked[part])))
-
-
-def _leq_lookup(batches, values):
-    """The AND of the table rows that the batches' members take for their
-    rows of values, in row tiles of _TILE_CELLS // 32 words."""
-    out = None
-    for members, tables, top, distinct in batches:
-        rows = top[:, None] - np.array(  # each value's table row
-            list(map(np.searchsorted, distinct, values[members])))
-        if out is None:
-            out, rows = tables.take(rows[0], axis=0), rows[1:]
-        step = max(1, _TILE_CELLS // 32 // out.shape[1])
-        scratch = np.empty((min(step, len(out)), out.shape[1]), dtype="<u8")
-        for r0 in range(0, len(out), step):
-            tile = out[r0:r0 + step]
-            part = scratch[:len(tile)]
-            for member in rows[:, r0:r0 + step]:
-                np.take(tables, member, axis=0, out=part, mode="clip")
-                tile &= part
-    return out
-
-
 def _breakable(raw, bounds, isotone):
     """Per member row, whether some pair (i, j) has raw[i] > bounds[j]
     (isotone rows) or raw[i] < bounds[j] (the others).
@@ -698,7 +602,8 @@ def validate_family(family, sample, raw, space, gather=()):
     stays O(n * _BLOCK).  A tag's pass compares only members that some
     pair could break, on the tile unpacked.  Returns the report and, for
     each sorted index array in gather, the relation among those samples as
-    packed '<u8' rows.
+    packed '<u8' rows, ORed in as the tile's words where the ids span the
+    block from a word edge, else from the gathered rows unpacked.
     """
     coords, levels = sample.coords, sample.levels
     members, n_h, n = family.members(), len(family.h), len(coords)
@@ -746,21 +651,25 @@ def validate_family(family, sample, raw, space, gather=()):
         # before h_bits, so that the tables' transient copies are gone
         tables = keys is not None and list(_leq_tables(keys[:, cols], step))
         h_bits = _packed_leq(raw[:n_h], bounds[:n_h, cols]) if n_h else None
-        spans = [(lo, _ids(s[lo:hi], c0)) for s in gather
+        # per gather, its first id's position and the block columns its ids
+        # take, or None when they are all of them and start on a word edge
+        spans = [(lo, None if hi - lo == w and not lo % 64
+                  else _ids(s[lo:hi], c0)) for s in gather
                  for lo, hi in [np.searchsorted(s, (c0, c0 + w))]]
         for start in range(0, n, step):
             rows = slice(start, start + step)
-            if not tables:
-                rel = space.relation_matrix(coords[rows], coords[cols])
-                rel_bits = _pack_rows(rel, words)
-            else:  # the bool tile is unpacked only if a tag pass reads it
-                rel, rel_bits = None, _leq_lookup(tables, keys[:, rows])
+            rel = None  # the bool tile, unpacked only if a tag pass reads it
+            rel_bits = _leq_lookup(tables, keys[:, rows]) if tables else \
+                _pack_rows(space.relation_matrix(coords[rows], coords[cols]),
+                           words)
             for s, (clo, cids), block in zip(gather, spans, blocks):
                 lo, hi = np.searchsorted(s, (start, start + step))
-                rids = _ids(s[lo:hi], start)
-                got = _unpack_rows(rel_bits[rids], w) if rel is None \
-                    else rel[rids]
-                _or_columns(block[lo:hi], clo, got[:, cids])
+                got = rel_bits[_ids(s[lo:hi], start)]
+                if cids is None:  # the tile's words go in as they are
+                    block[lo:hi, clo // 64:clo // 64 + words] |= got
+                else:
+                    _or_columns(block[lo:hi], clo,
+                                _unpack_rows(got, w)[:, cids])
             if n_h:  # where the H-induced relation differs from rel
                 diff = rel_bits ^ h_bits[rows]
                 wrong = int(np.bitwise_count(diff).sum(dtype=np.int64))

@@ -249,6 +249,11 @@ def _demo_one_point(res: int, failures: list):
         _assertion(f"family {sel}: remainder {want}", got, failures)
 
 
+_DEMOS = {  # name -> demo, in the order the demo parser lists them
+    "no-smallest": _demo_no_smallest, "nachbin-diagram": _demo_nachbin,
+    "misner": _demo_misner, "one-point-suite": _demo_one_point}
+
+
 def cmd_demo(args, parser) -> int:
     # the demos build with compactify's defaults at their own resolution
     error = _config_error(dict(
@@ -257,14 +262,7 @@ def cmd_demo(args, parser) -> int:
     if error:
         parser.error(error)
     failures = []
-    if args.name == "no-smallest":
-        _demo_no_smallest(args.resolution, failures)
-    elif args.name == "nachbin-diagram":
-        _demo_nachbin(args.resolution, failures)
-    elif args.name == "misner":
-        _demo_misner(args.resolution, failures)
-    elif args.name == "one-point-suite":
-        _demo_one_point(args.resolution, failures)
+    _DEMOS[args.name](args.resolution, failures)
     if failures:
         print(f"{len(failures)} assertion(s) failed")
         return 1
@@ -312,8 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     pd.add_argument("--json", action="store_true")
 
     pm = sub.add_parser("demo", help="run a scripted scenario")
-    pm.add_argument("name", choices=["no-smallest", "nachbin-diagram",
-                                     "misner", "one-point-suite"])
+    pm.add_argument("name", choices=_DEMOS)
     pm.add_argument("--resolution", type=int, default=96)
     return parser
 

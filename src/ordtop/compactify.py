@@ -15,11 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import DEFAULT_RESOLUTION, DEFAULT_TAIL_DEPTH, _packed_leq, \
-    sample_values, validate_family
+from .catalog import DEFAULT_RESOLUTION, DEFAULT_TAIL_DEPTH, CatalogEntry, \
+    FunctionFamily, sample_values, validate_family
 from .preorder import _TILE_CELLS, PreorderGraph, _closure_numpy, \
-    _first_set, _key_rows, _row_keys, _unpack_rows, is_antisymmetric, \
-    quotient_preorder
+    _first_set, _key_rows, _leading_block, _packed_leq, _row_keys, \
+    _unpack_rows, is_antisymmetric, quotient_preorder
 from .report import Check, CheckReport, merge_reports
 
 DEFAULT_EPS_Q = 1e-3
@@ -201,15 +201,6 @@ def _verify_samples(comp):
     return reps, np.arange(0, n, max(1, -(-n // min(VERIFY_RESOLUTION, n))))
 
 
-def _core_diff(rel, graph, n_core):
-    """The packed core relation rel XOR graph's core x core block, the
-    core rows' bits past the core cleared."""
-    diff = rel ^ graph.packed[:n_core, :-(-n_core // 64)]
-    if n_core % 64:
-        diff[:, -1] &= np.uint64((1 << n_core % 64) - 1)
-    return diff
-
-
 def verify_preorder_embedding(comp, samples, relations) -> CheckReport:
     """Spot-check that vertex order mirrors the space order.
 
@@ -224,7 +215,7 @@ def verify_preorder_embedding(comp, samples, relations) -> CheckReport:
     """
     coords, graph, n_core = comp.sample.coords, comp.induced, comp.n_core
     (reps, idx), (rel, sub_rel) = samples, relations
-    diff = _core_diff(rel, graph, n_core)
+    diff = rel ^ _leading_block(graph.packed, n_core)
     pairs = n_core * n_core
     count = int(np.bitwise_count(diff).sum(dtype=np.int64))
     witness = None
@@ -407,7 +398,8 @@ def attempt_domination(comp_a, comp_b) -> DominationSearch:
         raise DominationError(
             f"{count} candidate maps exceed the exhaustive search cap "
             f"of {SEARCH_CAP}")
-    m2, m1 = comp_a.induced.matrix, comp_b.induced.matrix
+    m2, m1 = (_unpack_rows(c.induced.packed, c.n_vertices)
+              for c in (comp_a, comp_b))
     target_rem = set(comp_b.remainder_ids())
     core_images = vm[:n_core]
     m1_core = m1[core_images]  # core images' rows, every target column
@@ -525,13 +517,13 @@ def smallest_closed_preorder_diagnostic(comp, core_rel) -> CheckReport:
     if not comp.complete:
         raise ValueError("compactification is incomplete")
     n_core, graph = comp.n_core, comp.induced
-    if not _core_diff(core_rel, graph, n_core).any():
+    if np.array_equal(core_rel, _leading_block(graph.packed, n_core)):
         pairs = graph.pair_count()
         return CheckReport((Check(
             "induced_equals_smallest_closure", True,
             metrics={"induced_pairs": pairs, "closure_pairs": pairs,
                      "excess_pairs": 0}),))
-    ind = graph.matrix
+    ind = _unpack_rows(graph.packed, graph.n)
     seed = np.eye(comp.n_vertices, dtype=bool)
     seed[:n_core, :n_core] |= _unpack_rows(core_rel, n_core)
     seed[n_core:] = ind[n_core:]

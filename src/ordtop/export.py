@@ -141,8 +141,7 @@ def report_payload(comp, report, config=None) -> dict:
         },
         "remainder": {
             "ids": list(comp.remainder_ids()),
-            "quantized": [[int(q) for q in comp.quant[v]]
-                          for v in comp.remainder_ids()],
+            "quantized": comp.quant[comp.n_core:].tolist(),
         },
         "end_info": _plain(list(comp.end_info)),
         "relation_rows_hex": _hex_rows(comp.induced.packed),

@@ -1,12 +1,13 @@
 """Finite preorders as bitset adjacency rows.
 
-A relation on n points has three forms on PreorderGraph: int rows (bit j
-of rows[i] set means i <= j), packed (read-only '<u8' words of the rows)
-and matrix (read-only n x n bools).  A graph keeps the form it was made
-from (from_matrix also its words), checked there for reflexivity but not
-transitivity, and makes and caches the others on first read; so a
-build's relation, the kernel's words, is never held as int rows.  Only
-this module converts between the forms.
+A relation on n points has two forms on PreorderGraph: int rows (bit j
+of rows[i] set means i <= j) and packed (read-only '<u8' words of the
+rows).  A graph keeps the form it was made from, checked there for
+reflexivity but not transitivity, and makes and caches the other on
+first read; so a build's relation, the rank-bitset kernel's words, is
+never held as int rows.  A reader that needs bools unpacks the words
+into a local array; no graph holds one.  Only this module converts
+between the forms, and it holds the kernel (_packed_leq).
 """
 
 from __future__ import annotations
@@ -47,6 +48,15 @@ def _unpack_rows(packed, n):
                          bitorder="little").view(bool)
 
 
+def _leading_block(packed, m):
+    """A copy of the '<u8' rows' leading m x m block: the first m rows'
+    first ceil(m / 64) words, the bits past column m - 1 cleared."""
+    out = packed[:m, :-(-m // 64)].copy()
+    if m % 64:
+        out[:, -1] &= np.uint64((1 << m % 64) - 1)
+    return out
+
+
 def _lowest_bits(rows):
     """Column of the lowest set bit of each nonzero row of '<u8' words."""
     first = (rows != 0).argmax(axis=1)
@@ -81,6 +91,101 @@ def _hex_rows(packed):
     text = packed.view(np.uint8)[:, ::-1].tobytes().hex()
     return [text[k * width:(k + 1) * width].lstrip("0") or "0"
             for k in range(len(packed))]
+
+
+def _rank_tables(order, start, height, words):
+    """g members' tables as (g * height, words) '<u8' rows: row l * height
+    + t holds member l's columns order[l, p] with start[l, p] <= t.  Each
+    word of a table steps at most 64 times, so the tables are one np.repeat
+    of each word's running OR over its step lengths, copied to row-major.
+    """
+    g = len(order)
+    # each word's slots ordered by their start: start << 6 | slot
+    key = np.full((g, 64 * words), height << 6)
+    key[np.arange(g)[:, None], order] = start << 6
+    key |= np.arange(64 * words) & 63
+    key = key.reshape(g, words, 64)
+    key.sort(axis=2)
+    edges = np.full((g, words, 66), height)
+    edges[..., 0] = 0
+    np.right_shift(key, 6, out=edges[..., 1:65])
+    # a word's bits are distinct, so its running sum is its running OR
+    slot_bits = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))
+    runs = np.zeros((g, words, 65), dtype="<u8")
+    np.cumsum(slot_bits[key & 63], axis=2, out=runs[..., 1:])
+    lengths = edges[..., 1:] - edges[..., :-1]
+    tables = np.repeat(runs.ravel(), lengths.ravel())
+    return np.ascontiguousarray(tables.reshape(g, words, height)
+                                .transpose(0, 2, 1)).reshape(-1, words)
+
+
+def _packed_leq(values, bounds):
+    """Packed rows of [all m: values[m, i] <= bounds[m, j]].
+
+    values is (k, n) and bounds (k, w); the result is (n, ceil(w / 64))
+    '<u8', bit j of row i being bit j % 64 of word j // 64.  The package's
+    rank-bitset kernel (Tan, Eng & Ooi, VLDB 2001), for validation, the
+    quantized H-part and extendability: tables over the bounds, then a
+    lookup of the values.  With no members every column's bit is set.
+    """
+    k, w = bounds.shape
+    if not (k and w):  # no members: every column
+        return np.repeat(_pack_rows(np.ones((1, w), dtype=bool), -(-w // 64)),
+                         values.shape[1], axis=0)
+    return _leq_lookup(_leq_tables(bounds, values.shape[1]), values)
+
+
+def _leq_tables(bounds, n):
+    """The kernel's tables over the (k, w) bounds, yielded per batch of
+    members as (members, tables, top, distinct).  A member whose bounds
+    take d distinct non-NaN values gets d + 1 rows: row t holds the columns
+    whose bound is among the t largest, so {j : v <= b_j} is row top[l] -
+    distinct[l].searchsorted(v) of the batch's member l; a NaN bound is in
+    no row, a NaN value takes the empty row 0.  Members are ranked by one
+    argsort per _TILE_CELLS // 64 bounds, their tables built at the group's
+    largest height in batches of _TILE_CELLS // 8 words with n values'
+    rows."""
+    k, w = bounds.shape
+    words = -(-w // 64)
+    width = max(1, _TILE_CELLS // 64 // w)
+    for g in range(0, k, width):
+        b = np.ascontiguousarray(bounds[g:g + width])
+        order = b.argsort(axis=1)
+        ranked = b[np.arange(len(b))[:, None], order]
+        new = ranked == ranked  # the first position of each distinct bound
+        new[:, 1:] &= ranked[:, 1:] != ranked[:, :-1]
+        start = np.cumsum(new, axis=1)  # distinct bounds up to a position
+        d = start[:, -1].copy()
+        height = int(d.max()) + 1
+        np.subtract(d[:, None] + 1, start, out=start)  # a bound's first row
+        start[ranked != ranked] = height  # NaN: past the table, in no row
+        batch = max(1, _TILE_CELLS // 8 // (height * words + n))
+        for lo in range(0, len(b), batch):
+            part = slice(lo, min(lo + batch, len(b)))
+            yield (slice(g + lo, g + part.stop),
+                   _rank_tables(order[part], start[part], height, words),
+                   d[part] + height * np.arange(len(d[part])),
+                   list(map(np.compress, new[part], ranked[part])))
+
+
+def _leq_lookup(batches, values):
+    """The AND of the table rows that the batches' members take for their
+    rows of values, in row tiles of _TILE_CELLS // 32 words."""
+    out = None
+    for members, tables, top, distinct in batches:
+        rows = top[:, None] - np.array(  # each value's table row
+            list(map(np.searchsorted, distinct, values[members])))
+        if out is None:
+            out, rows = tables.take(rows[0], axis=0), rows[1:]
+        step = max(1, _TILE_CELLS // 32 // out.shape[1])
+        scratch = np.empty((min(step, len(out)), out.shape[1]), dtype="<u8")
+        for r0 in range(0, len(out), step):
+            tile = out[r0:r0 + step]
+            part = scratch[:len(tile)]
+            for member in rows[:, r0:r0 + step]:
+                np.take(tables, member, axis=0, out=part, mode="clip")
+                tile &= part
+    return out
 
 
 @dataclass(frozen=True)
@@ -147,26 +252,16 @@ class PreorderGraph:
                 dtype=_WORD).reshape(self.n, width // 8)
         return packed
 
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        """Read-only bool n x n matrix, unpacked from packed on first read."""
-        mat = _unpack_rows(self.packed, self.n)
-        mat.flags.writeable = False
-        return mat
-
     def restrict(self, idx) -> "PreorderGraph":
         """The graph on len(idx) points, i <= j iff idx[i] <= idx[j] (ids
         may repeat), packed from the words of a tile of rows at a time, or
         for ids 0..m-1 in order (two O(1) tests first) the leading block."""
         idx = np.asarray(idx, dtype=np.intp)
         m = len(idx)
-        out = np.empty((m, -(-m // 64)), dtype=_WORD)
         if m and not idx[0] and idx[-1] == m - 1 and \
                 (np.diff(idx) == 1).all():
-            out[:] = self.packed[:m, :out.shape[1]]
-            if m % 64:
-                out[:, -1] &= np.uint64((1 << m % 64) - 1)
-            return PreorderGraph.from_packed(out)
+            return PreorderGraph.from_packed(_leading_block(self.packed, m))
+        out = np.empty((m, -(-m // 64)), dtype=_WORD)
         step = max(1, _TILE_CELLS // max(self.n, 1))
         for r0 in range(0, m, step):
             out[r0:r0 + step] = _pack_rows(_unpack_rows(
@@ -191,17 +286,14 @@ class PreorderGraph:
 
     @classmethod
     def from_matrix(cls, mat: np.ndarray) -> "PreorderGraph":
-        """Pack a square matrix; a bool one is kept, read-only, as .matrix.
-        Its diagonal is checked, which costs a small graph less than
-        checking the words."""
+        """The graph of a square matrix's truth values, kept as packed
+        words only.  Its diagonal is checked, which costs a small graph
+        less than checking the words."""
         mat = np.asarray(mat, dtype=bool)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError("matrix must be square")
-        graph = cls._checked(_pack_rows(mat, -(-len(mat) // 64)),
-                             mat.diagonal())
-        mat.flags.writeable = False
-        graph.__dict__["matrix"] = mat
-        return graph
+        return cls._checked(_pack_rows(mat, -(-len(mat) // 64)),
+                            mat.diagonal())
 
     @classmethod
     def _checked(cls, packed, loops):
@@ -242,7 +334,8 @@ PreorderGraph.rows.__set_name__(PreorderGraph, "rows")
 def transitive_reflexive_closure(graph: PreorderGraph) -> PreorderGraph:
     """Smallest preorder containing the given reflexive relation."""
     if graph.n > _NUMPY_CUTOVER:
-        return PreorderGraph.from_matrix(_closure_numpy(graph.matrix))
+        return PreorderGraph.from_matrix(_closure_numpy(
+            _unpack_rows(graph.packed, graph.n)))
     rows = list(graph.rows)
     n = graph.n
     # Warshall over bitmask rows: one pass suffices because row k is
@@ -275,11 +368,13 @@ def _product(left, graph, right):
     Lazy up to _NUMPY_CUTOVER points, so a caller that stops early makes
     no more; above it read off float32 matmuls binarised after each."""
     if graph.n > _NUMPY_CUTOVER:
-        out = graph.matrix
+        out = _unpack_rows(graph.packed, graph.n)
         if left is not None:
-            out = left.matrix.astype(np.float32) @ out.astype(np.float32) > 0
+            out = _unpack_rows(left.packed, left.n).astype(np.float32) \
+                @ out.astype(np.float32) > 0
         if right is not None:
-            out = out.astype(np.float32) @ right.matrix.T.astype(np.float32) > 0
+            out = out.astype(np.float32) \
+                @ _unpack_rows(right.packed, right.n).T.astype(np.float32) > 0
         return PreorderGraph.from_matrix(out).rows
     rows = graph.rows
     if left is not None:

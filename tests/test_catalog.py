@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import packed
 from ordtop.catalog import (
     CATALOG_NAMES,
     TWO_PI,
@@ -35,16 +36,12 @@ from ordtop.catalog import (
     validate_family,
 )
 from ordtop.finite_space import BudgetError
-from ordtop.preorder import _pack_rows
+import ordtop.preorder
+from ordtop.preorder import _packed_leq
 from ordtop.report import Check, CheckReport
 
 # the module itself: the package exports the catalog() function under its name
 catalog_module = importlib.import_module("ordtop.catalog")
-
-
-def packed(rel):
-    """Bool rows as the packed '<u8' rows that validation gathers."""
-    return _pack_rows(rel, -(-rel.shape[1] // 64))
 
 
 # ----------------------------------------------------------- RK4 oracle
@@ -330,6 +327,20 @@ def test_misner_sampling_grid():
     assert all(len(s) == 64 for s in shells)
     ts = sorted(set(sample.coords[:, 0].tolist()))
     assert ts[0] == 0.6 * 2.0 ** -10 and ts[-1] == 1.0
+
+
+def test_misner_entry_builds_its_pool_once(monkeypatch):
+    pools, make = [], catalog_module._misner_pool
+
+    def counting():
+        pools.append(make())
+        return pools[-1]
+
+    monkeypatch.setattr(catalog_module, "_misner_pool", counting)
+    entry = catalog("misner-strip")
+    assert len(pools) == 1 and entry.pool == pools[0]
+    assert entry.default_h == tuple(sorted(pools[0]))
+    assert len(entry.default_h) == 128
 
 
 # --------------------------------------------------- the arc functions
@@ -846,12 +857,7 @@ def test_tile_pass_matches_the_reference_pass(args):
 
 def _packed_direct(values, bounds):
     """The H-part compare as one bool cube, packed like _packed_leq."""
-    rel = np.all(values[:, :, None] <= bounds[:, None, :], axis=0)
-    words = -(-bounds.shape[1] // 64)
-    packed = np.zeros((values.shape[1], 8 * words), dtype=np.uint8)
-    packed[:, :-(-bounds.shape[1] // 8)] = np.packbits(rel, axis=1,
-                                                       bitorder="little")
-    return packed.view("<u8")
+    return packed(np.all(values[:, :, None] <= bounds[:, None, :], axis=0))
 
 
 # word edges, block edges at _BLOCK 64 and 128, and a multi-word tail
@@ -882,8 +888,8 @@ def test_packed_leq_matches_the_direct_compare(k, n, w, eps, cells, seed):
         bounds = values + eps
     elif kind == 2:  # few distinct integers, one strided array, as the build
         values = bounds = rng.integers(-2, 3, (w, k + 1)).T[:k]
-    with mock.patch.object(catalog_module, "_TILE_CELLS", cells):
-        got = catalog_module._packed_leq(values, bounds)
+    with mock.patch.object(ordtop.preorder, "_TILE_CELLS", cells):
+        got = _packed_leq(values, bounds)
     assert got.dtype == np.dtype("<u8")
     assert np.array_equal(got, _packed_direct(values, bounds))
 
@@ -901,7 +907,7 @@ def test_packed_leq_builds_a_rank_group_in_table_batches():
                         bitorder="little")
     assert np.flatnonzero(rel.sum(axis=0) == 0).tolist() == \
         list(range(0, 600, 20)) and rel.sum() == 40 * 570
-    assert np.array_equal(catalog_module._packed_leq(values, bounds), want)
+    assert np.array_equal(_packed_leq(values, bounds), want)
 
 
 def test_packed_leq_memory_stays_bounded_with_many_members():
@@ -912,7 +918,7 @@ def test_packed_leq_memory_stays_bounded_with_many_members():
     values, bounds = rng.random((300, 4000)), rng.random((300, 8))
     tracemalloc.start()
     try:
-        got = catalog_module._packed_leq(values, bounds)
+        got = _packed_leq(values, bounds)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1105,7 +1111,7 @@ def test_key_spaces_keep_their_broadcast_orders(drawn):
     # validation's packed rows: the kernel's tables of q's keys, looked up
     # with p's
     assert np.array_equal(
-        catalog_module._packed_leq(space._keys(p), space._keys(q)),
+        _packed_leq(space._keys(p), space._keys(q)),
         packed(want))
 
 
@@ -1115,7 +1121,7 @@ def test_key_spaces_keep_their_orders_on_their_samples():
         coords = space.sample(700, 4).coords
         want = order(coords, coords)
         assert np.array_equal(space.relation_matrix(coords), want)
-        assert np.array_equal(catalog_module._packed_leq(
+        assert np.array_equal(_packed_leq(
             space._keys(coords), space._keys(coords)), packed(want))
 
 
@@ -1175,6 +1181,38 @@ def test_gathered_runs_equal_the_matrix_blocks(space, monkeypatch):
     rel = entry.space.relation_matrix(sample.coords)
     for idx, block in zip(gather, blocks, strict=True):
         assert np.array_equal(block, packed(rel[np.ix_(idx, idx)]))
+
+
+@pytest.mark.parametrize("space", ("half-open-interval", "misner-strip"))
+def test_gathers_or_in_whole_words_or_their_rows_unpacked(space,
+                                                          monkeypatch):
+    # column blocks of 128 and row tiles of 37 rows: every sample, and the
+    # ids from 64, cover blocks from a word edge and OR in the tile's
+    # words; the ids from 3 cover blocks from positions 125 and 253, off a
+    # byte edge, and go through _or_columns, as do partial blocks
+    monkeypatch.setattr(catalog_module, "_BLOCK", 128)
+    monkeypatch.setattr(catalog_module, "_TILE_CELLS", 128 * 37)
+    starts = {}  # a gathered block's id -> the columns _or_columns starts at
+    or_columns = catalog_module._or_columns
+
+    def spying(dst, col, rel):
+        starts.setdefault(id(dst.base), set()).add(col)
+        return or_columns(dst, col, rel)
+
+    monkeypatch.setattr(catalog_module, "_or_columns", spying)
+    entry = catalog(space)
+    fam = entry.family("default")
+    sample, raw = sample_values(entry.space, fam, 300, 4)
+    n = len(sample.coords)
+    gather = (np.arange(n), np.arange(64, n), np.arange(3, n),
+              np.arange(1, n, 3))
+    _, blocks = validate_family(fam, sample, raw, entry.space, gather)
+    rel = entry.space.relation_matrix(sample.coords)
+    for idx, block in zip(gather, blocks, strict=True):
+        assert np.array_equal(block, packed(rel[np.ix_(idx, idx)]))
+    assert [starts.get(id(block)) for block in blocks[:3]] == \
+        [None, {0}, {0, 125, 253}]
+    assert len(starts[id(blocks[3])]) == 3
 
 
 def test_sampling_past_the_budget_is_refused_before_sampling():

@@ -12,6 +12,7 @@ import itertools
 import math
 import random
 import tracemalloc
+import typing
 import warnings
 from types import SimpleNamespace
 from unittest import mock
@@ -20,9 +21,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import bools, packed
 from ordtop.catalog import (
     CATALOG_NAMES,
     DEFAULT_TAIL_DEPTH,
+    CatalogEntry,
     FunctionFamily,
     SampleSet,
     SampledSpace,
@@ -34,6 +37,7 @@ import ordtop.compactify
 from ordtop.compactify import (
     DEFAULT_EPS_Q,
     DELTA_EMBED,
+    Compactification,
     DominationError,
     DominationMap,
     DominationSearch,
@@ -55,9 +59,10 @@ from ordtop.preorder import (
     EquivalenceClasses,
     PreorderGraph,
     _lowest_bits,
-    _pack_rows,
+    function_preorder,
     is_transitive,
     quotient_preorder,
+    transitive_reflexive_closure,
 )
 from ordtop.report import Check, CheckReport
 
@@ -82,11 +87,6 @@ def core_relation(entry, comp):
     """The space relation between the core vertices' representatives."""
     reps = comp.representatives()[:comp.n_core]
     return entry.space.relation_matrix(comp.sample.coords[reps])
-
-
-def packed(rel):
-    """Bool rows as the packed '<u8' rows that validation gathers."""
-    return _pack_rows(rel, -(-rel.shape[1] // 64))
 
 
 def verify_alone(entry, comp):
@@ -121,6 +121,10 @@ def first_samples(comp):
     return reps
 
 
+def test_compactification_type_hints_resolve():
+    assert typing.get_type_hints(Compactification)["entry"] is CatalogEntry
+
+
 def test_closed_interval_adds_nothing():
     entry, comp, report = build("closed-interval")
     assert report.passed
@@ -131,7 +135,7 @@ def test_closed_interval_adds_nothing():
     assert np.array_equal(reps, first_samples(comp))
     coords = entry.space.sample(512, 4).coords[reps]
     want = entry.space.relation_matrix(coords)
-    assert np.array_equal(want, comp.induced.matrix)
+    assert np.array_equal(want, bools(comp.induced))
     # a half-open build's remainder vertex has no sample
     _, comp, _ = build("half-open-interval", resolution=97)
     reps = comp.representatives()
@@ -432,7 +436,7 @@ def test_induced_relation_is_a_preorder_on_catalog_builds(name, resolution,
 def test_induced_graph_tiles_match_direct_compare(offset):
     # vertex counts around sqrt(_TILE_CELLS), across a word boundary of
     # the packed rows
-    tile = math.isqrt(catalog_module._TILE_CELLS)
+    tile = math.isqrt(ordtop.preorder._TILE_CELLS)
     n = tile + offset
     rng = np.random.default_rng(n)
     # eps_q = 1e-6 puts coordinates at up to 1e6, beyond int16; the last
@@ -441,7 +445,7 @@ def test_induced_graph_tiles_match_direct_compare(offset):
     h = quant[:, :3]
     direct = (h[:, None, :] <= h[None, :, :]).all(axis=2)
     got = ordtop.compactify._induced_graph(quant, 3)
-    assert np.array_equal(got.matrix, direct)
+    assert np.array_equal(bools(got), direct)
 
 
 @settings(max_examples=200, deadline=None)
@@ -455,10 +459,10 @@ def test_rank_bitsets_match_direct_compare(n, h, spread, cells, data):
         st.lists(st.integers(-spread, spread), min_size=h + 1,
                  max_size=h + 1), min_size=n, max_size=n)), dtype=np.int64)
     direct = (quant[:, None, :h] <= quant[None, :, :h]).all(axis=2)
-    with mock.patch.object(catalog_module, "_TILE_CELLS", cells):
+    with mock.patch.object(ordtop.preorder, "_TILE_CELLS", cells):
         got = ordtop.compactify._induced_graph(quant, h)
     assert got.rows == PreorderGraph.from_matrix(direct).rows
-    assert np.array_equal(got.matrix, direct)
+    assert np.array_equal(bools(got), direct)
 
 
 def condense(comp):
@@ -479,7 +483,7 @@ def _assert_condense_matches_quotient_preorder(comp):
     leq, classes = condense(comp)
     qgraph, part = quotient_preorder(comp.induced)
     assert part.classes == classes
-    assert np.array_equal(qgraph.matrix, leq)
+    assert np.array_equal(bools(qgraph), leq)
 
 
 @settings(max_examples=100, deadline=None)
@@ -603,34 +607,31 @@ def test_no_smallest_one_point_compactification():
     assert len(down.candidates) > 0 and len(up.candidates) > 0
 
 
-def test_build_relation_stays_packed(monkeypatch, tmp_path):
-    # every graph unpacks its matrix at most once, and a build whose
-    # readers are verify and the export never unpacks it at all
-    unpacked = []
-    unpack = PreorderGraph.matrix.func
+def test_build_relation_stays_packed(unpacks, monkeypatch, tmp_path):
+    # a misner build, its verify and its export never unpack the whole
+    # relation, and make no int rows; attempt_domination unpacks each of
+    # its two graphs once per call; the diagnostic, dominate and i_closure
+    # leave the half-open builds' relations packed
+    def whole(graphs):  # ids of the unpacked words that are graphs' own
+        own = {id(g.packed) for g in graphs}
+        return [id(p) for p in unpacks if id(p) in own]
 
-    def counting(self):
-        unpacked.append(self)
-        return unpack(self)
-
-    matrix = functools.cached_property(counting)
-    matrix.__set_name__(PreorderGraph, "matrix")
-    monkeypatch.setattr(PreorderGraph, "matrix", matrix)
-    # the diagnostic's closure reads the matrix; past its budget a build
-    # skips it
+    # the diagnostic takes its closure path here: past its budget a build
+    # skips it, and then it unpacks the relation once when called
     monkeypatch.setattr(ordtop.compactify, "DIAGNOSTIC_BUDGET", 0)
     misner = catalog("misner-strip")
     comp, report = build_compactification(
         misner, misner.family("default", 256), resolution=256)
     write_build(comp, report, str(tmp_path / "misner"))
-    assert comp.n_vertices == 257 and not comp.induced.packed.flags.writeable
-    assert unpacked == []
-    assert "rows" not in vars(comp.induced)  # nor made any int rows
-    # rows read later, as a digest does, are the matrix's rows
+    assert comp.n_vertices == 257 and whole([comp.induced]) == []
+    assert "rows" not in vars(comp.induced)
+    smallest_closed_preorder_diagnostic(
+        comp, packed(core_relation(misner, comp)))
+    assert whole([comp.induced]) == [id(comp.induced.packed)]
+    # rows read later, as a digest does, are the words' rows
     want = tuple(sum(1 << int(j) for j in np.flatnonzero(row))
-                 for row in comp.induced.matrix)
+                 for row in bools(comp.induced))
     assert comp.induced.rows == want
-    graphs = [comp.induced]
 
     monkeypatch.setattr(ordtop.compactify, "DIAGNOSTIC_BUDGET", 1500)
     nat = catalog("nat-discrete")
@@ -643,23 +644,19 @@ def test_build_relation_stays_packed(monkeypatch, tmp_path):
                     for names in ("id", "id,sq"))
     write_build(*outer, str(tmp_path / "outer"))
     inner, outer = inner[0], outer[0]
-    comps += [inner, outer]
-    assert all(c.complete for c in comps)
-    for a in comps[:3]:
-        for b in comps[:3]:
+    assert all(c.complete for c in comps + [inner, outer])
+    assert whole([inner.induced, outer.induced]) == []
+    for a in comps:
+        for b in comps:
+            unpacks.clear()
             attempt_domination(a, b)
+            assert whole([c.induced for c in comps]) == [
+                id(a.induced.packed), id(b.induced.packed)]
     assert dominate(outer, inner).ok
     pool = [half.pool[k] for k in ("id", "sq", "cube", "sqrt")]
     for comp in (inner, outer):
         i_closure(half, comp, pool)
-    # past the misner graph read above, attempt_domination unpacks the
-    # nat-discrete graphs, once each; the diagnostic, dominate and
-    # i_closure leave the half-open ones packed
-    graphs += [c.induced for c in comps[:3]]
-    assert [id(g) for g in unpacked] == [id(g) for g in graphs]
-    probe = PreorderGraph.diagonal(2)  # and a graph from rows
-    assert probe.matrix is probe.matrix
-    assert sum(g is probe for g in unpacked) == 1
+    assert whole([inner.induced, outer.induced]) == []
 
 
 def test_misner_build_and_export_hold_no_relation_matrix(tmp_path):
@@ -679,11 +676,11 @@ def test_misner_build_and_export_hold_no_relation_matrix(tmp_path):
 
 
 def test_builds_off_a_linear_extension_hold_no_relation_matrix(
-        tmp_path, monkeypatch):
+        tmp_path, monkeypatch, unpacks):
     # real-line-mirror's vertex ids are not a linear extension, so the
     # Hasse reduction permutes its words; it, the quotient, domination and
     # extendability's isotone compare restrict the packed relation and
-    # never unpack the n x n matrix (the diagnostic's closure reads it)
+    # never unpack the whole of it (the diagnostic's closure does)
     monkeypatch.setattr(ordtop.compactify, "DIAGNOSTIC_BUDGET", 0)
     entry = catalog("real-line-mirror")
     comp, report = build_compactification(
@@ -695,18 +692,30 @@ def test_builds_off_a_linear_extension_hold_no_relation_matrix(
     assert dominate(comp, comp).ok
     assert extendability(entry, comp, entry.pool["invmod"])
     assert transitive_reduction(quotient_preorder(graph)[0])
-    assert "matrix" not in graph.__dict__
+    assert not any(p is graph.packed for p in unpacks)
 
 
 def test_relation_is_read_only():
-    entry, comp, _ = build("half-open-interval", "id", resolution=32)
-    from_rows = PreorderGraph(comp.n_vertices, comp.induced.rows)
-    assert from_rows == comp.induced
-    assert np.array_equal(from_rows.matrix, comp.induced.matrix)
-    for graph in (comp.induced, from_rows):
-        assert graph.matrix is graph.matrix
+    # however a graph is made and whatever is read of it, it holds its
+    # relation as int rows or read-only words, never as a bool array;
+    # 125 vertices take the numpy closure and products
+    entry, comp, _ = build("half-open-interval", "id", resolution=128)
+    graph = comp.induced
+    assert graph.n > ordtop.preorder._NUMPY_CUTOVER
+    same = (graph, PreorderGraph(graph.n, graph.rows),
+            PreorderGraph.from_packed(graph.packed.copy()),
+            PreorderGraph.from_matrix(bools(graph)),
+            function_preorder(comp.quant[:, :1].T),
+            transitive_reflexive_closure(graph))
+    for g in same + (transitive_reflexive_closure(PreorderGraph.diagonal(5)),):
+        assert is_transitive(g) and g.rows and g.pair_count()
+        assert quotient_preorder(g)[0].n == g.restrict(range(g.n)).n == g.n
+        assert not any(isinstance(v, np.ndarray) and v.dtype == bool
+                       for v in vars(g).values())
+        assert not g.packed.flags.writeable
         with pytest.raises(ValueError):
-            graph.matrix[0, 1] = True
+            g.packed[0, 0] = 0
+    assert all(np.array_equal(g.packed, graph.packed) for g in same)
 
 
 def test_found_domination_map_passes_dominate_checks():
@@ -722,8 +731,8 @@ def test_found_domination_map_passes_dominate_checks():
 
 def reference_checker(comp2, comp1):
     """The full check of a vertex map, on the whole n x n relation."""
-    m2 = comp2.induced.matrix
-    m1 = comp1.induced.matrix
+    m2 = bools(comp2.induced)
+    m1 = bools(comp1.induced)
     remainder2 = comp2.remainder_ids()
     target_rem = set(comp1.remainder_ids())
 
@@ -849,8 +858,8 @@ def test_search_checks_the_core_block():
     source = dataclasses.replace(
         comp, induced=PreorderGraph(comp.n_vertices, tuple(rows)))
     # the copy unpacks its own relation, not the original's
-    changed = np.argwhere(source.induced.matrix
-                          != comp.induced.matrix).tolist()
+    changed = np.argwhere(bools(source.induced)
+                          != bools(comp.induced)).tolist()
     assert changed == [[5, 3]]
     search = assert_search_matches_reference(source, comp)
     assert search.found is None
@@ -1046,7 +1055,7 @@ def isotone_oracle(comp, f):
             extension.setdefault(vid, _tail_limit(f, vals, shells)[1])
     for vid, value in extension.items():
         full[vid] = value
-    bad = comp.induced.matrix & (full[:, None] > full[None, :] + eps)
+    bad = bools(comp.induced) & (full[:, None] > full[None, :] + eps)
     if not bad.any():
         return True, extension, ""
     u, v = divmod(int(np.argmax(bad)), n)
@@ -1134,7 +1143,7 @@ def test_smallest_closure_diagnostic_matches_on_simple_builds():
 def reference_diagnostic(comp, core_rel):
     """The diagnostic as the closure of the bool seed, always computed by
     Warshall's sweep, its witness the first 20 of np.argwhere."""
-    n_core, ind = comp.n_core, comp.induced.matrix
+    n_core, ind = comp.n_core, bools(comp.induced)
     fix = np.eye(comp.n_vertices, dtype=bool)
     fix[:n_core, :n_core] |= core_rel
     fix[n_core:] = ind[n_core:]
@@ -1215,7 +1224,8 @@ def test_diagnostic_seed_keeps_the_diagonal_of_a_core_relation():
         == reference_diagnostic(comp, rel).checks[0].to_dict()
 
 
-def test_diagnostic_closes_only_a_seed_unlike_the_induced_order(monkeypatch):
+def test_diagnostic_closes_only_a_seed_unlike_the_induced_order(monkeypatch,
+                                                                unpacks):
     calls = []
     closure = ordtop.compactify._closure_numpy
 
@@ -1226,7 +1236,7 @@ def test_diagnostic_closes_only_a_seed_unlike_the_induced_order(monkeypatch):
     monkeypatch.setattr(ordtop.compactify, "_closure_numpy", counting)
     entry, comp, report = build("closed-interval", "id,sq", resolution=256)
     assert report.check("induced_equals_smallest_closure").passed
-    assert calls == [] and "matrix" not in vars(comp.induced)
+    assert calls == [] and unpacks == []
 
     entry, comp, report = build("misner-strip", "arc000", resolution=32)
     check = report.check("induced_equals_smallest_closure")
@@ -1266,7 +1276,7 @@ def test_verify_witnesses_are_python_floats():
 def test_verify_witnesses_are_the_first_row_major_violations():
     entry, comp, _ = build("misner-strip", "arc000", resolution=16)
     reps, idx = samples = ordtop.compactify._verify_samples(comp)
-    coords, ind = comp.sample.coords, comp.induced.matrix
+    coords, ind = comp.sample.coords, bools(comp.induced)
     space_rel = [entry.space.relation_matrix(coords[s]) for s in samples]
     ind_core = ind[:comp.n_core, :comp.n_core]
     i, j = np.argwhere(space_rel[0] != ind_core)[0]
@@ -1289,7 +1299,7 @@ def test_verify_witnesses_are_the_first_row_major_violations():
 
 def reference_verify(comp, samples, relations):
     """verify_preorder_embedding on the induced order's bool matrix."""
-    coords, ind = comp.sample.coords, comp.induced.matrix
+    coords, ind = comp.sample.coords, bools(comp.induced)
     (reps, idx), (rel, sub_rel) = samples, relations
     ind_core = ind[:comp.n_core, :comp.n_core]
     mism = rel != ind_core
@@ -1344,10 +1354,13 @@ def test_packed_verify_matches_the_matrix_reference(n_core, n_rem, seed,
     sub = ind[np.ix_(sample_map[idx], sample_map[idx])]
     sub_rel = sub | (rng.random(sub.shape) < flip)
     samples = (reps, idx)
-    with mock.patch.object(ordtop.preorder, "_TILE_CELLS", cells):
+    with mock.patch.object(ordtop.preorder, "_TILE_CELLS", cells), \
+            mock.patch.object(ordtop.preorder, "_unpack_rows",
+                              wraps=ordtop.preorder._unpack_rows) as unpack:
         got = verify_preorder_embedding(comp, samples,
                                         (packed(rel), packed(sub_rel)))
-    assert "matrix" not in induced.__dict__
+    # restrict unpacks gathered row tiles, never the whole relation
+    assert not any(c.args[0] is induced.packed for c in unpack.call_args_list)
     assert got == reference_verify(comp, samples, (rel, sub_rel))
 
 
@@ -1514,7 +1527,7 @@ def nachbin_case(case, monkeypatch):
             if case == "every class a singleton":
                 return graph, EquivalenceClasses(
                     graph.n, tuple((v,) for v in range(graph.n)))
-            return PreorderGraph.from_matrix(q.matrix.T), classes
+            return PreorderGraph.from_matrix(bools(q).T), classes
 
         monkeypatch.setattr(ordtop.compactify, "quotient_preorder", patched)
     return nachbin_pipeline(entry, family, resolution=32)

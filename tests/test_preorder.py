@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import bools
 import ordtop.preorder
 from ordtop.preorder import (
     EquivalenceClasses,
@@ -76,7 +77,7 @@ def test_matrix_roundtrip_small_and_large():
                     row |= 1 << j
             rows.append(row)
         g = PreorderGraph(n, tuple(rows))
-        mat = g.matrix
+        mat = bools(g)
         assert mat.shape == (n, n)
         assert PreorderGraph.from_matrix(mat).rows == g.rows
 
@@ -86,7 +87,7 @@ def test_matrix_roundtrip_small_and_large():
        st.sampled_from((0.0, 0.05, 0.5, 1.0)))
 def test_the_three_forms_agree(n, seed, density):
     # a graph made from rows, from packed words or from a matrix gives
-    # the same rows, words, matrix, pair count and hex rows
+    # the same rows, words, unpacked bools, pair count and hex rows
     rng = np.random.default_rng(seed)
     mat = (rng.random((n, n)) < density) | np.eye(n, dtype=bool)
     rows = tuple(sum(1 << int(j) for j in np.flatnonzero(r)) for r in mat)
@@ -102,7 +103,7 @@ def test_the_three_forms_agree(n, seed, density):
         assert g.packed.shape == (n, -(-n // 64)) and \
             g.packed.dtype == np.dtype("<u8")
         assert np.array_equal(g.packed, graphs[0].packed)
-        assert np.array_equal(g.matrix, mat)
+        assert np.array_equal(bools(g), mat)
         assert g.rows == rows and g == graphs[0]
 
 
@@ -144,13 +145,17 @@ def _graph_and_ids(draw):
 def test_restrict_matches_the_matrix_oracle(drawn, cells):
     # a small tile runs many row tiles, one row each at cells=1
     graph, idx = drawn
-    with mock.patch.object(ordtop.preorder, "_TILE_CELLS", cells):
+    with mock.patch.object(ordtop.preorder, "_TILE_CELLS", cells), \
+            mock.patch.object(ordtop.preorder, "_unpack_rows",
+                              wraps=ordtop.preorder._unpack_rows) as unpack:
         got = graph.restrict(idx)
-    assert "matrix" not in got.__dict__ and "matrix" not in graph.__dict__
+    # the gathered row tiles are unpacked, never the whole relation
+    assert not any(c.args[0] is graph.packed
+                   for c in unpack.call_args_list)
     assert got.n == len(idx)
     assert got.packed.shape == (len(idx), -(-len(idx) // 64))
     ids = np.asarray(idx, dtype=int)
-    assert np.array_equal(got.matrix, graph.matrix[np.ix_(ids, ids)])
+    assert np.array_equal(bools(got), bools(graph)[np.ix_(ids, ids)])
 
 
 @pytest.mark.parametrize("n", (9, 64, 130))
@@ -166,16 +171,19 @@ def test_restrict_matches_the_matrix_oracle_on_runs(n):
                 np.sort(rng.integers(0, n, n))):
         got = graph.restrict(idx)
         assert got.packed.shape == (len(idx), -(-len(idx) // 64))
-        assert np.array_equal(got.matrix, mat[np.ix_(idx, idx)])
+        assert np.array_equal(bools(got), mat[np.ix_(idx, idx)])
 
 
 def test_only_preorder_converts_between_the_forms():
     # bytes, ints, bit-packed arrays, byte keys and hex text of relation
     # rows, and rows read back from their keys, are made from one another
-    # in preorder.py alone
+    # in preorder.py alone; no other module reads a .matrix or masks the
+    # bits past a last word's columns
     conversion = re.compile(r"packbits|unpackbits|from_bytes|to_bytes"
                             r"|frombuffer|tobytes"
-                            r"|np\.void|\.hex\(|format\([^)]*[\"']x[\"']\)")
+                            r"|np\.void|\.hex\(|format\([^)]*[\"']x[\"']\)"
+                            r"|\.matrix\b"
+                            r"|np\.uint64\(\(1 << [^)]*% 64\) - 1\)")
     found = []
     for path in sorted(pathlib.Path(ordtop.preorder.__file__).parent
                        .glob("*.py")):
@@ -236,9 +244,9 @@ def test_closure_is_extensive_idempotent_and_monotone(graphs, cutover):
         h = transitive_reflexive_closure(PreorderGraph.from_pairs(n, large))
         again = transitive_reflexive_closure(g)
     assert set(small) <= set(g.pairs())
-    assert np.array_equal(again.matrix, g.matrix)
+    assert np.array_equal(bools(again), bools(g))
     # small is within large, so its closure is within large's
-    assert not (g.matrix & ~h.matrix).any()
+    assert not (bools(g) & ~bools(h)).any()
     assert set(g.pairs()) == naive_closure(n, small)
 
 
@@ -305,10 +313,10 @@ def test_is_antisymmetric_matches_the_pairwise_walk(closed):
     n = closed.n
     packed = PreorderGraph.from_packed(closed.packed)
     for form in (PreorderGraph(n, closed.rows), packed,
-                 PreorderGraph.from_matrix(closed.matrix)):
+                 PreorderGraph.from_matrix(bools(closed))):
         assert is_antisymmetric(form) == want
     # the packed form is read as words alone
-    assert not {"rows", "matrix"} & set(vars(packed))
+    assert "rows" not in vars(packed)
 
 
 def test_symmetric_part_matches_networkx_sccs():
@@ -325,7 +333,7 @@ def test_symmetric_part_matches_networkx_sccs():
         # the int-row, packed and matrix forms of one relation
         for form in (PreorderGraph(n, closed.rows),
                      PreorderGraph.from_packed(closed.packed),
-                     PreorderGraph.from_matrix(closed.matrix)):
+                     PreorderGraph.from_matrix(bools(closed))):
             part = symmetric_part(form)
             assert set(part.classes) == want
             # ordered by least member
@@ -385,7 +393,7 @@ def test_quotient_matches_pairs_walk_reference():
     assert 20 < merged < 380, merged
 
 
-def test_quotient_of_an_antisymmetric_graph_is_the_graph():
+def test_quotient_of_an_antisymmetric_graph_is_the_graph(unpacks):
     rng = random.Random(5)
     g = transitive_reflexive_closure(PreorderGraph.from_pairs(
         12, [(i, j) for i in range(12) for j in range(i + 1, 12)
@@ -394,10 +402,10 @@ def test_quotient_of_an_antisymmetric_graph_is_the_graph():
     q, part = quotient_preorder(g)
     assert q is g
     assert part.classes == tuple((i,) for i in range(12))
-    # on the packed words alone: no matrix read, no int rows made
+    # on the packed words alone: nothing unpacked, no int rows made
     words = PreorderGraph.from_packed(g.packed)
     assert quotient_preorder(words)[0] is words
-    assert not {"matrix", "rows"} & set(vars(words))
+    assert "rows" not in vars(words) and unpacks == []
 
 
 def test_equivalence_classes_reject_bad_partition():

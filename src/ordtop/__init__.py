@@ -47,6 +47,7 @@ from .finite_space import (
     FiniteTopology,
     SpaceFormatError,
     clopen_increasing_sets,
+    clopen_representation_check,
     enumerate_isotone_functions,
     graph_is_closed,
     is_T1_preordered,

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .finite_space import VALUE_BUDGET, BudgetError
-from .preorder import _TILE_CELLS, _first_set, _leq_lookup, _leq_tables, \
-    _or_columns, _pack_rows, _packed_leq, _unpack_rows
+from .preorder import _TILE_CELLS, _bit_at, _first_set, _leq_lookup, \
+    _leq_tables, _or_columns, _pack_rows, _packed_leq, _unpack_rows
 from .report import Check, CheckReport
 
 TWO_PI = 2.0 * math.pi
@@ -678,8 +678,7 @@ def validate_family(family, sample, raw, space, gather=()):
                     i, j = _first_set(diff)
                     first_diff = min(first_diff or (n,), (
                         start + i, c0 + j,
-                        "missing" if int(rel_bits[i, j >> 6]) >> (j & 63) & 1
-                        else "induced"))
+                        "missing" if _bit_at(rel_bits, i, j) else "induced"))
                 # an H member breaks its tag only where H misses a related
                 # pair: v_i > v_j + eps implies not v_i <= v_j + eps
                 missing = wrong and (rel_bits & diff).any()

@@ -17,7 +17,7 @@ import numpy as np
 
 from .catalog import DEFAULT_RESOLUTION, DEFAULT_TAIL_DEPTH, CatalogEntry, \
     FunctionFamily, sample_values, validate_family
-from .preorder import _TILE_CELLS, PreorderGraph, _closure_numpy, \
+from .preorder import _TILE_CELLS, PreorderGraph, _bit_at, _closure_numpy, \
     _first_set, _key_rows, _leading_block, _packed_leq, _row_keys, \
     _unpack_rows, is_antisymmetric, quotient_preorder
 from .report import Check, CheckReport, merge_reports
@@ -90,6 +90,13 @@ def _clipped(values):
     return np.minimum(out, 1.0, out=out)
 
 
+def _eps_q_error(eps_q):
+    """Why quantizing [0, 1] in steps of eps_q leaves int64, or None."""
+    if not (eps_q > 0 and 1 / eps_q < 2**63):
+        return (f"eps_q must be positive with 1 / eps_q below 2**63, the "
+                f"int64 limit of a quantized value, not {eps_q!r}")
+
+
 def _quantize(values, eps_q):
     """values / eps_q rounded as int64, overwriting the float array values."""
     np.divide(values, eps_q, out=values)
@@ -144,6 +151,8 @@ def close_and_cluster(entry, family, sample, raw, eps_q=DEFAULT_EPS_Q,
     converges into the core, one an earlier end added merges with it,
     and a new one is a remainder vertex.  quant is the keys, read-only.
     """
+    if error := _eps_q_error(eps_q):
+        raise ValueError(error)
     width, n = raw.shape
     ids = {}  # quantized row's key -> vertex id, by first occurrence
     step = max(1, _TILE_CELLS // max(width, 1))
@@ -218,13 +227,9 @@ def verify_preorder_embedding(comp, samples, relations) -> CheckReport:
     diff = rel ^ _leading_block(graph.packed, n_core)
     pairs = n_core * n_core
     count = int(np.bitwise_count(diff).sum(dtype=np.int64))
-    witness = None
-    if count:
-        i, j = _first_set(diff)  # the induced order has (i, j) iff rel has not
-        witness = (tuple(coords[reps[i]].tolist()),
-                   tuple(coords[reps[j]].tolist()),
-                   "missing" if int(rel[i, j >> 6]) >> (j & 63) & 1
-                   else "induced")
+    first = _first_set(diff)  # the induced order has (i, j) iff rel has not
+    witness = first and (*(tuple(coords[reps[k]].tolist()) for k in first),
+                         "missing" if _bit_at(rel, *first) else "induced")
     rate = count / pairs if pairs else 0.0
     vertex_check = Check(
         "vertex_order_matches_space", rate <= DELTA_EMBED, witness=witness,

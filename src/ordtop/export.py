@@ -6,8 +6,8 @@ import os
 
 import numpy as np
 
-from .preorder import _TILE_CELLS, PreorderGraph, _first_set, _hex_rows, \
-    _lowest_bits, quotient_preorder
+from .preorder import _TILE_CELLS, PreorderGraph, _bit_at, _first_set, \
+    _hex_rows, _lowest_bits, _strict_rows, quotient_preorder
 from .report import _plain
 
 
@@ -53,9 +53,8 @@ def transitive_reduction(graph: PreorderGraph) -> tuple:
         order = np.argsort(-np.bitwise_count(packed).sum(
             axis=1, dtype=np.int64), kind="stable")
         packed = graph.restrict(order).packed
+    strict = _strict_rows(packed)
     diag = np.arange(n)
-    strict = packed.copy()
-    strict[diag, diag >> 6] &= ~(np.uint64(1) << (diag & 63).astype("<u8"))
     tails, heads, leaky = [diag[:0]], [diag[:0]], [diag[:0]]
     live = np.flatnonzero(strict.any(axis=1))
     left = strict[live]  # the live rows' points not yet taken or struck
@@ -74,9 +73,8 @@ def transitive_reduction(graph: PreorderGraph) -> tuple:
         struck = np.bitwise_or.reduce(packed[heads[tails == i]], axis=0)
         j = _first_set((struck & ~strict[i])[None])[1]
         # j is in the strict up-set of some k in row i
-        into_j = np.flatnonzero(strict[:, j >> 6] >> np.uint64(j & 63) & 1)
-        k = int(into_j[np.argmax(strict[i, into_j >> 6]
-                                 >> (into_j & 63).astype("<u8") & 1)])
+        into_j = np.flatnonzero(_bit_at(strict, diag, j))
+        k = int(into_j[np.argmax(_bit_at(strict, i, into_j))])
         if order is not None:
             i, k, j = (int(order[p]) for p in (i, k, j))
         raise ValueError("not a partial order: %d < %d < %d but not %d < %d"

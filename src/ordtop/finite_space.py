@@ -360,28 +360,32 @@ def representation_check(space, fns) -> CheckReport:
 
     fns is an (F, n) array, as enumerate_isotone_functions returns (a
     float64 one is not copied), or a sequence of rows; it is compared in
-    one function_preorder call.  An empty family induces the full
-    relation.  Witness: least pair in the symmetric difference, tagged
-    missing/extra relative to space's preorder.
+    one function_preorder call.  An empty family induces the full relation.
     """
     fns = np.asarray(fns, dtype=float)
-    induced = (function_preorder(fns) if len(fns)
-               else PreorderGraph.full(space.n))
+    return _representation_report(space, function_preorder(fns) if len(fns)
+                                  else PreorderGraph.full(space.n))
+
+
+def clopen_representation_check(space) -> CheckReport:
+    """representation_check of the continuous isotone functions into
+    {0, 1/L, ..., 1}, at any L >= 1, unlisted: their fibres are clopen, so
+    they are the functions isotone for the clopen order, whose up-sets'
+    indicators are among them.  So they induce exactly _clopen_order."""
+    return _representation_report(space, _clopen_order(space))
+
+
+def _representation_report(space, induced) -> CheckReport:
+    """The check that the relation induced is space's preorder; witness:
+    the row-major first pair in just one, "extra" if it is in induced."""
     want = space.preorder
-    witness = None
-    for i, (got, own) in enumerate(zip(induced.rows, want.rows)):
-        if got != own:
-            j = _least_bit(got ^ own)
-            witness = (i, j, "extra" if got >> j & 1 else "missing")
-            break
-    metrics = {
-        "induced_pairs": induced.pair_count(),
-        "preorder_pairs": want.pair_count(),
-    }
-    return CheckReport(
-        (Check("represents_preorder", witness is None, witness=witness,
-               metrics=metrics),)
-    )
+    pair = next(((i, _least_bit(got ^ own)) for i, (got, own) in enumerate(
+        zip(induced.rows, want.rows)) if got != own), None)
+    return CheckReport((Check(
+        "represents_preorder", pair is None,
+        witness=pair and (*pair, "extra" if induced.leq(*pair) else "missing"),
+        metrics={"induced_pairs": induced.pair_count(),
+                 "preorder_pairs": want.pair_count()}),))
 
 
 def quotient_space(space: FinitePreorderedSpace):

@@ -57,6 +57,19 @@ def _leading_block(packed, m):
     return out
 
 
+def _bit_at(packed, i, j):
+    """Bit j of '<u8' row i as a 0/1 word; int arrays i, j broadcast."""
+    j = np.asarray(j, dtype=_WORD)
+    return packed[i, j >> 6] >> (j & 63) & 1
+
+
+def _strict_rows(packed):
+    """A copy of n '<u8' rows with bit i of row i cleared."""
+    out, diag = packed.copy(), np.arange(len(packed), dtype=_WORD)
+    out[diag, diag >> 6] &= ~(np.uint64(1) << (diag & 63))
+    return out
+
+
 def _lowest_bits(rows):
     """Column of the lowest set bit of each nonzero row of '<u8' words."""
     first = (rows != 0).argmax(axis=1)
@@ -281,8 +294,8 @@ class PreorderGraph:
                              f"got shape {packed.shape}")
         if n % 64 and (packed[:, -1] >> n % 64).any():
             raise ValueError(f"rows have bits outside 0..{n - 1}")
-        diag = np.arange(n, dtype=_WORD)
-        return cls._checked(packed, packed[diag, diag >> 6] >> (diag & 63) & 1)
+        diag = np.arange(n)
+        return cls._checked(packed, _bit_at(packed, diag, diag))
 
     @classmethod
     def from_matrix(cls, mat: np.ndarray) -> "PreorderGraph":

@@ -59,10 +59,7 @@ class CheckReport:
 
 
 def merge_reports(*reports: CheckReport) -> CheckReport:
-    checks = []
-    for r in reports:
-        checks.extend(r.checks)
-    return CheckReport(tuple(checks))
+    return CheckReport(tuple(c for r in reports for c in r.checks))
 
 
 def _plain(value):

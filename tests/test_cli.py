@@ -86,47 +86,61 @@ def test_check_finite_rejects_json_booleans_as_integers(tmp_path, capsys):
         assert captured.err == f"error: {message}\n"
 
 
+def assert_one_report_at_every_level(path, capsys):
+    """check-finite passes all five checks with the same stdout, text and
+    JSON, at --levels 1, 2 and 3: the representation is read off the
+    clopen order, so no level can reach an enumeration budget."""
+    for mode in ([], ["--json"]):
+        outs = set()
+        for levels in ("1", "2", "3"):
+            assert ordtop.cli.main(
+                ["check-finite", path, "--levels", levels, *mode]) == 0
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            outs.add(captured.out)
+        (out,) = outs
+        if not mode:
+            assert out.count(": PASS\n") == 5 and "FAIL" not in out
+    return json.loads(out)["checks"][-1]["metrics"]
+
+
 def test_check_finite_budget_overflow_is_a_usage_error(tmp_path, monkeypatch,
                                                       capsys):
-    # 12 discrete points, no order: 4^12 functions at --levels 3
+    # 12 discrete points, no order, have 4^12 functions at --levels 3 and
+    # 2^12 at --levels 1; check-finite lists none of them, so a budget of
+    # one function, which an enumeration overflows at once, is no error
     path = write_json(tmp_path / "a.json", {
         "n": 12, "basis": [[p] for p in range(12)], "relation": []})
-    monkeypatch.setattr(ordtop.finite_space, "FUNCTION_BUDGET", 1000)
-    assert ordtop.cli.main(["check-finite", path, "--levels", "3"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == (
-        "error: budget exceeded: more than 1000 isotone functions\n")
-    # at --levels 1 the functions are the indicators of the 2^12 clopen
-    # sets, one past this budget
-    monkeypatch.setattr(ordtop.finite_space, "FUNCTION_BUDGET", 4095)
-    assert ordtop.cli.main(["check-finite", path, "--levels", "1"]) == 2
-    assert "more than 4095 isotone functions" in capsys.readouterr().err
+    monkeypatch.setattr(ordtop.finite_space, "FUNCTION_BUDGET", 1)
+    assert assert_one_report_at_every_level(path, capsys) == {
+        "induced_pairs": 12, "preorder_pairs": 12}
 
 
 def test_check_finite_default_budget_fails_fast(tmp_path, capsys):
-    # 4^12 functions at --levels 3, the README's over-budget example
+    # 4^12 functions at --levels 3 are past the default function budget,
+    # and no level is refused; a level below 1 still is
     path = write_json(tmp_path / "a.json", {
         "n": 12, "basis": [[p] for p in range(12)], "relation": []})
-    assert ordtop.cli.main(["check-finite", path, "--levels", "3"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == (
-        "error: budget exceeded: more than 2000000 isotone functions\n")
+    assert assert_one_report_at_every_level(path, capsys) == {
+        "induced_pairs": 12, "preorder_pairs": 12}
+    with pytest.raises(SystemExit) as exc:
+        ordtop.cli.main(["check-finite", path, "--levels", "0"])
+    assert exc.value.code == 2
+    assert "--levels must be at least 1" in capsys.readouterr().err
 
 
-def test_check_finite_bounds_the_function_values(tmp_path, capsys):
-    # a 600-point discrete chain has 180,901 functions at --levels 2, within
-    # FUNCTION_BUDGET, but their values pass VALUE_BUDGET long before
+def test_check_finite_bounds_the_function_values(tmp_path, monkeypatch,
+                                                 capsys):
+    # a 600-point discrete chain has 180,901 functions at --levels 2, whose
+    # values pass VALUE_BUDGET; check-finite holds none of them
     n = 600
     path = write_json(tmp_path / "chain.json", {
         "n": n, "basis": [[p] for p in range(n)],
         "relation": [[i, i + 1] for i in range(n - 1)]})
-    assert ordtop.cli.main(["check-finite", path]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == (
-        "error: budget exceeded: more than 33554432 isotone function values\n")
+    monkeypatch.setattr(ordtop.finite_space, "FUNCTION_BUDGET", 1)
+    monkeypatch.setattr(ordtop.finite_space, "VALUE_BUDGET", 1)
+    assert assert_one_report_at_every_level(path, capsys) == {
+        "induced_pairs": n * (n + 1) // 2, "preorder_pairs": n * (n + 1) // 2}
 
 
 @pytest.mark.parametrize("argv", (
@@ -286,6 +300,21 @@ def test_compactify_rejects_non_finite_tolerances(tmp_path, capsys, flag,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ("1e-19", "1e-30", "5e-324"))
+def test_compactify_refuses_an_eps_q_past_the_int64_quantum(tmp_path, capsys,
+                                                            value):
+    # 1 / eps_q from 2**63 on does not fit the int64 quantized values; the
+    # cast once wrapped them and a build exited 1 with witnesses of it
+    out = tmp_path / "x"
+    with pytest.raises(SystemExit) as exc:
+        ordtop.cli.main(["compactify", "--space", "half-open-interval",
+                         "--resolution", "64", "--eps-q", value,
+                         "--out", str(out)])
+    assert exc.value.code == 2
+    assert "1 / eps_q below 2**63" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_report_json_is_byte_identical_across_runs(tmp_path):
     args = ("compactify", "--space", "real-line-mirror",
             "--resolution", "128")
@@ -387,7 +416,8 @@ def test_dominate_rejects_an_edited_build(tmp_path):
     assert "row 3" in proc.stderr
 
 
-@pytest.mark.parametrize("value", (float("nan"), float("inf"), 0.0, True))
+@pytest.mark.parametrize("value", (float("nan"), float("inf"), 0.0, True,
+                                   1e-19))
 def test_dominate_rejects_a_stored_bad_tolerance(tmp_path, capsys, value):
     out = tmp_path / "build"
     assert ordtop.cli.main(["compactify", "--space", "half-open-interval",

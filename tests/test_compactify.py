@@ -389,6 +389,22 @@ def test_vertices_and_ends_are_placed_as_the_reference_places_them(cells,
     assert comp.end_info == tuple(end_info)
 
 
+def test_close_and_cluster_refuses_an_eps_q_past_the_int64_quantum():
+    # from 1 / eps_q = 2**63 on, rint(1.0 / eps_q) does not fit the int64
+    # quant, and the cast would wrap it to INT64_MIN
+    entry = catalog("half-open-interval")
+    fam = entry.family("default", 64)
+    sample, raw = sample_values(entry.space, fam, 64, 4)
+    for eps_q in (2.0 ** -63, 1e-19, 1e-30, 5e-324, 0.0, -1e-3, math.nan):
+        with pytest.raises(ValueError, match=r"1 / eps_q below 2\*\*63"):
+            close_and_cluster(entry, fam, sample, raw, eps_q)
+    # just inside the limit 1.0 quantizes without wrapping, every sample is
+    # its own vertex and the end keeps its remainder vertex
+    comp = close_and_cluster(entry, fam, sample, raw, 1.1e-19)
+    assert comp.quant.min() >= 0 and comp.quant.max() > 2**62
+    assert (comp.n_core, comp.n_vertices) == (64, 65)
+
+
 def test_close_and_cluster_holds_one_copy_of_the_raw_values():
     # raw is quantized a row tile at a time, so past raw the peak holds
     # the quantized rows' keys and quant joined from them; after the

@@ -17,6 +17,7 @@ from ordtop.finite_space import (
     FiniteTopology,
     SpaceFormatError,
     clopen_increasing_sets,
+    clopen_representation_check,
     enumerate_isotone_functions,
     graph_is_closed,
     is_T1_preordered,
@@ -782,6 +783,27 @@ def test_representation_with_enumeration_and_L_monotonicity():
         space = chain_space(n)
         fns = enumerate_isotone_functions(space, 1)
         assert representation_check(space, fns).passed
+
+
+def test_clopen_representation_is_the_enumeration_at_every_level():
+    # the chain-valued continuous isotone functions induce the clopen
+    # order at every L >= 1, so the closed form gives the enumerated
+    # family's whole report: verdict, witness and metrics
+    rng = random.Random(131)
+    verdicts = dict.fromkeys(SPACE_STYLES, 0)
+    for trial in range(3000):
+        style = SPACE_STYLES[trial % 3]
+        space = random_finite_space(rng, rng.randint(0, 9), style)
+        report = clopen_representation_check(space).to_dict()
+        for levels in (1, 2, 3):
+            fns = enumerate_isotone_functions(space, levels)
+            assert representation_check(space, fns).to_dict() == report
+        verdicts[style] += report["passed"]
+    # a closed preorder holds U·G·Uᵀ, so it is its clopen order; the
+    # other styles both pass and fail
+    assert verdicts["closed"] == 1000
+    assert 0 < verdicts["plain"] < 1000 and \
+        0 < verdicts["specialization"] < 1000, verdicts
 
 
 # -------------------------------------------------------------- quotients

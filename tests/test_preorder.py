@@ -1,3 +1,4 @@
+import ast
 import pathlib
 import random
 import re
@@ -177,13 +178,14 @@ def test_restrict_matches_the_matrix_oracle_on_runs(n):
 def test_only_preorder_converts_between_the_forms():
     # bytes, ints, bit-packed arrays, byte keys and hex text of relation
     # rows, and rows read back from their keys, are made from one another
-    # in preorder.py alone; no other module reads a .matrix or masks the
-    # bits past a last word's columns
+    # in preorder.py alone; no other module reads a .matrix, masks the
+    # bits past a last word's columns or finds a bit in its word
     conversion = re.compile(r"packbits|unpackbits|from_bytes|to_bytes"
                             r"|frombuffer|tobytes"
                             r"|np\.void|\.hex\(|format\([^)]*[\"']x[\"']\)"
                             r"|\.matrix\b"
-                            r"|np\.uint64\(\(1 << [^)]*% 64\) - 1\)")
+                            r"|np\.uint64\(\(1 << [^)]*% 64\) - 1\)"
+                            r"|& 63\b|>> 6\b")
     found = []
     for path in sorted(pathlib.Path(ordtop.preorder.__file__).parent
                        .glob("*.py")):
@@ -192,6 +194,18 @@ def test_only_preorder_converts_between_the_forms():
         for k, line in enumerate(path.read_text().splitlines(), 1):
             if conversion.search(line):
                 found.append(f"{path.name}:{k}: {line.strip()}")
+    assert found == []
+
+
+def test_no_module_checks_an_invariant_with_assert():
+    # python -O strips assert statements, so an invariant of the package
+    # raises an error instead
+    found = []
+    for path in sorted(pathlib.Path(ordtop.preorder.__file__).parent
+                       .glob("*.py")):
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(
+            ast.parse(path.read_text(), str(path)))
+            if isinstance(node, ast.Assert)]
     assert found == []
 
 

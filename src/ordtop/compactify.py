@@ -17,9 +17,10 @@ import numpy as np
 
 from .catalog import DEFAULT_RESOLUTION, DEFAULT_TAIL_DEPTH, CatalogEntry, \
     FunctionFamily, sample_values, validate_family
-from .preorder import _TILE_CELLS, PreorderGraph, _bit_at, _closure_numpy, \
-    _first_set, _key_rows, _leading_block, _packed_leq, _row_keys, \
-    _unpack_rows, is_antisymmetric, quotient_preorder
+from .preorder import _TILE_CELLS, PreorderGraph, _bit_at, _first_set, \
+    _key_rows, _leading_block, _packed_leq, _row_keys, _strict_rows, \
+    _unpack_rows, is_antisymmetric, quotient_preorder, \
+    transitive_reflexive_closure
 from .report import Check, CheckReport, merge_reports
 
 DEFAULT_EPS_Q = 1e-3
@@ -330,7 +331,7 @@ def dominate(comp2, comp1) -> DominationMap:
         raise DominationError(f"H-part {sorted(h1)} is not a subset of {sorted(h2)}")
     if sorted(names1[comp1.h_count:]) != sorted(names2[comp2.h_count:]):
         raise DominationError("C-parts differ")
-    if abs(comp1.eps_q - comp2.eps_q) > 1e-15:
+    if comp1.eps_q != comp2.eps_q:  # exact: stored builds round-trip it
         raise DominationError("builds use different quanta")
     _require_same_samples(comp2, comp1)
     proj_idx = [names2.index(nm) for nm in names1]
@@ -512,38 +513,33 @@ def smallest_closed_preorder_diagnostic(comp, core_rel) -> CheckReport:
     representatives, as the packed rows validate_family gathers.  Seed
     relation: the diagonal, core_rel, and the remainder rows/columns
     (tail-limit inheritance: a remainder vertex relates exactly where
-    its quantized limit vector does).  One transitive closure gives the
-    least closed preorder containing the seed; the check reports whether
-    the induced preorder adds pairs beyond it, the first 20 in row-major
-    order as its witness.  When core_rel equals the induced core block
-    the seed is the induced preorder, transitive by construction, so it
-    is its own closure and no closure is computed.
+    its quantized limit vector does), built on the induced relation's
+    words.  One transitive_reflexive_closure gives the least closed
+    preorder containing the seed; the check reports whether the induced
+    preorder adds pairs beyond it, the first 20 in row-major order as its
+    witness.  When core_rel equals the induced core block (up to the
+    diagonal) the seed is the induced preorder, transitive by
+    construction, so it is its own closure and no closure is computed.
     """
     if not comp.complete:
         raise ValueError("compactification is incomplete")
-    n_core, graph = comp.n_core, comp.induced
-    if np.array_equal(core_rel, _leading_block(graph.packed, n_core)):
-        pairs = graph.pair_count()
-        return CheckReport((Check(
-            "induced_equals_smallest_closure", True,
-            metrics={"induced_pairs": pairs, "closure_pairs": pairs,
-                     "excess_pairs": 0}),))
-    ind = _unpack_rows(graph.packed, graph.n)
-    seed = np.eye(comp.n_vertices, dtype=bool)
-    seed[:n_core, :n_core] |= _unpack_rows(core_rel, n_core)
-    seed[n_core:] = ind[n_core:]
-    seed[:, n_core:] = ind[:, n_core:]
-    fix = _closure_numpy(seed)
-    excess = ind & ~fix
+    graph = comp.induced
+    seed = graph.packed.copy()  # the core block: the diagonal and core_rel
+    block = seed[:comp.n_core, :core_rel.shape[1]]
+    block ^= _strict_rows(_leading_block(graph.packed, comp.n_core))
+    block |= core_rel
+    fix = graph if np.array_equal(seed, graph.packed) else \
+        transitive_reflexive_closure(PreorderGraph.from_packed(seed))
+    excess = graph.packed & ~fix.packed
     # the first 20 excess pairs, row-major, lie in the first 20 such rows
     rows = np.flatnonzero(excess.any(axis=1))[:20]
-    witness = [(int(i), int(j)) for i in rows
-               for j in np.flatnonzero(excess[i])[:20]][:20] or None
+    witness = [(int(rows[i]), int(j)) for i, j in np.argwhere(
+        _unpack_rows(excess[rows], graph.n))[:20]] if len(rows) else None
     return CheckReport((Check(
-        "induced_equals_smallest_closure", not excess.any(), witness=witness,
-        metrics={"induced_pairs": int(np.count_nonzero(ind)),
-                 "closure_pairs": int(np.count_nonzero(fix)),
-                 "excess_pairs": int(np.count_nonzero(excess))},
+        "induced_equals_smallest_closure", witness is None, witness=witness,
+        metrics={"induced_pairs": graph.pair_count(),
+                 "closure_pairs": fix.pair_count(),
+                 "excess_pairs": int(np.bitwise_count(excess).sum())},
     ),))
 
 

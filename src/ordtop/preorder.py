@@ -7,7 +7,7 @@ reflexivity but not transitivity, and makes and caches the other on
 first read; so a build's relation, the rank-bitset kernel's words, is
 never held as int rows.  A reader that needs bools unpacks the words
 into a local array; no graph holds one.  Only this module converts
-between the forms, and it holds the kernel (_packed_leq).
+between the forms, and it holds the kernels (_packed_leq, _bool_product).
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-# above this size the numpy matmul path beats pure-python Warshall
+# above this size products and closures run on the packed words
 _NUMPY_CUTOVER = 96
 _WORD = np.dtype("<u8")  # one packed word: 64 columns, lowest first
 # cells per row tile of an all-pairs pass: up to 1,024 points take one tile
@@ -345,10 +345,13 @@ PreorderGraph.rows.__set_name__(PreorderGraph, "rows")
 
 
 def transitive_reflexive_closure(graph: PreorderGraph) -> PreorderGraph:
-    """Smallest preorder containing the given reflexive relation."""
+    """Smallest preorder containing the given reflexive relation; above
+    _NUMPY_CUTOVER points, its words squared until they stop changing."""
     if graph.n > _NUMPY_CUTOVER:
-        return PreorderGraph.from_matrix(_closure_numpy(
-            _unpack_rows(graph.packed, graph.n)))
+        cur, nxt = None, graph.packed
+        while not np.array_equal(cur, nxt):
+            cur, nxt = nxt, _bool_product(nxt, nxt)
+        return PreorderGraph.from_packed(nxt)
     rows = list(graph.rows)
     n = graph.n
     # Warshall over bitmask rows: one pass suffices because row k is
@@ -362,33 +365,33 @@ def transitive_reflexive_closure(graph: PreorderGraph) -> PreorderGraph:
     return PreorderGraph(n, tuple(rows))
 
 
-def _closure_numpy(mat: np.ndarray) -> np.ndarray:
-    """Transitive closure of a reflexive n x n bool matrix, as one."""
-    cur = mat.astype(np.float32)
-    # squaring a reflexive matrix doubles reachable path length
-    steps = max(1, int(np.ceil(np.log2(max(len(mat), 2)))))
-    for _ in range(steps):
-        nxt = ((cur @ cur) > 0).astype(np.float32)
-        if np.array_equal(nxt, cur):
-            break
-        cur = nxt
-    return cur > 0
+def _bool_product(left, right):
+    """'<u8' rows of the Boolean product left·right by the method of Four
+    Russians (M4RM; Albrecht, Bard & Hart 2010): each 8 rows of right give
+    the 256 ORs of their subsets, and row i ORs in the one its byte of
+    left selects."""
+    out = np.zeros((len(left), right.shape[1]), dtype=_WORD)
+    table = np.zeros((256, right.shape[1]), dtype=_WORD)
+    for b, byte in enumerate(left.view(np.uint8).T[:-(-len(right) // 8)]):
+        for t, row in enumerate(right[8 * b:8 * b + 8]):
+            np.bitwise_or(table[:1 << t], row, out=table[1 << t:2 << t])
+        out |= table[byte]
+    return out
 
 
 def _product(left, graph, right):
     """Int rows of left·graph·rightᵀ (None: the identity): i to l iff
     i <= j in left, j <= k in graph and l <= k in right, some j and k.
     Lazy up to _NUMPY_CUTOVER points, so a caller that stops early makes
-    no more; above it read off float32 matmuls binarised after each."""
+    no more; above it read off packed products, right transposed once."""
     if graph.n > _NUMPY_CUTOVER:
-        out = _unpack_rows(graph.packed, graph.n)
+        out = graph.packed
         if left is not None:
-            out = _unpack_rows(left.packed, left.n).astype(np.float32) \
-                @ out.astype(np.float32) > 0
+            out = _bool_product(left.packed, out)
         if right is not None:
-            out = out.astype(np.float32) \
-                @ _unpack_rows(right.packed, right.n).T.astype(np.float32) > 0
-        return PreorderGraph.from_matrix(out).rows
+            out = _bool_product(out, _pack_rows(
+                _unpack_rows(right.packed, right.n).T, right.packed.shape[1]))
+        return PreorderGraph.from_packed(out).rows
     rows = graph.rows
     if left is not None:
         rows = map(graph.up_set, left.rows)

@@ -129,6 +129,16 @@ def test_check_finite_default_budget_fails_fast(tmp_path, capsys):
     assert "--levels must be at least 1" in capsys.readouterr().err
 
 
+def test_check_finite_refuses_more_points_than_the_budget(tmp_path, capsys):
+    n = ordtop.finite_space.POINT_BUDGET + 1
+    path = write_json(tmp_path / "big.json", {"n": n})
+    assert ordtop.cli.main(["check-finite", path, "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: budget exceeded: more than {n - 1} "
+                            f"points\n")
+
+
 def test_check_finite_bounds_the_function_values(tmp_path, monkeypatch,
                                                  capsys):
     # a 600-point discrete chain has 180,901 functions at --levels 2, whose
@@ -389,6 +399,21 @@ def test_dominate_rejects_builds_sampling_other_points(tmp_path, capsys):
     assert captured.out == (
         "domination impossible: builds sample different point sets (sample "
         "1 at (0.0019569773175542407,) vs (0.001953125,))\n")
+    assert captured.err == ""
+
+
+def test_dominate_tells_quanta_below_1e_15_apart(tmp_path, capsys):
+    # stored quanta round-trip exactly, so 1e-16 and 5e-16 differ
+    dirs = [str(tmp_path / f"q{eps}") for eps in ("1e-16", "5e-16")]
+    for eps, out in zip(("1e-16", "5e-16"), dirs):
+        assert ordtop.cli.main(["compactify", "--space", "half-open-interval",
+                                "--resolution", "64", "--eps-q", eps,
+                                "--out", out]) == 0
+    capsys.readouterr()
+    assert ordtop.cli.main(["dominate", *dirs]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ("domination impossible: builds use different "
+                            "quanta\n")
     assert captured.err == ""
 
 

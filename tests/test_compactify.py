@@ -592,6 +592,20 @@ def test_domination_requires_nested_names_and_matching_grid():
         dominate(comp3, comp1)
 
 
+def test_dominate_tells_quanta_below_1e_15_apart():
+    # quanta are compared exactly: two below 1e-15 are no longer taken as
+    # one and then refused for a projection farther than one quantum
+    entry = catalog("half-open-interval")
+    comps = [build_compactification(entry, entry.family("id", 64),
+                                    resolution=64, eps_q=eps)[0]
+             for eps in (1e-16, 5e-16)]
+    for a, b in (comps, comps[::-1]):
+        with pytest.raises(DominationError) as exc:
+            dominate(a, b)
+        assert str(exc.value) == "builds use different quanta"
+    assert all(dominate(c, c).ok for c in comps)
+
+
 def test_randomized_nested_families_always_dominate():
     from ordtop.generators import random_nested_families
     failures = []
@@ -633,7 +647,7 @@ def test_build_relation_stays_packed(unpacks, monkeypatch, tmp_path):
         return [id(p) for p in unpacks if id(p) in own]
 
     # the diagnostic takes its closure path here: past its budget a build
-    # skips it, and then it unpacks the relation once when called
+    # skips it, and when called it seeds and closes the relation's words
     monkeypatch.setattr(ordtop.compactify, "DIAGNOSTIC_BUDGET", 0)
     misner = catalog("misner-strip")
     comp, report = build_compactification(
@@ -643,7 +657,7 @@ def test_build_relation_stays_packed(unpacks, monkeypatch, tmp_path):
     assert "rows" not in vars(comp.induced)
     smallest_closed_preorder_diagnostic(
         comp, packed(core_relation(misner, comp)))
-    assert whole([comp.induced]) == [id(comp.induced.packed)]
+    assert whole([comp.induced]) == []
     # rows read later, as a digest does, are the words' rows
     want = tuple(sum(1 << int(j) for j in np.flatnonzero(row))
                  for row in bools(comp.induced))
@@ -714,7 +728,7 @@ def test_builds_off_a_linear_extension_hold_no_relation_matrix(
 def test_relation_is_read_only():
     # however a graph is made and whatever is read of it, it holds its
     # relation as int rows or read-only words, never as a bool array;
-    # 125 vertices take the numpy closure and products
+    # 125 vertices take the packed closure and products
     entry, comp, _ = build("half-open-interval", "id", resolution=128)
     graph = comp.induced
     assert graph.n > ordtop.preorder._NUMPY_CUTOVER
@@ -1243,13 +1257,14 @@ def test_diagnostic_seed_keeps_the_diagonal_of_a_core_relation():
 def test_diagnostic_closes_only_a_seed_unlike_the_induced_order(monkeypatch,
                                                                 unpacks):
     calls = []
-    closure = ordtop.compactify._closure_numpy
+    closure = ordtop.compactify.transitive_reflexive_closure
 
-    def counting(mat):
-        calls.append(len(mat))
-        return closure(mat)
+    def counting(graph):
+        calls.append(graph.n)
+        return closure(graph)
 
-    monkeypatch.setattr(ordtop.compactify, "_closure_numpy", counting)
+    monkeypatch.setattr(ordtop.compactify, "transitive_reflexive_closure",
+                        counting)
     entry, comp, report = build("closed-interval", "id,sq", resolution=256)
     assert report.check("induced_equals_smallest_closure").passed
     assert calls == [] and unpacks == []

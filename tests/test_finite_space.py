@@ -450,9 +450,9 @@ def test_T1_witness_matches_the_per_point_walk():
 
 
 def test_products_match_across_the_numpy_cutover(monkeypatch):
-    # each size up to 130 on int rows (cutover n) and on float32 matmuls
-    # (cutover n - 1); the minimal neighborhoods are the rows of a random
-    # preorder, and the topology check gets them with one point added
+    # each size up to 130 on int rows (cutover n) and on packed Boolean
+    # products (cutover n - 1); the minimal neighborhoods are the rows of a
+    # random preorder, and the topology check gets them with one point added
     def both_paths(check, n):
         got = []
         for cutover in (n, n - 1):
@@ -868,7 +868,8 @@ def saturation_quotient_space(space):
 
 def test_quotient_space_matches_the_saturation_fixpoint():
     # n from 1 to 130 runs both closures, Warshall up to 96 points and
-    # numpy above; each style has spaces that merge classes on both sides
+    # packed squaring above; each style has spaces that merge classes on
+    # both sides
     rng = random.Random(27)
     merged = dict.fromkeys(itertools.product(SPACE_STYLES, (False, True)), 0)
     for n in range(1, 131):
@@ -1064,6 +1065,19 @@ def test_load_space_loads_or_raises_space_format_error(data):
     graph_is_closed(space)
     is_T1_preordered(space)
     quotient_space(space)
+
+
+def test_load_space_refuses_more_points_than_the_budget(monkeypatch):
+    # the budget is read at call time, and checked before the basis or
+    # the relation is read
+    budget = ordtop.finite_space.POINT_BUDGET
+    with pytest.raises(BudgetError) as exc:
+        load_space({"n": budget + 1, "basis": "not read"})
+    assert str(exc.value) == f"budget exceeded: more than {budget} points"
+    monkeypatch.setattr(ordtop.finite_space, "POINT_BUDGET", 3)
+    assert load_space({"n": 3, "relation": [[0, 1]]}).preorder.leq(0, 1)
+    with pytest.raises(BudgetError, match="more than 3 points"):
+        load_space({"n": 4})
 
 
 def test_empty_space_is_vacuously_fine():

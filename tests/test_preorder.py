@@ -209,6 +209,29 @@ def test_no_module_checks_an_invariant_with_assert():
     assert found == []
 
 
+def _is_float_product(node):
+    """A matmul (@, np.matmul, np.dot) or a float32 name or string."""
+    if isinstance(node, (ast.BinOp, ast.AugAssign)):
+        return isinstance(node.op, ast.MatMult)
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+        return node.func.attr in ("matmul", "dot")
+    return (isinstance(node, ast.Attribute) and node.attr == "float32"
+            or isinstance(node, ast.Name) and node.id == "float32"
+            or isinstance(node, ast.Constant) and node.value == "float32")
+
+
+def test_no_module_multiplies_relations_as_floats():
+    # relations are int rows or packed words, preorder.py included: no
+    # module of the package runs a matmul or makes a float32 array
+    found = []
+    for path in sorted(pathlib.Path(ordtop.preorder.__file__).parent
+                       .glob("*.py")):
+        found += sorted({f"{path.name}:{node.lineno}" for node in ast.walk(
+            ast.parse(path.read_text(), str(path)))
+            if _is_float_product(node)})
+    assert found == []
+
+
 def test_closure_matches_naive_fixpoint():
     rng = random.Random(0)
     for trial in range(120):
@@ -224,7 +247,7 @@ def test_closure_matches_naive_fixpoint():
 
 def test_closure_numpy_path_agrees_with_warshall():
     rng = random.Random(1)
-    n = 140  # above the matmul cutover
+    n = 140  # above the cutover: the packed words are squared
     g, pairs = random_graph(rng, n, 0.01)
     closed = transitive_reflexive_closure(g)
     # compare against networkx reachability
@@ -236,6 +259,41 @@ def test_closure_numpy_path_agrees_with_warshall():
         assert closed.rows[i] == row
 
 
+def _shaped_relation(rng, n, shape):
+    """A reflexive relation on n points: sparse or dense random pairs, or
+    a chain's consecutive pairs, whose closure takes log2(n) squarings."""
+    if shape == "chain":
+        mat = np.eye(n, k=1, dtype=bool)
+    else:
+        mat = rng.random((n, n)) < (2 / n if shape == "sparse" else 0.5)
+    return PreorderGraph.from_matrix(mat | np.eye(n, dtype=bool))
+
+
+@pytest.mark.parametrize("n", (97, 130, 200, 333, 700))
+def test_packed_products_match_int_rows(n):
+    # past the cutover products and closures run on packed words; the same
+    # calls at a cutover raised past n run on int rows.  Each shape is the
+    # middle factor of every None pattern, the next two the outer ones
+    rng = np.random.default_rng(n)
+    shapes = [_shaped_relation(rng, n, shape)
+              for shape in ("sparse", "dense", "chain")]
+    calls = [(ordtop.preorder._product, (left, graph, right))
+             for k, graph in enumerate(shapes)
+             for left in (None, shapes[k - 1])
+             for right in (None, shapes[k - 2])]
+    calls += [(transitive_reflexive_closure, (graph,)) for graph in shapes]
+
+    def run(fn, args):
+        out = fn(*args)
+        return tuple(out) if fn is ordtop.preorder._product else out.rows
+
+    packed = [run(*call) for call in calls]
+    with mock.patch.object(ordtop.preorder, "_NUMPY_CUTOVER", n):
+        assert [run(*call) for call in calls] == packed
+    # the chain's closure is the whole upper triangle
+    assert packed[-1] == tuple((1 << n) - (1 << i) for i in range(n))
+
+
 @st.composite
 def _graph_pair(draw):
     """A relation and a larger one on up to 12 points, as pair lists."""
@@ -245,7 +303,7 @@ def _graph_pair(draw):
     return n, small, small + draw(st.lists(pair, max_size=n))
 
 
-# the Warshall path, and the numpy path forced below its cutover
+# the Warshall path, and the packed path forced below its cutover
 _CLOSURE_PATHS = (10 ** 6, 0)
 
 
@@ -308,7 +366,7 @@ def pairwise_antisymmetric(graph):
 @st.composite
 def _closed_graph(draw):
     """The closure of random pairs on 0-140 points, past one packed word
-    and past the numpy closure's cutover, often with a 2-cycle added."""
+    and past the packed closure's cutover, often with a 2-cycle added."""
     n = draw(st.integers(0, 140))
     if not n:
         return PreorderGraph.diagonal(0)
@@ -336,7 +394,7 @@ def test_is_antisymmetric_matches_the_pairwise_walk(closed):
 def test_symmetric_part_matches_networkx_sccs():
     rng = random.Random(2)
     for trial in range(60):
-        # every sixth graph is past the numpy closure's cutover
+        # every sixth graph is past the packed closure's cutover
         n = rng.randrange(1, 10) if trial % 6 else rng.randrange(
             ordtop.preorder._NUMPY_CUTOVER + 1, 160)
         g, pairs = random_graph(rng, n, 0.3 if n < 10 else 1.5 / n)

@@ -126,14 +126,22 @@ def _rebuild_from_dir(path: str):
 
     The rebuilt relation must equal the stored relation_rows_hex; a
     build written by other code or edited since fails with the first
-    row that differs.  A config that compactify would refuse fails too.
+    row that differs.  A config that compactify would refuse fails too,
+    as does a report not shaped as compactify writes it.
     """
     with open(os.path.join(path, "report.json"), "r", encoding="utf-8") as fh:
         payload = json.load(fh)
-    cfg = payload.get("config")
-    if cfg is None:
-        raise SpaceFormatError(f"{path}/report.json has no config block")
+    cfg = payload.get("config") if isinstance(payload, dict) else None
+    if not isinstance(cfg, dict):
+        raise SpaceFormatError(f"{path}/report.json has no config object")
+    stored = payload.get("relation_rows_hex", [])
+    if not (isinstance(stored, list) and all(isinstance(row, str)
+                                             for row in stored)):
+        raise SpaceFormatError(f"{path}: stored relation_rows_hex is not a "
+                               f"list of strings")
     error = _config_error(cfg)
+    if not error and cfg["space"] not in CATALOG_NAMES:
+        error = f"space must be a catalog space, not {cfg['space']!r}"
     if error:
         raise SpaceFormatError(f"{path}: stored {error}")
     entry = catalog(cfg["space"])
@@ -141,8 +149,7 @@ def _rebuild_from_dir(path: str):
     comp = close_and_cluster(entry, family, *sample_values(
         entry.space, family, cfg["resolution"], cfg["tail_depth"]),
         cfg["eps_q"], cfg["eps_cauchy"])
-    rows = itertools.zip_longest(payload.get("relation_rows_hex", []),
-                                 _hex_rows(comp.induced.packed))
+    rows = itertools.zip_longest(stored, _hex_rows(comp.induced.packed))
     for row, (stored_row, rebuilt_row) in enumerate(rows):
         if stored_row != rebuilt_row:
             raise SpaceFormatError(

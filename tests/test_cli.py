@@ -461,7 +461,7 @@ def test_dominate_rejects_a_stored_bad_tolerance(tmp_path, capsys, value):
 
 @pytest.mark.parametrize("key,value", (
     ("tail_depth", 2), ("tail_depth", 4.0), ("resolution", "64"),
-    ("resolution", True), ("family", ["id"])))
+    ("resolution", True), ("family", ["id"]), ("space", ["x"])))
 def test_dominate_rejects_a_stored_bad_config(tmp_path, capsys, key, value):
     # each would otherwise end in a traceback from the rebuild
     out = tmp_path / "build"
@@ -473,6 +473,24 @@ def test_dominate_rejects_a_stored_bad_config(tmp_path, capsys, key, value):
     err = capsys.readouterr().err
     assert err.startswith("error: bad build directory:")
     assert key in err and repr(value) in err
+
+
+@pytest.mark.parametrize("edit", (
+    lambda payload: [],
+    lambda payload: {**payload, "config": 5},
+    lambda payload: {**payload, "relation_rows_hex": 5},
+    lambda payload: {**payload, "relation_rows_hex": None}),
+    ids=("top-level-list", "config-int", "rows-int", "rows-null"))
+def test_dominate_rejects_a_report_of_the_wrong_shape(tmp_path, capsys, edit):
+    # each would otherwise end in a traceback and exit 1
+    out = tmp_path / "build"
+    assert ordtop.cli.main(["compactify", "--space", "half-open-interval",
+                            "--resolution", "64", "--out", str(out)]) == 0
+    path = out / "report.json"
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    capsys.readouterr()
+    assert ordtop.cli.main(["dominate", str(out), str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: bad build directory:")
 
 
 def test_dominate_accepts_builds_whose_config_has_a_seed(tmp_path):

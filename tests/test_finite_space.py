@@ -29,7 +29,8 @@ from ordtop.finite_space import (
     set_closure,
     smallest_closed_preorder,
 )
-from ordtop.generators import SPACE_STYLES, random_finite_space
+from ordtop.generators import (SPACE_STYLES, random_finite_space,
+                               random_topology)
 from ordtop.preorder import (
     PreorderGraph,
     is_antisymmetric,
@@ -798,6 +799,12 @@ def test_clopen_representation_is_the_enumeration_at_every_level():
         for levels in (1, 2, 3):
             fns = enumerate_isotone_functions(space, levels)
             assert representation_check(space, fns).to_dict() == report
+        # Nachbin on a finite (so compact) space: represented iff closed,
+        # and the clopen order is the least closed preorder over G
+        assert graph_is_closed(space).passed == report["passed"]
+        assert ordtop.finite_space._clopen_order(space).rows == \
+            smallest_closed_preorder(space.topology,
+                                     space.preorder.pairs()).rows
         verdicts[style] += report["passed"]
     # a closed preorder holds U·G·Uᵀ, so it is its clopen order; the
     # other styles both pass and fail
@@ -988,6 +995,45 @@ def test_smallest_closed_preorder_matches_exhaustive_oracle():
         assert got.rows == want.rows
 
 
+def fixpoint_smallest_closed(top, seed_pairs):
+    """The least closed preorder as a fixpoint: transitive closure and
+    U·G·Uᵀ alternated until neither changes the relation."""
+    n, spec = top.n, top._spec
+    g = transitive_reflexive_closure(PreorderGraph.from_pairs(n, seed_pairs))
+    while True:
+        rows = tuple(ordtop.preorder._product(spec, g, spec))
+        if rows == g.rows:
+            return g
+        g = transitive_reflexive_closure(PreorderGraph(n, rows))
+
+
+def test_smallest_closed_preorder_is_the_fixpoint():
+    # the closure of U·S·Uᵀ is already closed: one pass gives the
+    # fixpoint, on both sides of the packed-product cutover
+    rng = random.Random(36)
+
+    def random_pairs(n, count):
+        return [(rng.randrange(n), rng.randrange(n)) for _ in range(count)]
+
+    sizes = [*range(1, 13), 95, 96, 97, 98, *range(110, 301, 19), 300]
+    grown = 0
+    for n in sizes:
+        tops = (FiniteTopology.discrete(n), FiniteTopology.indiscrete(n),
+                random_topology(rng, n),
+                FiniteTopology(n, transitive_reflexive_closure(
+                    PreorderGraph.from_pairs(n, random_pairs(n, n))).rows))
+        for top in tops:
+            for seed in ([], random_pairs(n, n // 4 + 1),
+                         random_pairs(n, n * n // 8 + 1)):
+                got = smallest_closed_preorder(top, seed)
+                want = fixpoint_smallest_closed(top, seed)
+                assert got.rows == want.rows, (n, top.umin[:4], seed[:4])
+                grown += want.rows != transitive_reflexive_closure(
+                    PreorderGraph.from_pairs(n, seed)).rows
+    # U·G·Uᵀ grew the seed's closure in over a third of the 12 cases a size
+    assert grown > len(sizes) * 4, grown
+
+
 # ------------------------------------------------------------ JSON loader
 
 
@@ -1157,6 +1203,39 @@ def test_clopen_budget_fires_one_set_past_the_limit(monkeypatch):
     monkeypatch.setattr(ordtop.finite_space, "FUNCTION_BUDGET", 8)
     with pytest.raises(BudgetError, match="more than 8 isotone"):
         enumerate_isotone_functions(pair, 2)
+
+
+def test_check_finite_computes_each_spaces_hull_once(tmp_path, monkeypatch,
+                                                    capsys):
+    # U·U checks the topology, T1 takes G·Uᵀ and U·G, and U·G·Uᵀ is shared
+    # by the closedness checks and the clopen order: 4 products, 5 packed
+    # ones, and the closures' squarings (the chain's load squares its
+    # relation 10 times, the indiscrete diagonal once; each clopen order
+    # is closed already and squares once)
+    calls = {"product": 0, "bool_product": 0}
+
+    def counted(name, original):
+        def call(*args):
+            calls[name] += 1
+            return original(*args)
+        return call
+
+    monkeypatch.setattr(ordtop.finite_space, "_product", counted(
+        "product", ordtop.finite_space._product))
+    monkeypatch.setattr(ordtop.preorder, "_bool_product", counted(
+        "bool_product", ordtop.preorder._bool_product))
+    n = 300
+    for data, code, most in (
+            ({"n": n, "basis": [[p] for p in range(n)],
+              "relation": [[i, i + 1] for i in range(n - 1)]}, 0, 16),
+            ({"n": n}, 1, 7)):
+        path = tmp_path / "space.json"
+        path.write_text(json.dumps(data))
+        calls.update(product=0, bool_product=0)
+        assert ordtop.cli.main(["check-finite", str(path)]) == code
+        assert calls["product"] == 4, calls
+        assert calls["bool_product"] <= most, calls
+    capsys.readouterr()
 
 
 def test_check_finite_never_reads_the_open_family(tmp_path, monkeypatch,

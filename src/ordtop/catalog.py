@@ -480,6 +480,10 @@ class CatalogEntry:
             if missing:
                 raise KeyError(
                     f"unknown function names for {self.name}: {missing}")
+            repeated = sorted({n for n in names if names.count(n) > 1})
+            if repeated:
+                raise KeyError(
+                    f"repeated function names for {self.name}: {repeated}")
         return FunctionFamily(tuple(self.pool[n] for n in names), self.c_part)
 
     def quotient_data(self):
@@ -564,20 +568,18 @@ def sample_values(space, family, resolution, tail_depth):
     return sample, evaluate_family(family, sample.coords)
 
 
-def _breakable(raw, bounds, isotone):
-    """Per member row, whether some pair (i, j) has raw[i] > bounds[j]
-    (isotone rows) or raw[i] < bounds[j] (the others).
+def _breakable(raw, isotone, eps):
+    """Per member row, whether some pair (i, j) has raw[i] > raw[j] + eps
+    (isotone rows) or raw[i] < raw[j] - eps (the others).
 
     NaN compares False, so that is whether the largest (least) non-NaN
-    value exceeds (undercuts) the least (largest) non-NaN bound; fmax and
-    fmin skip NaN without the all-NaN warning of nanmax and nanmin.
+    value exceeds the least + eps (undercuts the largest - eps), which
+    rounds as the least raw[j] + eps would, rounding being monotone; fmax
+    and fmin skip NaN without the all-NaN warning of nanmax and nanmin.
     """
-    return np.where(
-        isotone,
-        np.fmax.reduce(raw, axis=1, initial=-np.inf)
-        > np.fmin.reduce(bounds, axis=1, initial=np.inf),
-        np.fmin.reduce(raw, axis=1, initial=np.inf)
-        < np.fmax.reduce(bounds, axis=1, initial=-np.inf))
+    top = np.fmax.reduce(raw, axis=1, initial=-np.inf)
+    low = np.fmin.reduce(raw, axis=1, initial=np.inf)
+    return np.where(isotone, top > low + eps, low < top - eps)
 
 
 def _ids(ids, offset):
@@ -632,8 +634,8 @@ def validate_family(family, sample, raw, space, gather=()):
                 limit = m + 1
     # isotone breaks on v_i > v_j + eps, anti-isotone on v_i < v_j - eps
     isotone = np.array([f.monotone == "isotone" for f in members], dtype=bool)
-    bounds = raw + np.where(isotone, EPS_FN, -EPS_FN)[:, None]
-    breakable = _breakable(raw, bounds, isotone)
+    slack = np.where(isotone, EPS_FN, -EPS_FN)  # added where a bound is read
+    breakable = _breakable(raw, isotone, EPS_FN)
     passes = [m for m, f in enumerate(members[:limit])
               if f.monotone != "none" and breakable[m]]
 
@@ -650,7 +652,7 @@ def validate_family(family, sample, raw, space, gather=()):
         words = -(-w // 64)
         # before h_bits, so that the tables' transient copies are gone
         tables = keys is not None and list(_leq_tables(keys[:, cols], step))
-        h_bits = _packed_leq(raw[:n_h], bounds[:n_h, cols]) if n_h else None
+        h_bits = n_h and _packed_leq(raw[:n_h], raw[:n_h, cols], EPS_FN)
         # per gather, its first id's position and the block columns its ids
         # take, or None when they are all of them and start on a word edge
         spans = [(lo, None if hi - lo == w and not lo % 64
@@ -693,7 +695,7 @@ def validate_family(family, sample, raw, space, gather=()):
                     rel = _unpack_rows(rel_bits, w)
                 broken = np.greater if members[m].monotone == "isotone" \
                     else np.less
-                bad = broken(raw[m, rows, None], bounds[m, cols])
+                bad = broken(raw[m, rows, None], raw[m, cols] + slack[m])
                 bad &= rel
                 if bad.any():
                     i, j = divmod(int(np.argmax(bad)), w)

@@ -36,7 +36,8 @@ FUNCTION_BUDGET = 2_000_000  # chain-valued isotone functions
 # about 8 s on 2 vCPU, its products and closure cubic in the points
 POINT_BUDGET = 5_000
 # most values (rows x points) of a build's samples or an isotone function
-# enumeration step; a build's traced peak is 24 B a value, 778 MiB at the cap
+# enumeration step; a build's traced peak is 24 B a value (770 MiB at the
+# cap), set in close_and_cluster by raw, the dict's keys and the joined quant
 VALUE_BUDGET = 1 << 25
 
 

@@ -99,11 +99,10 @@ def _key_rows(keys, dtype, width):
 
 
 def _hex_rows(packed):
-    """Each '<u8' row as the hex text format(row, "x") gives its int."""
-    width = 16 * packed.shape[1]
-    text = packed.view(np.uint8)[:, ::-1].tobytes().hex()
-    return [text[k * width:(k + 1) * width].lstrip("0") or "0"
-            for k in range(len(packed))]
+    """Each '<u8' row as the hex text format(row, "x") gives its int,
+    formatted from that row's own bytes, last byte first."""
+    return [row.tobytes().hex().lstrip("0") or "0"
+            for row in packed.view(np.uint8)[:, ::-1]]
 
 
 def _rank_tables(order, start, height, words):
@@ -132,8 +131,8 @@ def _rank_tables(order, start, height, words):
                                 .transpose(0, 2, 1)).reshape(-1, words)
 
 
-def _packed_leq(values, bounds):
-    """Packed rows of [all m: values[m, i] <= bounds[m, j]].
+def _packed_leq(values, bounds, slack=0.0):
+    """Packed rows of [all m: values[m, i] <= bounds[m, j] + slack].
 
     values is (k, n) and bounds (k, w); the result is (n, ceil(w / 64))
     '<u8', bit j of row i being bit j % 64 of word j // 64.  The package's
@@ -145,24 +144,25 @@ def _packed_leq(values, bounds):
     if not (k and w):  # no members: every column
         return np.repeat(_pack_rows(np.ones((1, w), dtype=bool), -(-w // 64)),
                          values.shape[1], axis=0)
-    return _leq_lookup(_leq_tables(bounds, values.shape[1]), values)
+    return _leq_lookup(_leq_tables(bounds, values.shape[1], slack), values)
 
 
-def _leq_tables(bounds, n):
-    """The kernel's tables over the (k, w) bounds, yielded per batch of
-    members as (members, tables, top, distinct).  A member whose bounds
-    take d distinct non-NaN values gets d + 1 rows: row t holds the columns
-    whose bound is among the t largest, so {j : v <= b_j} is row top[l] -
-    distinct[l].searchsorted(v) of the batch's member l; a NaN bound is in
-    no row, a NaN value takes the empty row 0.  Members are ranked by one
-    argsort per _TILE_CELLS // 64 bounds, their tables built at the group's
-    largest height in batches of _TILE_CELLS // 8 words with n values'
-    rows."""
+def _leq_tables(bounds, n, slack=0.0):
+    """The kernel's tables over the (k, w) bounds plus slack, yielded per
+    batch of members as (members, tables, top, distinct).  A member whose
+    bounds take d distinct non-NaN values gets d + 1 rows: row t holds the
+    columns whose bound is among the t largest, so {j : v <= b_j} is row
+    top[l] - distinct[l].searchsorted(v) of the batch's member l; a NaN
+    bound is in no row, a NaN value takes the empty row 0.  Members are
+    ranked by one argsort per _TILE_CELLS // 64 bounds, on a copy of them
+    plus slack, their tables built at the group's largest height in
+    batches of _TILE_CELLS // 8 words with n values' rows."""
     k, w = bounds.shape
     words = -(-w // 64)
     width = max(1, _TILE_CELLS // 64 // w)
     for g in range(0, k, width):
-        b = np.ascontiguousarray(bounds[g:g + width])
+        b = bounds[g:g + width] + slack if slack else \
+            np.ascontiguousarray(bounds[g:g + width])
         order = b.argsort(axis=1)
         ranked = b[np.arange(len(b))[:, None], order]
         new = ranked == ranked  # the first position of each distinct bound

@@ -894,6 +894,27 @@ def test_packed_leq_matches_the_direct_compare(k, n, w, eps, cells, seed):
     assert np.array_equal(got, _packed_direct(values, bounds))
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.sampled_from((1, 63, 65, 200)),
+       st.sampled_from((65, 100, 129, 300)),
+       st.sampled_from((1e-6, -1e-6, 0.25)),
+       st.sampled_from((1 << 14, 1 << 20)))
+def test_packed_leq_adds_the_slack_as_explicit_bounds_would(data, n, w, s,
+                                                            cells):
+    # from one member to one past an argsort group, on column slices of a
+    # wider array (as validation passes them) with ties at exactly +-s
+    group = max(1, cells // 64 // w)
+    k = data.draw(st.sampled_from(sorted({1, 2, group, group + 1})))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    palette = _palette(abs(s))
+    values = palette[rng.integers(0, len(palette), (k, n))]
+    bounds = palette[rng.integers(0, len(palette), (k, w + 7))][:, 3:3 + w]
+    with mock.patch.object(ordtop.preorder, "_TILE_CELLS", cells):
+        got = _packed_leq(values, bounds, s)
+        assert np.array_equal(got, _packed_leq(values, bounds + s))
+    assert np.array_equal(got, _packed_direct(values, bounds + s))
+
+
 def test_packed_leq_builds_a_rank_group_in_table_batches():
     # 600 distinct bounds make tables of 601 rows of 10 words: 27 members
     # are ranked together, but only 21 fit one batch of tables.  Member m
@@ -1027,7 +1048,7 @@ def test_blocked_witnesses_are_the_row_major_first_across_blocks(
 def test_a_skipped_tag_pass_has_no_violating_pair(vals, isotone, eps):
     raw = np.array([vals])
     bounds = raw + (eps if isotone else -eps)
-    breakable = catalog_module._breakable(raw, bounds, np.array([isotone]))
+    breakable = catalog_module._breakable(raw, np.array([isotone]), eps)
     broken = np.greater if isotone else np.less
     # the full compare ANDed with the all-True relation, which holds every
     # pair any relation could hold
@@ -1366,6 +1387,23 @@ def test_sample_values_peaks_near_the_raw_size():
         tracemalloc.stop()
     assert raw.shape == (1024, 512)
     assert peak <= 1.25 * raw.nbytes
+
+
+def test_validation_holds_no_copy_of_the_raw_values():
+    # the EPS_FN slack is added where a bound is read (the kernel's copy of
+    # each rank group, one tile row of a tag pass), so no raw-sized array
+    # of bounds is formed
+    entry = catalog("nat-discrete")
+    fam = entry.family("C", 1024)
+    sample, raw = sample_values(entry.space, fam, 1024, 4)
+    tracemalloc.start()
+    try:
+        report, _ = validate_family(fam, sample, raw, entry.space)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert raw.nbytes == 16 * 2 ** 20 and report.passed
+    assert peak < 0.5 * raw.nbytes
 
 
 # ------------------------------------------------------------- quotient

@@ -296,6 +296,18 @@ def test_compactify_usage_errors(tmp_path):
                    "--family", "id,nope", "--out", out).returncode == 2
 
 
+def test_compactify_rejects_a_function_named_twice(tmp_path, capsys):
+    # FunctionFamily would otherwise raise from inside the build
+    with pytest.raises(SystemExit) as exc:
+        ordtop.cli.main(["compactify", "--space", "half-open-interval",
+                         "--family", "id, sq,id", "--resolution", "16",
+                         "--out", str(tmp_path / "x")])
+    assert exc.value.code == 2
+    assert "repeated function names for half-open-interval: ['id']" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 @pytest.mark.parametrize("flag", ("--eps-q", "--eps-cauchy"))
 @pytest.mark.parametrize("value", ("nan", "inf"))
 def test_compactify_rejects_non_finite_tolerances(tmp_path, capsys, flag,
@@ -473,6 +485,20 @@ def test_dominate_rejects_a_stored_bad_config(tmp_path, capsys, key, value):
     err = capsys.readouterr().err
     assert err.startswith("error: bad build directory:")
     assert key in err and repr(value) in err
+
+
+def test_dominate_rejects_a_stored_family_naming_a_function_twice(
+        tmp_path, capsys):
+    out = tmp_path / "build"
+    assert ordtop.cli.main(["compactify", "--space", "half-open-interval",
+                            "--resolution", "64", "--out", str(out)]) == 0
+    _edit_report(out, lambda payload: payload["config"].update(
+        family="id,id"))
+    capsys.readouterr()
+    assert ordtop.cli.main(["dominate", str(out), str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad build directory:")
+    assert "repeated function names" in err and "'id'" in err
 
 
 @pytest.mark.parametrize("edit", (

@@ -24,6 +24,19 @@ from ordtop.preorder import (
 )
 
 
+@pytest.mark.parametrize("words", (0, 1, 2, 9))
+def test_hex_rows_formats_each_row_as_its_int(words):
+    # zero rows (as "0"), rows of one low bit and of leading zero words
+    rng = np.random.default_rng(words)
+    packed = rng.integers(0, 2 ** 64, (40, words), dtype=np.uint64)
+    packed[::3] = 0
+    packed[1::5, 1:] = 0
+    packed[2::7] &= np.uint64(1)
+    want = [format(int.from_bytes(row.tobytes(), "little"), "x")
+            for row in packed]
+    assert _hex_rows(packed.astype("<u8")) == want
+
+
 def naive_closure(n, pairs):
     """Reference closure: add pairs until nothing changes."""
     rel = {(i, i) for i in range(n)} | set(pairs)

@@ -60,7 +60,6 @@ from .finite_space import (
     smallest_closed_preorder,
 )
 from .preorder import (
-    EquivalenceClasses,
     PreorderGraph,
     function_preorder,
     is_antisymmetric,

@@ -476,6 +476,8 @@ class CatalogEntry:
             names = self.default_h
         else:
             names = [s.strip() for s in selector.split(",") if s.strip()]
+            if not names:
+                raise KeyError(f"selector {selector!r} names no function")
             missing = [n for n in names if n not in self.pool]
             if missing:
                 raise KeyError(

@@ -164,7 +164,8 @@ def cmd_dominate(args) -> int:
         cfg_a, comp_a = _rebuild_from_dir(args.dir_a)
         cfg_b, comp_b = _rebuild_from_dir(args.dir_b)
     except (OSError, json.JSONDecodeError, SpaceFormatError, KeyError) as exc:
-        print(f"error: bad build directory: {exc}", file=sys.stderr)
+        message = exc.args[0] if isinstance(exc, KeyError) else exc
+        print(f"error: bad build directory: {message}", file=sys.stderr)
         return 2
     if cfg_a["space"] != cfg_b["space"]:
         print(f"error: builds are for different spaces "

@@ -568,12 +568,12 @@ def nachbin_pipeline(entry, family,
 
     h = comp_a.h_count
     keys = _row_keys(comp_a.quant[:, :h]).tolist()
-    consistent = all(keys[v] == keys[block[0]] for block in classes.classes
+    consistent = all(keys[v] == keys[block[0]] for block in classes
                      for v in block)
     checks.append(Check("classes_share_h_coordinates", consistent,
                         witness=None if consistent else "mixed class"))
 
-    reps = [block[0] for block in classes.classes]
+    reps = [block[0] for block in classes]
     lookup = {}  # a quotient vertex's H-row key -> its id
     for vid, key in enumerate(_row_keys(comp_b.quant[:, :h]).tolist()):
         lookup.setdefault(key, vid)
@@ -599,7 +599,7 @@ def nachbin_pipeline(entry, family,
     checks.append(Check("order_isomorphism", iso_witness is None,
                         witness=iso_witness))
 
-    index_map = classes.index_map()
+    class_of = {m: c for c, block in enumerate(classes) for m in block}
     b_coords = {tuple(row): i
                 for i, row in enumerate(comp_b.sample.coords.tolist())}
     proj_witness = None
@@ -609,7 +609,7 @@ def nachbin_pipeline(entry, family,
         if target not in b_coords:
             proj_witness = (coords, "projection not among quotient samples")
             break
-        via_a = perm[index_map[int(comp_a.sample_map[i])]]
+        via_a = perm[class_of[int(comp_a.sample_map[i])]]
         via_b = int(comp_b.sample_map[b_coords[target]])
         if via_a != via_b:
             proj_witness = (coords, via_a, via_b)

@@ -96,7 +96,7 @@ def write_preorder_dot(comp, path):
     edges = transitive_reduction(qgraph)
     lines = ["digraph induced_order {", "  rankdir=BT;",
              "  node [shape=ellipse];"]
-    for ci, members in enumerate(classes.classes):
+    for ci, members in enumerate(classes):
         tagged = ["v%d" % m if m < comp.n_core else "r%d" % m
                   for m in members]
         if len(tagged) <= 3:

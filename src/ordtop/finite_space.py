@@ -404,15 +404,15 @@ def quotient_space(space: FinitePreorderedSpace):
     the least saturated open containing it.  No class merged: space as is.
     """
     q_graph, part = quotient_preorder(space.preorder)
-    if len(part.classes) == space.n:
+    if len(part) == space.n:
         return space, part
     links = list(space.topology.umin)
-    for members in part.classes:
+    for members in part:
         mask = sum(1 << p for p in members)
         for p in members:
             links[p] |= mask
     reach = transitive_reflexive_closure(PreorderGraph(space.n, tuple(links)))
-    reps = [members[0] for members in part.classes]
+    reps = [members[0] for members in part]
     q_umin = tuple(sum(1 << i for i, r in enumerate(reps) if row >> r & 1)
                    for row in [reach.rows[c] for c in reps])
     return FinitePreorderedSpace(FiniteTopology(len(reps), q_umin),

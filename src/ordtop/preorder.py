@@ -431,41 +431,10 @@ def is_antisymmetric(graph: PreorderGraph):
     return pair is None, pair
 
 
-@dataclass(frozen=True)
-class EquivalenceClasses:
-    """Partition of 0..n-1 into blocks of mutually related points."""
-
-    n: int
-    classes: tuple  # sorted tuples, ordered by least member
-
-    def __post_init__(self):
-        seen = 0
-        for cls in self.classes:
-            if not cls:
-                raise ValueError("empty equivalence class")
-            mask = 0
-            for m in cls:
-                if not 0 <= m < self.n:
-                    raise ValueError(f"member {m} out of range")
-                mask |= 1 << m
-            if mask.bit_count() != len(cls) or mask & seen:
-                raise ValueError("classes overlap or repeat members")
-            seen |= mask
-        if seen != (1 << self.n) - 1:
-            raise ValueError("classes do not cover all points")
-
-    def representative(self, class_index: int) -> int:
-        return self.classes[class_index][0]
-
-    def index_map(self) -> dict:
-        """point -> class index, for bulk lookups."""
-        return {m: idx for idx, cls in enumerate(self.classes) for m in cls}
-
-
-def symmetric_part(graph: PreorderGraph) -> EquivalenceClasses:
-    """Classes of mutual relation of a preorder, ordered by least member:
-    the groups of equal packed rows."""
-    return EquivalenceClasses(graph.n, tuple(map(tuple, _equal_rows(graph))))
+def symmetric_part(graph: PreorderGraph) -> tuple:
+    """Classes of mutual relation of a preorder as sorted int tuples,
+    ordered by least member: the groups of equal packed rows."""
+    return tuple(map(tuple, _equal_rows(graph)))
 
 
 def quotient_preorder(graph: PreorderGraph):
@@ -476,10 +445,9 @@ def quotient_preorder(graph: PreorderGraph):
     graph itself, returned as is.
     """
     classes = symmetric_part(graph)
-    if len(classes.classes) == graph.n:
+    if len(classes) == graph.n:
         return graph, classes
-    reps = list(map(classes.representative, range(len(classes.classes))))
-    return graph.restrict(reps), classes
+    return graph.restrict([c[0] for c in classes]), classes
 
 
 def function_preorder(values) -> PreorderGraph:

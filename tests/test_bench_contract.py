@@ -120,7 +120,7 @@ def test_quotient_space_closes_once_when_a_class_merges():
     # some class merges; with none, the space is its own quotient
     def merges(item):
         space = workloads.FIN.load_space(item["space"])
-        classes = workloads.PRE.symmetric_part(space.preorder).classes
+        classes = workloads.PRE.symmetric_part(space.preorder)
         return len(classes) < space.n
 
     items = workloads.finite_inputs(0)["items"]

@@ -1351,6 +1351,19 @@ def test_family_selector_errors():
         catalog("torus")
 
 
+@pytest.mark.parametrize("space", ("half-open-interval", "nat-discrete"))
+def test_family_selector_naming_no_function(space):
+    # a selector of separators alone names nothing: an error, not an
+    # empty H-part; the empty selector is still the default family
+    entry = catalog(space)
+    for selector in (",", " , ", ",,"):
+        with pytest.raises(KeyError, match="names no function"):
+            entry.family(selector, 16)
+    names = [[f.name for f in entry.family(sel, 16).members()]
+             for sel in ("", "default")]
+    assert names[0] == names[1] != []
+
+
 def test_evaluate_family_row_order():
     entry = catalog("half-open-interval")
     fam = entry.family("id,sq")

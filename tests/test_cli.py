@@ -308,6 +308,20 @@ def test_compactify_rejects_a_function_named_twice(tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("selector", (",", " , "))
+def test_compactify_rejects_a_selector_naming_no_function(tmp_path, capsys,
+                                                          selector):
+    # it would otherwise build an empty H-part and exit 0
+    with pytest.raises(SystemExit) as exc:
+        ordtop.cli.main(["compactify", "--space", "half-open-interval",
+                         "--family", selector, "--resolution", "16",
+                         "--out", str(tmp_path / "x")])
+    assert exc.value.code == 2
+    assert f"selector {selector!r} names no function" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 @pytest.mark.parametrize("flag", ("--eps-q", "--eps-cauchy"))
 @pytest.mark.parametrize("value", ("nan", "inf"))
 def test_compactify_rejects_non_finite_tolerances(tmp_path, capsys, flag,
@@ -497,8 +511,21 @@ def test_dominate_rejects_a_stored_family_naming_a_function_twice(
     capsys.readouterr()
     assert ordtop.cli.main(["dominate", str(out), str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: bad build directory:")
-    assert "repeated function names" in err and "'id'" in err
+    # the KeyError's message, not its quoted repr
+    assert err == ("error: bad build directory: repeated function names "
+                   "for half-open-interval: ['id']\n")
+
+
+def test_dominate_rejects_a_stored_family_naming_no_function(tmp_path,
+                                                             capsys):
+    out = tmp_path / "build"
+    assert ordtop.cli.main(["compactify", "--space", "half-open-interval",
+                            "--resolution", "64", "--out", str(out)]) == 0
+    _edit_report(out, lambda payload: payload["config"].update(family=","))
+    capsys.readouterr()
+    assert ordtop.cli.main(["dominate", str(out), str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: bad build directory: selector ',' names no function\n")
 
 
 @pytest.mark.parametrize("edit", (

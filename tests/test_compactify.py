@@ -56,7 +56,6 @@ from ordtop.compactify import (
 from ordtop.export import transitive_reduction, write_build
 from ordtop.generators import random_nested_families
 from ordtop.preorder import (
-    EquivalenceClasses,
     PreorderGraph,
     _lowest_bits,
     function_preorder,
@@ -498,7 +497,7 @@ def condense(comp):
 def _assert_condense_matches_quotient_preorder(comp):
     leq, classes = condense(comp)
     qgraph, part = quotient_preorder(comp.induced)
-    assert part.classes == classes
+    assert part == classes
     assert np.array_equal(bools(qgraph), leq)
 
 
@@ -1553,11 +1552,9 @@ def nachbin_case(case, monkeypatch):
         def patched(graph):
             q, classes = real(graph)
             if case == "one class":
-                return PreorderGraph.full(1), EquivalenceClasses(
-                    graph.n, (tuple(range(graph.n)),))
+                return PreorderGraph.full(1), (tuple(range(graph.n)),)
             if case == "every class a singleton":
-                return graph, EquivalenceClasses(
-                    graph.n, tuple((v,) for v in range(graph.n)))
+                return graph, tuple((v,) for v in range(graph.n))
             return PreorderGraph.from_matrix(bools(q).T), classes
 
         monkeypatch.setattr(ordtop.compactify, "quotient_preorder", patched)

@@ -216,10 +216,7 @@ def reference_enumerate_isotone_functions(space, levels):
 
 def reference_quotient_space(space):
     q_graph, part = ordtop.preorder.quotient_preorder(space.preorder)
-    rep = part.index_map()
-    masks = [0] * len(part.classes)
-    for point, idx in rep.items():
-        masks[idx] |= 1 << point
+    masks = [sum(1 << p for p in members) for members in part]
     q_opens = set()
     for u in space.topology.opens:
         projected = 0
@@ -231,7 +228,7 @@ def reference_quotient_space(space):
                 break  # not saturated
         else:
             q_opens.add(projected)
-    q_top = FiniteTopology.from_basis(len(part.classes), q_opens)
+    q_top = FiniteTopology.from_basis(len(part), q_opens)
     return FinitePreorderedSpace(q_top, q_graph), part
 
 
@@ -267,7 +264,7 @@ def assert_matches_references(space, levels, rng):
         reference_clopen_increasing_sets(space)
     q, part = quotient_space(space)
     q_ref, part_ref = reference_quotient_space(space)
-    assert part.classes == part_ref.classes
+    assert part == part_ref
     assert q.preorder.rows == q_ref.preorder.rows
     assert q.topology == q_ref.topology
     assert q.topology.opens == q_ref.topology.opens
@@ -820,7 +817,7 @@ def test_quotient_space_basic():
     # indiscrete preorder collapses to one point
     space = FinitePreorderedSpace(FiniteTopology.discrete(3), PreorderGraph.full(3))
     q, part = quotient_space(space)
-    assert q.n == 1 and len(part.classes) == 1
+    assert q.n == 1 and len(part) == 1
     # antisymmetric input: isomorphic copy (classes are singletons)
     space = chain_space(3)
     q, part = quotient_space(space)
@@ -853,8 +850,8 @@ def saturation_quotient_space(space):
     and every class it meets."""
     q_graph, part = ordtop.preorder.quotient_preorder(space.preorder)
     umin = space.topology.umin
-    block_of = part.index_map()
-    masks = [sum(1 << p for p in members) for members in part.classes]
+    block_of = {p: c for c, members in enumerate(part) for p in members}
+    masks = [sum(1 << p for p in members) for members in part]
     q_umin = []
     for cur in masks:
         while True:
@@ -884,10 +881,10 @@ def test_quotient_space_matches_the_saturation_fixpoint():
             space = random_finite_space(rng, n, style)
             q, part = quotient_space(space)
             q_ref, part_ref = saturation_quotient_space(space)
-            assert part.classes == part_ref.classes
+            assert part == part_ref
             assert q.preorder.rows == q_ref.preorder.rows
             assert q.topology == q_ref.topology
-            if len(part.classes) == n:
+            if len(part) == n:
                 assert q is space
             else:
                 merged[style, n > 96] += 1
@@ -903,7 +900,7 @@ def test_quotient_space_follows_merges_across_neighborhoods():
         7, [(1, 2), (2, 1), (3, 4), (4, 3), (5, 6), (6, 5)]))
     space = FinitePreorderedSpace(top, graph)
     q, part = quotient_space(space)
-    assert part.classes == ((0,), (1, 2), (3, 4), (5, 6))
+    assert part == ((0,), (1, 2), (3, 4), (5, 6))
     assert q.topology.umin == (0b1111, 0b1110, 0b1100, 0b1000)
     assert q.topology == saturation_quotient_space(space)[0].topology
     # a single class: the quotient is one point
@@ -920,7 +917,7 @@ def test_quotient_of_singleton_classes_is_the_space_itself(monkeypatch):
             FiniteTopology.indiscrete(3), PreorderGraph.diagonal(3))):
         q, part = quotient_space(space)
         assert q is space
-        assert part.classes == tuple((x,) for x in range(space.n))
+        assert part == tuple((x,) for x in range(space.n))
     assert closures == []
 
 
@@ -941,7 +938,7 @@ def test_quotient_opens_form_quotient_topology():
         n = rng.randrange(1, 6)
         space = rand_space(rng, n)
         q, part = quotient_space(space)
-        rep = part.index_map()
+        rep = {p: c for c, members in enumerate(part) for p in members}
         # V open in quotient iff its preimage is open
         for v in range(1 << q.n):
             pre = sum(1 << p for p in range(n) if v >> rep[p] & 1)
@@ -1132,7 +1129,7 @@ def test_empty_space_is_vacuously_fine():
     assert graph_is_closed(space).passed
     assert is_T1_preordered(space).passed
     q, part = quotient_space(space)
-    assert q.n == 0 and part.classes == ()
+    assert q.n == 0 and part == ()
     assert enumerate_isotone_functions(space, 2).tolist() == [[]]
 
 

@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 from conftest import bools
 import ordtop.preorder
 from ordtop.preorder import (
-    EquivalenceClasses,
     PreorderGraph,
     _hex_rows,
     function_preorder,
@@ -344,7 +343,7 @@ def test_quotient_of_a_closed_relation_is_antisymmetric(graphs, cutover):
             PreorderGraph.from_pairs(n, pairs))
     q, part = quotient_preorder(closed)
     assert is_antisymmetric(q) == (True, None)
-    assert q.n == len(part.classes)
+    assert q.n == len(part)
 
 
 def test_closure_long_chain():
@@ -420,11 +419,14 @@ def test_symmetric_part_matches_networkx_sccs():
                      PreorderGraph.from_packed(closed.packed),
                      PreorderGraph.from_matrix(bools(closed))):
             part = symmetric_part(form)
-            assert set(part.classes) == want
+            # no class repeated or lost, each sorted, and together a
+            # partition of 0..n-1
+            assert len(part) == len(want) and set(part) == want
+            assert sorted(m for c in part for m in c) == list(range(n))
+            assert all(list(c) == sorted(c) for c in part)
             # ordered by least member
-            assert list(part.classes) == sorted(part.classes,
-                                                key=lambda c: c[0])
-            assert part.representative(0) == part.classes[0][0]
+            assert list(part) == sorted(part, key=lambda c: c[0])
+            assert quotient_preorder(form)[1] == part
 
 
 def test_quotient_is_partial_order():
@@ -434,12 +436,12 @@ def test_quotient_is_partial_order():
         g, _ = random_graph(rng, n, 0.35)
         closed = transitive_reflexive_closure(g)
         q, part = quotient_preorder(closed)
-        assert q.n == len(part.classes)
+        assert q.n == len(part)
         ok, _ = is_antisymmetric(q)
         assert ok
         assert is_transitive(q)
         # membership respects the original relation
-        rep = part.index_map()
+        rep = {m: c for c, members in enumerate(part) for m in members}
         for i, j in closed.pairs():
             assert q.leq(rep[i], rep[j])
 
@@ -454,12 +456,11 @@ def quotient_by_pairs_walk(graph):
                          if graph.leq(i, j) and graph.leq(j, i)]
             seen.update(cls)
             classes.append(tuple(cls))
-    part = EquivalenceClasses(graph.n, tuple(classes))
-    rep = part.index_map()
+    rep = {m: c for c, members in enumerate(classes) for m in members}
     rows = [1 << c for c in range(len(classes))]
     for i, j in graph.pairs():
         rows[rep[i]] |= 1 << rep[j]
-    return tuple(rows), part.classes
+    return tuple(rows), tuple(classes)
 
 
 def test_quotient_matches_pairs_walk_reference():
@@ -471,7 +472,7 @@ def test_quotient_matches_pairs_walk_reference():
             random_graph(rng, n, rng.choice((0.1, 0.3, 0.5)))[0])
         want_rows, want_classes = quotient_by_pairs_walk(g)
         q, part = quotient_preorder(g)
-        assert part.classes == want_classes
+        assert part == want_classes
         assert q.rows == want_rows
         merged += len(want_classes) < n
     # graphs with and without a merged class reach the comparison
@@ -486,18 +487,11 @@ def test_quotient_of_an_antisymmetric_graph_is_the_graph(unpacks):
     assert is_antisymmetric(g) == (True, None)
     q, part = quotient_preorder(g)
     assert q is g
-    assert part.classes == tuple((i,) for i in range(12))
+    assert part == tuple((i,) for i in range(12))
     # on the packed words alone: nothing unpacked, no int rows made
     words = PreorderGraph.from_packed(g.packed)
     assert quotient_preorder(words)[0] is words
     assert "rows" not in vars(words) and unpacks == []
-
-
-def test_equivalence_classes_reject_bad_partition():
-    with pytest.raises(ValueError, match="overlap"):
-        EquivalenceClasses(3, ((0, 1), (1, 2)))
-    with pytest.raises(ValueError, match="do not cover"):
-        EquivalenceClasses(3, ((0,), (2,)))
 
 
 def test_function_preorder_basic():

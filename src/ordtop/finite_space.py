@@ -21,6 +21,7 @@ import numpy as np
 
 from .preorder import (
     PreorderGraph,
+    _converse,
     _first_excess,
     _product,
     function_preorder,
@@ -33,7 +34,7 @@ from .report import Check, CheckReport
 CLOPEN_BUDGET = 1 << 22  # clopen increasing sets
 FUNCTION_BUDGET = 2_000_000  # chain-valued isotone functions
 # most points load_space reads: check-finite on a 5,000-point chain takes
-# about 8 s on 2 vCPU, its products and closure cubic in the points
+# 6 to 8 s on 2 vCPU, its products and closure cubic in the points
 POINT_BUDGET = 5_000
 # most values (rows x points) of a build's samples or an isotone function
 # enumeration step; a build's traced peak is 24 B a value (770 MiB at the
@@ -85,13 +86,14 @@ class FiniteTopology:
                 raise ValueError(f"minimal neighborhood of {x} misses {x}")
         spec = PreorderGraph(self.n, self.umin)
         object.__setattr__(self, "_spec", spec)  # U, the one relation
-        pair = _first_excess(_product(spec, spec, None), spec)
+        pair = _first_excess(_product(spec, spec).rows, spec)
         if pair is not None:
             u = self.umin[pair[0]]
             y = next(y for y in _bits(u) if self.umin[y] & ~u)
             raise ValueError(
                 f"minimal neighborhood of {pair[0]} contains {y} but not "
                 f"the minimal neighborhood of {y}")
+        object.__setattr__(self, "_spec_t", _converse(spec))  # Uᵀ, once
 
     @classmethod
     def from_basis(cls, n: int, basis) -> "FiniteTopology":
@@ -160,10 +162,14 @@ class FinitePreorderedSpace:
         return self.topology.n
 
     @cached_property
+    def _closed_ups(self) -> PreorderGraph:
+        """G·Uᵀ: row x is the closure of the increasing hull i(x)."""
+        return _product(self.preorder, self.topology._spec_t)
+
+    @cached_property
     def _hull(self) -> PreorderGraph:
         """U·G·Uᵀ, the graph's closure in the product topology."""
-        u = self.topology._spec
-        return PreorderGraph(self.n, tuple(_product(u, self.preorder, u)))
+        return _product(self.topology._spec, self._closed_ups)
 
 
 def graph_is_closed(space: FinitePreorderedSpace) -> CheckReport:
@@ -190,7 +196,7 @@ def is_T1_preordered(space: FinitePreorderedSpace) -> CheckReport:
     g, spec = space.preorder, space.topology._spec
     inc = dec = 0  # the x whose i(x) is not closed; columns of U·G - G
     for x, (up, down, own) in enumerate(zip(
-            _product(None, g, spec), _product(spec, g, None), g.rows)):
+            space._closed_ups.rows, _product(spec, g).rows, g.rows)):
         inc |= bool(up & ~own) << x
         dec |= down & ~own
     x = _least_bit(inc | dec)
@@ -295,8 +301,7 @@ def clopen_increasing_sets(space: FinitePreorderedSpace):
     would be produced.
     """
     order = _clopen_order(space)
-    up = order.rows
-    down = [order.down_set(1 << x) for x in range(space.n)]
+    up, down = order.rows, _converse(order).rows
     full = (1 << space.n) - 1
     out = []
     stack = [(0, 0)]  # (points taken, points left out)
@@ -336,7 +341,7 @@ def enumerate_isotone_functions(space, levels: int):
     if (levels + 1 if n else 1) > FUNCTION_BUDGET:
         raise BudgetError("isotone functions", FUNCTION_BUDGET)
     order = _clopen_order(space)
-    down = [order.down_set(1 << x) for x in range(n)]
+    down = _converse(order).rows
     counts = np.zeros((1, n), dtype=np.min_scalar_type(levels if n else 0))
     done = 0
     for x in sorted(range(n), key=lambda x: down[x].bit_count()):
@@ -438,8 +443,8 @@ def load_space(source) -> FinitePreorderedSpace:
     `source` is a path to a JSON file or an already-parsed dict.  The
     open sets are generated from the basis; the relation is closed
     transitively and reflexively (not topologically).  Raises
-    SpaceFormatError naming the offending location, and BudgetError for
-    more than POINT_BUDGET points.
+    SpaceFormatError naming the offending location or any other key, and
+    BudgetError for more than POINT_BUDGET points.
     """
     if isinstance(source, dict):
         data = source
@@ -457,6 +462,9 @@ def load_space(source) -> FinitePreorderedSpace:
             ) from exc
     if not isinstance(data, dict):
         raise SpaceFormatError("top level: expected an object")
+    for key in data:
+        if key not in ("n", "basis", "relation"):
+            raise SpaceFormatError(f"top level: unknown key {key!r}")
     try:
         n = data["n"]
     except KeyError:

@@ -379,25 +379,21 @@ def _bool_product(left, right):
     return out
 
 
-def _product(left, graph, right):
-    """Int rows of left·graph·rightᵀ (None: the identity): i to l iff
-    i <= j in left, j <= k in graph and l <= k in right, some j and k.
-    Lazy up to _NUMPY_CUTOVER points, so a caller that stops early makes
-    no more; above it read off packed products, right transposed once."""
+def _product(left, right):
+    """The graph left·right (i to k iff i <= j in left, j <= k in right):
+    int rows up to _NUMPY_CUTOVER points, the packed product above."""
+    if left.n <= _NUMPY_CUTOVER:
+        return PreorderGraph(left.n, tuple(map(right.up_set, left.rows)))
+    return PreorderGraph.from_packed(_bool_product(left.packed, right.packed))
+
+
+def _converse(graph):
+    """The graph whose rows are graph's columns (down-sets, else words)."""
     if graph.n > _NUMPY_CUTOVER:
-        out = graph.packed
-        if left is not None:
-            out = _bool_product(left.packed, out)
-        if right is not None:
-            out = _bool_product(out, _pack_rows(
-                _unpack_rows(right.packed, right.n).T, right.packed.shape[1]))
-        return PreorderGraph.from_packed(out).rows
-    rows = graph.rows
-    if left is not None:
-        rows = map(graph.up_set, left.rows)
-    if right is not None:
-        rows = map(right.down_set, rows)
-    return rows
+        return PreorderGraph.from_packed(_pack_rows(
+            _unpack_rows(graph.packed, graph.n).T, graph.packed.shape[1]))
+    return PreorderGraph(graph.n, tuple(graph.down_set(1 << j)
+                                        for j in range(graph.n)))
 
 
 def _first_excess(rows, graph):
@@ -411,7 +407,7 @@ def _first_excess(rows, graph):
 
 
 def is_transitive(graph: PreorderGraph) -> bool:
-    return _first_excess(_product(graph, graph, None), graph) is None
+    return _first_excess(_product(graph, graph).rows, graph) is None
 
 
 def _equal_rows(graph):

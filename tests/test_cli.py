@@ -86,6 +86,17 @@ def test_check_finite_rejects_json_booleans_as_integers(tmp_path, capsys):
         assert captured.err == f"error: {message}\n"
 
 
+def test_check_finite_rejects_an_unknown_key(tmp_path, capsys):
+    # "relations" for "relation" would otherwise check the discrete
+    # preorder, pass all five checks and exit 0
+    path = write_json(tmp_path / "typo.json", {
+        "n": 3, "basis": [[0], [1], [2]], "relations": [[0, 1], [1, 2]]})
+    assert ordtop.cli.main(["check-finite", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: top level: unknown key 'relations'\n"
+
+
 def assert_one_report_at_every_level(path, capsys):
     """check-finite passes all five checks with the same stdout, text and
     JSON, at --levels 1, 2 and 3: the representation is read off the

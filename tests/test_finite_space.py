@@ -995,13 +995,15 @@ def test_smallest_closed_preorder_matches_exhaustive_oracle():
 def fixpoint_smallest_closed(top, seed_pairs):
     """The least closed preorder as a fixpoint: transitive closure and
     U·G·Uᵀ alternated until neither changes the relation."""
-    n, spec = top.n, top._spec
-    g = transitive_reflexive_closure(PreorderGraph.from_pairs(n, seed_pairs))
+    spec, product = top._spec, ordtop.preorder._product
+    back = ordtop.preorder._converse(spec)
+    g = transitive_reflexive_closure(
+        PreorderGraph.from_pairs(top.n, seed_pairs))
     while True:
-        rows = tuple(ordtop.preorder._product(spec, g, spec))
-        if rows == g.rows:
+        hull = product(product(spec, g), back)
+        if hull.rows == g.rows:
             return g
-        g = transitive_reflexive_closure(PreorderGraph(n, rows))
+        g = transitive_reflexive_closure(hull)
 
 
 def test_smallest_closed_preorder_is_the_fixpoint():
@@ -1062,6 +1064,12 @@ def test_load_space_errors(tmp_path):
         load_space({"n": 2, "basis": [], "relation": [[0, 1], [0]]})
     with pytest.raises(SpaceFormatError, match="cannot read"):
         load_space("/no/such/file.json")
+    # a misspelled key is refused, not read as the discrete preorder
+    with pytest.raises(SpaceFormatError) as exc:
+        load_space({"n": 2, "relations": [[0, 1]]})
+    assert str(exc.value) == "top level: unknown key 'relations'"
+    with pytest.raises(SpaceFormatError, match="unknown key 'N'"):
+        load_space({"N": 2})
 
 
 _JSON_SCALARS = (st.none() | st.booleans() | st.integers(-3, 10)
@@ -1204,12 +1212,13 @@ def test_clopen_budget_fires_one_set_past_the_limit(monkeypatch):
 
 def test_check_finite_computes_each_spaces_hull_once(tmp_path, monkeypatch,
                                                     capsys):
-    # U·U checks the topology, T1 takes G·Uᵀ and U·G, and U·G·Uᵀ is shared
-    # by the closedness checks and the clopen order: 4 products, 5 packed
-    # ones, and the closures' squarings (the chain's load squares its
-    # relation 10 times, the indiscrete diagonal once; each clopen order
-    # is closed already and squares once)
-    calls = {"product": 0, "bool_product": 0}
+    # U·U checks the topology, Uᵀ is formed once, G·Uᵀ is shared by T1
+    # and U·(G·Uᵀ), T1 adds U·G, and U·G·Uᵀ is shared by the closedness
+    # checks and the clopen order: 4 products, 4 packed ones, and the
+    # closures' squarings (the chain's load squares its relation 10 times,
+    # the indiscrete diagonal once; each clopen order is closed already
+    # and squares once)
+    calls = {"product": 0, "bool_product": 0, "converse": 0}
 
     def counted(name, original):
         def call(*args):
@@ -1219,19 +1228,22 @@ def test_check_finite_computes_each_spaces_hull_once(tmp_path, monkeypatch,
 
     monkeypatch.setattr(ordtop.finite_space, "_product", counted(
         "product", ordtop.finite_space._product))
+    monkeypatch.setattr(ordtop.finite_space, "_converse", counted(
+        "converse", ordtop.finite_space._converse))
     monkeypatch.setattr(ordtop.preorder, "_bool_product", counted(
         "bool_product", ordtop.preorder._bool_product))
     n = 300
     for data, code, most in (
             ({"n": n, "basis": [[p] for p in range(n)],
-              "relation": [[i, i + 1] for i in range(n - 1)]}, 0, 16),
-            ({"n": n}, 1, 7)):
+              "relation": [[i, i + 1] for i in range(n - 1)]}, 0, 15),
+            ({"n": n}, 1, 6)):
         path = tmp_path / "space.json"
         path.write_text(json.dumps(data))
-        calls.update(product=0, bool_product=0)
+        calls.update(product=0, bool_product=0, converse=0)
         assert ordtop.cli.main(["check-finite", str(path)]) == code
         assert calls["product"] == 4, calls
         assert calls["bool_product"] <= most, calls
+        assert calls["converse"] == 1, calls
     capsys.readouterr()
 
 

@@ -198,15 +198,29 @@ def test_only_preorder_converts_between_the_forms():
                             r"|\.matrix\b"
                             r"|np\.uint64\(\(1 << [^)]*% 64\) - 1\)"
                             r"|& 63\b|>> 6\b")
+    assert _lines_outside_preorder(conversion) == []
+
+
+def test_only_preorder_multiplies_or_transposes_relations():
+    # the exact tier's products are preorder._product and its transposes
+    # preorder._converse: no other module runs the packed kernel or builds
+    # a relation's columns one point at a time
+    kernel = re.compile(r"_bool_product|down_set\(1 <<")
+    assert _lines_outside_preorder(kernel) == []
+
+
+def _lines_outside_preorder(pattern):
+    """Each line of the package's modules but preorder.py that pattern
+    matches, as "module.py:line: text"."""
     found = []
     for path in sorted(pathlib.Path(ordtop.preorder.__file__).parent
                        .glob("*.py")):
         if path.name == "preorder.py":
             continue
         for k, line in enumerate(path.read_text().splitlines(), 1):
-            if conversion.search(line):
+            if pattern.search(line):
                 found.append(f"{path.name}:{k}: {line.strip()}")
-    assert found == []
+    return found
 
 
 def test_no_module_checks_an_invariant_with_assert():
@@ -283,27 +297,44 @@ def _shaped_relation(rng, n, shape):
 
 @pytest.mark.parametrize("n", (97, 130, 200, 333, 700))
 def test_packed_products_match_int_rows(n):
-    # past the cutover products and closures run on packed words; the same
-    # calls at a cutover raised past n run on int rows.  Each shape is the
-    # middle factor of every None pattern, the next two the outer ones
+    # past the cutover products, converses and closures run on packed
+    # words; the same calls at a cutover raised past n run on int rows.
+    # The products take all 9 ordered pairs of the three shapes
     rng = np.random.default_rng(n)
     shapes = [_shaped_relation(rng, n, shape)
               for shape in ("sparse", "dense", "chain")]
-    calls = [(ordtop.preorder._product, (left, graph, right))
-             for k, graph in enumerate(shapes)
-             for left in (None, shapes[k - 1])
-             for right in (None, shapes[k - 2])]
-    calls += [(transitive_reflexive_closure, (graph,)) for graph in shapes]
+    calls = [(ordtop.preorder._product, (left, right))
+             for left in shapes for right in shapes]
+    calls += [(fn, (graph,)) for graph in shapes
+              for fn in (ordtop.preorder._converse,
+                         transitive_reflexive_closure)]
 
     def run(fn, args):
         out = fn(*args)
-        return tuple(out) if fn is ordtop.preorder._product else out.rows
+        assert isinstance(out, PreorderGraph)
+        return out.rows
 
     packed = [run(*call) for call in calls]
     with mock.patch.object(ordtop.preorder, "_NUMPY_CUTOVER", n):
         assert [run(*call) for call in calls] == packed
-    # the chain's closure is the whole upper triangle
+    # the chain's closure is the whole upper triangle, its converse the
+    # chain's consecutive pairs read downwards
     assert packed[-1] == tuple((1 << n) - (1 << i) for i in range(n))
+    assert packed[-2] == tuple(3 << i - 1 if i else 1 for i in range(n))
+
+
+def test_converse_matches_networkx_reverse():
+    # at 0 to 130 points, across the cutover: row j of the converse holds
+    # the i with j -> i in networkx's reverse of the relation's digraph
+    rng = random.Random(39)
+    for n in range(131):
+        g, pairs = random_graph(rng, n, rng.choice((0.5, 2, 8)) / max(n, 1))
+        dg = nx.DiGraph(pairs)
+        dg.add_nodes_from(range(n))
+        back = dg.reverse()
+        want = tuple(sum(1 << i for i in back.successors(j)) | 1 << j
+                     for j in range(n))
+        assert ordtop.preorder._converse(g).rows == want, n
 
 
 @st.composite
